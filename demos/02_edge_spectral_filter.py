@@ -3,23 +3,25 @@
 
 Edges become nodes of the edge graph (adjacent when they share an endpoint);
 the signed incidence matrix B1 yields L1 = B1^T B1, whose spectrum drives a
-polynomial spectral filter evaluated by the Laguerre recurrence.
+polynomial spectral filter evaluated by the Laguerre recurrence.  The model
+never stores L1: it applies it as B1^T (B1 X), scaled by the top eigenvalue
+of B1 B1^T, which shares L1's nonzero spectrum.
 """
 
 import numpy as np
 
 from stedge.autodiff import Tensor
 from stedge.edgegraph import (
+    EdgeGraph,
     LaguerreFilter,
     boundary_operator,
     hll_conv,
     hodge_laplacian,
+    hodge_operator,
     laguerre_basis,
     laguerre_scalars,
     line_graph,
-    scale_laplacian,
 )
-from stedge.edgegraph import EdgeGraph
 
 triangle = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
 op = boundary_operator(triangle)
@@ -41,13 +43,17 @@ for lam in (0.0, 0.5, 1.0, 2.0):
     print(f"  G_j({lam}) for j=0..3:",
           [round(v, 4) for v in laguerre_scalars(lam, 4)])
 
-scaled, lam_max = scale_laplacian(l1)
-print(f"\nspectral rescale: lambda_max ~= {lam_max:.4f}; "
+hodge = hodge_operator(op)
+scaled = l1 / hodge.lam
+print(f"\nspectral rescale: lambda_max of B1 B1^T = {hodge.lam:.4f}; "
       f"scaled spectrum {np.round(np.linalg.eigvalsh(scaled), 4)}")
 
 rng = np.random.default_rng(0)
 feats = rng.normal(size=(3, 4))
-basis = laguerre_basis(scaled, Tensor(feats), 3)
+applied = (hodge @ Tensor(feats)).data
+print("B1^T (B1 X) / lambda vs (L1 / lambda) X: max |difference| = "
+      f"{np.abs(applied - scaled @ feats).max():.2e}")
+basis = laguerre_basis(hodge, Tensor(feats), 3)
 print("\noperator recurrence vs eigenbasis evaluation (order 3):")
 w, v = np.linalg.eigh(scaled)
 for j, t in enumerate(basis):
@@ -56,9 +62,7 @@ for j, t in enumerate(basis):
     print(f"  order {j}: max |difference| = "
           f"{np.abs(t.data - spectral).max():.2e}")
 
-graph = EdgeGraph(edge_index=op.edge_index, features=Tensor(feats),
-                  adjacency=line_graph(op.edge_index), laplacian=l1,
-                  laplacian_scaled=scaled)
+graph = EdgeGraph(edge_index=op.edge_index, features=Tensor(feats), hodge=hodge)
 filt = LaguerreFilter([Tensor(rng.normal(size=(4, 4)) * 0.4) for _ in range(3)])
 out = hll_conv(graph, filt)
 print(f"\nfiltered edge embedding shape: {out.shape}; "

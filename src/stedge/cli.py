@@ -26,7 +26,7 @@ from stedge.data import (
 )
 from stedge.edgegraph import boundary_operator, hodge_laplacian, line_graph
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
-from stedge.predictor import sample_trajectories
+from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
 from stedge.stgraph import (
     DisconnectedGraphError,
     build_node_adjacency,
@@ -149,7 +149,7 @@ def cmd_predict(args) -> int:
         for wi, window in enumerate(windows):
             track = model.predict(window)
             samples = sample_trajectories(track, cfg["eval.samples"],
-                                          seed=[cfg["seed"], 2, wi])
+                                          seed=[cfg["seed"], _STREAM_SAMPLING, wi])
             for si in range(samples.shape[0]):
                 for pi, ped in enumerate(window.ped_ids):
                     for t in range(samples.shape[2]):

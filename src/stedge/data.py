@@ -107,6 +107,9 @@ def parse_trajectory_file(path) -> TrajectoryScene:
                           float(parts[2]), float(parts[3]))
             except ValueError as exc:
                 raise MalformedLineError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(record[2]) and math.isfinite(record[3])):
+                raise MalformedLineError(
+                    f"{path}:{lineno}: non-finite coordinate in {line!r}")
             records.append(record)
     if not records:
         raise EmptyFileError(f"{path}: no observations")

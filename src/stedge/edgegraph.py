@@ -1,11 +1,12 @@
 """Edge graphs via the first-order boundary operator.
 
-Each patch graph is lifted to its line graph: edges become nodes, adjacent
-when they share an endpoint.  The signed incidence matrix B1 (one -1 at the
-low-index endpoint, one +1 at the high-index endpoint per column) yields the
-first Hodge Laplacian L1 = B1^T B1 (the two-simplex term is zero here), and
-edge features are filtered by a truncated Laguerre polynomial expansion of
-L1 before being fused back into node embeddings as multiplicative gates.
+The signed incidence matrix B1 (one -1 at the low-index endpoint, one +1 at
+the high-index endpoint per column) defines the first Hodge Laplacian
+L1 = B1^T B1 (the two-simplex term is zero here).  Edge features are
+filtered by a truncated Laguerre expansion of L1, applied as B1^T (B1 X) so
+that no (m, m) array exists, then fused back into node embeddings as
+multiplicative gates.  ``line_graph`` and ``hodge_laplacian`` build the
+dense edge graph and L1 for reports and reference checks only.
 """
 
 from __future__ import annotations
@@ -31,15 +32,26 @@ class BoundaryOperator:
         return len(self.edge_index)
 
 
+@dataclass(frozen=True)
+class HodgeOperator:
+    """L1 / lam applied through its incidence factor: ``op @ x`` is
+    B1^T (B1 x) / lam, so neither pass builds an (m, m) array."""
+
+    b1: np.ndarray           # (n_nodes, n_edges)
+    b1t_scaled: np.ndarray   # B1^T / lam
+    lam: float
+
+    def __matmul__(self, x: Tensor) -> Tensor:
+        return Tensor(self.b1t_scaled) @ (Tensor(self.b1) @ x)
+
+
 @dataclass
 class EdgeGraph:
-    """Line graph of one patch: edge features, adjacency and Hodge Laplacian."""
+    """Edges of one patch: their features and the Hodge operator."""
 
     edge_index: tuple[tuple[int, int], ...]
     features: Tensor             # (n_edges, D_e)
-    adjacency: np.ndarray        # line-graph adjacency
-    laplacian: np.ndarray        # L1 = B1^T B1
-    laplacian_scaled: np.ndarray
+    hodge: HodgeOperator
 
 
 @dataclass
@@ -60,13 +72,11 @@ class LaguerreFilter:
 def boundary_operator(adjacency) -> BoundaryOperator:
     """Columns are the graph's undirected edges, oriented low -> high index."""
     a = np.asarray(adjacency)
-    n = a.shape[0]
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if a[u, v] != 0]
-    b1 = np.zeros((n, len(edges)))
-    for e, (u, v) in enumerate(edges):
-        b1[u, e] = -1.0
-        b1[v, e] = 1.0
-    return BoundaryOperator(matrix=b1, edge_index=tuple(edges))
+    u, v = np.nonzero(np.triu(a, 1))   # row-major: lexicographic (u, v)
+    b1 = np.zeros((a.shape[0], len(u)))
+    b1[u, np.arange(len(u))] = -1.0
+    b1[v, np.arange(len(u))] = 1.0
+    return BoundaryOperator(matrix=b1, edge_index=tuple(zip(u.tolist(), v.tolist())))
 
 
 def line_graph(edge_index) -> np.ndarray:
@@ -86,26 +96,18 @@ def hodge_laplacian(b1) -> np.ndarray:
     return m.T @ m
 
 
-def scale_laplacian(l1: np.ndarray, power_iters: int = 50,
-                    floor: float = 1e-6) -> tuple[np.ndarray, float]:
-    """Rescale L1 by its largest eigenvalue (power iteration estimate).
-
-    Laguerre polynomials grow quickly on large arguments, so the spectrum is
-    squeezed into [0, 1] before filtering.  Deterministic start vector.
-    """
-    m = l1.shape[0]
-    if m == 0:
-        return l1.copy(), floor
-    v = np.ones(m) + 1e-3 * np.arange(m)
-    v /= np.linalg.norm(v)
-    for _ in range(power_iters):
-        w = l1 @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-    lam = max(float(v @ l1 @ v), floor)
-    return l1 / lam, lam
+def hodge_operator(boundary: BoundaryOperator, rescale: bool = True,
+                   floor: float = 1e-6) -> HodgeOperator:
+    """L1 scaled by its largest eigenvalue lam (lam = 1 without rescale), so
+    that the Laguerre polynomials see a spectrum in [0, 1].  B1 B1^T (n x n)
+    shares L1's nonzero spectrum, so lam is exact: n on a complete graph,
+    ``floor`` on an edgeless one."""
+    m = boundary.matrix
+    lam = 1.0
+    if rescale:
+        top = np.linalg.eigvalsh(m @ m.T)[-1] if m.shape[1] else 0.0
+        lam = max(float(top), floor)
+    return HodgeOperator(b1=m, b1t_scaled=m.T / lam, lam=lam)
 
 
 def laguerre_scalars(lam: float, order: int) -> list[float]:
@@ -122,11 +124,12 @@ def laguerre_scalars(lam: float, order: int) -> list[float]:
     return vals
 
 
-def laguerre_basis(l1_scaled: np.ndarray, x: Tensor, order: int) -> list[Tensor]:
-    """Apply the scalar recurrence to the operator: T_j = G_j(L1) X."""
+def laguerre_basis(operator, x: Tensor, order: int) -> list[Tensor]:
+    """Apply the scalar recurrence to the operator (a ``HodgeOperator`` or a
+    dense square array): T_j = G_j(L1) X."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    lap = Tensor(l1_scaled)
+    lap = operator if isinstance(operator, HodgeOperator) else Tensor(operator)
     basis = [x]
     if order > 1:
         basis.append(x - lap @ x)
@@ -140,9 +143,8 @@ def laguerre_basis(l1_scaled: np.ndarray, x: Tensor, order: int) -> list[Tensor]
 
 
 def hll_conv(edge_graph: EdgeGraph, filt: LaguerreFilter) -> Tensor:
-    """Spectral edge convolution: sum_j G_j(L1_scaled) E theta_j, then ELU."""
-    basis = laguerre_basis(edge_graph.laplacian_scaled, edge_graph.features,
-                           filt.order)
+    """Spectral edge convolution: sum_j G_j(L1 / lam) E theta_j, then ELU."""
+    basis = laguerre_basis(edge_graph.hodge, edge_graph.features, filt.order)
     out = basis[0] @ filt.thetas[0]
     for t_j, theta in zip(basis[1:], filt.thetas[1:]):
         out = out + t_j @ theta
@@ -162,28 +164,11 @@ def edge_distances(window: Window, patch: UnifiedPatch, edge_index) -> np.ndarra
     return np.linalg.norm(pos[idx[:, 0]] - pos[idx[:, 1]], axis=-1)
 
 
-def build_edge_graph(window: Window, patch: UnifiedPatch, w_embed: Tensor,
-                     boundary: BoundaryOperator | None = None,
-                     rescale: bool = True) -> EdgeGraph:
-    boundary = boundary or boundary_operator(patch.adjacency)
-    l1 = hodge_laplacian(boundary)
-    scaled = scale_laplacian(l1)[0] if rescale else l1.copy()
-    dists = edge_distances(window, patch, boundary.edge_index)
-    features = Tensor(dists[:, None]) @ w_embed
-    return EdgeGraph(edge_index=boundary.edge_index, features=features,
-                     adjacency=line_graph(boundary.edge_index),
-                     laplacian=l1, laplacian_scaled=scaled)
-
-
 def edge_selectors(edge_index, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """One-hot matrices picking each edge's low / high endpoint row."""
-    m = len(edge_index)
-    s_u = np.zeros((m, n_nodes))
-    s_v = np.zeros((m, n_nodes))
-    for e, (u, v) in enumerate(edge_index):
-        s_u[e, u] = 1.0
-        s_v[e, v] = 1.0
-    return s_u, s_v
+    idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
+    eye = np.eye(n_nodes)
+    return eye[idx[:, 0]], eye[idx[:, 1]]
 
 
 def node_degrees(edge_index, n_nodes: int) -> np.ndarray:

@@ -3,9 +3,10 @@ fusion -> encoder tokens -> bivariate Gaussian forecasts.
 
 The three motion embeddings are each ``model_dim`` wide, so the concatenated
 feature width is 3*model_dim and a learned projection brings it back to
-``model_dim`` before the graph stage.  Graph structure (adjacency, boundary
-operator, scaled Hodge Laplacian, fusion selectors) depends only on the
-pedestrian count when patches are complete graphs, so it is cached per N.
+``model_dim`` before the graph stage.  Graph structure (boundary operator,
+scaled Hodge operator, fusion selectors and degrees; every array n x m or
+smaller) depends only on the pedestrian count when patches are complete
+graphs, so it is cached per N.
 
 Three choices keep each pedestrian's forecast its own and keep training
 by adaptive moments smooth (see ``init_parameters`` and
@@ -37,16 +38,15 @@ from stedge.data import Window, future_displacements, init_features
 from stedge.edgegraph import (
     BoundaryOperator,
     EdgeGraph,
+    HodgeOperator,
     LaguerreFilter,
     boundary_operator,
     edge_distances,
     edge_selectors,
     fusion_gcn,
     hll_conv,
-    hodge_laplacian,
-    line_graph,
+    hodge_operator,
     node_degrees,
-    scale_laplacian,
 )
 from stedge.predictor import (
     EncoderConfig,
@@ -201,9 +201,7 @@ class _PatchStructure:
     """Constant per-patch graph machinery; reused across patches/windows."""
 
     boundary: BoundaryOperator
-    laplacian: np.ndarray
-    laplacian_scaled: np.ndarray
-    line_adjacency: np.ndarray
+    hodge: HodgeOperator
     selectors: tuple[np.ndarray, np.ndarray]
     degree: np.ndarray
 
@@ -221,13 +219,12 @@ class TrajectoryForecaster:
 
     def _structure_for(self, adjacency: np.ndarray) -> _PatchStructure:
         boundary = boundary_operator(adjacency)
-        l1 = hodge_laplacian(boundary)
-        scaled = scale_laplacian(l1)[0] if self.cfg.hll_rescale else l1.copy()
+        n = adjacency.shape[0]
         return _PatchStructure(
-            boundary=boundary, laplacian=l1, laplacian_scaled=scaled,
-            line_adjacency=line_graph(boundary.edge_index),
-            selectors=edge_selectors(boundary.edge_index, adjacency.shape[0]),
-            degree=node_degrees(boundary.edge_index, adjacency.shape[0]))
+            boundary=boundary,
+            hodge=hodge_operator(boundary, self.cfg.hll_rescale),
+            selectors=edge_selectors(boundary.edge_index, n),
+            degree=node_degrees(boundary.edge_index, n))
 
     def _cached_structure(self, patch) -> _PatchStructure:
         if self.cfg.max_distance is not None:
@@ -264,10 +261,7 @@ class TrajectoryForecaster:
                 dists = edge_distances(window, patch, struct.boundary.edge_index)
                 e_feat = Tensor(dists[:, None]) @ params["edge.w_embed"]
                 graph = EdgeGraph(edge_index=struct.boundary.edge_index,
-                                  features=e_feat,
-                                  adjacency=struct.line_adjacency,
-                                  laplacian=struct.laplacian,
-                                  laplacian_scaled=struct.laplacian_scaled)
+                                  features=e_feat, hodge=struct.hodge)
                 h_edge = hll_conv(graph, filt)
             update = fusion_gcn(h_node, h_edge, struct.boundary.edge_index,
                                 params["fuse.theta"], params["fuse.phi"],

@@ -22,10 +22,9 @@ import numpy as np
 from stedge.autodiff import ParameterStore, ShapeMismatchError, backward
 from stedge.data import Window
 from stedge.model import TrajectoryForecaster
-from stedge.predictor import sample_trajectories
+from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
 
 _STREAM_BATCH = 1
-_STREAM_SAMPLING = 2
 
 CHECKPOINT_MAGIC = b"STEDGECKPT"
 CHECKPOINT_VERSION = 1
@@ -171,22 +170,36 @@ def save_checkpoint(path, params: ParameterStore) -> None:
 
 def load_checkpoint(path, params: ParameterStore | None = None) -> dict:
     """Read a checkpoint; when a store is given, verify names/shapes match
-    declaration order and copy values in."""
-    with open(path, "rb") as fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic string")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported version {version}")
-        values = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            n_vals = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = fh.read(8 * n_vals)
-            values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    declaration order and copy values in.  A file cut short, with a name
+    that is not UTF-8 or with trailing bytes raises ``CheckpointFormatError``."""
+    buf = Path(path).read_bytes()
+    if not buf.startswith(CHECKPOINT_MAGIC):
+        raise CheckpointFormatError(f"{path}: bad magic string")
+    pos = len(CHECKPOINT_MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise CheckpointFormatError(f"{path}: truncated at byte {pos}")
+        pos += n
+        return buf[pos - n:pos]
+
+    version, count = struct.unpack("<II", take(8))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(f"{path}: unsupported version {version}")
+    values = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{path}: parameter name: {exc}") from exc
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        raw = take(8 * math.prod(shape))
+        values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if pos != len(buf):
+        raise CheckpointFormatError(f"{path}: {len(buf) - pos} trailing bytes")
     if params is not None:
         if list(values) != params.names():
             raise CheckpointFormatError(

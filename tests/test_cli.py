@@ -138,6 +138,26 @@ def test_eval_without_checkpoint_fails(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_eval_with_corrupt_checkpoint_fails(tmp_path, capsys):
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    ckpt = tmp_path / "short.bin"
+    ckpt.write_bytes(b"STEDGECKPT\x01\x00")
+    code = run(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "truncated" in err
+
+
+def test_non_finite_coordinate_exits_with_line(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text("0 1 0 0\n10 1 nan 0\n", encoding="utf-8")
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    code = run(["graph-stats", "--config", str(cfg)])
+    assert code == 1
+    assert f"{scene}:2" in capsys.readouterr().err
+
+
 def test_train_eval_predict_round_trip(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     out_dir = tmp_path / "run"

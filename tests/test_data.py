@@ -45,6 +45,15 @@ def test_parse_malformed_line_reports_number(tmp_path):
         parse_trajectory_file(_write(tmp_path, "0 1 0 0\n0 1 oops\n"))
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_parse_rejects_non_finite_coordinate(tmp_path, coord):
+    path = _write(tmp_path, f"0 1 0 0\n10 1 {coord} 0\n20 1 2 0\n")
+    with pytest.raises(MalformedLineError, match=f"{path.name}:2"):
+        parse_trajectory_file(path)
+    with pytest.raises(MalformedLineError, match=f"{path.name}:2"):
+        parse_trajectory_file(_write(tmp_path, f"0 1 0 0\n10 1 0 {coord}\n"))
+
+
 def test_parse_duplicate_observation(tmp_path):
     with pytest.raises(DuplicateObservationError):
         parse_trajectory_file(_write(tmp_path, "0 1 0 0\n0 1 0 0\n"))

@@ -4,21 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from stedge.autodiff import Tensor, gradcheck
+from stedge.autodiff import Tensor, backward, elu, gradcheck
 from stedge.data import Window
 from stedge.edgegraph import (
     EdgeGraph,
+    HodgeOperator,
     LaguerreFilter,
     boundary_operator,
-    build_edge_graph,
     edge_distances,
+    edge_selectors,
     fusion_gcn,
     hll_conv,
     hodge_laplacian,
+    hodge_operator,
     laguerre_basis,
     laguerre_scalars,
     line_graph,
-    scale_laplacian,
 )
 from stedge.stgraph import UnifiedPatch, build_node_adjacency
 
@@ -34,6 +35,15 @@ def _all_graphs(n):
             if bits >> b & 1:
                 adj[i, j] = adj[j, i] = 1.0
         yield adj
+
+
+def _proximity_adjacencies(sizes=(3, 5, 8), seeds=range(20)):
+    """Seeded max_distance patch graphs: N pedestrians over 3 frames,
+    scattered in a 2 m square and linked within 1.5 m."""
+    for n_peds in sizes:
+        for seed in seeds:
+            pos = np.random.default_rng(seed).uniform(0.0, 2.0, size=(3 * n_peds, 2))
+            yield build_node_adjacency(n_peds, 3, pos, 1.5)
 
 
 # -- boundary operator and line graph ----------------------------------------
@@ -55,6 +65,26 @@ def test_boundary_complete_patch():
     op = boundary_operator(build_node_adjacency(2, 3))
     assert op.matrix.shape == (6, 15)  # C(6, 2) columns
     np.testing.assert_array_equal(np.abs(op.matrix).sum(axis=0), 2.0)
+
+
+def test_boundary_and_selectors_match_loop_reference():
+    """The array-indexed builders against per-pair loops, on every graph
+    with <= 5 nodes."""
+    for n in range(1, 6):
+        for adj in _all_graphs(n):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
+            b1 = np.zeros((n, len(edges)))
+            s_u, s_v = np.zeros((len(edges), n)), np.zeros((len(edges), n))
+            for e, (u, v) in enumerate(edges):
+                b1[u, e], b1[v, e] = -1.0, 1.0
+                s_u[e, u] = s_v[e, v] = 1.0
+            op = boundary_operator(adj)
+            assert op.edge_index == tuple(edges)
+            assert all(type(i) is int for edge in op.edge_index for i in edge)
+            np.testing.assert_array_equal(op.matrix, b1)
+            got_u, got_v = edge_selectors(op.edge_index, n)
+            np.testing.assert_array_equal(got_u, s_u)
+            np.testing.assert_array_equal(got_v, s_v)
 
 
 def test_line_graph_triangle_is_triangle():
@@ -120,12 +150,28 @@ def test_hodge_properties_exhaustive_small_graphs():
                                            np.linalg.eigvalsh(l1), atol=1e-10)
 
 
-def test_scale_laplacian_bounds_spectrum():
-    l1 = hodge_laplacian(boundary_operator(build_node_adjacency(3, 3)))
-    scaled, lam = scale_laplacian(l1)
-    true_max = np.linalg.eigvalsh(l1).max()
-    assert lam == pytest.approx(true_max, rel=1e-6)
-    assert np.linalg.eigvalsh(scaled).max() <= 1.0 + 1e-9
+def test_hodge_operator_bounds_spectrum():
+    """lam is L1's top eigenvalue, so the scaled spectrum ends at 1 exactly.
+    A 50-step power iteration reached 1.015 on these proximity graphs."""
+    for adj in [build_node_adjacency(3, 3), *_proximity_adjacencies()]:
+        op = boundary_operator(adj)
+        hodge = hodge_operator(op)
+        true_max = np.linalg.eigvalsh(hodge_laplacian(op)).max()
+        assert hodge.lam == pytest.approx(true_max, rel=1e-12)
+        scaled = np.linalg.eigvalsh(hodge.b1t_scaled @ hodge.b1)
+        assert abs(scaled.max() - 1.0) <= 1e-12
+        assert scaled.min() >= -1e-12
+
+
+def test_hodge_operator_shapes():
+    op = boundary_operator(build_node_adjacency(2, 3))
+    hodge = hodge_operator(op)
+    assert hodge.b1.shape == (6, 15)
+    assert hodge.b1t_scaled.shape == (15, 6)
+    assert hodge.lam == pytest.approx(6.0, rel=1e-12)   # n on a complete graph
+    assert (hodge @ Tensor(np.ones((15, 4)))).shape == (15, 4)
+    assert hodge_operator(op, rescale=False).lam == 1.0
+    assert hodge_operator(boundary_operator(np.zeros((3, 3)))).lam == 1e-6  # edgeless
 
 
 # -- Laguerre filtering ---------------------------------------------------------
@@ -171,11 +217,8 @@ def test_laguerre_operator_matches_spectral_evaluation():
 
 def _edge_graph_from(adj, feats, rescale=False):
     op = boundary_operator(adj)
-    l1 = hodge_laplacian(op)
-    scaled = scale_laplacian(l1)[0] if rescale else l1
     return EdgeGraph(edge_index=op.edge_index, features=Tensor(feats),
-                     adjacency=line_graph(op.edge_index), laplacian=l1,
-                     laplacian_scaled=scaled)
+                     hodge=hodge_operator(op, rescale))
 
 
 def test_hll_conv_order_one_is_linear_map():
@@ -193,7 +236,8 @@ def test_hll_conv_zero_laplacian_collapses_to_sum():
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(3, 4))
     graph = _edge_graph_from(TRIANGLE, feats)
-    graph.laplacian_scaled = np.zeros((3, 3))
+    graph.hodge = HodgeOperator(b1=np.zeros((3, 3)), b1t_scaled=np.zeros((3, 3)),
+                                lam=1.0)
     thetas = [Tensor(np.eye(4) / 3.0) for _ in range(3)]
     out = hll_conv(graph, LaguerreFilter(thetas))
     np.testing.assert_allclose(out.data,
@@ -207,7 +251,8 @@ def test_hll_conv_matches_spectral_oracle():
     graph = _edge_graph_from(TRIANGLE, feats, rescale=True)
     thetas = [rng.normal(size=(4, 4)) for _ in range(3)]
     out = hll_conv(graph, LaguerreFilter([Tensor(t) for t in thetas]))
-    w, v = np.linalg.eigh(graph.laplacian_scaled)
+    w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
+                          / graph.hodge.lam)
     pre = np.zeros((3, 4))
     for j, theta in enumerate(thetas):
         scalars = np.array([laguerre_scalars(float(lam), 3)[j] for lam in w])
@@ -225,6 +270,68 @@ def test_hll_conv_gradients():
     err = gradcheck(lambda: hll_conv(graph, LaguerreFilter(thetas)).sum(),
                     [feats, *thetas], eps=1e-5)
     assert err < 1e-5
+
+
+def _power_iteration_lambda(l1, iters=50):
+    """The estimate of L1's top eigenvalue that the dense filter used:
+    50 power steps from a fixed start, then the Rayleigh quotient."""
+    v = np.ones(len(l1)) + 1e-3 * np.arange(len(l1))
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        w = l1 @ v
+        v = w / np.linalg.norm(w)
+    return float(v @ l1 @ v)
+
+
+def _dense_hll_conv(l1_scaled, feats, thetas):
+    """sum_j G_j(L1 / lam) E theta_j, then ELU, with L1 stored densely."""
+    basis = laguerre_basis(l1_scaled, feats, len(thetas))
+    out = basis[0] @ thetas[0]
+    for t_j, theta in zip(basis[1:], thetas[1:]):
+        out = out + t_j @ theta
+    return elu(out)
+
+
+_PARITY_GRAPHS = {
+    "complete-2": build_node_adjacency(2, 3),
+    "complete-5": build_node_adjacency(5, 3),
+    "complete-20": build_node_adjacency(20, 3),
+    **{f"proximity-{k}": adj for k, adj in enumerate(
+        _proximity_adjacencies(sizes=(5, 8), seeds=(0, 1)))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
+def test_hll_conv_matches_dense_laplacian(name):
+    """Forward output and every gradient through B1^T (B1 X) / lam match the
+    filter on the stored L1 / lam, with lam exact and, on complete graphs,
+    with lam from the power iteration the dense filter used."""
+    op = boundary_operator(_PARITY_GRAPHS[name])
+    rng = np.random.default_rng(11)
+    feats = Tensor(rng.normal(size=(op.n_edges, 3)), requires_grad=True)
+    thetas = [Tensor(rng.normal(size=(3, 3)) * 0.5, requires_grad=True)
+              for _ in range(3)]
+    seed = rng.normal(size=(op.n_edges, 3))
+
+    def output_and_grads(run):
+        for t in (feats, *thetas):
+            t.zero_grad()
+        out = run()
+        backward(out, seed)
+        return [out.data] + [t.grad.copy() for t in (feats, *thetas)]
+
+    hodge = hodge_operator(op)
+    graph = EdgeGraph(edge_index=op.edge_index, features=feats, hodge=hodge)
+    got = output_and_grads(lambda: hll_conv(graph, LaguerreFilter(thetas)))
+    l1 = hodge_laplacian(op)
+    lams = [np.linalg.eigvalsh(l1).max()]
+    if name.startswith("complete"):
+        lams.append(_power_iteration_lambda(l1))
+    for lam in lams:
+        assert hodge.lam == pytest.approx(lam, rel=1e-12)
+        want = output_and_grads(lambda: _dense_hll_conv(l1 / lam, feats, thetas))
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 # -- geometric edge features -----------------------------------------------------
@@ -253,15 +360,6 @@ def test_edge_distances_values():
     window.obs[1] = window.obs[0]
     d = edge_distances(window, patch, op.edge_index)
     assert d[idx[(0, 3)]] == pytest.approx(0.0)    # coincident endpoints
-
-
-def test_build_edge_graph_shapes():
-    window, patch = _window_and_patch()
-    w_embed = Tensor(np.ones((1, 4)))
-    graph = build_edge_graph(window, patch, w_embed)
-    assert graph.features.shape == (15, 4)
-    assert graph.laplacian.shape == (15, 15)
-    np.testing.assert_array_equal(np.diag(graph.laplacian), 2.0)
 
 
 # -- fusion ------------------------------------------------------------------------

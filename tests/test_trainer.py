@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stedge.autodiff import ParameterStore, ShapeMismatchError
 from stedge.model import ModelConfig, TrajectoryForecaster
@@ -199,6 +201,73 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
                     encoder_layers=1), seed=3)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path, other.params)
+
+
+def _saved_store(tmp_path, name="ckpt.bin"):
+    model = TrajectoryForecaster(SMALL, seed=3)
+    path = tmp_path / name
+    save_checkpoint(path, model.params)
+    return path, model.params
+
+
+@pytest.mark.parametrize("cut", [len(b"STEDGECKPT") + 3, -1, -9])
+def test_checkpoint_rejects_truncation(tmp_path, cut):
+    # inside the header, inside the last value, and one whole value short
+    path, params = _saved_store(tmp_path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(CheckpointFormatError, match="truncated") as err:
+        load_checkpoint(path, params)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, params = _saved_store(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointFormatError, match="trailing") as err:
+        load_checkpoint(path, params)
+    assert str(path) in str(err.value)
+
+
+_SHAPES = st.lists(st.lists(st.integers(1, 3), max_size=3).map(tuple),
+                   min_size=1, max_size=4)
+
+
+def _random_store(shapes, seed):
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    for k, shape in enumerate(shapes):
+        store.add(f"layer{k}.w", rng.normal(size=shape))
+    return store
+
+
+@given(shapes=_SHAPES, seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_round_trip_and_corruption(tmp_path_factory, shapes, seed, data):
+    """Any store round-trips bit for bit; any cut, appended tail or flipped
+    byte either loads or raises CheckpointFormatError naming the file."""
+    store = _random_store(shapes, seed)
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.bin"
+    save_checkpoint(path, store)
+    blob = path.read_bytes()
+    values = load_checkpoint(path)
+    assert list(values) == store.names()
+    for name, arr in values.items():
+        np.testing.assert_array_equal(arr, store[name].data)
+
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    tail = data.draw(st.binary(min_size=1, max_size=16))
+    at = data.draw(st.integers(0, len(blob) - 1))
+    flipped = bytearray(blob)
+    flipped[at] ^= data.draw(st.integers(1, 255))
+    for corrupt, must_fail in ((blob[:cut], True), (blob + tail, True),
+                               (bytes(flipped), False)):
+        path.write_bytes(corrupt)
+        try:
+            load_checkpoint(path, _random_store(shapes, seed + 1))
+        except CheckpointFormatError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert not must_fail
 
 
 # -- training loop -----------------------------------------------------------------
