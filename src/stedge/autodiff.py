@@ -3,7 +3,11 @@
 A small define-by-run engine: every operation records its parent tensors
 and a closure mapping the output gradient to parent gradients.  backward()
 walks the recorded graph in reverse topological order and accumulates into
-``Tensor.grad`` (+=, never overwrite), so repeated backward passes sum.
+``Tensor.grad`` of the leaves, the tensors no recorded op produced (+=,
+never overwrite), so repeated backward passes sum.  Intermediates pass
+their gradient on and keep ``grad`` None.  A closure computes nothing for
+an operand that does not require a gradient (a constant, a Python scalar):
+it returns None in that slot.
 
 The primitive set is deliberately fixed to what the model needs: matmul,
 elementwise arithmetic, exp/log/tanh, leaky-rectifier, exponential-linear,
@@ -14,6 +18,8 @@ NaN/Inf and the offending op is named when the check fires.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -206,7 +212,8 @@ def add(a, b) -> Tensor:
         raise ShapeMismatchError(f"add: {a.shape} vs {b.shape}") from exc
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _result(data, "add", (a, b), backward_fn)
 
@@ -219,7 +226,8 @@ def sub(a, b) -> Tensor:
         raise ShapeMismatchError(f"sub: {a.shape} vs {b.shape}") from exc
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _result(data, "sub", (a, b), backward_fn)
 
@@ -232,28 +240,49 @@ def mul(a, b) -> Tensor:
         raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}") from exc
 
     def backward_fn(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _result(data, "mul", (a, b), backward_fn)
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batch semantics; operands must be >= 2-D."""
+    """Matrix product with numpy batch semantics; operands must be >= 2-D.
+
+    With a 2-D right operand the left one's leading axes fold into rows,
+    so the product and each gradient are a single GEMM; the weight
+    gradient is then one (k, rows) @ (rows, n) product instead of a batch
+    of small ones summed afterwards.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        k, n = b.shape
+        rows = math.prod(a.shape[:-1])
+        data = (a.data.reshape(rows, k) @ b.data).reshape(a.shape[:-1] + (n,))
+
+        def backward_fn(g):
+            g = g.reshape(rows, n)
+            ga = (g @ b.data.T).reshape(a.shape) if a.requires_grad else None
+            gb = a.data.reshape(rows, k).T @ g if b.requires_grad else None
+            return ga, gb
+
+        return _result(data, "matmul", (a, b), backward_fn)
     try:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeMismatchError(f"matmul batch dims differ: {a.shape} @ {b.shape}") from exc
 
     def backward_fn(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
 
     return _result(data, "matmul", (a, b), backward_fn)
 
@@ -407,11 +436,14 @@ def _getitem(x: Tensor, idx) -> Tensor:
 
 
 def backward(output: Tensor, seed=None) -> None:
-    """Accumulate d(output)/d(t) into ``t.grad`` for every requires_grad
-    tensor reachable from ``output``.
+    """Accumulate d(output)/d(t) into ``t.grad`` for every leaf ``t`` (a
+    requires_grad tensor no recorded op produced) reachable from ``output``.
 
-    ``output`` must be a scalar unless a same-shaped gradient ``seed`` is
-    supplied.  Grads add across calls; callers zero them between steps.
+    Intermediates only pass their gradient on; their ``grad`` stays None.
+    A leaf's ``grad`` is an array of its own, so callers may scale it in
+    place.  ``output`` must be a scalar unless a same-shaped gradient
+    ``seed`` is supplied.  Grads add across calls; callers zero them
+    between steps.
     """
     if output._backward is None and not output.requires_grad:
         raise DisconnectedOutputError("output was not produced by any recorded op")
@@ -448,9 +480,9 @@ def backward(output: Tensor, seed=None) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
+            # a leaf; g may be a view shared with other gradients
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad or pg is None:

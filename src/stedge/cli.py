@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stedge.autodiff import gradcheck
+from stedge.autodiff import NonFiniteError, gradcheck
 from stedge.config import BadConfigError, Config, config_help, default_config, load_config
 from stedge.data import (
     DuplicateObservationError,
@@ -295,6 +295,9 @@ def run(argv=None) -> int:
         return EXIT_BAD_CONFIG
     except NonFiniteGradientError as exc:
         print(f"error: training aborted: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
+    except NonFiniteError as exc:
+        print(f"error: non-finite forward: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
     except (MissingCheckpointError, FileNotFoundError, MalformedLineError,
             DuplicateObservationError, EmptyFileError, ValueError) as exc:

@@ -80,13 +80,16 @@ def boundary_operator(adjacency) -> BoundaryOperator:
 
 
 def line_graph(edge_index) -> np.ndarray:
-    """Adjacency of the edge graph: 1 iff two distinct edges share an endpoint."""
-    m = len(edge_index)
-    adj = np.zeros((m, m))
-    for e in range(m):
-        for f in range(e + 1, m):
-            if set(edge_index[e]) & set(edge_index[f]):
-                adj[e, f] = adj[f, e] = 1.0
+    """Adjacency of the edge graph: 1 iff two distinct edges share an endpoint.
+
+    The off-diagonal nonzeros of |B1|^T |B1|, whose (e, f) entry counts
+    the endpoints edges e and f share.
+    """
+    idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
+    s_u, s_v = edge_selectors(idx, int(idx.max()) + 1 if len(idx) else 0)
+    incidence = s_u + s_v                  # |B1|^T, (m, n)
+    adj = (incidence @ incidence.T > 0.0).astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
     return adj
 
 

@@ -8,6 +8,15 @@ scaled Hodge operator, fusion selectors and degrees; every array n x m or
 smaller) depends only on the pedestrian count when patches are complete
 graphs, so it is cached per N.
 
+The Laguerre edge filter runs on the raw (m, 1) edge distances D.  The
+edge embedding w (``edge.w_embed``, 1 x model_dim) is linear and has no
+bias, and the filter is linear in its input, so the two evaluation
+orders are one function, not an approximation:
+sum_j G_j(L) (D w) theta_j = sum_j (G_j(L) D) (w theta_j).  Each order's
+coefficients become w theta_j, built once per window, and the Hodge
+products act on one column instead of model_dim.  The parameters,
+their gradients and the checkpoint layout are those of embedding first.
+
 Three choices keep each pedestrian's forecast its own and keep training
 by adaptive moments smooth (see ``init_parameters`` and
 ``TrajectoryForecaster.forward``):
@@ -106,7 +115,7 @@ class ModelConfig:
 
 
 def _glorot(rng, shape) -> np.ndarray:
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[-1] if len(shape) > 1 else 1
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -249,7 +258,8 @@ class TrajectoryForecaster:
         patches = segment_patches(x, cfg.patching(), positions=window.obs,
                                   max_distance=cfg.max_distance)
 
-        filt = LaguerreFilter([params[f"hll.theta{j}"]
+        # the edge embedding rides in the filter (see the module docstring)
+        filt = LaguerreFilter([params["edge.w_embed"] @ params[f"hll.theta{j}"]
                                for j in range(cfg.hll_order)])
         fused = []
         for patch in patches:
@@ -259,9 +269,9 @@ class TrajectoryForecaster:
             h_edge = None
             if struct.boundary.n_edges and cfg.fusion_gate != "zero":
                 dists = edge_distances(window, patch, struct.boundary.edge_index)
-                e_feat = Tensor(dists[:, None]) @ params["edge.w_embed"]
                 graph = EdgeGraph(edge_index=struct.boundary.edge_index,
-                                  features=e_feat, hodge=struct.hodge)
+                                  features=Tensor(dists[:, None]),
+                                  hodge=struct.hodge)
                 h_edge = hll_conv(graph, filt)
             update = fusion_gcn(h_node, h_edge, struct.boundary.edge_index,
                                 params["fuse.theta"], params["fuse.phi"],

@@ -18,6 +18,10 @@ from stedge.autodiff import (
     softmax,
     tanh,
     _result,
+    add,
+    matmul,
+    mul,
+    sub,
 )
 
 
@@ -203,3 +207,74 @@ def test_parameter_store_order_and_duplicates():
         t.grad = np.ones_like(t.data)
     store.zero_grad()
     assert all(t.grad is None for t in store.tensors())
+
+
+# -- need-grad pruning and leaf-only gradients ----------------------------------
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, matmul])
+@pytest.mark.parametrize("const_shape, var_shape", [((3, 3), (3, 3)),
+                                                    ((2, 3, 3), (3, 3)),
+                                                    ((3, 3), (2, 3, 3))])
+def test_constant_operand_gets_no_gradient(op, const_shape, var_shape):
+    rng = np.random.default_rng(21)
+    const = Tensor(rng.normal(size=const_shape))
+    var = Tensor(rng.normal(size=var_shape), requires_grad=True)
+    for a, b in ((const, var), (var, const)):
+        out = op(a, b)
+        grads = out._backward(np.ones(out.shape))
+        assert grads[0 if a is const else 1] is None
+        assert grads[1 if a is const else 0].shape == var.shape
+    if op is not matmul:               # a Python scalar is a constant too
+        out = op(var, 2.0)
+        assert out._backward(np.ones(out.shape))[1] is None
+
+
+def test_backward_fills_only_leaf_gradients():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    c = rng.normal(size=(4, 2))
+    h = x @ w
+    y = tanh(h)
+    z = y * c + x.sum()
+    loss = z.sum()
+    backward(loss)
+    for t in (h, y, z, loss):
+        assert t.grad is None
+    dh = c * (1.0 - np.tanh(x.data @ w.data) ** 2)
+    np.testing.assert_allclose(w.grad, x.data.T @ dh, rtol=1e-14, atol=1e-14)
+    # x.sum() is broadcast over every entry of z
+    np.testing.assert_allclose(x.grad, dh @ w.data.T + c.size, rtol=1e-14, atol=1e-14)
+
+
+def test_leaf_gradients_are_owned_arrays():
+    # add hands the same gradient array to both operands
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    backward((a + b).sum())
+    a.grad *= 5.0                      # trainers scale gradients in place
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    backward((a + b).sum())            # and a second pass still accumulates
+    np.testing.assert_array_equal(a.grad, np.full(3, 6.0))
+    np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
+def test_nd_at_2d_matmul_gradients(lead):
+    rng = np.random.default_rng(23)
+    a_data = rng.normal(size=lead + (4,))
+    b_data = rng.normal(size=(4, 3))
+    weights = rng.normal(size=lead + (3,))
+    np.testing.assert_allclose(matmul(Tensor(a_data), Tensor(b_data)).data,
+                               np.matmul(a_data, b_data), rtol=1e-14, atol=1e-14)
+    for need_a, need_b in ((True, True), (True, False), (False, True)):
+        a = Tensor(a_data.copy(), requires_grad=need_a)
+        b = Tensor(b_data.copy(), requires_grad=need_b)
+        params = [t for t in (a, b) if t.requires_grad]
+        err = gradcheck(lambda: (matmul(a, b) * weights).sum(), params, eps=1e-5)
+        assert err < 1e-8
+        if not need_b:
+            assert b.grad is None
+        if not need_a:
+            assert a.grad is None

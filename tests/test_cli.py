@@ -158,6 +158,24 @@ def test_non_finite_coordinate_exits_with_line(tmp_path, capsys):
     assert f"{scene}:2" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_forward_exits_3_naming_the_op(tmp_path, capsys):
+    # finite coordinates whose squared distances overflow float64
+    records = linear_records([(1, (0.0, 0.0), (1e199, 0.0)),
+                              (2, (1e200, 1e200), (0.0, -1e199))], n_frames=20)
+    scene = tmp_path / "huge.txt"
+    scene.write_text("".join(f"{f} {p} {x!r} {y!r}\n" for f, p, x, y in records),
+                     encoding="utf-8")
+    out_dir = tmp_path / "run"
+    cfg = _config_file(tmp_path, (f"data.path = {scene}\n"
+                                  f"train.out_dir = {out_dir}\n"
+                                  "train.epochs = 1\n"))
+    code = run(["train", "--config", str(cfg)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite forward" in err and "op '" in err
+
+
 def test_train_eval_predict_round_trip(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     out_dir = tmp_path / "run"

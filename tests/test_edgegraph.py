@@ -87,6 +87,23 @@ def test_boundary_and_selectors_match_loop_reference():
             np.testing.assert_array_equal(got_v, s_v)
 
 
+def test_line_graph_matches_loop_reference():
+    """The incidence product against the pairwise loop it replaced, on
+    every graph with <= 5 nodes."""
+    for n in range(1, 6):
+        for adj in _all_graphs(n):
+            edge_index = boundary_operator(adj).edge_index
+            m = len(edge_index)
+            want = np.zeros((m, m))
+            for e in range(m):
+                for f in range(e + 1, m):
+                    if set(edge_index[e]) & set(edge_index[f]):
+                        want[e, f] = want[f, e] = 1.0
+            got = line_graph(edge_index)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 def test_line_graph_triangle_is_triangle():
     op = boundary_operator(TRIANGLE)
     np.testing.assert_array_equal(line_graph(op.edge_index), TRIANGLE)
@@ -332,6 +349,46 @@ def test_hll_conv_matches_dense_laplacian(name):
         want = output_and_grads(lambda: _dense_hll_conv(l1 / lam, feats, thetas))
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+
+def _embed_then_filter(dists, w_embed, thetas, hodge, edge_index):
+    """The edge branch as it was: embed the distances to (m, d), then filter."""
+    feats = Tensor(dists[:, None]) @ w_embed
+    graph = EdgeGraph(edge_index=edge_index, features=feats, hodge=hodge)
+    return hll_conv(graph, LaguerreFilter(thetas))
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
+def test_filter_on_distances_matches_embed_then_filter(name):
+    """Folding the edge embedding into each order's coefficients (the
+    model's edge branch) gives the output and the gradients of the
+    embedding and of every theta_j of embedding first."""
+    op = boundary_operator(_PARITY_GRAPHS[name])
+    hodge = hodge_operator(op)
+    rng = np.random.default_rng(12)
+    dists = rng.uniform(0.1, 3.0, size=op.n_edges)
+    w_embed = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+    thetas = [Tensor(rng.normal(size=(6, 6)) * 0.5, requires_grad=True)
+              for _ in range(3)]
+    seed = rng.normal(size=(op.n_edges, 6))
+
+    def output_and_grads(run):
+        for t in (w_embed, *thetas):
+            t.zero_grad()
+        out = run()
+        backward(out, seed)
+        return [out.data] + [t.grad.copy() for t in (w_embed, *thetas)]
+
+    def folded():
+        graph = EdgeGraph(edge_index=op.edge_index,
+                          features=Tensor(dists[:, None]), hodge=hodge)
+        return hll_conv(graph, LaguerreFilter([w_embed @ t for t in thetas]))
+
+    got = output_and_grads(folded)
+    want = output_and_grads(
+        lambda: _embed_then_filter(dists, w_embed, thetas, hodge, op.edge_index))
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # -- geometric edge features -----------------------------------------------------

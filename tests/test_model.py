@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from stedge.autodiff import ShapeMismatchError, backward
 from stedge.data import Window
-from stedge.model import ModelConfig, TrajectoryForecaster, init_parameters
+from stedge.model import (
+    ModelConfig,
+    TrajectoryForecaster,
+    gradcheck_parameters,
+    init_parameters,
+)
 from stedge.synth import gradcheck_window, overfit_windows
 
 SMALL = ModelConfig(model_dim=8, encoder_dim=16, encoder_heads=2, encoder_layers=1)
@@ -30,6 +37,64 @@ def test_parameter_layout_follows_config():
     again = init_parameters(SMALL, seed=0)
     for name in params.names():
         np.testing.assert_array_equal(params[name].data, again[name].data)
+
+
+def _parameter_digest(params) -> str:
+    h = hashlib.sha256()
+    for name, p in params.items():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg, seed, digest", [
+    (ModelConfig(), 0,
+     "4a02264d9ea8413b3d9f97346e4d0f0994a033ac83f7b31ead0a6a3807d2da60"),
+    (ModelConfig(model_dim=8, encoder_dim=16, encoder_heads=2, encoder_layers=1,
+                 fusion_gate="scalar"), 3,
+     "5a417476b55bc611b69a6abf192ef6f994a69fc645900712ec2f89f0cd83277f"),
+])
+def test_initial_parameters_are_bit_stable(cfg, seed, digest):
+    # the SHA-256 of every name and value as the initialisation first drew them
+    assert _parameter_digest(init_parameters(cfg, seed)) == digest
+
+
+def _circle_window(n, t_obs=8, t_pred=12):
+    """n pedestrians leaving a 3 m circle on wavy, closed-form paths."""
+    t = np.arange(t_obs + t_pred, dtype=np.float64)
+    k = np.arange(n, dtype=np.float64)[:, None]
+    angle = 2.0 * np.pi * k / n
+    x = 3.0 * np.cos(angle) + 0.3 * t * np.cos(angle + 1.0) + 0.2 * np.sin(0.7 * t + k)
+    y = 3.0 * np.sin(angle) + 0.3 * t * np.sin(angle + 1.0) + 0.2 * np.cos(0.5 * t + k)
+    track = np.stack([x, y], axis=-1)
+    obs, fut = track[:, :t_obs], track[:, t_obs:]
+    return Window(obs=obs, fut=fut, ped_ids=list(range(1, n + 1)),
+                  origin=obs[:, -1].copy())
+
+
+# default config, seed 0, from the model that embedded the edge distances to
+# model_dim before the Laguerre filter; the second pair is the loss and the
+# summed |gradient| of edge.w_embed at the gradient-check parameters
+_REFERENCE_LOSSES = {
+    2: (1.8918284743961047, 14.059804269792862, 220.67379206229862),
+    10: (1.8926531710189183, 11.649454740853521, 90.0919771856584),
+    20: (1.8910819837201989, 14.104956893759477, 135.99515024148698),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_REFERENCE_LOSSES))
+def test_loss_matches_embed_then_filter_reference(n):
+    loss, full_loss, embed_grad = _REFERENCE_LOSSES[n]
+    cfg = ModelConfig()
+    window = _circle_window(n)
+    got = TrajectoryForecaster(cfg, seed=0).loss(window).item()
+    assert abs(got - loss) <= 1e-12 * loss
+    model = TrajectoryForecaster(cfg, params=gradcheck_parameters(cfg, 0))
+    out = model.loss(window)
+    backward(out)
+    assert abs(out.item() - full_loss) <= 1e-12 * full_loss
+    got_grad = float(np.abs(model.params["edge.w_embed"].grad).sum())
+    assert abs(got_grad - embed_grad) <= 1e-12 * embed_grad
 
 
 def test_forward_shapes_and_track():
