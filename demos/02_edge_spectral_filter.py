@@ -4,8 +4,10 @@
 Edges become nodes of the edge graph (adjacent when they share an endpoint);
 the signed incidence matrix B1 yields L1 = B1^T B1, whose spectrum drives a
 polynomial spectral filter evaluated by the Laguerre recurrence.  The model
-never stores L1: it applies it as B1^T (B1 X), scaled by the top eigenvalue
-of B1 B1^T, which shares L1's nonzero spectrum.
+builds neither L1 nor B1: it keeps an edge signal on the node-pair grid
+(edge (u, v) at [u, v], negated at [v, u]), where B1 x is a column sum and
+B1^T y is y[v] - y[u], and scales by the top eigenvalue of the node
+Laplacian D - A = B1 B1^T, which shares L1's nonzero spectrum.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from stedge.edgegraph import (
     EdgeGraph,
     LaguerreFilter,
     boundary_operator,
+    edge_list,
     hll_conv,
     hodge_laplacian,
     hodge_operator,
@@ -43,27 +46,33 @@ for lam in (0.0, 0.5, 1.0, 2.0):
     print(f"  G_j({lam}) for j=0..3:",
           [round(v, 4) for v in laguerre_scalars(lam, 4)])
 
-hodge = hodge_operator(op)
+hodge = hodge_operator(triangle)
 scaled = l1 / hodge.lam
-print(f"\nspectral rescale: lambda_max of B1 B1^T = {hodge.lam:.4f}; "
+print(f"\nspectral rescale: lambda_max of D - A = B1 B1^T = {hodge.lam:.4f}; "
       f"scaled spectrum {np.round(np.linalg.eigvalsh(scaled), 4)}")
 
+edges = edge_list(triangle)
 rng = np.random.default_rng(0)
-feats = rng.normal(size=(3, 4))
-applied = (hodge @ Tensor(feats)).data
-print("B1^T (B1 X) / lambda vs (L1 / lambda) X: max |difference| = "
-      f"{np.abs(applied - scaled @ feats).max():.2e}")
-basis = laguerre_basis(hodge, Tensor(feats), 3)
-print("\noperator recurrence vs eigenbasis evaluation (order 3):")
+x = rng.normal(size=len(edges))
+grid = np.zeros((3, 3))
+grid[edges[:, 0], edges[:, 1]] = x
+grid[edges[:, 1], edges[:, 0]] = -x
+print("\nan edge signal on the pair grid (antisymmetric):")
+print(np.round(grid, 3))
+applied = (hodge @ grid)[edges[:, 0], edges[:, 1]]
+print("grid operator vs dense (L1 / lambda) x: max |difference| = "
+      f"{np.abs(applied - scaled @ x).max():.2e}")
+basis = laguerre_basis(hodge, grid, 3)
+print("\noperator recurrence on the grid vs eigenbasis evaluation (order 3):")
 w, v = np.linalg.eigh(scaled)
 for j, t in enumerate(basis):
-    scalars = np.array([laguerre_scalars(float(x), 3)[j] for x in w])
-    spectral = (v * scalars) @ v.T @ feats
+    scalars = np.array([laguerre_scalars(float(s), 3)[j] for s in w])
+    spectral = (v * scalars) @ v.T @ x
     print(f"  order {j}: max |difference| = "
-          f"{np.abs(t.data - spectral).max():.2e}")
+          f"{np.abs(t[edges[:, 0], edges[:, 1]] - spectral).max():.2e}")
 
-graph = EdgeGraph(edge_index=op.edge_index, features=Tensor(feats), hodge=hodge)
-filt = LaguerreFilter([Tensor(rng.normal(size=(4, 4)) * 0.4) for _ in range(3)])
+graph = EdgeGraph(edge_index=edges, features=grid, hodge=hodge)
+filt = LaguerreFilter(Tensor(rng.normal(size=(3, 4)) * 0.4))
 out = hll_conv(graph, filt)
 print(f"\nfiltered edge embedding shape: {out.shape}; "
       f"value range [{out.data.min():.3f}, {out.data.max():.3f}]")

@@ -12,9 +12,10 @@ it returns None in that slot.
 The primitive set is deliberately fixed to what the model needs: matmul,
 elementwise arithmetic, exp/log/tanh, leaky-rectifier, exponential-linear,
 softmax over the last axis, sum/mean reductions, reshape / transpose /
-concatenate, and basic slicing.  Elementwise ops broadcast with numpy's
-trailing-dimension alignment.  Every forward result is checked for
-NaN/Inf and the offending op is named when the check fires.
+concatenate, basic slicing, and the scatter of edge values onto a
+node-pair grid.  Elementwise ops broadcast with numpy's trailing-dimension
+alignment.  Every forward result is checked for NaN/Inf and the offending
+op is named when the check fires.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "elu",
     "logistic",
     "softmax",
+    "pair_scatter",
 ]
 
 
@@ -93,9 +95,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self, seed=None) -> None:
         backward(self, seed)
@@ -430,6 +429,33 @@ def _getitem(x: Tensor, idx) -> Tensor:
         return (buf,)
 
     return _result(data, "slice", (x,), backward_fn)
+
+
+def pair_scatter(x, rows, cols, n: int) -> Tensor:
+    """Fill c symmetric (n, n) grids from an (m, c) input: row e of ``x``
+    lands at cells (rows[e], cols[e]) and (cols[e], rows[e]) of each
+    channel's grid, every other cell is zero.  Output (c, n, n).
+
+    The pairs must be distinct, off the diagonal and each listed in one
+    orientation only, so no cell is written twice; the backward gathers
+    both cells of each pair and adds them.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 2 or len(rows) != x.shape[0] or len(cols) != x.shape[0]:
+        raise ShapeMismatchError(
+            f"pair_scatter: {x.shape} input for {len(rows)}/{len(cols)} pairs")
+    c = x.shape[1]
+    cells = np.asarray(rows) * n + np.asarray(cols)
+    mirror = np.asarray(cols) * n + np.asarray(rows)
+    grid = np.zeros((c, n * n))
+    grid[:, cells] = x.data.T
+    grid[:, mirror] = x.data.T
+
+    def backward_fn(g):
+        flat = g.reshape(c, n * n)
+        return ((np.take(flat, cells, axis=1) + np.take(flat, mirror, axis=1)).T,)
+
+    return _result(grid.reshape(c, n, n), "pair_scatter", (x,), backward_fn)
 
 
 # -- reverse pass -------------------------------------------------------------

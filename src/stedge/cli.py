@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from stedge.autodiff import NonFiniteError, gradcheck
-from stedge.config import BadConfigError, Config, config_help, default_config, load_config
+from stedge.config import BadConfigError, Config, config_help, load_config
 from stedge.data import (
     DuplicateObservationError,
     EmptyFileError,
@@ -24,7 +24,7 @@ from stedge.data import (
     build_windows,
     parse_trajectory_file,
 )
-from stedge.edgegraph import boundary_operator, hodge_laplacian, line_graph
+from stedge.edgegraph import boundary_operator, edge_list, hodge_laplacian, line_graph
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
 from stedge.stgraph import (
@@ -190,10 +190,10 @@ def cmd_graph_stats(args) -> int:
                                   start=1):
             pos = window.obs[:, start:start + length, :].reshape(-1, 2)
             adj = build_node_adjacency(n, length, pos, max_dist)
-            boundary = boundary_operator(adj)
             entry = {"k": k, "start": start, "nodes": n * length,
-                     "edges": boundary.n_edges}
+                     "edges": len(edge_list(adj))}
             if args.edges:
+                boundary = boundary_operator(adj)
                 ladj = line_graph(boundary.edge_index)
                 degrees = ladj.sum(axis=1).astype(int)
                 hist = {}

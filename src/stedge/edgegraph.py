@@ -3,10 +3,15 @@
 The signed incidence matrix B1 (one -1 at the low-index endpoint, one +1 at
 the high-index endpoint per column) defines the first Hodge Laplacian
 L1 = B1^T B1 (the two-simplex term is zero here).  Edge features are
-filtered by a truncated Laguerre expansion of L1, applied as B1^T (B1 X) so
-that no (m, m) array exists, then fused back into node embeddings as
-multiplicative gates.  ``line_graph`` and ``hodge_laplacian`` build the
-dense edge graph and L1 for reports and reference checks only.
+filtered by a truncated Laguerre expansion of L1, then fused back into node
+embeddings as multiplicative gates.
+
+The model never builds B1.  It keeps each edge signal on the patch's
+(n, n) node-pair grid, edge (u, v), u < v, at [u, v] and antisymmetric,
+where B1 x is a column sum and B1^T y is y[v] - y[u]; the patch adjacency
+is then the only structure the edge branch needs.  ``boundary_operator``,
+``line_graph`` and ``hodge_laplacian`` build B1, the dense edge graph and
+L1 for reports and reference checks only.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, logistic
+from stedge.autodiff import Tensor, elu, logistic, pair_scatter
 from stedge.data import Window
-from stedge.stgraph import UnifiedPatch
+from stedge.stgraph import UnifiedPatch, graph_laplacian
+
+_LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
 
 
 @dataclass(frozen=True)
@@ -34,49 +41,58 @@ class BoundaryOperator:
 
 @dataclass(frozen=True)
 class HodgeOperator:
-    """L1 / lam applied through its incidence factor: ``op @ x`` is
-    B1^T (B1 x) / lam, so neither pass builds an (m, m) array."""
+    """L1 / lam on the node-pair grid.
 
-    b1: np.ndarray           # (n_nodes, n_edges)
-    b1t_scaled: np.ndarray   # B1^T / lam
+    An oriented edge signal is an antisymmetric (n, n) array holding edge
+    (u, v), u < v, at [u, v].  On that grid B1 x is the column sum y and
+    B1^T y is y[v] - y[u] on each edge, so ``op @ x`` needs only the
+    patch adjacency: no (n, m) or (m, m) array exists.
+    """
+
+    adjacency: np.ndarray    # (n, n), 0/1, zero diagonal
     lam: float
 
-    def __matmul__(self, x: Tensor) -> Tensor:
-        return Tensor(self.b1t_scaled) @ (Tensor(self.b1) @ x)
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = x.sum(axis=0)
+        return self.adjacency * (y[None, :] - y[:, None]) / self.lam
 
 
 @dataclass
 class EdgeGraph:
-    """Edges of one patch: their features and the Hodge operator."""
+    """Edges of one patch: their signal on the pair grid and the Hodge
+    operator."""
 
-    edge_index: tuple[tuple[int, int], ...]
-    features: Tensor             # (n_edges, D_e)
+    edge_index: np.ndarray       # (n_edges, 2), as ``edge_list`` orders them
+    features: np.ndarray         # (n, n) antisymmetric edge signal
     hodge: HodgeOperator
 
 
 @dataclass
 class LaguerreFilter:
-    """Truncated Laguerre expansion: one coefficient matrix per order."""
+    """Truncated Laguerre expansion of a one-channel edge signal: row j of
+    ``coeffs`` maps the order-j basis term to the output channels."""
 
-    thetas: list[Tensor]
+    coeffs: Tensor               # (order, d)
 
     @property
     def order(self) -> int:
-        return len(self.thetas)
+        return self.coeffs.shape[0]
 
-    def __post_init__(self):
-        if not self.thetas:
-            raise ValueError("filter order must be >= 1")
+
+def edge_list(adjacency) -> np.ndarray:
+    """The undirected edges (u, v), u < v, in lexicographic order, (m, 2)."""
+    return np.argwhere(np.triu(np.asarray(adjacency), 1))
 
 
 def boundary_operator(adjacency) -> BoundaryOperator:
     """Columns are the graph's undirected edges, oriented low -> high index."""
     a = np.asarray(adjacency)
-    u, v = np.nonzero(np.triu(a, 1))   # row-major: lexicographic (u, v)
-    b1 = np.zeros((a.shape[0], len(u)))
-    b1[u, np.arange(len(u))] = -1.0
-    b1[v, np.arange(len(u))] = 1.0
-    return BoundaryOperator(matrix=b1, edge_index=tuple(zip(u.tolist(), v.tolist())))
+    edges = edge_list(a)
+    cols = np.arange(len(edges))
+    b1 = np.zeros((a.shape[0], len(edges)))
+    b1[edges[:, 0], cols] = -1.0
+    b1[edges[:, 1], cols] = 1.0
+    return BoundaryOperator(matrix=b1, edge_index=tuple(map(tuple, edges.tolist())))
 
 
 def line_graph(edge_index) -> np.ndarray:
@@ -86,8 +102,8 @@ def line_graph(edge_index) -> np.ndarray:
     the endpoints edges e and f share.
     """
     idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
-    s_u, s_v = edge_selectors(idx, int(idx.max()) + 1 if len(idx) else 0)
-    incidence = s_u + s_v                  # |B1|^T, (m, n)
+    incidence = np.zeros((len(idx), int(idx.max()) + 1 if len(idx) else 0))
+    incidence[np.arange(len(idx))[:, None], idx] = 1.0   # |B1|^T, (m, n)
     adj = (incidence @ incidence.T > 0.0).astype(np.float64)
     np.fill_diagonal(adj, 0.0)
     return adj
@@ -99,18 +115,17 @@ def hodge_laplacian(b1) -> np.ndarray:
     return m.T @ m
 
 
-def hodge_operator(boundary: BoundaryOperator, rescale: bool = True,
-                   floor: float = 1e-6) -> HodgeOperator:
+def hodge_operator(adjacency, rescale: bool = True) -> HodgeOperator:
     """L1 scaled by its largest eigenvalue lam (lam = 1 without rescale), so
-    that the Laguerre polynomials see a spectrum in [0, 1].  B1 B1^T (n x n)
-    shares L1's nonzero spectrum, so lam is exact: n on a complete graph,
-    ``floor`` on an edgeless one."""
-    m = boundary.matrix
+    that the Laguerre polynomials see a spectrum in [0, 1].  The node
+    Laplacian D - A is exactly B1 B1^T, which shares L1's nonzero spectrum,
+    so lam is exact: n on a complete graph, ``_LAMBDA_FLOOR`` on an
+    edgeless one."""
     lam = 1.0
     if rescale:
-        top = np.linalg.eigvalsh(m @ m.T)[-1] if m.shape[1] else 0.0
-        lam = max(float(top), floor)
-    return HodgeOperator(b1=m, b1t_scaled=m.T / lam, lam=lam)
+        top = np.linalg.eigvalsh(graph_laplacian(adjacency))[-1]
+        lam = max(float(top), _LAMBDA_FLOOR)
+    return HodgeOperator(adjacency=np.asarray(adjacency), lam=lam)
 
 
 def laguerre_scalars(lam: float, order: int) -> list[float]:
@@ -127,9 +142,13 @@ def laguerre_scalars(lam: float, order: int) -> list[float]:
     return vals
 
 
-def laguerre_basis(operator, x: Tensor, order: int) -> list[Tensor]:
-    """Apply the scalar recurrence to the operator (a ``HodgeOperator`` or a
-    dense square array): T_j = G_j(L1) X."""
+def laguerre_basis(operator, x, order: int) -> list:
+    """Apply the scalar recurrence to the operator: T_j = G_j(L1) X.
+
+    The operator is a ``HodgeOperator``, applied to a pair-grid signal
+    (numpy arrays throughout), or a dense square array, applied to a
+    Tensor.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     lap = operator if isinstance(operator, HodgeOperator) else Tensor(operator)
@@ -146,44 +165,34 @@ def laguerre_basis(operator, x: Tensor, order: int) -> list[Tensor]:
 
 
 def hll_conv(edge_graph: EdgeGraph, filt: LaguerreFilter) -> Tensor:
-    """Spectral edge convolution: sum_j G_j(L1 / lam) E theta_j, then ELU."""
+    """Spectral edge convolution: sum_j G_j(L1 / lam) E theta_j, then ELU.
+
+    The edge signal is a constant, so its basis is plain numpy on the pair
+    grid; each order's values at the edges form one column of an
+    (m, order) array, and one product with the coefficients mixes them.
+    """
+    rows, cols = edge_graph.edge_index.T
     basis = laguerre_basis(edge_graph.hodge, edge_graph.features, filt.order)
-    out = basis[0] @ filt.thetas[0]
-    for t_j, theta in zip(basis[1:], filt.thetas[1:]):
-        out = out + t_j @ theta
-    return elu(out)
+    terms = np.stack([t[rows, cols] for t in basis], axis=1)
+    return elu(Tensor(terms) @ filt.coeffs)
 
 
-def edge_distances(window: Window, patch: UnifiedPatch, edge_index) -> np.ndarray:
-    """Euclidean distance between each edge's endpoint positions.
+def edge_distances(window: Window, patch: UnifiedPatch) -> np.ndarray:
+    """Euclidean distance between each edge's endpoint positions, as an
+    oriented edge signal on the pair grid: d at [u, v] for each edge
+    u < v, -d at [v, u], zero off the patch's edges.
 
     Node (ped, local t) sits at the pedestrian's absolute observed position
     in the patch's time slot; distances are the raw geometric edge feature.
     """
     pos = window.obs[:, patch.start:patch.start + patch.length, :].reshape(-1, 2)
-    if not edge_index:
-        return np.zeros(0)
-    idx = np.asarray(edge_index)
-    return np.linalg.norm(pos[idx[:, 0]] - pos[idx[:, 1]], axis=-1)
-
-
-def edge_selectors(edge_index, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-hot matrices picking each edge's low / high endpoint row."""
-    idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
-    eye = np.eye(n_nodes)
-    return eye[idx[:, 0]], eye[idx[:, 1]]
-
-
-def node_degrees(edge_index, n_nodes: int) -> np.ndarray:
-    """Number of edges incident to each node."""
-    return np.bincount(np.asarray(edge_index, dtype=np.int64).ravel(),
-                       minlength=n_nodes)
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    upper = np.triu(dist * patch.adjacency, 1)
+    return upper - upper.T
 
 
 def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,
-               theta: Tensor, phi: Tensor, gate_mode: str = "vector",
-               selectors: tuple[np.ndarray, np.ndarray] | None = None,
-               degree: np.ndarray | None = None) -> Tensor:
+               theta: Tensor, phi: Tensor, gate_mode: str = "vector") -> Tensor:
     """Node update gated per neighbour by its edge embedding.
 
     H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} gate(e_ij) * theta h_j),
@@ -193,22 +202,21 @@ def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,
     branch).  The neighbour sum is divided by the node's degree: on a
     complete patch graph an unnormalised sum outweighs the node's own term
     n - 1 times over and pulls every node towards the patch mean, which
-    washed out the per-pedestrian signal the forecast needs.  ``selectors``
-    and ``degree`` (per node) depend only on the graph, so callers that
-    reuse one structure pass them in; both are derived from ``edge_index``
-    when absent.
+    washed out the per-pedestrian signal the forecast needs.
+
+    The gates are computed per edge, then laid on the pair grid, one
+    symmetric (n, n) grid per gate channel, so the neighbour sum is one
+    batched product with the node messages.
     """
     if gate_mode not in ("vector", "scalar", "zero"):
         raise ValueError(f"unknown gate mode {gate_mode!r}")
     t = h_node @ theta
     if h_edge is None or not len(edge_index) or gate_mode == "zero":
         return elu(t)
+    n, d = t.shape
+    idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
     gate = logistic(h_edge @ phi)   # (|E|, d) or (|E|, 1), broadcast over channels
-    s_u, s_v = selectors if selectors is not None else edge_selectors(
-        edge_index, h_node.shape[0])
-    from_v = Tensor(s_u.T) @ (gate * (Tensor(s_v) @ t))
-    from_u = Tensor(s_v.T) @ (gate * (Tensor(s_u) @ t))
-    if degree is None:
-        degree = node_degrees(edge_index, t.shape[0])
-    inv_degree = 1.0 / np.maximum(degree, 1)[:, None]
-    return elu(t + (from_v + from_u) * inv_degree)
+    grid = pair_scatter(gate, idx[:, 0], idx[:, 1], n)           # (c, n, n)
+    messages = (grid @ t.T.reshape((d, n, 1))).reshape((d, n)).T
+    inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
+    return elu(t + messages * inv_degree)

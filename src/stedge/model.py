@@ -3,19 +3,20 @@ fusion -> encoder tokens -> bivariate Gaussian forecasts.
 
 The three motion embeddings are each ``model_dim`` wide, so the concatenated
 feature width is 3*model_dim and a learned projection brings it back to
-``model_dim`` before the graph stage.  Graph structure (boundary operator,
-scaled Hodge operator, fusion selectors and degrees; every array n x m or
-smaller) depends only on the pedestrian count when patches are complete
-graphs, so it is cached per N.
+``model_dim`` before the graph stage.  The edge branch needs no structure
+beyond each patch's adjacency: the Hodge operator and the fusion's
+neighbour sum both act on the patch's n x n node-pair grid (see
+``stedge.edgegraph``), so nothing is built ahead or cached.
 
-The Laguerre edge filter runs on the raw (m, 1) edge distances D.  The
+The Laguerre edge filter runs on the raw edge distances D.  The
 edge embedding w (``edge.w_embed``, 1 x model_dim) is linear and has no
 bias, and the filter is linear in its input, so the two evaluation
 orders are one function, not an approximation:
 sum_j G_j(L) (D w) theta_j = sum_j (G_j(L) D) (w theta_j).  Each order's
-coefficients become w theta_j, built once per window, and the Hodge
-products act on one column instead of model_dim.  The parameters,
-their gradients and the checkpoint layout are those of embedding first.
+coefficients become w theta_j, built once per window, and the Laguerre
+basis of the distances is a constant, computed without recording any op.
+The parameters, their gradients and the checkpoint layout are those of
+embedding first.
 
 Three choices keep each pedestrian's forecast its own and keep training
 by adaptive moments smooth (see ``init_parameters`` and
@@ -38,24 +39,20 @@ by adaptive moments smooth (see ``init_parameters`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor
+from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate
 from stedge.data import Window, future_displacements, init_features
 from stedge.edgegraph import (
-    BoundaryOperator,
     EdgeGraph,
-    HodgeOperator,
     LaguerreFilter,
-    boundary_operator,
     edge_distances,
-    edge_selectors,
+    edge_list,
     fusion_gcn,
     hll_conv,
     hodge_operator,
-    node_degrees,
 )
 from stedge.predictor import (
     EncoderConfig,
@@ -205,16 +202,6 @@ def gradcheck_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
     return params
 
 
-@dataclass
-class _PatchStructure:
-    """Constant per-patch graph machinery; reused across patches/windows."""
-
-    boundary: BoundaryOperator
-    hodge: HodgeOperator
-    selectors: tuple[np.ndarray, np.ndarray]
-    degree: np.ndarray
-
-
 class TrajectoryForecaster:
     """The full pipeline behind one parameter store."""
 
@@ -222,27 +209,6 @@ class TrajectoryForecaster:
                  seed: int = 0):
         self.cfg = cfg
         self.params = params if params is not None else init_parameters(cfg, seed)
-        self._structures: dict[int, _PatchStructure] = {}
-
-    # -- structure ---------------------------------------------------------
-
-    def _structure_for(self, adjacency: np.ndarray) -> _PatchStructure:
-        boundary = boundary_operator(adjacency)
-        n = adjacency.shape[0]
-        return _PatchStructure(
-            boundary=boundary,
-            hodge=hodge_operator(boundary, self.cfg.hll_rescale),
-            selectors=edge_selectors(boundary.edge_index, n),
-            degree=node_degrees(boundary.edge_index, n))
-
-    def _cached_structure(self, patch) -> _PatchStructure:
-        if self.cfg.max_distance is not None:
-            return self._structure_for(patch.adjacency)  # position-dependent
-        struct = self._structures.get(patch.n_peds)
-        if struct is None:
-            struct = self._structure_for(patch.adjacency)
-            self._structures[patch.n_peds] = struct
-        return struct
 
     # -- forward -----------------------------------------------------------
 
@@ -259,25 +225,24 @@ class TrajectoryForecaster:
                                   max_distance=cfg.max_distance)
 
         # the edge embedding rides in the filter (see the module docstring)
-        filt = LaguerreFilter([params["edge.w_embed"] @ params[f"hll.theta{j}"]
-                               for j in range(cfg.hll_order)])
+        filt = LaguerreFilter(concatenate(
+            [params["edge.w_embed"] @ params[f"hll.theta{j}"]
+             for j in range(cfg.hll_order)]))
         fused = []
         for patch in patches:
-            struct = self._cached_structure(patch)
+            edges = edge_list(patch.adjacency)
             h_node = gat_layer(patch, params["gat.theta"],
                                params["gat.theta_dst"], params["gat.att"])
             h_edge = None
-            if struct.boundary.n_edges and cfg.fusion_gate != "zero":
-                dists = edge_distances(window, patch, struct.boundary.edge_index)
-                graph = EdgeGraph(edge_index=struct.boundary.edge_index,
-                                  features=Tensor(dists[:, None]),
-                                  hodge=struct.hodge)
+            if len(edges) and cfg.fusion_gate != "zero":
+                graph = EdgeGraph(edge_index=edges,
+                                  features=edge_distances(window, patch),
+                                  hodge=hodge_operator(patch.adjacency,
+                                                       cfg.hll_rescale))
                 h_edge = hll_conv(graph, filt)
-            update = fusion_gcn(h_node, h_edge, struct.boundary.edge_index,
+            update = fusion_gcn(h_node, h_edge, edges,
                                 params["fuse.theta"], params["fuse.phi"],
-                                gate_mode=cfg.fusion_gate,
-                                selectors=struct.selectors,
-                                degree=struct.degree)
+                                gate_mode=cfg.fusion_gate)
             # each node's own features ride around the graph stage, which
             # on a complete graph averages every node towards the patch mean
             fused.append(patch.features + update)

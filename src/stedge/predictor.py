@@ -183,12 +183,6 @@ def bivariate_nll(mu: Tensor, log_sigma: Tensor, rho: Tensor,
     return nll.mean()
 
 
-def gaussian_head_and_loss(y_repr: Tensor, targets, head_w: Tensor,
-                           head_b: Tensor, t_pred: int) -> Tensor:
-    mu, log_sigma, rho = gaussian_parameters(y_repr, head_w, head_b, t_pred)
-    return bivariate_nll(mu, log_sigma, rho, targets)
-
-
 def track_from_tensors(mu: Tensor, log_sigma: Tensor, rho: Tensor,
                        origin: np.ndarray, ped_ids: list[int]) -> GaussianTrack:
     return GaussianTrack(mu=mu.data.copy(),

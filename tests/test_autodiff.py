@@ -21,6 +21,7 @@ from stedge.autodiff import (
     add,
     matmul,
     mul,
+    pair_scatter,
     sub,
 )
 
@@ -278,3 +279,43 @@ def test_nd_at_2d_matmul_gradients(lead):
             assert b.grad is None
         if not need_a:
             assert a.grad is None
+
+
+def _pairs(n, rng):
+    """A random set of distinct off-diagonal pairs, each listed once in a
+    random orientation."""
+    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 0.5, 1))
+    flip = rng.random(len(rows)) < 0.5
+    return np.where(flip, cols, rows), np.where(flip, rows, cols)
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+def test_pair_scatter_matches_loop(channels):
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 7):
+        rows, cols = _pairs(n, rng)
+        x = rng.normal(size=(len(rows), channels))
+        want = np.zeros((channels, n, n))
+        for e, (u, v) in enumerate(zip(rows, cols)):
+            want[:, u, v] = want[:, v, u] = x[e]
+        np.testing.assert_array_equal(pair_scatter(Tensor(x), rows, cols, n).data, want)
+
+
+@pytest.mark.parametrize("channels", [1, 5])
+def test_pair_scatter_gradient(channels):
+    """At c = 1 (one gate per pair) and c = d, through the batched product
+    the fusion layer applies."""
+    rng = np.random.default_rng(32)
+    n, d = 6, 5
+    rows, cols = _pairs(n, rng)
+    x = Tensor(rng.normal(size=(len(rows), channels)), requires_grad=True)
+    t = Tensor(rng.normal(size=(d, n, 1)), requires_grad=True)
+    weights = rng.normal(size=(d, n, 1))
+    err = gradcheck(lambda: ((pair_scatter(x, rows, cols, n) @ t) * weights).sum(),
+                    [x, t], eps=1e-5)
+    assert err < 1e-6
+
+
+def test_pair_scatter_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        pair_scatter(Tensor(np.ones((3, 2))), np.array([0, 1]), np.array([1, 2]), 3)

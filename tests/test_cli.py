@@ -121,6 +121,29 @@ def test_graph_stats_reports_windows(tmp_path, capsys):
     assert all(v is not None and v > 0 for v in values)
 
 
+def test_graph_stats_edge_counts_do_not_depend_on_edges_flag(tmp_path, capsys):
+    """Edges are counted without building B1; the report without
+    ``--edges`` is the ``--edges`` report less its two keys, byte for byte,
+    on a scene where ``max_distance`` drops some pairs."""
+    records = linear_records([(1, (0.0, 0.0), (0.4, 0.0)),
+                              (2, (0.0, 1.0), (0.4, 0.1)),
+                              (3, (4.0, 0.0), (-0.3, 0.05))], n_frames=20)
+    scene = write_trajectory_file(tmp_path / "scene.txt", records)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\ngraph.max_distance = 1.5\n")
+    assert run(["graph-stats", "--config", str(cfg), "--edges"]) == 0
+    with_edges = capsys.readouterr().out.splitlines()
+    assert run(["graph-stats", "--config", str(cfg)]) == 0
+    without = capsys.readouterr().out.splitlines()
+    assert len(without) == len(with_edges) == 1
+    report = json.loads(with_edges[0])
+    counts = [patch["edges"] for patch in report["patches"]]
+    assert min(counts) < max(counts) < 9 * 8 // 2   # thresholded, not complete
+    for patch in report["patches"]:
+        assert len(patch["l1_spectrum"]) == patch["edges"]   # one per B1 column
+        del patch["degree_histogram"], patch["l1_spectrum"]
+    assert without[0] == json.dumps(report, sort_keys=True)
+
+
 def test_eval_oracle_scores_zero(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stedge.autodiff import Tensor, backward, elu, gradcheck
+from stedge.autodiff import Tensor, backward, concatenate, elu, gradcheck, logistic
 from stedge.data import Window
 from stedge.edgegraph import (
     EdgeGraph,
@@ -12,7 +12,7 @@ from stedge.edgegraph import (
     LaguerreFilter,
     boundary_operator,
     edge_distances,
-    edge_selectors,
+    edge_list,
     fusion_gcn,
     hll_conv,
     hodge_laplacian,
@@ -46,6 +46,18 @@ def _proximity_adjacencies(sizes=(3, 5, 8), seeds=range(20)):
             yield build_node_adjacency(n_peds, 3, pos, 1.5)
 
 
+def _to_grid(x, edges, n):
+    """An edge vector as the antisymmetric pair-grid signal."""
+    grid = np.zeros((n, n))
+    grid[edges[:, 0], edges[:, 1]] = x
+    grid[edges[:, 1], edges[:, 0]] = -x
+    return grid
+
+
+def _from_grid(grid, edges):
+    return grid[edges[:, 0], edges[:, 1]]
+
+
 # -- boundary operator and line graph ----------------------------------------
 
 
@@ -67,24 +79,22 @@ def test_boundary_complete_patch():
     np.testing.assert_array_equal(np.abs(op.matrix).sum(axis=0), 2.0)
 
 
-def test_boundary_and_selectors_match_loop_reference():
+def test_boundary_and_edge_list_match_loop_reference():
     """The array-indexed builders against per-pair loops, on every graph
     with <= 5 nodes."""
     for n in range(1, 6):
         for adj in _all_graphs(n):
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
             b1 = np.zeros((n, len(edges)))
-            s_u, s_v = np.zeros((len(edges), n)), np.zeros((len(edges), n))
             for e, (u, v) in enumerate(edges):
                 b1[u, e], b1[v, e] = -1.0, 1.0
-                s_u[e, u] = s_v[e, v] = 1.0
             op = boundary_operator(adj)
             assert op.edge_index == tuple(edges)
             assert all(type(i) is int for edge in op.edge_index for i in edge)
             np.testing.assert_array_equal(op.matrix, b1)
-            got_u, got_v = edge_selectors(op.edge_index, n)
-            np.testing.assert_array_equal(got_u, s_u)
-            np.testing.assert_array_equal(got_v, s_v)
+            got = edge_list(adj)
+            assert got.shape == (len(edges), 2)
+            np.testing.assert_array_equal(got, np.asarray(edges).reshape(-1, 2))
 
 
 def test_line_graph_matches_loop_reference():
@@ -167,28 +177,53 @@ def test_hodge_properties_exhaustive_small_graphs():
                                            np.linalg.eigvalsh(l1), atol=1e-10)
 
 
+def test_grid_operator_matches_dense_laplacian():
+    """``op @ x`` on the pair grid is L1 x / lam on every graph with <= 5
+    nodes and on the proximity graphs, stays an edge signal (antisymmetric,
+    zero off the edges), and lam is the top eigenvalue of B1 B1^T to the
+    bit."""
+    rng = np.random.default_rng(13)
+    graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
+    for adj in graphs + list(_proximity_adjacencies()):
+        op = boundary_operator(adj)
+        b1, edges = op.matrix, edge_list(adj)
+        hodge = hodge_operator(adj)
+        assert hodge.lam == max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
+        x = rng.normal(size=op.n_edges)
+        got = hodge @ _to_grid(x, edges, len(adj))
+        want = hodge_laplacian(op) @ x / hodge.lam
+        assert np.abs(_from_grid(got, edges) - want).max(initial=0.0) <= 1e-12 * max(
+            1.0, np.abs(want).max(initial=0.0))
+        np.testing.assert_array_equal(got, -got.T)
+        np.testing.assert_array_equal(got[adj == 0], 0.0)
+
+
 def test_hodge_operator_bounds_spectrum():
-    """lam is L1's top eigenvalue, so the scaled spectrum ends at 1 exactly.
-    A 50-step power iteration reached 1.015 on these proximity graphs."""
+    """lam is L1's top eigenvalue, so the spectrum of the grid operator,
+    read column by column, ends at 1.  A 50-step power iteration reached
+    1.015 on these proximity graphs."""
     for adj in [build_node_adjacency(3, 3), *_proximity_adjacencies()]:
         op = boundary_operator(adj)
-        hodge = hodge_operator(op)
+        edges = edge_list(adj)
+        hodge = hodge_operator(adj)
         true_max = np.linalg.eigvalsh(hodge_laplacian(op)).max()
         assert hodge.lam == pytest.approx(true_max, rel=1e-12)
-        scaled = np.linalg.eigvalsh(hodge.b1t_scaled @ hodge.b1)
+        columns = [_from_grid(hodge @ _to_grid(e, edges, len(adj)), edges)
+                   for e in np.eye(op.n_edges)]
+        scaled = np.linalg.eigvalsh(np.stack(columns, axis=1))
         assert abs(scaled.max() - 1.0) <= 1e-12
         assert scaled.min() >= -1e-12
 
 
 def test_hodge_operator_shapes():
-    op = boundary_operator(build_node_adjacency(2, 3))
-    hodge = hodge_operator(op)
-    assert hodge.b1.shape == (6, 15)
-    assert hodge.b1t_scaled.shape == (15, 6)
+    adj = build_node_adjacency(2, 3)
+    hodge = hodge_operator(adj)
+    assert hodge.adjacency.shape == (6, 6)
     assert hodge.lam == pytest.approx(6.0, rel=1e-12)   # n on a complete graph
-    assert (hodge @ Tensor(np.ones((15, 4)))).shape == (15, 4)
-    assert hodge_operator(op, rescale=False).lam == 1.0
-    assert hodge_operator(boundary_operator(np.zeros((3, 3)))).lam == 1e-6  # edgeless
+    grid = _to_grid(np.ones(15), edge_list(adj), 6)
+    assert (hodge @ grid).shape == (6, 6)
+    assert hodge_operator(adj, rescale=False).lam == 1.0
+    assert hodge_operator(np.zeros((3, 3))).lam == 1e-6  # edgeless
 
 
 # -- Laguerre filtering ---------------------------------------------------------
@@ -232,60 +267,57 @@ def test_laguerre_operator_matches_spectral_evaluation():
             np.testing.assert_allclose(t.data, spectral, atol=1e-8)
 
 
-def _edge_graph_from(adj, feats, rescale=False):
-    op = boundary_operator(adj)
-    return EdgeGraph(edge_index=op.edge_index, features=Tensor(feats),
-                     hodge=hodge_operator(op, rescale))
+def _edge_graph_from(adj, dists, rescale=False):
+    edges = edge_list(adj)
+    return EdgeGraph(edge_index=edges, features=_to_grid(dists, edges, len(adj)),
+                     hodge=hodge_operator(adj, rescale))
 
 
 def test_hll_conv_order_one_is_linear_map():
     rng = np.random.default_rng(3)
-    feats = rng.normal(size=(3, 4))
-    graph = _edge_graph_from(TRIANGLE, feats)
-    theta = rng.normal(size=(4, 4))
-    out = hll_conv(graph, LaguerreFilter([Tensor(theta)]))
-    lin = feats @ theta
+    dists = rng.normal(size=3)
+    graph = _edge_graph_from(TRIANGLE, dists)
+    coeffs = rng.normal(size=(1, 4))
+    out = hll_conv(graph, LaguerreFilter(Tensor(coeffs)))
+    lin = dists[:, None] @ coeffs
     np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
                                atol=1e-12)
 
 
 def test_hll_conv_zero_laplacian_collapses_to_sum():
     rng = np.random.default_rng(4)
-    feats = rng.normal(size=(3, 4))
-    graph = _edge_graph_from(TRIANGLE, feats)
-    graph.hodge = HodgeOperator(b1=np.zeros((3, 3)), b1t_scaled=np.zeros((3, 3)),
-                                lam=1.0)
-    thetas = [Tensor(np.eye(4) / 3.0) for _ in range(3)]
-    out = hll_conv(graph, LaguerreFilter(thetas))
-    np.testing.assert_allclose(out.data,
-                               np.where(feats >= 0, feats, np.expm1(feats)),
+    dists = rng.normal(size=3)
+    graph = _edge_graph_from(TRIANGLE, dists)
+    graph.hodge = HodgeOperator(adjacency=np.zeros((3, 3)), lam=1.0)
+    w = rng.normal(size=(1, 4))
+    out = hll_conv(graph, LaguerreFilter(Tensor(np.repeat(w / 3.0, 3, axis=0))))
+    lin = dists[:, None] @ w
+    np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
                                atol=1e-12)
 
 
 def test_hll_conv_matches_spectral_oracle():
     rng = np.random.default_rng(5)
-    feats = rng.normal(size=(3, 4))
-    graph = _edge_graph_from(TRIANGLE, feats, rescale=True)
-    thetas = [rng.normal(size=(4, 4)) for _ in range(3)]
-    out = hll_conv(graph, LaguerreFilter([Tensor(t) for t in thetas]))
+    dists = rng.normal(size=3)
+    graph = _edge_graph_from(TRIANGLE, dists, rescale=True)
+    coeffs = rng.normal(size=(3, 4))
+    out = hll_conv(graph, LaguerreFilter(Tensor(coeffs)))
     w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
                           / graph.hodge.lam)
     pre = np.zeros((3, 4))
-    for j, theta in enumerate(thetas):
+    for j in range(3):
         scalars = np.array([laguerre_scalars(float(lam), 3)[j] for lam in w])
-        pre += (v * scalars) @ v.T @ feats @ theta
+        pre += ((v * scalars) @ v.T @ dists)[:, None] @ coeffs[j:j + 1]
     np.testing.assert_allclose(out.data, np.where(pre >= 0, pre, np.expm1(pre)),
                                atol=1e-10)
 
 
 def test_hll_conv_gradients():
     rng = np.random.default_rng(6)
-    feats = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    graph = _edge_graph_from(TRIANGLE, np.zeros((3, 3)), rescale=True)
-    graph.features = feats
-    thetas = [Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(3)]
-    err = gradcheck(lambda: hll_conv(graph, LaguerreFilter(thetas)).sum(),
-                    [feats, *thetas], eps=1e-5)
+    graph = _edge_graph_from(TRIANGLE, rng.normal(size=3), rescale=True)
+    thetas = [Tensor(rng.normal(size=(1, 3)), requires_grad=True) for _ in range(3)]
+    err = gradcheck(lambda: hll_conv(graph, LaguerreFilter(concatenate(thetas))).sum(),
+                    thetas, eps=1e-5)
     assert err < 1e-5
 
 
@@ -320,42 +352,41 @@ _PARITY_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
 def test_hll_conv_matches_dense_laplacian(name):
-    """Forward output and every gradient through B1^T (B1 X) / lam match the
-    filter on the stored L1 / lam, with lam exact and, on complete graphs,
-    with lam from the power iteration the dense filter used."""
-    op = boundary_operator(_PARITY_GRAPHS[name])
+    """Forward output and the coefficient gradient of the pair-grid filter
+    match the filter on the stored L1 / lam, with lam exact and, on
+    complete graphs, with lam from the power iteration the dense filter
+    used."""
+    adj = _PARITY_GRAPHS[name]
+    op = boundary_operator(adj)
     rng = np.random.default_rng(11)
-    feats = Tensor(rng.normal(size=(op.n_edges, 3)), requires_grad=True)
-    thetas = [Tensor(rng.normal(size=(3, 3)) * 0.5, requires_grad=True)
-              for _ in range(3)]
+    dists = rng.uniform(0.1, 3.0, size=op.n_edges)
+    coeffs = Tensor(rng.normal(size=(3, 3)) * 0.5, requires_grad=True)
     seed = rng.normal(size=(op.n_edges, 3))
 
-    def output_and_grads(run):
-        for t in (feats, *thetas):
-            t.zero_grad()
+    def output_and_grad(run):
+        coeffs.zero_grad()
         out = run()
         backward(out, seed)
-        return [out.data] + [t.grad.copy() for t in (feats, *thetas)]
+        return [out.data, coeffs.grad.copy()]
 
-    hodge = hodge_operator(op)
-    graph = EdgeGraph(edge_index=op.edge_index, features=feats, hodge=hodge)
-    got = output_and_grads(lambda: hll_conv(graph, LaguerreFilter(thetas)))
+    graph = _edge_graph_from(adj, dists, rescale=True)
+    got = output_and_grad(lambda: hll_conv(graph, LaguerreFilter(coeffs)))
     l1 = hodge_laplacian(op)
+    rows = [coeffs[j:j + 1] for j in range(3)]
     lams = [np.linalg.eigvalsh(l1).max()]
     if name.startswith("complete"):
         lams.append(_power_iteration_lambda(l1))
     for lam in lams:
-        assert hodge.lam == pytest.approx(lam, rel=1e-12)
-        want = output_and_grads(lambda: _dense_hll_conv(l1 / lam, feats, thetas))
+        assert graph.hodge.lam == pytest.approx(lam, rel=1e-12)
+        want = output_and_grad(
+            lambda: _dense_hll_conv(l1 / lam, Tensor(dists[:, None]), rows))
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
-def _embed_then_filter(dists, w_embed, thetas, hodge, edge_index):
+def _embed_then_filter(dists, w_embed, thetas, l1_scaled):
     """The edge branch as it was: embed the distances to (m, d), then filter."""
-    feats = Tensor(dists[:, None]) @ w_embed
-    graph = EdgeGraph(edge_index=edge_index, features=feats, hodge=hodge)
-    return hll_conv(graph, LaguerreFilter(thetas))
+    return _dense_hll_conv(l1_scaled, Tensor(dists[:, None]) @ w_embed, thetas)
 
 
 @pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
@@ -363,8 +394,8 @@ def test_filter_on_distances_matches_embed_then_filter(name):
     """Folding the edge embedding into each order's coefficients (the
     model's edge branch) gives the output and the gradients of the
     embedding and of every theta_j of embedding first."""
-    op = boundary_operator(_PARITY_GRAPHS[name])
-    hodge = hodge_operator(op)
+    adj = _PARITY_GRAPHS[name]
+    op = boundary_operator(adj)
     rng = np.random.default_rng(12)
     dists = rng.uniform(0.1, 3.0, size=op.n_edges)
     w_embed = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
@@ -379,16 +410,100 @@ def test_filter_on_distances_matches_embed_then_filter(name):
         backward(out, seed)
         return [out.data] + [t.grad.copy() for t in (w_embed, *thetas)]
 
-    def folded():
-        graph = EdgeGraph(edge_index=op.edge_index,
-                          features=Tensor(dists[:, None]), hodge=hodge)
-        return hll_conv(graph, LaguerreFilter([w_embed @ t for t in thetas]))
-
-    got = output_and_grads(folded)
-    want = output_and_grads(
-        lambda: _embed_then_filter(dists, w_embed, thetas, hodge, op.edge_index))
+    graph = _edge_graph_from(adj, dists, rescale=True)
+    got = output_and_grads(lambda: hll_conv(
+        graph, LaguerreFilter(concatenate([w_embed @ t for t in thetas]))))
+    want = output_and_grads(lambda: _embed_then_filter(
+        dists, w_embed, thetas, hodge_laplacian(op) / graph.hodge.lam))
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi,
+                           gate_mode):
+    """``hll_conv`` and ``fusion_gcn`` as they ran before the pair grid:
+    L1 / lam applied as (B1^T / lam) (B1 x), one rank-1 product per order,
+    and the neighbour messages moved by one-hot edge selectors.  Returns
+    the edge embedding and the fused node update."""
+    op = boundary_operator(adj)
+    b1, n = op.matrix, len(adj)
+    lam = max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
+    b1t_scaled = b1.T / lam
+
+    def hodge(x):
+        return Tensor(b1t_scaled) @ (Tensor(b1) @ x)
+
+    basis = [Tensor(dists[:, None])]
+    basis.append(basis[0] - hodge(basis[0]))
+    for j in range(1, len(thetas) - 1):
+        basis.append(basis[j] * ((2 * j + 1) / (j + 1))
+                     - hodge(basis[j]) * (1.0 / (j + 1))
+                     - basis[j - 1] * (j / (j + 1)))
+    pre = basis[0] @ (w_embed @ thetas[0])
+    for t_j, th in zip(basis[1:], thetas[1:]):
+        pre = pre + t_j @ (w_embed @ th)
+    h_edge = elu(pre)
+
+    idx = np.asarray(op.edge_index)
+    s_u, s_v = np.eye(n)[idx[:, 0]], np.eye(n)[idx[:, 1]]
+    t = h_node @ theta
+    gate = logistic(h_edge @ phi)
+    from_v = Tensor(s_u.T) @ (gate * (Tensor(s_v) @ t))
+    from_u = Tensor(s_v.T) @ (gate * (Tensor(s_u) @ t))
+    inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
+    return h_edge, elu(t + (from_v + from_u) * inv_degree)
+
+
+_BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
+
+
+@pytest.mark.parametrize("gate_mode", ["vector", "scalar"])
+@pytest.mark.parametrize("name", sorted(_BRANCH_GRAPHS))
+def test_edge_branch_matches_incidence_reference(name, gate_mode):
+    """The pair-grid edge branch (filter and fusion, as the model calls
+    them) against the B1 / selector path it replaced: both outputs and
+    the gradients of h_node and of every parameter, and lam to the bit."""
+    adj = _BRANCH_GRAPHS[name]
+    n, d = len(adj), 4
+    edges = edge_list(adj)
+    rng = np.random.default_rng(14)
+    dists = rng.uniform(0.1, 3.0, size=len(edges))
+    leaves = {
+        "h_node": rng.normal(size=(n, d)),
+        "w_embed": rng.normal(size=(1, d)),
+        **{f"theta{j}": rng.normal(size=(d, d)) * 0.5 for j in range(3)},
+        "theta": rng.normal(size=(d, d)) * 0.5,
+        "phi": rng.normal(size=(d, d if gate_mode == "vector" else 1)),
+    }
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
+    thetas = [leaves[f"theta{j}"] for j in range(3)]
+    seed_edge = rng.normal(size=(len(edges), d))
+    seed_node = rng.normal(size=(n, d))
+
+    def outputs_and_grads(run):
+        for t in leaves.values():
+            t.zero_grad()
+        h_edge, fused = run()
+        backward((h_edge * seed_edge).sum() + (fused * seed_node).sum())
+        return [h_edge.data, fused.data] + [t.grad.copy() for t in leaves.values()]
+
+    def grid_branch():
+        hodge = hodge_operator(adj)
+        graph = EdgeGraph(edge_index=edges, features=_to_grid(dists, edges, n),
+                          hodge=hodge)
+        filt = LaguerreFilter(concatenate([leaves["w_embed"] @ t for t in thetas]))
+        h_edge = hll_conv(graph, filt)
+        return h_edge, fusion_gcn(leaves["h_node"], h_edge, edges, leaves["theta"],
+                                  leaves["phi"], gate_mode=gate_mode)
+
+    b1 = boundary_operator(adj).matrix
+    assert hodge_operator(adj).lam == np.linalg.eigvalsh(b1 @ b1.T)[-1]
+    got = outputs_and_grads(grid_branch)
+    want = outputs_and_grads(lambda: _incidence_edge_branch(
+        adj, dists, leaves["w_embed"], thetas, leaves["h_node"], leaves["theta"],
+        leaves["phi"], gate_mode))
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 # -- geometric edge features -----------------------------------------------------
@@ -407,16 +522,17 @@ def _window_and_patch():
 
 def test_edge_distances_values():
     window, patch = _window_and_patch()
-    op = boundary_operator(patch.adjacency)
-    d = edge_distances(window, patch, op.edge_index)
-    idx = {e: k for k, e in enumerate(op.edge_index)}
-    assert d[idx[(0, 1)]] == pytest.approx(1.0)    # same ped, adjacent frames
-    assert d[idx[(0, 3)]] == pytest.approx(4.0)
-    assert d[idx[(0, 4)]] == pytest.approx(5.0)    # 3-4-5 triangle
-    assert d[idx[(2, 5)]] == pytest.approx(1.0)
+    d = edge_distances(window, patch)
+    assert d[0, 1] == pytest.approx(1.0)    # same ped, adjacent frames
+    assert d[0, 3] == pytest.approx(4.0)
+    assert d[0, 4] == pytest.approx(5.0)    # 3-4-5 triangle
+    assert d[2, 5] == pytest.approx(1.0)
+    np.testing.assert_array_equal(d, -d.T)  # an oriented edge signal
+    patch.adjacency[0, 4] = patch.adjacency[4, 0] = 0.0
+    assert edge_distances(window, patch)[0, 4] == 0.0   # no edge, no value
     window.obs[1] = window.obs[0]
-    d = edge_distances(window, patch, op.edge_index)
-    assert d[idx[(0, 3)]] == pytest.approx(0.0)    # coincident endpoints
+    d = edge_distances(window, patch)
+    assert d[0, 3] == pytest.approx(0.0)    # coincident endpoints
 
 
 # -- fusion ------------------------------------------------------------------------

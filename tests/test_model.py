@@ -158,7 +158,7 @@ def test_structure_cache_consistency():
     model = TrajectoryForecaster(SMALL, seed=0)
     windows = overfit_windows()
     base = [model.loss(w).item() for w in windows]
-    fresh = TrajectoryForecaster(SMALL, seed=0)  # no warm cache
+    fresh = TrajectoryForecaster(SMALL, seed=0)  # no state from earlier windows
     again = [fresh.loss(w).item() for w in windows]
     np.testing.assert_array_equal(base, again)
 

@@ -11,7 +11,6 @@ from stedge.predictor import (
     assemble_tokens,
     bivariate_nll,
     encoder_forward,
-    gaussian_head_and_loss,
     gaussian_parameters,
     layer_norm,
     sample_trajectories,
@@ -237,10 +236,10 @@ def test_nll_gradient_zero_at_stationary_point():
     assert err < 1e-5
 
 
-def test_gaussian_head_and_loss_gradients():
+def test_gaussian_parameters_then_nll_gradients():
     y, w, b = _head_fixture()
     targets = np.random.default_rng(11).normal(size=(2, 3, 2))
-    err = gradcheck(lambda: gaussian_head_and_loss(y, targets, w, b, 3),
+    err = gradcheck(lambda: bivariate_nll(*gaussian_parameters(y, w, b, 3), targets),
                     [w, b], eps=1e-5)
     assert err < 1e-4
 
@@ -253,7 +252,7 @@ def test_loss_reads_only_last_t_pred_positions():
     targets = np.random.default_rng(12).normal(size=(2, t_pred, 2))
 
     w.grad = b.grad = None
-    backward(gaussian_head_and_loss(y, targets, w, b, t_pred))
+    backward(bivariate_nll(*gaussian_parameters(y, w, b, t_pred), targets))
     grad_sliced = (w.grad.copy(), b.grad.copy())
 
     w.grad = b.grad = None
