@@ -33,9 +33,9 @@ print(f"patching T_obs=8 with L={cfg.length}, S={cfg.stride} -> "
       f"K={patch_count(window.t_obs, cfg)} patches")
 
 features = Tensor(np.zeros((window.n_peds, window.t_obs, 4)))
-for patch in segment_patches(features, cfg):
+for k, patch in enumerate(segment_patches(features, cfg, window.obs), start=1):
     n_edges = int(patch.adjacency.sum() // 2)
-    print(f"  patch {patch.index}: slots [{patch.start}, "
+    print(f"  patch {k}: slots [{patch.start}, "
           f"{patch.start + patch.length}), {patch.n_nodes} nodes, "
           f"{n_edges} edges (complete graph)")
 

@@ -15,7 +15,6 @@ import numpy as np
 from stedge.autodiff import Tensor
 from stedge.edgegraph import (
     EdgeGraph,
-    LaguerreFilter,
     boundary_operator,
     edge_list,
     hll_conv,
@@ -72,7 +71,7 @@ for j, t in enumerate(basis):
           f"{np.abs(t[edges[:, 0], edges[:, 1]] - spectral).max():.2e}")
 
 graph = EdgeGraph(edge_index=edges, features=grid, hodge=hodge)
-filt = LaguerreFilter(Tensor(rng.normal(size=(3, 4)) * 0.4))
-out = hll_conv(graph, filt)
+coeffs = Tensor(rng.normal(size=(3, 4)) * 0.4)   # row j maps order j to 4 channels
+out = hll_conv(graph, coeffs)
 print(f"\nfiltered edge embedding shape: {out.shape}; "
       f"value range [{out.data.min():.3f}, {out.data.max():.3f}]")

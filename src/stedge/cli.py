@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stedge.autodiff import NonFiniteError, gradcheck
+from stedge.autodiff import NonFiniteError, Tensor, gradcheck
 from stedge.config import BadConfigError, Config, config_help, load_config
 from stedge.data import (
     DuplicateObservationError,
@@ -27,12 +27,7 @@ from stedge.data import (
 from stedge.edgegraph import boundary_operator, edge_list, hodge_laplacian, line_graph
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
-from stedge.stgraph import (
-    DisconnectedGraphError,
-    build_node_adjacency,
-    effective_resistance,
-    patch_starts,
-)
+from stedge.stgraph import DisconnectedGraphError, effective_resistance, segment_patches
 from stedge.synth import gradcheck_window
 from stedge.trainer import (
     NonFiniteGradientError,
@@ -177,7 +172,8 @@ def cmd_graph_stats(args) -> int:
     files, _ = _data_files(cfg)
     windows = _windows_from_files(files, cfg)
     pairs = [_parse_pair(p) for p in args.pair or []]
-    length, stride = cfg["patch.len"], cfg["patch.stride"]
+    patching = cfg.model_config().patching()
+    length = patching.length
     max_dist = cfg["graph.max_distance"] or None
 
     for wi, window in enumerate(windows):
@@ -185,12 +181,12 @@ def cmd_graph_stats(args) -> int:
         report = {"window": wi, "start_frame": window.start_frame,
                   "n_peds": n, "ped_ids": window.ped_ids, "patches": []}
         resistance = []
-        for k, start in enumerate(patch_starts(window.t_obs,
-                                               cfg.model_config().patching()),
-                                  start=1):
-            pos = window.obs[:, start:start + length, :].reshape(-1, 2)
-            adj = build_node_adjacency(n, length, pos, max_dist)
-            entry = {"k": k, "start": start, "nodes": n * length,
+        # the patch graphs alone; no node features are needed
+        no_features = Tensor(np.zeros((n, window.t_obs, 0)))
+        patches = segment_patches(no_features, patching, window.obs, max_dist)
+        for k, patch in enumerate(patches, start=1):
+            start, adj = patch.start, patch.adjacency
+            entry = {"k": k, "start": start, "nodes": patch.n_nodes,
                      "edges": len(edge_list(adj))}
             if args.edges:
                 boundary = boundary_operator(adj)

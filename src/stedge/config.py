@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from stedge.data import ENDPOINT_MODES
-from stedge.model import ModelConfig
-from stedge.trainer import TrainConfig
+from stedge.model import FUSION_GATES, ModelConfig
+from stedge.trainer import AUGMENT_MODES, TrainConfig
 
 
 class BadConfigError(ValueError):
@@ -37,13 +37,6 @@ def _float_min(minimum, exclusive=False):
     return parse
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered not in ("true", "false"):
-        raise ValueError("must be 'true' or 'false'")
-    return lowered == "true"
-
-
 def _choice(*options):
     def parse(raw: str) -> str:
         if raw not in options:
@@ -66,8 +59,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "encoder.heads": (_int_min(1), 4, "attention heads"),
     "encoder.layers": (_int_min(1), 2, "encoder layers"),
     "hll.order": (_int_min(1), 3, "Laguerre polynomial order J"),
-    "hll.rescale": (_bool, True, "rescale the Hodge Laplacian by lambda_max"),
-    "fusion.gate": (_choice("vector", "scalar", "zero"), "vector",
+    "fusion.gate": (_choice(*FUSION_GATES), "vector",
                     "edge-gate mode; 'zero' severs the edge branch"),
     "preprocess.endpoint_mode": (_choice(*ENDPOINT_MODES), "off",
                                  "endpoint-subtraction preprocessing"),
@@ -77,7 +69,7 @@ CONFIG_KEYS: dict[str, tuple] = {
                       "initial learning rate"),
     "train.lr_halve_every": (_int_min(1), 50, "epochs between halvings"),
     "train.weight_decay": (_float_min(0.0), 0.0001, "decoupled weight decay"),
-    "train.augment": (_choice("off", "rotate"), "off",
+    "train.augment": (_choice(*AUGMENT_MODES), "off",
                       "training-window augmentation"),
     "train.out_dir": (str, "runs", "checkpoint / metrics directory"),
     "eval.samples": (_int_min(1), 20, "samples per window at evaluation"),
@@ -100,7 +92,7 @@ class Config:
             model_dim=self["model.dim"], encoder_dim=self["encoder.dim"],
             encoder_heads=self["encoder.heads"],
             encoder_layers=self["encoder.layers"],
-            hll_order=self["hll.order"], hll_rescale=self["hll.rescale"],
+            hll_order=self["hll.order"],
             fusion_gate=self["fusion.gate"],
             endpoint_mode=self["preprocess.endpoint_mode"],
             max_distance=max_dist if max_dist > 0 else None)

@@ -11,6 +11,7 @@ single-layer perceptron and concatenated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ import numpy as np
 from stedge.autodiff import ParameterStore, Tensor, concatenate
 
 ENDPOINT_MODES = ("off", "last_velocity", "oracle_gt")
+
+# two points within +-B have dx^2 + dy^2 <= 8 B^2, the float64 maximum, so
+# no squared distance between them overflows
+_COORD_LIMIT = math.sqrt(sys.float_info.max / 8.0)
 
 
 class MalformedLineError(ValueError):
@@ -110,6 +115,10 @@ def parse_trajectory_file(path) -> TrajectoryScene:
             if not (math.isfinite(record[2]) and math.isfinite(record[3])):
                 raise MalformedLineError(
                     f"{path}:{lineno}: non-finite coordinate in {line!r}")
+            if max(abs(record[2]), abs(record[3])) > _COORD_LIMIT:
+                raise MalformedLineError(
+                    f"{path}:{lineno}: coordinate beyond +-{_COORD_LIMIT:.3g} "
+                    f"in {line!r}; squared distances would overflow")
             records.append(record)
     if not records:
         raise EmptyFileError(f"{path}: no observations")

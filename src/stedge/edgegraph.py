@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from stedge.autodiff import Tensor, elu, logistic, pair_scatter
-from stedge.data import Window
 from stedge.stgraph import UnifiedPatch, graph_laplacian
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
@@ -67,18 +66,6 @@ class EdgeGraph:
     hodge: HodgeOperator
 
 
-@dataclass
-class LaguerreFilter:
-    """Truncated Laguerre expansion of a one-channel edge signal: row j of
-    ``coeffs`` maps the order-j basis term to the output channels."""
-
-    coeffs: Tensor               # (order, d)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0]
-
-
 def edge_list(adjacency) -> np.ndarray:
     """The undirected edges (u, v), u < v, in lexicographic order, (m, 2)."""
     return np.argwhere(np.triu(np.asarray(adjacency), 1))
@@ -115,17 +102,14 @@ def hodge_laplacian(b1) -> np.ndarray:
     return m.T @ m
 
 
-def hodge_operator(adjacency, rescale: bool = True) -> HodgeOperator:
-    """L1 scaled by its largest eigenvalue lam (lam = 1 without rescale), so
-    that the Laguerre polynomials see a spectrum in [0, 1].  The node
-    Laplacian D - A is exactly B1 B1^T, which shares L1's nonzero spectrum,
-    so lam is exact: n on a complete graph, ``_LAMBDA_FLOOR`` on an
-    edgeless one."""
-    lam = 1.0
-    if rescale:
-        top = np.linalg.eigvalsh(graph_laplacian(adjacency))[-1]
-        lam = max(float(top), _LAMBDA_FLOOR)
-    return HodgeOperator(adjacency=np.asarray(adjacency), lam=lam)
+def hodge_operator(adjacency) -> HodgeOperator:
+    """L1 scaled by its largest eigenvalue lam, so that the Laguerre
+    polynomials see a spectrum in [0, 1].  The node Laplacian D - A is
+    exactly B1 B1^T, which shares L1's nonzero spectrum, so lam is exact:
+    n on a complete graph, ``_LAMBDA_FLOOR`` on an edgeless one."""
+    top = np.linalg.eigvalsh(graph_laplacian(adjacency))[-1]
+    return HodgeOperator(adjacency=np.asarray(adjacency),
+                         lam=max(float(top), _LAMBDA_FLOOR))
 
 
 def laguerre_scalars(lam: float, order: int) -> list[float]:
@@ -164,54 +148,53 @@ def laguerre_basis(operator, x, order: int) -> list:
     return basis
 
 
-def hll_conv(edge_graph: EdgeGraph, filt: LaguerreFilter) -> Tensor:
-    """Spectral edge convolution: sum_j G_j(L1 / lam) E theta_j, then ELU.
+def hll_conv(edge_graph: EdgeGraph, coeffs: Tensor) -> Tensor:
+    """Spectral edge convolution of a one-channel edge signal E:
+    sum_j G_j(L1 / lam) E theta_j, then ELU, where row j of the
+    (order, d) ``coeffs`` is theta_j.
 
     The edge signal is a constant, so its basis is plain numpy on the pair
     grid; each order's values at the edges form one column of an
     (m, order) array, and one product with the coefficients mixes them.
     """
     rows, cols = edge_graph.edge_index.T
-    basis = laguerre_basis(edge_graph.hodge, edge_graph.features, filt.order)
+    basis = laguerre_basis(edge_graph.hodge, edge_graph.features, coeffs.shape[0])
     terms = np.stack([t[rows, cols] for t in basis], axis=1)
-    return elu(Tensor(terms) @ filt.coeffs)
+    return elu(Tensor(terms) @ coeffs)
 
 
-def edge_distances(window: Window, patch: UnifiedPatch) -> np.ndarray:
+def edge_distances(patch: UnifiedPatch) -> np.ndarray:
     """Euclidean distance between each edge's endpoint positions, as an
     oriented edge signal on the pair grid: d at [u, v] for each edge
-    u < v, -d at [v, u], zero off the patch's edges.
-
-    Node (ped, local t) sits at the pedestrian's absolute observed position
-    in the patch's time slot; distances are the raw geometric edge feature.
+    u < v, -d at [v, u], zero off the patch's edges.  Distances are the
+    raw geometric edge feature.
     """
-    pos = window.obs[:, patch.start:patch.start + patch.length, :].reshape(-1, 2)
+    pos = patch.positions
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     upper = np.triu(dist * patch.adjacency, 1)
     return upper - upper.T
 
 
 def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,
-               theta: Tensor, phi: Tensor, gate_mode: str = "vector") -> Tensor:
+               theta: Tensor, phi: Tensor) -> Tensor:
     """Node update gated per neighbour by its edge embedding.
 
     H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} gate(e_ij) * theta h_j),
     where the gate is a logistic squash of the edge embedding mapped through
-    ``phi`` (per-channel in "vector" mode, a single scalar per edge in
-    "scalar" mode, identically zero in "zero" mode, which severs the edge
-    branch).  The neighbour sum is divided by the node's degree: on a
-    complete patch graph an unnormalised sum outweighs the node's own term
-    n - 1 times over and pulls every node towards the patch mean, which
-    washed out the per-pedestrian signal the forecast needs.
+    ``phi``: per channel when ``phi`` is (d, d), one scalar per edge when
+    it is (d, 1).  Without an edge embedding (``h_edge`` None, or no
+    edges) the gate is zero, which severs the edge branch.  The neighbour
+    sum is divided by the node's degree: on a complete patch graph an
+    unnormalised sum outweighs the node's own term n - 1 times over and
+    pulls every node towards the patch mean, which washed out the
+    per-pedestrian signal the forecast needs.
 
     The gates are computed per edge, then laid on the pair grid, one
     symmetric (n, n) grid per gate channel, so the neighbour sum is one
     batched product with the node messages.
     """
-    if gate_mode not in ("vector", "scalar", "zero"):
-        raise ValueError(f"unknown gate mode {gate_mode!r}")
     t = h_node @ theta
-    if h_edge is None or not len(edge_index) or gate_mode == "zero":
+    if h_edge is None or not len(edge_index):
         return elu(t)
     n, d = t.shape
     idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)

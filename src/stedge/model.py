@@ -44,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate
-from stedge.data import Window, future_displacements, init_features
+from stedge.data import ENDPOINT_MODES, Window, future_displacements, init_features
 from stedge.edgegraph import (
     EdgeGraph,
-    LaguerreFilter,
     edge_distances,
     edge_list,
     fusion_gcn,
@@ -67,6 +66,9 @@ from stedge.predictor import (
 from stedge.stgraph import PatchingConfig, gat_layer, patch_count, segment_patches
 
 _STREAM_INIT = 0
+
+# "scalar" draws a (d, 1) fuse.phi; "zero" runs no edge branch
+FUSION_GATES = ("vector", "scalar", "zero")
 
 # Step scales (see init_parameters).  A hidden weight matrix with fan-in f
 # steps at _HIDDEN_STEP / sqrt(f); the head's weights step at
@@ -89,10 +91,18 @@ class ModelConfig:
     encoder_heads: int = 4
     encoder_layers: int = 2
     hll_order: int = 3
-    hll_rescale: bool = True
-    fusion_gate: str = "vector"     # vector | scalar | zero
-    endpoint_mode: str = "off"      # off | last_velocity | oracle_gt
+    fusion_gate: str = "vector"     # one of FUSION_GATES
+    endpoint_mode: str = "off"      # one of data.ENDPOINT_MODES
     max_distance: float | None = None
+
+    def __post_init__(self):
+        if self.fusion_gate not in FUSION_GATES:
+            raise ValueError(f"unknown fusion gate {self.fusion_gate!r}; "
+                             f"expected one of {FUSION_GATES}")
+        if self.endpoint_mode not in ENDPOINT_MODES:
+            raise ValueError(f"unknown endpoint mode {self.endpoint_mode!r}; "
+                             f"expected one of {ENDPOINT_MODES}")
+        self.encoder_config()   # checks the encoder's width against its heads
 
     @property
     def n_patches(self) -> int:
@@ -225,9 +235,8 @@ class TrajectoryForecaster:
                                   max_distance=cfg.max_distance)
 
         # the edge embedding rides in the filter (see the module docstring)
-        filt = LaguerreFilter(concatenate(
-            [params["edge.w_embed"] @ params[f"hll.theta{j}"]
-             for j in range(cfg.hll_order)]))
+        coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
+                              for j in range(cfg.hll_order)])
         fused = []
         for patch in patches:
             edges = edge_list(patch.adjacency)
@@ -236,13 +245,11 @@ class TrajectoryForecaster:
             h_edge = None
             if len(edges) and cfg.fusion_gate != "zero":
                 graph = EdgeGraph(edge_index=edges,
-                                  features=edge_distances(window, patch),
-                                  hodge=hodge_operator(patch.adjacency,
-                                                       cfg.hll_rescale))
-                h_edge = hll_conv(graph, filt)
+                                  features=edge_distances(patch),
+                                  hodge=hodge_operator(patch.adjacency))
+                h_edge = hll_conv(graph, coeffs)
             update = fusion_gcn(h_node, h_edge, edges,
-                                params["fuse.theta"], params["fuse.phi"],
-                                gate_mode=cfg.fusion_gate)
+                                params["fuse.theta"], params["fuse.phi"])
             # each node's own features ride around the graph stage, which
             # on a complete graph averages every node towards the patch mean
             fused.append(patch.features + update)

@@ -41,17 +41,18 @@ class PatchingConfig:
 
 @dataclass
 class UnifiedPatch:
-    """One patch graph: node features plus 0/1 adjacency (zero diagonal).
+    """One patch graph: node features and positions plus 0/1 adjacency
+    (zero diagonal).
 
     Node index = ped * length + local_time; self-loops are not stored, the
     attention layer adds them.
     """
 
-    index: int          # 1-based patch number
     start: int          # first observed time slot covered
     n_peds: int
     length: int
     features: Tensor    # (n_peds * length, D)
+    positions: np.ndarray   # (n_peds * length, 2), observed node positions
     adjacency: np.ndarray
 
     @property
@@ -98,31 +99,30 @@ def build_node_adjacency(n_peds: int, length: int, positions=None,
     return adj
 
 
-def segment_patches(features: Tensor, cfg: PatchingConfig,
-                    positions: np.ndarray | None = None,
+def segment_patches(features: Tensor, cfg: PatchingConfig, positions,
                     max_distance: float | None = None) -> list[UnifiedPatch]:
-    """Slice (N, T_obs, D) features into K patch graphs.
+    """Slice (N, T_obs, D) features and (N, T_obs, 2) positions into K
+    patch graphs.
 
     Patch k (1-based) covers time slots [(k-1)*stride, (k-1)*stride + length);
-    its feature matrix is the pedestrian-major flattening of that slice.
+    its feature and position matrices are the pedestrian-major flattenings
+    of that slice.
     """
     n_peds, t_obs = features.shape[0], features.shape[1]
+    positions = np.asarray(positions, dtype=np.float64)
     patches = []
-    for k, start in enumerate(patch_starts(t_obs, cfg), start=1):
+    for start in patch_starts(t_obs, cfg):
         block = features[:, start:start + cfg.length, :]
         z = block.reshape((n_peds * cfg.length, features.shape[2]))
-        pos = None
-        if positions is not None:
-            pos = np.asarray(positions)[:, start:start + cfg.length, :].reshape(-1, 2)
+        pos = positions[:, start:start + cfg.length, :].reshape(-1, 2)
         adj = build_node_adjacency(n_peds, cfg.length, pos, max_distance)
-        patches.append(UnifiedPatch(index=k, start=start, n_peds=n_peds,
-                                    length=cfg.length, features=z, adjacency=adj))
+        patches.append(UnifiedPatch(start=start, n_peds=n_peds, length=cfg.length,
+                                    features=z, positions=pos, adjacency=adj))
     return patches
 
 
 def gat_layer(patch: UnifiedPatch, theta: Tensor, theta_dst: Tensor,
-              att: Tensor, negative_slope: float = 0.2,
-              return_attention: bool = False):
+              att: Tensor, return_attention: bool = False):
     """Single-head graph attention over a patch.
 
     The pair transform acts on the concatenated node pair as two blocks,
@@ -140,7 +140,7 @@ def gat_layer(patch: UnifiedPatch, theta: Tensor, theta_dst: Tensor,
     if att.size != d:
         raise ValueError(f"attention vector has {att.size} entries, expected {d}")
     pair = dst.reshape((n, 1, d)) + src.reshape((1, n, d))
-    act = leaky_relu(pair, negative_slope)
+    act = leaky_relu(pair)
     logits = (act @ att.reshape((d, 1))).reshape((n, n))
     mask = patch.adjacency + np.eye(n)
     logits = logits + Tensor((mask - 1.0) * _NEG_INF)

@@ -26,6 +26,8 @@ from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
 
 _STREAM_BATCH = 1
 
+AUGMENT_MODES = ("off", "rotate")
+
 CHECKPOINT_MAGIC = b"STEDGECKPT"
 CHECKPOINT_VERSION = 1
 
@@ -46,7 +48,7 @@ class TrainConfig:
     lr_halve_every: int = 50
     weight_decay: float = 1e-4
     seed: int = 0
-    augment: str = "off"        # off | rotate
+    augment: str = "off"        # one of AUGMENT_MODES
     eval_samples: int = 20
 
     def __post_init__(self):
@@ -56,6 +58,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.augment not in AUGMENT_MODES:
+            raise ValueError(f"unknown augment mode {self.augment!r}; "
+                             f"expected one of {AUGMENT_MODES}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

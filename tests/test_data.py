@@ -54,6 +54,21 @@ def test_parse_rejects_non_finite_coordinate(tmp_path, coord):
         parse_trajectory_file(_write(tmp_path, f"0 1 0 0\n10 1 0 {coord}\n"))
 
 
+@pytest.mark.parametrize("coord", ["4.75e153", "-4.75e153", "1e200"])
+def test_parse_rejects_coordinate_whose_squares_overflow(tmp_path, coord):
+    # up to the bound, squared distances stay finite; beyond it they overflow
+    path = _write(tmp_path, f"0 1 0 0\n10 1 {coord} 0\n20 1 2 0\n")
+    with pytest.raises(MalformedLineError, match=f"{path.name}:2"):
+        parse_trajectory_file(path)
+    with pytest.raises(MalformedLineError, match=f"{path.name}:2"):
+        parse_trajectory_file(_write(tmp_path, f"0 1 0 0\n10 1 0 {coord}\n"))
+    edge = "4.74e153"
+    scene = parse_trajectory_file(
+        _write(tmp_path, f"0 1 {edge} -{edge}\n0 2 -{edge} {edge}\n"))
+    (_, _, x0, y0), (_, _, x1, y1) = scene.records
+    assert math.isfinite((x0 - x1) ** 2 + (y0 - y1) ** 2)
+
+
 def test_parse_duplicate_observation(tmp_path):
     with pytest.raises(DuplicateObservationError):
         parse_trajectory_file(_write(tmp_path, "0 1 0 0\n0 1 0 0\n"))

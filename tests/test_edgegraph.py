@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from stedge.autodiff import Tensor, backward, concatenate, elu, gradcheck, logistic
-from stedge.data import Window
 from stedge.edgegraph import (
     EdgeGraph,
     HodgeOperator,
-    LaguerreFilter,
     boundary_operator,
     edge_distances,
     edge_list,
@@ -222,7 +220,6 @@ def test_hodge_operator_shapes():
     assert hodge.lam == pytest.approx(6.0, rel=1e-12)   # n on a complete graph
     grid = _to_grid(np.ones(15), edge_list(adj), 6)
     assert (hodge @ grid).shape == (6, 6)
-    assert hodge_operator(adj, rescale=False).lam == 1.0
     assert hodge_operator(np.zeros((3, 3))).lam == 1e-6  # edgeless
 
 
@@ -267,10 +264,10 @@ def test_laguerre_operator_matches_spectral_evaluation():
             np.testing.assert_allclose(t.data, spectral, atol=1e-8)
 
 
-def _edge_graph_from(adj, dists, rescale=False):
+def _edge_graph_from(adj, dists):
     edges = edge_list(adj)
     return EdgeGraph(edge_index=edges, features=_to_grid(dists, edges, len(adj)),
-                     hodge=hodge_operator(adj, rescale))
+                     hodge=hodge_operator(adj))
 
 
 def test_hll_conv_order_one_is_linear_map():
@@ -278,7 +275,7 @@ def test_hll_conv_order_one_is_linear_map():
     dists = rng.normal(size=3)
     graph = _edge_graph_from(TRIANGLE, dists)
     coeffs = rng.normal(size=(1, 4))
-    out = hll_conv(graph, LaguerreFilter(Tensor(coeffs)))
+    out = hll_conv(graph, Tensor(coeffs))
     lin = dists[:, None] @ coeffs
     np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
                                atol=1e-12)
@@ -290,7 +287,7 @@ def test_hll_conv_zero_laplacian_collapses_to_sum():
     graph = _edge_graph_from(TRIANGLE, dists)
     graph.hodge = HodgeOperator(adjacency=np.zeros((3, 3)), lam=1.0)
     w = rng.normal(size=(1, 4))
-    out = hll_conv(graph, LaguerreFilter(Tensor(np.repeat(w / 3.0, 3, axis=0))))
+    out = hll_conv(graph, Tensor(np.repeat(w / 3.0, 3, axis=0)))
     lin = dists[:, None] @ w
     np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
                                atol=1e-12)
@@ -299,9 +296,9 @@ def test_hll_conv_zero_laplacian_collapses_to_sum():
 def test_hll_conv_matches_spectral_oracle():
     rng = np.random.default_rng(5)
     dists = rng.normal(size=3)
-    graph = _edge_graph_from(TRIANGLE, dists, rescale=True)
+    graph = _edge_graph_from(TRIANGLE, dists)
     coeffs = rng.normal(size=(3, 4))
-    out = hll_conv(graph, LaguerreFilter(Tensor(coeffs)))
+    out = hll_conv(graph, Tensor(coeffs))
     w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
                           / graph.hodge.lam)
     pre = np.zeros((3, 4))
@@ -314,9 +311,9 @@ def test_hll_conv_matches_spectral_oracle():
 
 def test_hll_conv_gradients():
     rng = np.random.default_rng(6)
-    graph = _edge_graph_from(TRIANGLE, rng.normal(size=3), rescale=True)
+    graph = _edge_graph_from(TRIANGLE, rng.normal(size=3))
     thetas = [Tensor(rng.normal(size=(1, 3)), requires_grad=True) for _ in range(3)]
-    err = gradcheck(lambda: hll_conv(graph, LaguerreFilter(concatenate(thetas))).sum(),
+    err = gradcheck(lambda: hll_conv(graph, concatenate(thetas)).sum(),
                     thetas, eps=1e-5)
     assert err < 1e-5
 
@@ -369,8 +366,8 @@ def test_hll_conv_matches_dense_laplacian(name):
         backward(out, seed)
         return [out.data, coeffs.grad.copy()]
 
-    graph = _edge_graph_from(adj, dists, rescale=True)
-    got = output_and_grad(lambda: hll_conv(graph, LaguerreFilter(coeffs)))
+    graph = _edge_graph_from(adj, dists)
+    got = output_and_grad(lambda: hll_conv(graph, coeffs))
     l1 = hodge_laplacian(op)
     rows = [coeffs[j:j + 1] for j in range(3)]
     lams = [np.linalg.eigvalsh(l1).max()]
@@ -410,17 +407,16 @@ def test_filter_on_distances_matches_embed_then_filter(name):
         backward(out, seed)
         return [out.data] + [t.grad.copy() for t in (w_embed, *thetas)]
 
-    graph = _edge_graph_from(adj, dists, rescale=True)
+    graph = _edge_graph_from(adj, dists)
     got = output_and_grads(lambda: hll_conv(
-        graph, LaguerreFilter(concatenate([w_embed @ t for t in thetas]))))
+        graph, concatenate([w_embed @ t for t in thetas])))
     want = output_and_grads(lambda: _embed_then_filter(
         dists, w_embed, thetas, hodge_laplacian(op) / graph.hodge.lam))
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi,
-                           gate_mode):
+def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     """``hll_conv`` and ``fusion_gcn`` as they ran before the pair grid:
     L1 / lam applied as (B1^T / lam) (B1 x), one rank-1 product per order,
     and the neighbour messages moved by one-hot edge selectors.  Returns
@@ -491,17 +487,17 @@ def test_edge_branch_matches_incidence_reference(name, gate_mode):
         hodge = hodge_operator(adj)
         graph = EdgeGraph(edge_index=edges, features=_to_grid(dists, edges, n),
                           hodge=hodge)
-        filt = LaguerreFilter(concatenate([leaves["w_embed"] @ t for t in thetas]))
-        h_edge = hll_conv(graph, filt)
+        coeffs = concatenate([leaves["w_embed"] @ t for t in thetas])
+        h_edge = hll_conv(graph, coeffs)
         return h_edge, fusion_gcn(leaves["h_node"], h_edge, edges, leaves["theta"],
-                                  leaves["phi"], gate_mode=gate_mode)
+                                  leaves["phi"])
 
     b1 = boundary_operator(adj).matrix
     assert hodge_operator(adj).lam == np.linalg.eigvalsh(b1 @ b1.T)[-1]
     got = outputs_and_grads(grid_branch)
     want = outputs_and_grads(lambda: _incidence_edge_branch(
         adj, dists, leaves["w_embed"], thetas, leaves["h_node"], leaves["theta"],
-        leaves["phi"], gate_mode))
+        leaves["phi"]))
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
@@ -509,29 +505,27 @@ def test_edge_branch_matches_incidence_reference(name, gate_mode):
 # -- geometric edge features -----------------------------------------------------
 
 
-def _window_and_patch():
+def _patch():
     obs = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
                     [[0.0, 4.0], [3.0, 4.0], [3.0, 0.0]]])
-    window = Window(obs=obs, fut=obs[:, -1:, :], ped_ids=[1, 2],
-                    origin=obs[:, -1].copy())
-    patch = UnifiedPatch(index=1, start=0, n_peds=2, length=3,
-                         features=Tensor(np.zeros((6, 1))),
-                         adjacency=build_node_adjacency(2, 3))
-    return window, patch
+    return UnifiedPatch(start=0, n_peds=2, length=3,
+                        features=Tensor(np.zeros((6, 1))),
+                        positions=obs.reshape(-1, 2),
+                        adjacency=build_node_adjacency(2, 3))
 
 
 def test_edge_distances_values():
-    window, patch = _window_and_patch()
-    d = edge_distances(window, patch)
+    patch = _patch()
+    d = edge_distances(patch)
     assert d[0, 1] == pytest.approx(1.0)    # same ped, adjacent frames
     assert d[0, 3] == pytest.approx(4.0)
     assert d[0, 4] == pytest.approx(5.0)    # 3-4-5 triangle
     assert d[2, 5] == pytest.approx(1.0)
     np.testing.assert_array_equal(d, -d.T)  # an oriented edge signal
     patch.adjacency[0, 4] = patch.adjacency[4, 0] = 0.0
-    assert edge_distances(window, patch)[0, 4] == 0.0   # no edge, no value
-    window.obs[1] = window.obs[0]
-    d = edge_distances(window, patch)
+    assert edge_distances(patch)[0, 4] == 0.0   # no edge, no value
+    patch.positions[3:] = patch.positions[:3]
+    d = edge_distances(patch)
     assert d[0, 3] == pytest.approx(0.0)    # coincident endpoints
 
 
@@ -541,11 +535,10 @@ def test_edge_distances_values():
 def test_fusion_zero_gate_is_pure_self_term():
     rng = np.random.default_rng(7)
     h_node = Tensor(rng.normal(size=(3, 4)))
-    h_edge = Tensor(rng.normal(size=(3, 4)))
     theta = Tensor(rng.normal(size=(4, 4)))
     phi = Tensor(rng.normal(size=(4, 4)))
     op = boundary_operator(TRIANGLE)
-    out = fusion_gcn(h_node, h_edge, op.edge_index, theta, phi, gate_mode="zero")
+    out = fusion_gcn(h_node, None, op.edge_index, theta, phi)
     t = h_node.data @ theta.data
     np.testing.assert_allclose(out.data, np.where(t >= 0, t, np.expm1(t)), atol=1e-12)
 
@@ -596,7 +589,6 @@ def test_fusion_scalar_gate_mode():
     theta = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     phi = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
     err = gradcheck(
-        lambda: fusion_gcn(h_node, h_edge, ((0, 1),), theta, phi,
-                           gate_mode="scalar").sum(),
+        lambda: fusion_gcn(h_node, h_edge, ((0, 1),), theta, phi).sum(),
         [h_node, h_edge, theta, phi], eps=1e-5)
     assert err < 1e-5

@@ -97,6 +97,38 @@ def test_loss_matches_embed_then_filter_reference(n):
     assert abs(got_grad - embed_grad) <= 1e-12 * embed_grad
 
 
+# max_distance = 2.0 m wiring, seed 0, N = 10: the loss and the summed
+# |gradient| over every parameter, one pair per fusion gate
+_REFERENCE_PROXIMITY = {
+    "vector": (1.8922977179998919, 272.17547388414107),
+    "scalar": (1.8920780055974016, 273.185703637697),
+    "zero": (1.8922836803081813, 272.73174006544264),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_REFERENCE_PROXIMITY))
+def test_proximity_loss_and_gradients_match_reference(gate):
+    loss, grad_sum = _REFERENCE_PROXIMITY[gate]
+    model = TrajectoryForecaster(ModelConfig(max_distance=2.0, fusion_gate=gate),
+                                 seed=0)
+    out = model.loss(_circle_window(10))
+    backward(out)
+    assert abs(out.item() - loss) <= 1e-12 * loss
+    got = sum(float(np.abs(p.grad).sum()) for _, p in model.params.items()
+              if p.grad is not None)
+    assert abs(got - grad_sum) <= 1e-12 * grad_sum
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fusion_gate", "open"),
+    ("endpoint_mode", "bogus"),
+    ("encoder_dim", 10),     # not divisible by the 4 heads
+])
+def test_model_config_rejects_bad_settings_at_construction(field, value):
+    with pytest.raises(ValueError, match=str(value)):
+        ModelConfig(**{field: value})
+
+
 def test_forward_shapes_and_track():
     model = TrajectoryForecaster(SMALL, seed=0)
     w = gradcheck_window()

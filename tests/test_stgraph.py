@@ -60,7 +60,8 @@ def test_patch_count_matches_enumeration(t_obs, length, stride):
 def test_segment_patches_layout():
     n, t, d = 2, 8, 3
     feats = Tensor(np.arange(n * t * d, dtype=float).reshape(n, t, d))
-    patches = segment_patches(feats, PatchingConfig(3, 1))
+    pos = np.arange(n * t * 2, dtype=float).reshape(n, t, 2)
+    patches = segment_patches(feats, PatchingConfig(3, 1), pos)
     assert len(patches) == 6
     p = patches[2]
     assert p.start == 2 and p.n_nodes == 6
@@ -68,6 +69,7 @@ def test_segment_patches_layout():
     np.testing.assert_array_equal(p.features.data[0], feats.data[0, 2])
     np.testing.assert_array_equal(p.features.data[3], feats.data[1, 2])
     np.testing.assert_array_equal(p.features.data[5], feats.data[1, 4])
+    np.testing.assert_array_equal(p.positions, pos[:, 2:5].reshape(6, 2))
 
 
 def test_complete_adjacency():
@@ -93,8 +95,9 @@ def test_threshold_adjacency_keeps_degree():
 
 def _patch(z, adjacency):
     z = np.asarray(z, dtype=float)
-    return UnifiedPatch(index=1, start=0, n_peds=z.shape[0], length=1,
-                        features=Tensor(z), adjacency=np.asarray(adjacency, float))
+    return UnifiedPatch(start=0, n_peds=z.shape[0], length=1, features=Tensor(z),
+                        positions=np.zeros((z.shape[0], 2)),
+                        adjacency=np.asarray(adjacency, float))
 
 
 def test_gat_two_identical_nodes_uniform_attention():

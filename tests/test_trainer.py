@@ -94,6 +94,13 @@ def test_lr_schedule():
     assert lr_at(100, cfg) == pytest.approx(0.00025)
 
 
+def test_unknown_augment_mode_is_rejected_at_construction():
+    # a misspelt mode used to be accepted and then skip augmentation silently
+    with pytest.raises(ValueError, match="rotat"):
+        TrainConfig(augment="rotat")
+    assert TrainConfig(augment="rotate").augment == "rotate"
+
+
 # -- metrics ------------------------------------------------------------------
 
 
