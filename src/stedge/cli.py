@@ -17,13 +17,7 @@ import numpy as np
 
 from stedge.autodiff import NonFiniteError, Tensor, gradcheck
 from stedge.config import BadConfigError, Config, config_help, load_config
-from stedge.data import (
-    DuplicateObservationError,
-    EmptyFileError,
-    MalformedLineError,
-    build_windows,
-    parse_trajectory_file,
-)
+from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
 from stedge.edgegraph import boundary_operator, edge_list, hodge_laplacian, line_graph
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
@@ -172,9 +166,9 @@ def cmd_graph_stats(args) -> int:
     files, _ = _data_files(cfg)
     windows = _windows_from_files(files, cfg)
     pairs = [_parse_pair(p) for p in args.pair or []]
-    patching = cfg.model_config().patching()
+    model_cfg = cfg.model_config()
+    patching, max_dist = model_cfg.patching(), model_cfg.max_distance
     length = patching.length
-    max_dist = cfg["graph.max_distance"] or None
 
     for wi, window in enumerate(windows):
         n = window.n_peds
@@ -295,8 +289,7 @@ def run(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"error: non-finite forward: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
-    except (MissingCheckpointError, FileNotFoundError, MalformedLineError,
-            DuplicateObservationError, EmptyFileError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,79 +2,63 @@
 
 Unknown keys are rejected by name, every key has a documented default, and
 all randomness in a run flows from the single ``seed`` key through named
-sub-streams (init / batching / sampling).
+sub-streams (init / batching / sampling).  A key names a field of
+``ModelConfig`` or ``TrainConfig``, which declares its default and type and
+checks its value; a file is checked by building both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
-from stedge.data import ENDPOINT_MODES
-from stedge.model import FUSION_GATES, ModelConfig
-from stedge.trainer import AUGMENT_MODES, TrainConfig
+from stedge.model import ModelConfig
+from stedge.trainer import TrainConfig
 
 
 class BadConfigError(ValueError):
     """Unknown key, or a value that does not parse; the message names the key."""
 
 
-def _int_min(minimum):
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < minimum:
-            raise ValueError(f"must be >= {minimum}")
-        return value
-    return parse
-
-
-def _float_min(minimum, exclusive=False):
-    def parse(raw: str) -> float:
-        value = float(raw)
-        if value < minimum or (exclusive and value == minimum):
-            raise ValueError(f"must be {'>' if exclusive else '>='} {minimum}")
-        return value
-    return parse
-
-
-def _choice(*options):
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return raw
-    return parse
-
-
-# key -> (parser, default, help line)
+# key -> (owner, field, help line).  The two paths only the command line
+# reads have no owner; their middle entry is the default.
 CONFIG_KEYS: dict[str, tuple] = {
-    "data.path": (str, "", "trajectory file, or directory of *.txt files"),
-    "data.t_obs": (_int_min(2), 8, "observed samples per window"),
-    "data.t_pred": (_int_min(1), 12, "predicted samples per window"),
-    "patch.len": (_int_min(1), 3, "temporal patch length L"),
-    "patch.stride": (_int_min(1), 1, "temporal patch stride S"),
-    "graph.max_distance": (_float_min(0.0), 0.0,
+    "data.path": (None, "", "trajectory file, or directory of *.txt files"),
+    "data.t_obs": (ModelConfig, "t_obs", "observed samples per window"),
+    "data.t_pred": (ModelConfig, "t_pred", "predicted samples per window"),
+    "patch.len": (ModelConfig, "patch_len", "temporal patch length L"),
+    "patch.stride": (ModelConfig, "patch_stride", "temporal patch stride S"),
+    "graph.max_distance": (ModelConfig, "max_distance",
                            "cross-pedestrian link range; 0 = complete graph"),
-    "model.dim": (_int_min(1), 128, "node/edge embedding width"),
-    "encoder.dim": (_int_min(1), 256, "encoder hidden width"),
-    "encoder.heads": (_int_min(1), 4, "attention heads"),
-    "encoder.layers": (_int_min(1), 2, "encoder layers"),
-    "hll.order": (_int_min(1), 3, "Laguerre polynomial order J"),
-    "fusion.gate": (_choice(*FUSION_GATES), "vector",
+    "model.dim": (ModelConfig, "model_dim", "node/edge embedding width"),
+    "encoder.dim": (ModelConfig, "encoder_dim", "encoder hidden width"),
+    "encoder.heads": (ModelConfig, "encoder_heads", "attention heads"),
+    "encoder.layers": (ModelConfig, "encoder_layers", "encoder layers"),
+    "hll.order": (ModelConfig, "hll_order", "Laguerre polynomial order J"),
+    "fusion.gate": (ModelConfig, "fusion_gate",
                     "edge-gate mode; 'zero' severs the edge branch"),
-    "preprocess.endpoint_mode": (_choice(*ENDPOINT_MODES), "off",
+    "preprocess.endpoint_mode": (ModelConfig, "endpoint_mode",
                                  "endpoint-subtraction preprocessing"),
-    "train.epochs": (_int_min(1), 100, "training epochs"),
-    "train.batch_size": (_int_min(1), 128, "windows per optimizer step"),
-    "train.base_lr": (_float_min(0.0, exclusive=True), 0.001,
-                      "initial learning rate"),
-    "train.lr_halve_every": (_int_min(1), 50, "epochs between halvings"),
-    "train.weight_decay": (_float_min(0.0), 0.0001, "decoupled weight decay"),
-    "train.augment": (_choice(*AUGMENT_MODES), "off",
-                      "training-window augmentation"),
-    "train.out_dir": (str, "runs", "checkpoint / metrics directory"),
-    "eval.samples": (_int_min(1), 20, "samples per window at evaluation"),
-    "seed": (_int_min(0), 0, "master seed for init/batching/sampling"),
+    "train.epochs": (TrainConfig, "epochs", "training epochs"),
+    "train.batch_size": (TrainConfig, "batch_size", "windows per optimizer step"),
+    "train.base_lr": (TrainConfig, "base_lr", "initial learning rate"),
+    "train.lr_halve_every": (TrainConfig, "lr_halve_every",
+                             "epochs between halvings"),
+    "train.weight_decay": (TrainConfig, "weight_decay", "decoupled weight decay"),
+    "train.augment": (TrainConfig, "augment", "training-window augmentation"),
+    "train.out_dir": (None, "runs", "checkpoint / metrics directory"),
+    "eval.samples": (TrainConfig, "eval_samples", "samples per window at evaluation"),
+    "seed": (TrainConfig, "seed", "master seed for init/batching/sampling"),
 }
+
+_DEFAULTS = {key: owner.__dataclass_fields__[field].default if owner else field
+             for key, (owner, field, _) in CONFIG_KEYS.items()}
+
+
+def _build(owner, values: dict):
+    return owner(**{field: values[key] for key, (o, field, _) in CONFIG_KEYS.items()
+                    if o is owner})
 
 
 @dataclass
@@ -85,33 +69,19 @@ class Config:
         return self.values[key]
 
     def model_config(self) -> ModelConfig:
-        max_dist = self["graph.max_distance"]
-        return ModelConfig(
-            t_obs=self["data.t_obs"], t_pred=self["data.t_pred"],
-            patch_len=self["patch.len"], patch_stride=self["patch.stride"],
-            model_dim=self["model.dim"], encoder_dim=self["encoder.dim"],
-            encoder_heads=self["encoder.heads"],
-            encoder_layers=self["encoder.layers"],
-            hll_order=self["hll.order"],
-            fusion_gate=self["fusion.gate"],
-            endpoint_mode=self["preprocess.endpoint_mode"],
-            max_distance=max_dist if max_dist > 0 else None)
+        return _build(ModelConfig, self.values)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self["train.epochs"], batch_size=self["train.batch_size"],
-            base_lr=self["train.base_lr"],
-            lr_halve_every=self["train.lr_halve_every"],
-            weight_decay=self["train.weight_decay"], seed=self["seed"],
-            augment=self["train.augment"], eval_samples=self["eval.samples"])
+        return _build(TrainConfig, self.values)
 
 
 def default_config() -> Config:
-    return Config({key: default for key, (_, default, _) in CONFIG_KEYS.items()})
+    return Config(dict(_DEFAULTS))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Config:
-    values = {key: default for key, (_, default, _) in CONFIG_KEYS.items()}
+    values = dict(_DEFAULTS)
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,21 +94,38 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
         raw_value = raw_value.strip()
         if key not in CONFIG_KEYS:
             raise BadConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        parser = CONFIG_KEYS[key][0]
         try:
-            values[key] = parser(raw_value)
+            values[key] = type(_DEFAULTS[key])(raw_value)
         except ValueError as exc:
             raise BadConfigError(
                 f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-    _cross_validate(values)
+        lines[key] = lineno
+    for owner in (ModelConfig, TrainConfig):
+        try:
+            _build(owner, values)
+        except ValueError as exc:
+            raise _blame(exc, owner, values, lines, source) from exc
     return Config(values)
 
 
-def _cross_validate(values: dict) -> None:
-    if values["patch.len"] > values["data.t_obs"]:
-        raise BadConfigError("patch.len must not exceed data.t_obs")
-    if values["encoder.dim"] % values["encoder.heads"] != 0:
-        raise BadConfigError("encoder.dim must be divisible by encoder.heads")
+def _blame(exc: ValueError, owner, values: dict, lines: dict,
+           source: str) -> BadConfigError:
+    """Name the line and key(s) behind ``owner``'s error: the fewest keys
+    set in the file that raise the same error with every other setting at
+    its default, one bad value or a conflicting pair."""
+    own = sorted((key for key in lines if CONFIG_KEYS[key][0] is owner),
+                 key=lines.get)
+    for size in (1, 2):
+        for keys in combinations(own, size):
+            try:
+                owner(**{CONFIG_KEYS[key][1]: values[key] for key in keys})
+            except ValueError as again:
+                if str(again) == str(exc):
+                    what = "bad value" if size == 1 else "conflicting values"
+                    names = " and ".join(map(repr, keys))
+                    return BadConfigError(f"{source}:{lines[keys[-1]]}: "
+                                          f"{what} for {names}: {exc}")
+    return BadConfigError(f"{source}: {exc}")
 
 
 def load_config(path) -> Config:
@@ -152,6 +139,6 @@ def load_config(path) -> Config:
 
 def config_help() -> str:
     lines = ["config keys (key = value per line, '#' comments):"]
-    for key, (_, default, doc) in CONFIG_KEYS.items():
-        lines.append(f"  {key:<28} default {default!r:<12} {doc}")
+    for key, (_, _, doc) in CONFIG_KEYS.items():
+        lines.append(f"  {key:<28} default {_DEFAULTS[key]!r:<12} {doc}")
     return "\n".join(lines)

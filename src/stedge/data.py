@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -96,30 +97,38 @@ def _parse_id(token: str) -> int:
     return int(value)
 
 
+def _coordinate_fault(x: float, y: float) -> str | None:
+    """Why (x, y) cannot be a position; None if it can."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return "non-finite coordinate"
+    if max(abs(x), abs(y)) > _COORD_LIMIT:
+        return (f"coordinate beyond +-{_COORD_LIMIT:.3g}; squared distances "
+                f"would overflow")
+    return None
+
+
 def parse_trajectory_file(path) -> TrajectoryScene:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise MalformedLineError(
-                    f"{path}:{lineno}: expected 'frame_id ped_id x y', got {line!r}")
-            try:
-                record = (_parse_id(parts[0]), _parse_id(parts[1]),
-                          float(parts[2]), float(parts[3]))
-            except ValueError as exc:
-                raise MalformedLineError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(record[2]) and math.isfinite(record[3])):
-                raise MalformedLineError(
-                    f"{path}:{lineno}: non-finite coordinate in {line!r}")
-            if max(abs(record[2]), abs(record[3])) > _COORD_LIMIT:
-                raise MalformedLineError(
-                    f"{path}:{lineno}: coordinate beyond +-{_COORD_LIMIT:.3g} "
-                    f"in {line!r}; squared distances would overflow")
-            records.append(record)
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise MalformedLineError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise MalformedLineError(
+                f"{path}:{lineno}: expected 'frame_id ped_id x y', got {line!r}")
+        try:
+            record = (_parse_id(parts[0]), _parse_id(parts[1]),
+                      float(parts[2]), float(parts[3]))
+        except ValueError as exc:
+            raise MalformedLineError(f"{path}:{lineno}: {exc}") from exc
+        fault = _coordinate_fault(record[2], record[3])
+        if fault:
+            raise MalformedLineError(f"{path}:{lineno}: {fault} in {line!r}")
+        records.append(record)
     if not records:
         raise EmptyFileError(f"{path}: no observations")
     return scene_from_records(records)
@@ -130,7 +139,10 @@ def scene_from_records(records) -> TrajectoryScene:
     if not records:
         raise EmptyFileError("no observations")
     seen = set()
-    for frame, ped, _, _ in records:
+    for frame, ped, x, y in records:
+        fault = _coordinate_fault(x, y)
+        if fault:
+            raise ValueError(f"frame {frame}, pedestrian {ped}: {fault}")
         key = (frame, ped)
         if key in seen:
             raise DuplicateObservationError(

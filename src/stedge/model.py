@@ -54,7 +54,6 @@ from stedge.edgegraph import (
     hodge_operator,
 )
 from stedge.predictor import (
-    EncoderConfig,
     GaussianTrack,
     assemble_tokens,
     bivariate_nll,
@@ -93,16 +92,30 @@ class ModelConfig:
     hll_order: int = 3
     fusion_gate: str = "vector"     # one of FUSION_GATES
     endpoint_mode: str = "off"      # one of data.ENDPOINT_MODES
-    max_distance: float | None = None
+    max_distance: float | None = 0.0   # 0 or None: complete graph, kept as None
 
     def __post_init__(self):
+        for name, minimum in (("t_obs", 2), ("t_pred", 1), ("model_dim", 1),
+                              ("encoder_dim", 1), ("encoder_heads", 1),
+                              ("encoder_layers", 1), ("hll_order", 1)):
+            if getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, "
+                                 f"got {getattr(self, name)}")
+        patch_count(self.t_obs, self.patching())  # these check patch_len/stride
+        if self.encoder_dim % self.encoder_heads:
+            raise ValueError(f"encoder_dim {self.encoder_dim} is not divisible "
+                             f"by encoder_heads {self.encoder_heads}")
         if self.fusion_gate not in FUSION_GATES:
             raise ValueError(f"unknown fusion gate {self.fusion_gate!r}; "
                              f"expected one of {FUSION_GATES}")
         if self.endpoint_mode not in ENDPOINT_MODES:
             raise ValueError(f"unknown endpoint mode {self.endpoint_mode!r}; "
                              f"expected one of {ENDPOINT_MODES}")
-        self.encoder_config()   # checks the encoder's width against its heads
+        if self.max_distance == 0:
+            object.__setattr__(self, "max_distance", None)
+        if self.max_distance is not None and not 0 < self.max_distance < math.inf:
+            raise ValueError(f"max_distance must be finite and >= 0, "
+                             f"got {self.max_distance}")
 
     @property
     def n_patches(self) -> int:
@@ -114,11 +127,6 @@ class ModelConfig:
 
     def patching(self) -> PatchingConfig:
         return PatchingConfig(self.patch_len, self.patch_stride)
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(layers=self.encoder_layers, heads=self.encoder_heads,
-                             model_dim=self.encoder_dim,
-                             ffn_dim=2 * self.encoder_dim)
 
 
 def _glorot(rng, shape) -> np.ndarray:
@@ -258,7 +266,8 @@ class TrajectoryForecaster:
         tokens = assemble_tokens(pooled, params["pred.placeholder"],
                                  params["pred.positional"])
         enc_in = tokens @ params["enc.in_w"] + params["enc.in_b"]
-        result = encoder_forward(enc_in, cfg.encoder_config(), params,
+        result = encoder_forward(enc_in, params, heads=cfg.encoder_heads,
+                                 layers=cfg.encoder_layers,
                                  return_attention=return_attention)
         y_repr, attentions = result if return_attention else (result, None)
         mu, log_sigma, rho = gaussian_parameters(

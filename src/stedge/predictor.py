@@ -35,21 +35,6 @@ RHO_BOUND = 0.999  # smooth clamp: rho = 0.999 * tanh(raw)
 _STREAM_SAMPLING = 2  # sub-stream tag under the master seed
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    layers: int = 2
-    heads: int = 4
-    model_dim: int = 256
-    ffn_dim: int = 512
-
-    def __post_init__(self):
-        if self.model_dim % self.heads != 0:
-            raise ValueError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}")
-        if self.layers < 1:
-            raise ValueError("encoder needs at least one layer")
-
-
 @dataclass
 class GaussianTrack:
     """Per-pedestrian, per-step bivariate Gaussian forecast parameters."""
@@ -134,17 +119,15 @@ def multi_head_attention(x: Tensor, params: ParameterStore, prefix: str,
     return out, alpha
 
 
-def encoder_forward(tokens: Tensor, cfg: EncoderConfig, params: ParameterStore,
-                    prefix: str = "enc", return_attention: bool = False):
+def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
+                    layers: int, prefix: str = "enc",
+                    return_attention: bool = False):
     """Post-norm encoder stack; attention is temporal only (batch axis = N)."""
-    if tokens.shape[-1] != cfg.model_dim:
-        raise ShapeMismatchError(
-            f"tokens width {tokens.shape[-1]} != encoder dim {cfg.model_dim}")
     x = tokens
     attentions = []
-    for i in range(cfg.layers):
+    for i in range(layers):
         lp = f"{prefix}.l{i}"
-        attn, alpha = multi_head_attention(x, params, f"{lp}.att", cfg.heads)
+        attn, alpha = multi_head_attention(x, params, f"{lp}.att", heads)
         attentions.append(alpha)
         x = layer_norm(x + attn, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
         ff = leaky_relu(x @ params[f"{lp}.ffn.w1"] + params[f"{lp}.ffn.b1"], 0.0)

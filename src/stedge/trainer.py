@@ -52,12 +52,17 @@ class TrainConfig:
     eval_samples: int = 20
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "base_lr", "lr_halve_every",
-                     "eval_samples"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        for name, minimum in (("epochs", 1), ("batch_size", 1),
+                              ("lr_halve_every", 1), ("eval_samples", 1),
+                              ("seed", 0)):
+            if getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, "
+                                 f"got {getattr(self, name)}")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, "
+                             f"got {self.weight_decay}")
         if self.augment not in AUGMENT_MODES:
             raise ValueError(f"unknown augment mode {self.augment!r}; "
                              f"expected one of {AUGMENT_MODES}")

@@ -1,18 +1,22 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from stedge.cli import run
+from stedge.cli import build_parser, run
 from stedge.config import (
     BadConfigError,
     CONFIG_KEYS,
+    config_help,
     default_config,
     load_config,
     parse_config_text,
 )
+from stedge.model import ModelConfig, TrajectoryForecaster
+from stedge.trainer import TrainConfig, save_checkpoint
 from stedge.synth import linear_records, write_overfit_scenes, write_trajectory_file
 
 TINY_MODEL = """
@@ -83,6 +87,61 @@ def test_model_and_train_config_builders():
     assert mc.max_distance == 2.5
     assert cfg.train_config().base_lr == 0.01
     assert default_config().model_config().max_distance is None
+
+
+# The config-key block of ``stedge --help``, kept as text so that a changed
+# default or help line shows up here.
+CONFIG_HELP = """\
+config keys (key = value per line, '#' comments):
+  data.path                    default ''           trajectory file, or directory of *.txt files
+  data.t_obs                   default 8            observed samples per window
+  data.t_pred                  default 12           predicted samples per window
+  patch.len                    default 3            temporal patch length L
+  patch.stride                 default 1            temporal patch stride S
+  graph.max_distance           default 0.0          cross-pedestrian link range; 0 = complete graph
+  model.dim                    default 128          node/edge embedding width
+  encoder.dim                  default 256          encoder hidden width
+  encoder.heads                default 4            attention heads
+  encoder.layers               default 2            encoder layers
+  hll.order                    default 3            Laguerre polynomial order J
+  fusion.gate                  default 'vector'     edge-gate mode; 'zero' severs the edge branch
+  preprocess.endpoint_mode     default 'off'        endpoint-subtraction preprocessing
+  train.epochs                 default 100          training epochs
+  train.batch_size             default 128          windows per optimizer step
+  train.base_lr                default 0.001        initial learning rate
+  train.lr_halve_every         default 50           epochs between halvings
+  train.weight_decay           default 0.0001       decoupled weight decay
+  train.augment                default 'off'        training-window augmentation
+  train.out_dir                default 'runs'       checkpoint / metrics directory
+  eval.samples                 default 20           samples per window at evaluation
+  seed                         default 0            master seed for init/batching/sampling"""
+
+
+def test_every_setting_is_reached_by_exactly_one_key():
+    reached = [(owner, field) for owner, field, _ in CONFIG_KEYS.values() if owner]
+    declared = [(owner, f.name) for owner in (ModelConfig, TrainConfig)
+                for f in fields(owner)]
+    assert sorted(reached, key=repr) == sorted(declared, key=repr)
+    assert default_config().model_config() == ModelConfig()
+    assert default_config().train_config() == TrainConfig()
+
+
+def test_config_help_block_is_unchanged():
+    assert config_help() == CONFIG_HELP
+    assert CONFIG_HELP in build_parser().format_help()
+
+
+def test_settings_are_blamed_on_the_lines_that_set_them():
+    with pytest.raises(BadConfigError,
+                       match="run.cfg:2: bad value for 'encoder.heads'"):
+        parse_config_text("seed = 1\nencoder.heads = 0\n", "run.cfg")
+    with pytest.raises(BadConfigError, match="run.cfg:3: conflicting values "
+                       "for 'data.t_obs' and 'patch.len'"):
+        parse_config_text("data.t_obs = 10\nseed = 1\npatch.len = 11\n",
+                          "run.cfg")
+    for text in ("data.t_obs = 10\npatch.len = 9\n",
+                 "patch.len = 9\ndata.t_obs = 10\n"):
+        assert parse_config_text(text).model_config().n_patches == 2
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -168,6 +227,46 @@ def test_eval_with_corrupt_checkpoint_fails(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert str(ckpt) in err and "truncated" in err
+
+
+def test_nan_max_distance_exits_2_naming_the_key(tmp_path, capsys):
+    # graph-stats and the model used to read NaN differently (no
+    # cross-pedestrian edge against the complete graph)
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\ngraph.max_distance = nan\n")
+    assert run(["graph-stats", "--config", str(cfg)]) == 2
+    assert f"{cfg}:9: bad value for 'graph.max_distance'" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_directory_exits_1_naming_it(tmp_path, capsys):
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    assert run(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_predict_out_directory_exits_1_naming_it(tmp_path, capsys):
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    ckpt = tmp_path / "checkpoint.bin"
+    model = TrajectoryForecaster(load_config(cfg).model_config())
+    save_checkpoint(ckpt, model.params)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["predict", "--config", str(cfg), "--checkpoint", str(ckpt),
+                "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+
+
+def test_train_out_dir_that_is_a_file_exits_1_naming_it(tmp_path, capsys):
+    scene = _scene_file(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    cfg = _config_file(tmp_path, (f"data.path = {scene}\n"
+                                  f"train.out_dir = {taken}\n"
+                                  "train.epochs = 1\n"))
+    assert run(["train", "--config", str(cfg)]) == 1
+    assert str(taken) in capsys.readouterr().err
 
 
 def test_non_finite_coordinate_exits_with_line(tmp_path, capsys):

@@ -69,6 +69,26 @@ def test_parse_rejects_coordinate_whose_squares_overflow(tmp_path, coord):
     assert math.isfinite((x0 - x1) ** 2 + (y0 - y1) ** 2)
 
 
+def test_parse_names_the_line_of_undecodable_bytes(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_bytes(b"0 1 0 0\n\xff\xfe10 1 1 0\n")
+    with pytest.raises(MalformedLineError, match=f"{path.name}:2"):
+        parse_trajectory_file(path)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 1e200, -4.75e153])
+def test_scene_from_records_applies_the_coordinate_bound(x):
+    records = linear_records([(1, (0.0, 0.0), (0.4, 0.0)),
+                              (2, (0.0, 1.0), (0.4, 0.1))], n_frames=20)
+    frame, ped, _, y = records[5]
+    records[5] = (frame, ped, x, y)
+    with pytest.raises(ValueError, match=f"frame {frame}, pedestrian {ped}"):
+        scene_from_records(records)
+    records[5] = (frame, ped, y, x)
+    with pytest.raises(ValueError, match=f"frame {frame}, pedestrian {ped}"):
+        scene_from_records(records)
+
+
 def test_parse_duplicate_observation(tmp_path):
     with pytest.raises(DuplicateObservationError):
         parse_trajectory_file(_write(tmp_path, "0 1 0 0\n0 1 0 0\n"))

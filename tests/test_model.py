@@ -20,8 +20,7 @@ def test_config_derived_sizes():
     cfg = ModelConfig()
     assert cfg.n_patches == 6
     assert cfg.token_len == 18
-    enc = cfg.encoder_config()
-    assert enc.model_dim == 256 and enc.heads == 4 and enc.ffn_dim == 512
+    assert cfg.encoder_dim == 256 and cfg.encoder_heads == 4
 
 
 def test_parameter_layout_follows_config():
@@ -127,6 +126,21 @@ def test_proximity_loss_and_gradients_match_reference(gate):
 def test_model_config_rejects_bad_settings_at_construction(field, value):
     with pytest.raises(ValueError, match=str(value)):
         ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("settings", [
+    {"encoder_heads": 0}, {"model_dim": 0}, {"hll_order": 0}, {"t_obs": 1},
+    {"t_obs": 4, "patch_len": 5}, {"max_distance": -1.0},
+    {"max_distance": float("nan")},
+])
+def test_model_config_checks_every_range_at_construction(settings):
+    with pytest.raises(ValueError):
+        ModelConfig(**settings)
+
+
+def test_zero_max_distance_is_the_complete_graph():
+    assert ModelConfig(max_distance=0.0) == ModelConfig(max_distance=None)
+    assert ModelConfig(max_distance=0.0).max_distance is None
 
 
 def test_forward_shapes_and_track():

@@ -5,7 +5,6 @@ import pytest
 
 from stedge.autodiff import ParameterStore, Tensor, backward, gradcheck
 from stedge.predictor import (
-    EncoderConfig,
     GaussianTrack,
     LOG_TWO_PI,
     assemble_tokens,
@@ -77,11 +76,10 @@ def test_token_count_reduction_vs_unpatched():
 # -- encoder ----------------------------------------------------------------------
 
 
-def _encoder_params(cfg: EncoderConfig, seed=0) -> ParameterStore:
+def _encoder_params(e, ffn, layers, seed=0) -> ParameterStore:
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    e = cfg.model_dim
-    for i in range(cfg.layers):
+    for i in range(layers):
         lp = f"enc.l{i}"
         for name in ("q", "k", "v", "o"):
             store.add(f"{lp}.att.w{name}", rng.normal(size=(e, e)) / math.sqrt(e))
@@ -89,9 +87,9 @@ def _encoder_params(cfg: EncoderConfig, seed=0) -> ParameterStore:
                 store.add(f"{lp}.att.b{name}", np.zeros(e))
         store.add(f"{lp}.ln1.g", np.ones(e))
         store.add(f"{lp}.ln1.b", np.zeros(e))
-        store.add(f"{lp}.ffn.w1", rng.normal(size=(e, cfg.ffn_dim)) / math.sqrt(e))
-        store.add(f"{lp}.ffn.b1", np.zeros(cfg.ffn_dim))
-        store.add(f"{lp}.ffn.w2", rng.normal(size=(cfg.ffn_dim, e)) / math.sqrt(e))
+        store.add(f"{lp}.ffn.w1", rng.normal(size=(e, ffn)) / math.sqrt(e))
+        store.add(f"{lp}.ffn.b1", np.zeros(ffn))
+        store.add(f"{lp}.ffn.w2", rng.normal(size=(ffn, e)) / math.sqrt(e))
         store.add(f"{lp}.ffn.b2", np.zeros(e))
         store.add(f"{lp}.ln2.g", np.ones(e))
         store.add(f"{lp}.ln2.b", np.zeros(e))
@@ -99,26 +97,26 @@ def _encoder_params(cfg: EncoderConfig, seed=0) -> ParameterStore:
 
 
 def test_encoder_single_token_attention_is_one():
-    cfg = EncoderConfig(layers=1, heads=2, model_dim=8, ffn_dim=16)
-    params = _encoder_params(cfg)
+    params = _encoder_params(8, 16, layers=1)
     tokens = Tensor(np.random.default_rng(3).normal(size=(1, 1, 8)))
-    _, attn = encoder_forward(tokens, cfg, params, return_attention=True)
+    _, attn = encoder_forward(tokens, params, heads=2, layers=1,
+                              return_attention=True)
     np.testing.assert_allclose(attn[0].data, 1.0, atol=0)
 
 
 def test_encoder_equal_tokens_uniform_attention():
-    cfg = EncoderConfig(layers=1, heads=2, model_dim=8, ffn_dim=16)
-    params = _encoder_params(cfg)
+    params = _encoder_params(8, 16, layers=1)
     tokens = Tensor(np.tile(np.random.default_rng(4).normal(size=8), (2, 5, 1)))
-    _, attn = encoder_forward(tokens, cfg, params, return_attention=True)
+    _, attn = encoder_forward(tokens, params, heads=2, layers=1,
+                              return_attention=True)
     np.testing.assert_allclose(attn[0].data, 0.2, atol=1e-12)
 
 
 def test_encoder_attention_rows_sum_to_one():
-    cfg = EncoderConfig(layers=2, heads=4, model_dim=16, ffn_dim=32)
-    params = _encoder_params(cfg, seed=5)
+    params = _encoder_params(16, 32, layers=2, seed=5)
     tokens = Tensor(np.random.default_rng(5).normal(size=(3, 7, 16)))
-    _, attn = encoder_forward(tokens, cfg, params, return_attention=True)
+    _, attn = encoder_forward(tokens, params, heads=4, layers=2,
+                              return_attention=True)
     assert len(attn) == 2
     for layer in attn:
         assert layer.shape == (3, 4, 7, 7)
@@ -126,12 +124,11 @@ def test_encoder_attention_rows_sum_to_one():
 
 
 def test_encoder_per_pedestrian_independence():
-    cfg = EncoderConfig(layers=2, heads=2, model_dim=8, ffn_dim=16)
-    params = _encoder_params(cfg, seed=6)
+    params = _encoder_params(8, 16, layers=2, seed=6)
     tokens = np.random.default_rng(6).normal(size=(4, 5, 8))
-    out = encoder_forward(Tensor(tokens), cfg, params).data
+    out = encoder_forward(Tensor(tokens), params, heads=2, layers=2).data
     perm = np.array([2, 0, 3, 1])
-    out_perm = encoder_forward(Tensor(tokens[perm]), cfg, params).data
+    out_perm = encoder_forward(Tensor(tokens[perm]), params, heads=2, layers=2).data
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
 
@@ -147,13 +144,12 @@ def test_encoder_gradients():
     # layer normalization leaves some weight directions nearly flat, so a few
     # true gradients sit at ~1e-9 where the relative-error formula is all
     # finite-difference noise; compare elementwise with an absolute floor
-    cfg = EncoderConfig(layers=1, heads=2, model_dim=4, ffn_dim=8)
-    params = _encoder_params(cfg, seed=8)
+    params = _encoder_params(4, 8, layers=1, seed=8)
     tokens = Tensor(np.random.default_rng(8).normal(size=(1, 3, 4)),
                     requires_grad=True)
 
     def f():
-        return (encoder_forward(tokens, cfg, params) ** 2).mean()
+        return (encoder_forward(tokens, params, heads=2, layers=1) ** 2).mean()
 
     checked = [tokens, *params.tensors()]
     for p in checked:

@@ -101,6 +101,15 @@ def test_unknown_augment_mode_is_rejected_at_construction():
     assert TrainConfig(augment="rotate").augment == "rotate"
 
 
+@pytest.mark.parametrize("settings", [
+    {"base_lr": float("nan")}, {"base_lr": float("inf")},
+    {"weight_decay": float("inf")}, {"seed": -1},
+])
+def test_train_config_checks_every_range_at_construction(settings):
+    with pytest.raises(ValueError):
+        TrainConfig(**settings)
+
+
 # -- metrics ------------------------------------------------------------------
 
 
