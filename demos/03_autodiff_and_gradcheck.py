@@ -4,12 +4,16 @@
 Everything learned in this library runs through the small Tensor class:
 forward ops record their parents, backward() walks the graph in reverse
 topological order, and gradcheck() compares every analytic gradient entry
-against central differences.
+against central differences.  Exits 1 if the full-model check misses the
+gradcheck gate.
 """
+
+import sys
 
 import numpy as np
 
 from stedge.autodiff import Tensor, backward, gradcheck, softmax
+from stedge.cli import GRADCHECK_TOLERANCE
 from stedge.model import ModelConfig, TrajectoryForecaster, gradcheck_parameters
 from stedge.synth import gradcheck_window
 
@@ -45,5 +49,7 @@ print(f"\nfull pipeline: {model.params.n_values()} parameters, "
       f"loss {model.loss(window).item():.4f}")
 print("running the full-model gradcheck (a few seconds)...")
 err = gradcheck(lambda: model.loss(window), model.params.tensors(), eps=1e-5)
+ok = err <= GRADCHECK_TOLERANCE
 print(f"max relative error across all parameters: {err:.2e}  "
-      f"({'OK' if err < 1e-4 else 'FAILED'} at the 1e-4 gate)")
+      f"({'OK' if ok else 'FAILED'} at the {GRADCHECK_TOLERANCE:.0e} gate)")
+sys.exit(0 if ok else 1)

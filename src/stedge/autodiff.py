@@ -140,9 +140,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, seed=None) -> None:
-        backward(self, seed)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self.op!r}{flag})"
@@ -163,22 +160,11 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        raise TypeError("tensor/tensor division is outside the primitive set; "
-                        "use exp(-log(u)) for positive u")
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 1:
@@ -206,15 +192,6 @@ class Tensor:
     @property
     def T(self):
         return transpose(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def tanh(self):
-        return tanh(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -374,12 +351,12 @@ def leaky_relu(x, negative_slope: float = 0.2) -> Tensor:
     return _result(data, "leaky_relu", (x,), backward_fn)
 
 
-def elu(x, alpha: float = 1.0) -> Tensor:
+def elu(x) -> Tensor:
     x = _as_tensor(x)
-    data = np.where(x.data >= 0.0, x.data, alpha * np.expm1(x.data))
+    data = np.where(x.data >= 0.0, x.data, np.expm1(x.data))
 
     def backward_fn(g):
-        return (g * np.where(x.data >= 0.0, 1.0, alpha * np.exp(x.data)),)
+        return (g * np.where(x.data >= 0.0, 1.0, np.exp(x.data)),)
 
     return _result(data, "elu", (x,), backward_fn)
 
@@ -617,9 +594,6 @@ class ParameterStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __iter__(self):
-        return iter(self._params)
 
     def __len__(self) -> int:
         return len(self._params)

@@ -18,7 +18,7 @@ import numpy as np
 from stedge.autodiff import NonFiniteError, Tensor, gradcheck
 from stedge.config import BadConfigError, Config, config_help, load_config
 from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
-from stedge.edgegraph import boundary_operator, edge_list, hodge_laplacian, line_graph
+from stedge.edgegraph import edge_list, hodge_spectrum, line_graph_degrees
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
 from stedge.stgraph import DisconnectedGraphError, effective_resistance, segment_patches
@@ -183,16 +183,9 @@ def cmd_graph_stats(args) -> int:
             entry = {"k": k, "start": start, "nodes": patch.n_nodes,
                      "edges": len(edge_list(adj))}
             if args.edges:
-                boundary = boundary_operator(adj)
-                ladj = line_graph(boundary.edge_index)
-                degrees = ladj.sum(axis=1).astype(int)
-                hist = {}
-                for d in degrees:
-                    hist[str(d)] = hist.get(str(d), 0) + 1
-                l1 = hodge_laplacian(boundary)
-                spectrum = np.linalg.eigvalsh(l1) if boundary.n_edges else []
-                entry["degree_histogram"] = hist
-                entry["l1_spectrum"] = [round(float(v), 9) for v in spectrum]
+                degree, count = np.unique(line_graph_degrees(adj), return_counts=True)
+                entry["degree_histogram"] = dict(zip(map(str, degree), count.tolist()))
+                entry["l1_spectrum"] = [round(float(v), 9) for v in hodge_spectrum(adj)]
             report["patches"].append(entry)
             for (ped_a, t_a), (ped_b, t_b) in pairs:
                 if ped_a not in window.ped_ids or ped_b not in window.ped_ids:

@@ -132,7 +132,7 @@ def load_config(path) -> Config:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
 

@@ -63,7 +63,8 @@ class Window:
     """One observation/prediction slice.
 
     ``obs`` is (N, T_obs, 2) absolute positions, ``fut`` is (N, T_pred, 2),
-    and ``origin`` is each pedestrian's last observed position.
+    and ``origin`` is each pedestrian's last observed position.  A bad
+    shape, or a coordinate the parser rejects, raises ``ValueError``.
     """
 
     obs: np.ndarray
@@ -76,6 +77,17 @@ class Window:
         self.obs = np.asarray(self.obs, dtype=np.float64)
         self.fut = np.asarray(self.fut, dtype=np.float64)
         self.origin = np.asarray(self.origin, dtype=np.float64)
+        n = len(self.ped_ids)
+        for name, ndim, dims in (("obs", 3, "N, T_obs, 2"), ("fut", 3, "N, T_pred, 2"),
+                                 ("origin", 2, "N, 2")):
+            value = getattr(self, name)
+            if value.ndim != ndim or value.shape[:1] + value.shape[-1:] != (n, 2):
+                raise ValueError(f"Window.{name} must be ({dims}) with N = {n} "
+                                 f"ped_ids, got shape {value.shape}")
+            # max propagates NaN, so the largest magnitude carries any fault
+            fault = _coordinate_fault(0.0, float(np.abs(value).max(initial=0.0)))
+            if fault:
+                raise ValueError(f"Window.{name}: {fault}")
 
     @property
     def n_peds(self) -> int:

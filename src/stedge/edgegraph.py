@@ -9,9 +9,10 @@ embeddings as multiplicative gates.
 The model never builds B1.  It keeps each edge signal on the patch's
 (n, n) node-pair grid, edge (u, v), u < v, at [u, v] and antisymmetric,
 where B1 x is a column sum and B1^T y is y[v] - y[u]; the patch adjacency
-is then the only structure the edge branch needs.  ``boundary_operator``,
+is then the only structure the edge branch needs, and L1's spectrum comes
+from the node Laplacian (``hodge_spectrum``).  ``boundary_operator``,
 ``line_graph`` and ``hodge_laplacian`` build B1, the dense edge graph and
-L1 for reports and reference checks only.
+L1 as references for tests and demos only.
 """
 
 from __future__ import annotations
@@ -102,14 +103,32 @@ def hodge_laplacian(b1) -> np.ndarray:
     return m.T @ m
 
 
+def line_graph_degrees(adjacency) -> np.ndarray:
+    """Each edge's degree in the edge graph, in ``edge_list`` order: edge
+    (u, v) shares an endpoint with deg u - 1 + deg v - 1 other edges."""
+    a = np.asarray(adjacency)
+    return a.sum(axis=1).astype(np.int64)[edge_list(a)].sum(axis=1) - 2
+
+
+def hodge_spectrum(adjacency) -> np.ndarray:
+    """L1's eigenvalues, ascending, one per edge, without building L1:
+    D - A = B1 B1^T shares L1 = B1^T B1's nonzero spectrum, and L1's other
+    eigenvalues are zeros.  Each component's smallest nonzero eigenvalue is
+    at least 4 / n^2 (Mohar), far above the solver's error of about
+    n^2 eps, so one below 1 / n^2 counts as zero."""
+    a = np.asarray(adjacency)
+    values = np.linalg.eigvalsh(graph_laplacian(a))
+    nonzero = values[values >= 1.0 / len(a) ** 2]
+    zeros = np.zeros(np.count_nonzero(np.triu(a, 1)) - len(nonzero))  # m - rank
+    return np.concatenate([zeros, nonzero])
+
+
 def hodge_operator(adjacency) -> HodgeOperator:
     """L1 scaled by its largest eigenvalue lam, so that the Laguerre
-    polynomials see a spectrum in [0, 1].  The node Laplacian D - A is
-    exactly B1 B1^T, which shares L1's nonzero spectrum, so lam is exact:
-    n on a complete graph, ``_LAMBDA_FLOOR`` on an edgeless one."""
-    top = np.linalg.eigvalsh(graph_laplacian(adjacency))[-1]
-    return HodgeOperator(adjacency=np.asarray(adjacency),
-                         lam=max(float(top), _LAMBDA_FLOOR))
+    polynomials see a spectrum in [0, 1]: n on a complete graph,
+    ``_LAMBDA_FLOOR`` on an edgeless one."""
+    lam = max(float(hodge_spectrum(adjacency).max(initial=0.0)), _LAMBDA_FLOOR)
+    return HodgeOperator(adjacency=np.asarray(adjacency), lam=lam)
 
 
 def laguerre_scalars(lam: float, order: int) -> list[float]:

@@ -33,6 +33,7 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 RHO_BOUND = 0.999  # smooth clamp: rho = 0.999 * tanh(raw)
 
 _STREAM_SAMPLING = 2  # sub-stream tag under the master seed
+_LAYER_NORM_EPS = 1e-5
 
 
 @dataclass
@@ -90,10 +91,10 @@ def assemble_tokens(hist: Tensor, placeholder: Tensor,
     return concatenate([hist, fut], axis=1) + positional
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = exp(log(var + eps) * -0.5)
+    inv_std = exp(log(var + _LAYER_NORM_EPS) * -0.5)
     return centered * inv_std * gain + bias
 
 
@@ -120,13 +121,12 @@ def multi_head_attention(x: Tensor, params: ParameterStore, prefix: str,
 
 
 def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
-                    layers: int, prefix: str = "enc",
-                    return_attention: bool = False):
+                    layers: int, return_attention: bool = False):
     """Post-norm encoder stack; attention is temporal only (batch axis = N)."""
     x = tokens
     attentions = []
     for i in range(layers):
-        lp = f"{prefix}.l{i}"
+        lp = f"enc.l{i}"
         attn, alpha = multi_head_attention(x, params, f"{lp}.att", heads)
         attentions.append(alpha)
         x = layer_norm(x + attn, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])

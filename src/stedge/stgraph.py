@@ -17,6 +17,7 @@ import numpy as np
 from stedge.autodiff import Tensor, elu, leaky_relu, softmax
 
 _NEG_INF = 1e30  # added with weight -1 to logits of non-neighbours
+_PINV_REL_TOL = 1e-9
 
 
 class PatchTooLongError(ValueError):
@@ -166,19 +167,19 @@ def graph_laplacian(adjacency) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def laplacian_pinv(adjacency, rel_tol: float = 1e-9) -> np.ndarray:
+def laplacian_pinv(adjacency) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the graph Laplacian.
 
-    Eigenvalues below rel_tol * lambda_max are the (near-)null space of a
-    connected graph and invert to zero.
+    Eigenvalues below _PINV_REL_TOL * lambda_max are the (near-)null space
+    of a connected graph and invert to zero.
     """
     lap = graph_laplacian(adjacency)
     w, v = np.linalg.eigh(lap)
     lam_max = float(w.max(initial=0.0))
     if lam_max <= 0.0:
         return np.zeros_like(lap)
-    inv = np.where(np.abs(w) < rel_tol * lam_max, 0.0,
-                   1.0 / np.where(np.abs(w) < rel_tol * lam_max, 1.0, w))
+    inv = np.where(np.abs(w) < _PINV_REL_TOL * lam_max, 0.0,
+                   1.0 / np.where(np.abs(w) < _PINV_REL_TOL * lam_max, 1.0, w))
     return (v * inv) @ v.T
 
 

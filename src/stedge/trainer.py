@@ -25,6 +25,7 @@ from stedge.model import TrajectoryForecaster
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
 
 _STREAM_BATCH = 1
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8   # AdamW moment decays and floor
 
 AUGMENT_MODES = ("off", "rotate")
 
@@ -79,11 +80,9 @@ class AdamW:
     """Bias-corrected adaptive moments with decay applied to the weights;
     each step is scaled by the parameter's ``ParameterStore.step_scale``."""
 
-    def __init__(self, params: ParameterStore, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params: ParameterStore,
+                 weight_decay: float = TrainConfig.weight_decay):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -96,17 +95,17 @@ class AdamW:
                 raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - _BETA1 ** t
+        bc2 = 1.0 - _BETA2 ** t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
             step = lr * self.params.step_scale(name)
             p.data -= step * update + lr * self.weight_decay * p.data
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -201,6 +202,31 @@ def test_graph_stats_edge_counts_do_not_depend_on_edges_flag(tmp_path, capsys):
     assert without[0] == json.dumps(report, sort_keys=True)
 
 
+def test_graph_stats_edges_on_20_walkers_stays_small(tmp_path, capsys):
+    """L1's spectrum and the line-graph degrees come from the 60-node
+    patch graph; no (1770, 1770) array is built.  Its zeros are exact, so
+    the report holds no -0.0."""
+    walkers = [(i, (0.5 * i, 0.0), (0.1, 0.02 * i)) for i in range(20)]
+    scene = write_trajectory_file(tmp_path / "scene.txt",
+                                  linear_records(walkers, n_frames=20))
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    tracemalloc.start()
+    try:
+        code = run(["graph-stats", "--config", str(cfg), "--edges"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2 ** 20
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    (report,) = map(json.loads, out.splitlines())
+    for patch in report["patches"]:
+        assert patch["edges"] == 60 * 59 // 2
+        assert patch["degree_histogram"] == {"116": 1770}
+        assert patch["l1_spectrum"] == [0.0] * (1770 - 59) + [60.0] * 59
+
+
 def test_eval_oracle_scores_zero(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")
@@ -208,6 +234,14 @@ def test_eval_oracle_scores_zero(tmp_path, capsys):
     assert code == 0
     result = json.loads(capsys.readouterr().out)
     assert result == {"ade": 0.0, "fde": 0.0, "n_windows": 1}
+
+
+def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfeseed = 1\n")
+    assert run(["graph-stats", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config {cfg}" in err and "utf-8" in err
 
 
 def test_eval_without_checkpoint_fails(tmp_path, capsys):

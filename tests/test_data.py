@@ -89,6 +89,41 @@ def test_scene_from_records_applies_the_coordinate_bound(x):
         scene_from_records(records)
 
 
+def _two_walker_fields():
+    """A valid two-walker window's constructor arguments."""
+    (window,) = build_windows(scene_from_records(linear_records(
+        [(1, (0.0, 0.0), (0.4, 0.0)), (2, (0.0, 1.0), (0.4, 0.1))],
+        n_frames=20)))
+    return {"obs": window.obs, "fut": window.fut,
+            "ped_ids": window.ped_ids, "origin": window.origin}
+
+
+def _with_obs_value(value):
+    obs = _two_walker_fields()["obs"].copy()
+    obs[1, 3, 0] = value
+    return {"obs": obs}
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"ped_ids": [1]}, r"Window.obs must be \(N, T_obs, 2\) with N = 1",
+                 id="ped_ids"),
+    pytest.param({"origin": np.zeros((1, 2))},
+                 r"Window.origin must be \(N, 2\) with N = 2 ped_ids, "
+                 r"got shape \(1, 2\)", id="origin"),
+    pytest.param({"fut": np.zeros((2, 12))}, r"Window.fut must be \(N, T_pred, 2\)",
+                 id="fut"),
+    pytest.param(_with_obs_value(math.nan), "Window.obs: non-finite coordinate",
+                 id="nan"),
+    pytest.param(_with_obs_value(-1e200), "Window.obs: coordinate beyond",
+                 id="bound"),
+])
+def test_window_checks_its_arrays_when_built(change, message):
+    fields = _two_walker_fields()
+    Window(**fields)
+    with pytest.raises(ValueError, match=message):
+        Window(**{**fields, **change})
+
+
 def test_parse_duplicate_observation(tmp_path):
     with pytest.raises(DuplicateObservationError):
         parse_trajectory_file(_write(tmp_path, "0 1 0 0\n0 1 0 0\n"))

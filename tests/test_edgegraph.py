@@ -15,9 +15,11 @@ from stedge.edgegraph import (
     hll_conv,
     hodge_laplacian,
     hodge_operator,
+    hodge_spectrum,
     laguerre_basis,
     laguerre_scalars,
     line_graph,
+    line_graph_degrees,
 )
 from stedge.stgraph import UnifiedPatch, build_node_adjacency
 
@@ -221,6 +223,25 @@ def test_hodge_operator_shapes():
     grid = _to_grid(np.ones(15), edge_list(adj), 6)
     assert (hodge @ grid).shape == (6, 6)
     assert hodge_operator(np.zeros((3, 3))).lam == 1e-6  # edgeless
+
+
+def test_node_route_matches_dense_line_graph_and_l1():
+    """The line-graph degrees and L1's spectrum read off the node graph
+    match the dense edge graph and eigvalsh(L1) on every graph with <= 5
+    nodes, the proximity graphs and complete patches up to 20 pedestrians;
+    hodge_operator's lam is the spectrum's top entry, bit for bit."""
+    graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
+    graphs += list(_proximity_adjacencies())
+    graphs += [build_node_adjacency(n_peds, 3) for n_peds in (1, 2, 3, 5, 10, 15, 20)]
+    for adj in graphs:
+        op = boundary_operator(adj)
+        np.testing.assert_array_equal(line_graph_degrees(adj),
+                                      line_graph(op.edge_index).sum(axis=1))
+        spectrum = hodge_spectrum(adj)
+        want = np.linalg.eigvalsh(hodge_laplacian(op))
+        assert spectrum.shape == want.shape
+        assert np.abs(spectrum - want).max(initial=0.0) <= 1e-9
+        assert hodge_operator(adj).lam == max(spectrum.max(initial=0.0), 1e-6)
 
 
 # -- Laguerre filtering ---------------------------------------------------------
