@@ -14,6 +14,7 @@ from stedge.stgraph import (
     PatchingConfig,
     build_node_adjacency,
     effective_resistance,
+    patch_adjacencies,
     patch_count,
     resistance_matrix,
     segment_patches,
@@ -33,7 +34,8 @@ print(f"patching T_obs=8 with L={cfg.length}, S={cfg.stride} -> "
       f"K={patch_count(window.t_obs, cfg)} patches")
 
 features = Tensor(np.zeros((window.n_peds, window.t_obs, 4)))
-for k, patch in enumerate(segment_patches(features, cfg, window.obs), start=1):
+patches = segment_patches(features, cfg, window.obs, patch_adjacencies(window.obs, cfg))
+for k, patch in enumerate(patches, start=1):
     n_edges = int(patch.adjacency.sum() // 2)
     print(f"  patch {k}: slots [{patch.start}, "
           f"{patch.start + patch.length}), {patch.n_nodes} nodes, "

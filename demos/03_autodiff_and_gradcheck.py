@@ -47,7 +47,10 @@ model = TrajectoryForecaster(cfg, params=gradcheck_parameters(cfg, seed=0))
 window = gradcheck_window()
 print(f"\nfull pipeline: {model.params.n_values()} parameters, "
       f"loss {model.loss(window).item():.4f}")
-print("running the full-model gradcheck (a few seconds)...")
+# two forward passes per parameter entry: 40-51 s on a 2-core x86-64
+# host with BLAS on one thread
+print(f"running the full-model gradcheck ({2 * model.params.n_values()} "
+      f"forward passes, about a minute)...")
 err = gradcheck(lambda: model.loss(window), model.params.tensors(), eps=1e-5)
 ok = err <= GRADCHECK_TOLERANCE
 print(f"max relative error across all parameters: {err:.2e}  "

@@ -35,7 +35,12 @@ from stedge.data import (
     init_features,
     parse_trajectory_file,
 )
-from stedge.model import ModelConfig, TrajectoryForecaster, init_parameters
+from stedge.model import (
+    ModelConfig,
+    TrajectoryForecaster,
+    WindowTooLargeError,
+    init_parameters,
+)
 from stedge.predictor import GaussianTrack, sample_trajectories
 from stedge.trainer import TrainConfig, ade_fde, best_of_k_eval, train
 

@@ -12,10 +12,24 @@ it returns None in that slot.
 The primitive set is deliberately fixed to what the model needs: matmul,
 elementwise arithmetic, exp/log/tanh, leaky-rectifier, exponential-linear,
 softmax over the last axis, sum/mean reductions, reshape / transpose /
-concatenate, basic slicing, and the scatter of edge values onto a
-node-pair grid.  Elementwise ops broadcast with numpy's trailing-dimension
-alignment.  Every forward result is checked for NaN/Inf and the offending
-op is named when the check fires.
+concatenate and basic slicing.  Elementwise ops broadcast with numpy's
+trailing-dimension alignment.  Every forward result is checked for NaN/Inf
+and the offending op is named when the check fires.
+
+Three fused ops carry the graph stage's pairwise chains, each as one
+recorded op that keeps only its operands and its output and recomputes
+the rest in its backward (Chen et al., "Training Deep Nets with Sublinear
+Memory Cost", 2016):
+
+* ``pair_attention_logits``: a . LeakyReLU(dst_i + src_j) for every node
+  pair, with the (n, n, d) pair sum formed one block of rows at a time;
+* ``gated_neighbour_sum``: sigmoid-gated messages summed over each node's
+  pairs, with neither the gates nor their pair grid recorded;
+* ``matmul_elu``: ELU(a @ b), whose backward reads ELU's slope off the
+  output.
+
+Their row blocks depend only on the operand shapes, so results stay
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -39,9 +53,10 @@ __all__ = [
     "tanh",
     "leaky_relu",
     "elu",
-    "logistic",
     "softmax",
-    "pair_scatter",
+    "pair_attention_logits",
+    "gated_neighbour_sum",
+    "matmul_elu",
 ]
 
 
@@ -55,8 +70,8 @@ def _keep_freed_heap(libc) -> None:
     """Make the C allocator keep the heap this process has freed.
 
     Every op allocates its result and gradient afresh, and one window's
-    temporaries (the (d, n, n) fusion grid of each patch, the Laguerre
-    basis, attention logits, GEMM outputs) reach several MiB each.  By
+    temporaries (the fused ops' row blocks, the Laguerre basis, GEMM
+    outputs) reach a MiB or more each.  By
     default glibc maps blocks that large one by one and hands the heap top
     back to the kernel after a window, so the next window page-faults all
     of it in again.  On a 2-core x86-64 host with BLAS on one thread that
@@ -361,11 +376,6 @@ def elu(x) -> Tensor:
     return _result(data, "elu", (x,), backward_fn)
 
 
-def logistic(x) -> Tensor:
-    """Sigmoid built from tanh so it stays inside the primitive set."""
-    return tanh(mul(x, 0.5)) * 0.5 + 0.5
-
-
 def softmax(x) -> Tensor:
     """Softmax over the last axis, max-subtracted so huge logits cannot overflow."""
     x = _as_tensor(x)
@@ -452,31 +462,159 @@ def _getitem(x: Tensor, idx) -> Tensor:
     return _result(data, "slice", (x,), backward_fn)
 
 
-def pair_scatter(x, rows, cols, n: int) -> Tensor:
-    """Fill c symmetric (n, n) grids from an (m, c) input: row e of ``x``
-    lands at cells (rows[e], cols[e]) and (cols[e], rows[e]) of each
-    channel's grid, every other cell is zero.  Output (c, n, n).
+# -- fused pair and edge ops ---------------------------------------------------
 
-    The pairs must be distinct, off the diagonal and each listed in one
-    orientation only, so no cell is written twice; the backward gathers
-    both cells of each pair and adds them.
+_BLOCK_ENTRIES = 1 << 17   # float64 entries of one block temporary (1 MiB)
+_PAIR_SLOPE = 0.2          # pair attention's LeakyReLU slope below zero
+
+
+def _blocks(count: int, entries_each: int) -> list[slice]:
+    """Consecutive slices covering range(count), each as long as fits
+    ``_BLOCK_ENTRIES`` at ``entries_each`` entries per index (at least
+    one index).  The split depends on the shapes alone."""
+    step = max(1, _BLOCK_ENTRIES // max(entries_each, 1))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def pair_attention_logits(dst, src, att) -> Tensor:
+    """Additive attention scores of every pair: out[i, j] =
+    att . LeakyReLU(dst[i] + src[j]), slope 0.2 below zero, (n_dst, n_src)
+    from (n_dst, d) and (n_src, d) operands and a d-entry ``att``.
+
+    The (n_dst, n_src, d) pair sum and its rectified copy exist only one
+    block of rows at a time, in the forward and again in the backward,
+    which rebuilds them from the operands; the tape holds the scores.
     """
-    x = _as_tensor(x)
-    if x.ndim != 2 or len(rows) != x.shape[0] or len(cols) != x.shape[0]:
+    dst, src, att = _as_tensor(dst), _as_tensor(src), _as_tensor(att)
+    if dst.ndim != 2 or src.ndim != 2 or dst.shape[1] != src.shape[1] \
+            or att.size != dst.shape[1]:
         raise ShapeMismatchError(
-            f"pair_scatter: {x.shape} input for {len(rows)}/{len(cols)} pairs")
-    c = x.shape[1]
-    cells = np.asarray(rows) * n + np.asarray(cols)
-    mirror = np.asarray(cols) * n + np.asarray(rows)
-    grid = np.zeros((c, n * n))
-    grid[:, cells] = x.data.T
-    grid[:, mirror] = x.data.T
+            f"pair_attention_logits: {dst.shape}, {src.shape}, {att.shape}")
+    n_src, d = src.shape
+    a = att.data.reshape(d)
+    blocks = _blocks(dst.shape[0], n_src * d)
+
+    def rectified(rows):
+        """The pair sum of a row block and LeakyReLU's slope on it."""
+        pair = dst.data[rows, None, :] + src.data
+        slope = np.where(pair >= 0.0, 1.0, _PAIR_SLOPE)
+        return pair, slope
+
+    data = np.empty((dst.shape[0], n_src))
+    for rows in blocks:
+        pair, slope = rectified(rows)
+        pair *= slope
+        data[rows] = (pair.reshape(-1, d) @ a).reshape(-1, n_src)
 
     def backward_fn(g):
-        flat = g.reshape(c, n * n)
-        return ((np.take(flat, cells, axis=1) + np.take(flat, mirror, axis=1)).T,)
+        g_dst = np.empty(dst.shape) if dst.requires_grad else None
+        g_src = np.zeros(src.shape) if src.requires_grad else None
+        g_att = np.zeros(d) if att.requires_grad else None
+        for rows in blocks:
+            pair, slope = rectified(rows)
+            if g_att is not None:
+                pair *= slope
+                g_att += g[rows].reshape(-1) @ pair.reshape(-1, d)
+            slope *= g[rows, :, None]      # dL/d(pair sum), up to the factor att
+            if g_dst is not None:
+                g_dst[rows] = slope.sum(axis=1)
+            if g_src is not None:
+                g_src += slope.sum(axis=0)
+        return (None if g_dst is None else g_dst * a,
+                None if g_src is None else g_src * a,
+                None if g_att is None else g_att.reshape(att.shape))
 
-    return _result(grid.reshape(c, n, n), "pair_scatter", (x,), backward_fn)
+    return _result(data, "pair_attention_logits", (dst, src, att), backward_fn)
+
+
+def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
+    """Gated messages summed over each node's pairs, (n, d): pair e sends
+    sigmoid(z[e]) * x[cols[e]] to node rows[e] and sigmoid(z[e]) *
+    x[rows[e]] to node cols[e].  ``z`` holds the pre-sigmoid gates, (m, d)
+    for one gate per channel or (m, 1) for one per pair; ``x`` is (n, d).
+
+    The pairs must be distinct, off the diagonal and each listed in one
+    orientation only.  The sigmoid is 0.5 tanh(z / 2) + 0.5, which cannot
+    overflow.  Neither the gates nor the symmetric (c, n, n) grid they are
+    laid on for the product is recorded: the forward and the backward each
+    compute the gates from ``z`` and lay them on the grid a block of
+    channels at a time, and the backward forms the gates' gradient a block
+    of pairs at a time.
+    """
+    z, x = _as_tensor(z), _as_tensor(x)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if (z.ndim != 2 or x.ndim != 2 or z.shape[1] not in (1, x.shape[1])
+            or len(rows) != z.shape[0] or len(cols) != z.shape[0]):
+        raise ShapeMismatchError(
+            f"gated_neighbour_sum: gates {z.shape} for {len(rows)}/{len(cols)} "
+            f"pairs, values {x.shape}")
+    n, d = x.shape
+    cells = rows * n + cols
+    mirror = cols * n + rows
+
+    def gates():
+        """tanh(z / 2), and the sigmoid gates 0.5 tanh(z / 2) + 0.5."""
+        half = np.tanh(0.5 * z.data)
+        return half, half * 0.5 + 0.5
+
+    def grid_product(gate, v):
+        """G_c @ v[:, c] per channel c, with G_c the symmetric pair grid of
+        the gates; under per-pair gates one grid serves every channel."""
+        if gate.shape[1] == 1:
+            grid = np.zeros(n * n)
+            grid[cells] = grid[mirror] = gate[:, 0]
+            return grid.reshape(n, n) @ v
+        out = np.empty((n, d))
+        for ch in _blocks(d, n * n):
+            grid = np.zeros((ch.stop - ch.start, n * n))
+            grid[:, cells] = grid[:, mirror] = gate[:, ch].T
+            product = grid.reshape(-1, n, n) @ v[:, ch].T[:, :, None]
+            out[:, ch] = product[:, :, 0].T
+        return out
+
+    data = grid_product(gates()[1], x.data)
+
+    def backward_fn(g):
+        half, gate = gates()
+        g_x = grid_product(gate, g) if x.requires_grad else None
+        g_z = None
+        if z.requires_grad:
+            g_z = np.empty(z.shape)
+            for pairs in _blocks(len(rows), d):
+                at_row, at_col = rows[pairs], cols[pairs]
+                g_gate = g[at_row] * x.data[at_col]
+                g_gate += g[at_col] * x.data[at_row]
+                if z.shape[1] == 1:
+                    g_gate = g_gate.sum(axis=1, keepdims=True)
+                g_z[pairs] = g_gate
+            half *= half
+            g_z *= 0.25 * (1.0 - half)       # the sigmoid's slope
+        return g_z, g_x
+
+    return _result(data, "gated_neighbour_sum", (z, x), backward_fn)
+
+
+def matmul_elu(a, b) -> Tensor:
+    """ELU(a @ b) of 2-D operands as one op.  Below zero ELU's slope
+    exp(a @ b) equals the output plus one, so the backward needs neither
+    the product nor an activation of its own, and the tape holds only the
+    output."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul_elu: {a.shape} @ {b.shape}")
+    data = a.data @ b.data
+    below = np.minimum(data, 0.0)
+    np.expm1(below, out=below)
+    np.maximum(data, below, out=data)     # expm1(x) > x below zero
+
+    def backward_fn(g):
+        g_pre = data + 1.0
+        np.minimum(g_pre, 1.0, out=g_pre)  # ELU's slope
+        g_pre *= g
+        return (g_pre @ b.data.T if a.requires_grad else None,
+                a.data.T @ g_pre if b.requires_grad else None)
+
+    return _result(data, "matmul_elu", (a, b), backward_fn)
 
 
 # -- reverse pass -------------------------------------------------------------
@@ -489,8 +627,8 @@ def backward(output: Tensor, seed=None) -> None:
     Intermediates only pass their gradient on; their ``grad`` stays None.
     A leaf's ``grad`` is an array of its own, so callers may scale it in
     place.  ``output`` must be a scalar unless a same-shaped gradient
-    ``seed`` is supplied.  Grads add across calls; callers zero them
-    between steps.
+    ``seed`` is supplied.  Grads add across calls, in place; callers zero
+    them between steps.
     """
     if output._backward is None and not output.requires_grad:
         raise DisconnectedOutputError("output was not produced by any recorded op")
@@ -528,8 +666,13 @@ def backward(output: Tensor, seed=None) -> None:
         if g is None:
             continue
         if node._backward is None:
-            # a leaf; g may be a view shared with other gradients
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            # a leaf; g may be a view shared with other gradients, but the
+            # leaf's grad is its own, so it accumulates in place and no
+            # parameter-sized array is allocated anew on every pass
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if not parent.requires_grad or pg is None:

@@ -15,13 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from stedge.autodiff import NonFiniteError, Tensor, gradcheck
+from stedge.autodiff import NonFiniteError, gradcheck
 from stedge.config import BadConfigError, Config, config_help, load_config
 from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
 from stedge.edgegraph import edge_list, hodge_spectrum, line_graph_degrees
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
-from stedge.stgraph import DisconnectedGraphError, effective_resistance, segment_patches
+from stedge.stgraph import (
+    DisconnectedGraphError,
+    effective_resistance,
+    patch_adjacencies,
+    patch_starts,
+)
 from stedge.synth import gradcheck_window
 from stedge.trainer import (
     NonFiniteGradientError,
@@ -175,12 +180,10 @@ def cmd_graph_stats(args) -> int:
         report = {"window": wi, "start_frame": window.start_frame,
                   "n_peds": n, "ped_ids": window.ped_ids, "patches": []}
         resistance = []
-        # the patch graphs alone; no node features are needed
-        no_features = Tensor(np.zeros((n, window.t_obs, 0)))
-        patches = segment_patches(no_features, patching, window.obs, max_dist)
-        for k, patch in enumerate(patches, start=1):
-            start, adj = patch.start, patch.adjacency
-            entry = {"k": k, "start": start, "nodes": patch.n_nodes,
+        graphs = zip(patch_starts(window.t_obs, patching),
+                     patch_adjacencies(window.obs, patching, max_dist))
+        for k, (start, adj) in enumerate(graphs, start=1):
+            entry = {"k": k, "start": start, "nodes": len(adj),
                      "edges": len(edge_list(adj))}
             if args.edges:
                 degree, count = np.unique(line_graph_degrees(adj), return_counts=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, logistic, pair_scatter
+from stedge.autodiff import Tensor, elu, gated_neighbour_sum, matmul_elu
 from stedge.stgraph import UnifiedPatch, graph_laplacian
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
@@ -175,11 +175,13 @@ def hll_conv(edge_graph: EdgeGraph, coeffs: Tensor) -> Tensor:
     The edge signal is a constant, so its basis is plain numpy on the pair
     grid; each order's values at the edges form one column of an
     (m, order) array, and one product with the coefficients mixes them.
+    Product and ELU are one op (``matmul_elu``), so the tape holds only
+    the (m, d) output.
     """
     rows, cols = edge_graph.edge_index.T
     basis = laguerre_basis(edge_graph.hodge, edge_graph.features, coeffs.shape[0])
     terms = np.stack([t[rows, cols] for t in basis], axis=1)
-    return elu(Tensor(terms) @ coeffs)
+    return matmul_elu(Tensor(terms), coeffs)
 
 
 def edge_distances(patch: UnifiedPatch) -> np.ndarray:
@@ -208,17 +210,18 @@ def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,
     pulls every node towards the patch mean, which washed out the
     per-pedestrian signal the forecast needs.
 
-    The gates are computed per edge, then laid on the pair grid, one
-    symmetric (n, n) grid per gate channel, so the neighbour sum is one
-    batched product with the node messages.
+    The gated sum is one recorded op (``gated_neighbour_sum``) on the
+    pre-sigmoid gates h_edge phi.  It lays the gates on the pair grid, one
+    symmetric (n, n) grid per gate channel, for one batched product with
+    the node messages; the gates and their grid are temporaries, no longer
+    recorded, and its backward rebuilds them.
     """
     t = h_node @ theta
     if h_edge is None or not len(edge_index):
         return elu(t)
-    n, d = t.shape
+    n = t.shape[0]
     idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
-    gate = logistic(h_edge @ phi)   # (|E|, d) or (|E|, 1), broadcast over channels
-    grid = pair_scatter(gate, idx[:, 0], idx[:, 1], n)           # (c, n, n)
-    messages = (grid @ t.T.reshape((d, n, 1))).reshape((d, n)).T
+    # (|E|, d) or (|E|, 1) gates, one per channel or one for all
+    messages = gated_neighbour_sum(h_edge @ phi, t, idx[:, 0], idx[:, 1])
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
     return elu(t + messages * inv_degree)

@@ -34,11 +34,17 @@ by adaptive moments smooth (see ``init_parameters`` and
 * Every parameter carries a fixed step scale, so one optimizer step
   moves the forecast by a small, bounded amount instead of by fan-in times
   the learning rate.
+
+Before it records its first op, ``forward`` estimates the window's tape
+(``tape_bytes``) and raises ``WindowTooLargeError`` when the estimate
+exceeds physical memory, so a very large crowd fails with a named error
+instead of an out-of-memory kill.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +68,13 @@ from stedge.predictor import (
     stack_and_pool,
     track_from_tensors,
 )
-from stedge.stgraph import PatchingConfig, gat_layer, patch_count, segment_patches
+from stedge.stgraph import (
+    PatchingConfig,
+    gat_layer,
+    patch_adjacencies,
+    patch_count,
+    segment_patches,
+)
 
 _STREAM_INIT = 0
 
@@ -77,6 +89,32 @@ FUSION_GATES = ("vector", "scalar", "zero")
 _HIDDEN_STEP = 0.5
 _READOUT_STEP = (0.5, 0.5, 0.25, 0.25, 0.25)
 _BIAS_STEP = (1.0, 1.0, 4.0, 4.0, 1.0)
+
+# float64 arrays that one window's forward records, per stage, in units of
+# the stage's array size; counted off the ops (see tape_bytes)
+_FEATURE_ARRAYS = 7      # (N, T_obs, d): three embeddings, their 3d-wide join, projection
+_NODE_ARRAYS = 13        # (n, d) per patch: attention, fusion, pooling
+_PAIR_ARRAYS = 3         # (n, n) per patch: scores, masked scores, attention
+_TOKEN_ARRAYS = 3        # (N, K + T_pred, d): the token sequence
+_ENCODER_IO_ARRAYS = 3   # (N, K + T_pred, e): input projection and head input
+_LAYER_ARRAYS = 37       # (N, K + T_pred, e) per encoder layer, 2e-wide counting 2
+_SCORE_ARRAYS = 3        # (N, heads, K + T_pred, K + T_pred) per encoder layer
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
+# the most tape one window may record; a window above it is refused
+TAPE_BUDGET_BYTES = _physical_memory()
+
+
+class WindowTooLargeError(ValueError):
+    """A window's forward would record more tape than physical memory."""
 
 
 @dataclass(frozen=True)
@@ -204,6 +242,26 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
     return store
 
 
+def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
+    """Estimated bytes of the arrays one window's forward records (its
+    tape), from N, the widths and each patch's edge count; the backward
+    holds the tape until it has run.  The edge branch records an (m, d)
+    filter output and its (m, d) or (m, 1) pre-sigmoid gates per patch;
+    no recorded array grows as n^2 d."""
+    d, e, length = cfg.model_dim, cfg.encoder_dim, cfg.token_len
+    n = n_peds * cfg.patch_len
+    gate_width = 1 if cfg.fusion_gate == "scalar" else d
+    entries = _FEATURE_ARRAYS * n_peds * cfg.t_obs * d
+    for m in edge_counts:
+        entries += _NODE_ARRAYS * n * d + _PAIR_ARRAYS * n * n
+        if cfg.fusion_gate != "zero":
+            entries += m * (d + gate_width)
+    entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IO_ARRAYS * e)
+    entries += cfg.encoder_layers * n_peds * length * (
+        _LAYER_ARRAYS * e + _SCORE_ARRAYS * cfg.encoder_heads * length)
+    return 8 * entries
+
+
 def gradcheck_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
     """``init_parameters`` with the head at its full Glorot draw, the
     parameter point at which gradients are checked.
@@ -236,11 +294,19 @@ class TrajectoryForecaster:
             raise ShapeMismatchError(
                 f"window horizons ({window.t_obs}, {window.t_pred}) != "
                 f"configured ({cfg.t_obs}, {cfg.t_pred})")
+        adjacencies = patch_adjacencies(window.obs, cfg.patching(), cfg.max_distance)
+        # refuse a window whose tape cannot fit before recording any of it
+        need = tape_bytes(cfg, window.n_peds,
+                          [np.count_nonzero(a) // 2 for a in adjacencies])
+        if need > TAPE_BUDGET_BYTES:
+            raise WindowTooLargeError(
+                f"a window of N={window.n_peds} pedestrians needs an estimated "
+                f"{need / 2**20:.1f} MiB of autodiff tape, more than the "
+                f"{TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
         params = self.params
         feats = init_features(window, params, cfg.endpoint_mode)
         x = feats @ params["feat.w_proj"]
-        patches = segment_patches(x, cfg.patching(), positions=window.obs,
-                                  max_distance=cfg.max_distance)
+        patches = segment_patches(x, cfg.patching(), window.obs, adjacencies)
 
         # the edge embedding rides in the filter (see the module docstring)
         coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]

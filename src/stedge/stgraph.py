@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, leaky_relu, softmax
+from stedge.autodiff import Tensor, elu, pair_attention_logits, softmax
 
 _NEG_INF = 1e30  # added with weight -1 to logits of non-neighbours
 _PINV_REL_TOL = 1e-9
@@ -100,10 +100,23 @@ def build_node_adjacency(n_peds: int, length: int, positions=None,
     return adj
 
 
+def patch_adjacencies(positions, cfg: PatchingConfig,
+                      max_distance: float | None = None) -> list[np.ndarray]:
+    """The adjacency of each of the K patch graphs of (N, T_obs, 2)
+    positions, in patch order (``build_node_adjacency``)."""
+    positions = np.asarray(positions, dtype=np.float64)
+    n_peds = positions.shape[0]
+    return [build_node_adjacency(
+                n_peds, cfg.length,
+                positions[:, start:start + cfg.length, :].reshape(-1, 2), max_distance)
+            for start in patch_starts(positions.shape[1], cfg)]
+
+
 def segment_patches(features: Tensor, cfg: PatchingConfig, positions,
-                    max_distance: float | None = None) -> list[UnifiedPatch]:
+                    adjacencies: list[np.ndarray]) -> list[UnifiedPatch]:
     """Slice (N, T_obs, D) features and (N, T_obs, 2) positions into K
-    patch graphs.
+    patch graphs with the given adjacencies, as ``patch_adjacencies``
+    builds them from the same positions.
 
     Patch k (1-based) covers time slots [(k-1)*stride, (k-1)*stride + length);
     its feature and position matrices are the pedestrian-major flattenings
@@ -112,11 +125,10 @@ def segment_patches(features: Tensor, cfg: PatchingConfig, positions,
     n_peds, t_obs = features.shape[0], features.shape[1]
     positions = np.asarray(positions, dtype=np.float64)
     patches = []
-    for start in patch_starts(t_obs, cfg):
+    for start, adj in zip(patch_starts(t_obs, cfg), adjacencies, strict=True):
         block = features[:, start:start + cfg.length, :]
         z = block.reshape((n_peds * cfg.length, features.shape[2]))
         pos = positions[:, start:start + cfg.length, :].reshape(-1, 2)
-        adj = build_node_adjacency(n_peds, cfg.length, pos, max_distance)
         patches.append(UnifiedPatch(start=start, n_peds=n_peds, length=cfg.length,
                                     features=z, positions=pos, adjacency=adj))
     return patches
@@ -132,7 +144,8 @@ def gat_layer(patch: UnifiedPatch, theta: Tensor, theta_dst: Tensor,
     attention input-dependent: with a per-node rectifier the receiver term
     would be row-constant and the softmax would cancel it.  The softmax runs
     over each node's neighbours plus itself; messages are theta z_j and the
-    aggregate passes through an exponential-linear unit.
+    aggregate passes through an exponential-linear unit.  The (n, n, d)
+    pair sum is never recorded (``pair_attention_logits``).
     """
     n = patch.n_nodes
     src = patch.features @ theta        # messages and attention source half
@@ -140,9 +153,7 @@ def gat_layer(patch: UnifiedPatch, theta: Tensor, theta_dst: Tensor,
     d = src.shape[1]
     if att.size != d:
         raise ValueError(f"attention vector has {att.size} entries, expected {d}")
-    pair = dst.reshape((n, 1, d)) + src.reshape((1, n, d))
-    act = leaky_relu(pair)
-    logits = (act @ att.reshape((d, 1))).reshape((n, n))
+    logits = pair_attention_logits(dst, src, att)
     mask = patch.adjacency + np.eye(n)
     logits = logits + Tensor((mask - 1.0) * _NEG_INF)
     alpha = softmax(logits)

@@ -12,18 +12,24 @@ from stedge.autodiff import (
     elu,
     exp,
     gradcheck,
+    gated_neighbour_sum,
     leaky_relu,
     log,
-    logistic,
+    matmul_elu,
+    pair_attention_logits,
     softmax,
     tanh,
     _result,
     add,
     matmul,
     mul,
-    pair_scatter,
     sub,
 )
+
+# the three pairs of a triangle, and weights that make the summed outputs
+# of the fused ops depend on every entry
+_TRIANGLE_ROWS, _TRIANGLE_COLS = np.array([0, 0, 1]), np.array([1, 2, 2])
+_WEIGHTS = np.random.default_rng(4).normal(size=(3, 4))
 
 
 def test_matmul_all_ones_contraction():
@@ -129,7 +135,13 @@ def _fd_for(param, closure, eps=1e-6):
     ("tanh", lambda t: tanh(t).sum()),
     ("leaky_relu", lambda t: leaky_relu(t, 0.2).sum()),
     ("elu", lambda t: elu(t).sum()),
-    ("logistic", lambda t: logistic(t).sum()),
+    # pair sums kept 1 clear of LeakyReLU's kink, on both sides of it
+    ("pair_attention_logits", lambda t: (
+        pair_attention_logits(t, t + 5.0, t[0]) * _WEIGHTS[:, :3]
+        + pair_attention_logits(t, t - 5.0, t[1]) * _WEIGHTS[:, 1:]).sum()),
+    ("gated_neighbour_sum", lambda t: (gated_neighbour_sum(
+        t, t, _TRIANGLE_ROWS, _TRIANGLE_COLS) * _WEIGHTS).sum()),
+    ("matmul_elu", lambda t: (matmul_elu(t, t.T * 0.5) * _WEIGHTS[:, :3]).sum()),
     ("softmax", lambda t: (softmax(t) * softmax(t)).sum()),
     ("mul", lambda t: (t * t * t).sum()),
     ("sub", lambda t: ((t - 0.3) * t).sum()),
@@ -261,6 +273,16 @@ def test_leaf_gradients_are_owned_arrays():
     np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
 
 
+def test_leaf_gradients_accumulate_in_place():
+    # a second pass adds into the leaf's own array instead of replacing it
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    backward((w * w).sum())
+    first = w.grad
+    backward((w * 3.0).sum())
+    assert w.grad is first
+    np.testing.assert_array_equal(first, np.full((2, 3), 5.0))
+
+
 @pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)])
 def test_nd_at_2d_matmul_gradients(lead):
     rng = np.random.default_rng(23)
@@ -289,33 +311,53 @@ def _pairs(n, rng):
     return np.where(flip, cols, rows), np.where(flip, rows, cols)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 @pytest.mark.parametrize("channels", [1, 4])
-def test_pair_scatter_matches_loop(channels):
+def test_gated_neighbour_sum_matches_loop(channels):
     rng = np.random.default_rng(31)
+    d = 4
     for n in (2, 3, 7):
         rows, cols = _pairs(n, rng)
-        x = rng.normal(size=(len(rows), channels))
-        want = np.zeros((channels, n, n))
+        z = rng.normal(size=(len(rows), channels))
+        x = rng.normal(size=(n, d))
+        want = np.zeros((n, d))
         for e, (u, v) in enumerate(zip(rows, cols)):
-            want[:, u, v] = want[:, v, u] = x[e]
-        np.testing.assert_array_equal(pair_scatter(Tensor(x), rows, cols, n).data, want)
+            want[u] += _sigmoid(z[e]) * x[v]
+            want[v] += _sigmoid(z[e]) * x[u]
+        got = gated_neighbour_sum(Tensor(z), Tensor(x), rows, cols).data
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("channels", [1, 5])
-def test_pair_scatter_gradient(channels):
-    """At c = 1 (one gate per pair) and c = d, through the batched product
-    the fusion layer applies."""
+def test_gated_neighbour_sum_gradient(channels):
+    """At c = 1 (one gate per pair) and c = d, the widths the fusion
+    layer passes."""
     rng = np.random.default_rng(32)
     n, d = 6, 5
     rows, cols = _pairs(n, rng)
-    x = Tensor(rng.normal(size=(len(rows), channels)), requires_grad=True)
-    t = Tensor(rng.normal(size=(d, n, 1)), requires_grad=True)
-    weights = rng.normal(size=(d, n, 1))
-    err = gradcheck(lambda: ((pair_scatter(x, rows, cols, n) @ t) * weights).sum(),
-                    [x, t], eps=1e-5)
+    z = Tensor(rng.normal(size=(len(rows), channels)), requires_grad=True)
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    weights = rng.normal(size=(n, d))
+    err = gradcheck(lambda: (gated_neighbour_sum(z, x, rows, cols) * weights).sum(),
+                    [z, x], eps=1e-5)
     assert err < 1e-6
 
 
-def test_pair_scatter_shape_mismatch():
+def test_gated_neighbour_sum_shape_mismatch():
+    x = Tensor(np.ones((3, 2)))
+    rows, cols = np.array([0, 1]), np.array([1, 2])
+    with pytest.raises(ShapeMismatchError):     # two pairs, three gates
+        gated_neighbour_sum(Tensor(np.ones((3, 2))), x, rows, cols)
+    with pytest.raises(ShapeMismatchError):     # gates neither 1 nor d wide
+        gated_neighbour_sum(Tensor(np.ones((2, 3))), x, rows, cols)
+
+
+def test_fused_op_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        pair_scatter(Tensor(np.ones((3, 2))), np.array([0, 1]), np.array([1, 2]), 3)
+        pair_attention_logits(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 3))),
+                              Tensor(np.ones(2)))
+    with pytest.raises(ShapeMismatchError):
+        matmul_elu(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import stedge.model
 from stedge.cli import build_parser, run
 from stedge.config import (
     BadConfigError,
@@ -327,6 +328,19 @@ def test_non_finite_forward_exits_3_naming_the_op(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "non-finite forward" in err and "op '" in err
+
+
+def test_window_over_the_tape_budget_exits_1_naming_n(tmp_path, capsys, monkeypatch):
+    # the budget is lowered; nothing is allocated up to the machine's limit
+    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 2**16)
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, (f"data.path = {scene}\n"
+                                  f"train.out_dir = {tmp_path / 'run'}\n"
+                                  "train.epochs = 1\n"))
+    assert run(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a window of N=2 pedestrians needs an estimated")
+    assert "MiB of physical memory" in err and "Traceback" not in err
 
 
 def test_train_eval_predict_round_trip(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stedge.autodiff import Tensor, backward, concatenate, elu, gradcheck, logistic
+from stedge.autodiff import Tensor, backward, concatenate, elu, gradcheck, tanh
 from stedge.edgegraph import (
     EdgeGraph,
     HodgeOperator,
@@ -464,7 +464,7 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     idx = np.asarray(op.edge_index)
     s_u, s_v = np.eye(n)[idx[:, 0]], np.eye(n)[idx[:, 1]]
     t = h_node @ theta
-    gate = logistic(h_edge @ phi)
+    gate = tanh((h_edge @ phi) * 0.5) * 0.5 + 0.5     # the logistic sigmoid
     from_v = Tensor(s_u.T) @ (gate * (Tensor(s_v) @ t))
     from_u = Tensor(s_v.T) @ (gate * (Tensor(s_u) @ t))
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
@@ -592,7 +592,7 @@ def test_fusion_two_nodes_matches_scalar_oracle():
 def test_fusion_gate_saturated_to_one_sums_neighbours():
     rng = np.random.default_rng(9)
     h_node = Tensor(rng.normal(size=(3, 2)))
-    h_edge = Tensor(np.full((3, 1), 1e6))  # logistic saturates to 1
+    h_edge = Tensor(np.full((3, 1), 1e6))  # the sigmoid gate saturates to 1
     theta = Tensor(rng.normal(size=(2, 2)))
     phi = Tensor(np.ones((1, 2)))
     op = boundary_operator(TRIANGLE)

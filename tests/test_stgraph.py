@@ -15,6 +15,7 @@ from stedge.stgraph import (
     build_node_adjacency,
     effective_resistance,
     gat_layer,
+    patch_adjacencies,
     patch_count,
     patch_starts,
     resistance_matrix,
@@ -61,7 +62,8 @@ def test_segment_patches_layout():
     n, t, d = 2, 8, 3
     feats = Tensor(np.arange(n * t * d, dtype=float).reshape(n, t, d))
     pos = np.arange(n * t * 2, dtype=float).reshape(n, t, 2)
-    patches = segment_patches(feats, PatchingConfig(3, 1), pos)
+    cfg = PatchingConfig(3, 1)
+    patches = segment_patches(feats, cfg, pos, patch_adjacencies(pos, cfg))
     assert len(patches) == 6
     p = patches[2]
     assert p.start == 2 and p.n_nodes == 6
