@@ -10,11 +10,12 @@ an operand that does not require a gradient (a constant, a Python scalar):
 it returns None in that slot.
 
 The primitive set is deliberately fixed to what the model needs: matmul,
-elementwise arithmetic, exp/log/tanh, leaky-rectifier, exponential-linear,
-softmax over the last axis, sum/mean reductions, reshape / transpose /
-concatenate and basic slicing.  Elementwise ops broadcast with numpy's
-trailing-dimension alignment.  Every forward result is checked for NaN/Inf
-and the offending op is named when the check fires.
+elementwise arithmetic, exp/log/tanh (the likelihood and its correlation),
+exponential-linear, softmax over the last axis (graph attention), sum/mean
+reductions, reshape / transpose / concatenate and basic slicing.
+Elementwise ops broadcast with numpy's trailing-dimension alignment.  Every
+forward result is checked for NaN/Inf and the offending op is named when
+the check fires.
 
 Three fused ops carry the graph stage's pairwise chains, each as one
 recorded op that keeps only its operands and its output and recomputes
@@ -29,7 +30,13 @@ Memory Cost", 2016):
   output.
 
 Their row blocks depend only on the operand shapes, so results stay
-bit-reproducible.
+bit-reproducible.  Three more carry the encoder, on the same plan:
+
+* ``linear``: x @ w + b, with an optional ReLU read back off the output;
+* ``layer_norm``: its backward recomputes the centred input and the
+  inverse standard deviation;
+* ``attention``: multi-head scaled dot-product attention, whose backward
+  recomputes the weights from the queries and keys.
 """
 
 from __future__ import annotations
@@ -51,12 +58,14 @@ __all__ = [
     "exp",
     "log",
     "tanh",
-    "leaky_relu",
     "elu",
     "softmax",
     "pair_attention_logits",
     "gated_neighbour_sum",
     "matmul_elu",
+    "linear",
+    "layer_norm",
+    "attention",
 ]
 
 
@@ -356,16 +365,6 @@ def tanh(x) -> Tensor:
     return _result(data, "tanh", (x,), backward_fn)
 
 
-def leaky_relu(x, negative_slope: float = 0.2) -> Tensor:
-    x = _as_tensor(x)
-    data = np.where(x.data >= 0.0, x.data, negative_slope * x.data)
-
-    def backward_fn(g):
-        return (g * np.where(x.data >= 0.0, 1.0, negative_slope),)
-
-    return _result(data, "leaky_relu", (x,), backward_fn)
-
-
 def elu(x) -> Tensor:
     x = _as_tensor(x)
     data = np.where(x.data >= 0.0, x.data, np.expm1(x.data))
@@ -615,6 +614,137 @@ def matmul_elu(a, b) -> Tensor:
                 a.data.T @ g_pre if b.requires_grad else None)
 
     return _result(data, "matmul_elu", (a, b), backward_fn)
+
+
+# -- fused encoder ops ----------------------------------------------------------
+
+
+def linear(x, w, b, relu: bool = False) -> Tensor:
+    """x @ w + b over the last axis, and ReLU on top with ``relu``; ``w`` is
+    2-D and ``x``'s leading axes fold into rows, as in ``matmul``.
+
+    ReLU keeps the sign of zero that 0 * x gives (-0.0 below zero), so the
+    backward reads the slope, 1 where the input was >= 0, off the output's
+    sign bit and the tape holds only the output.  (An input of exactly -0.0
+    is the one case read as below zero.)
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeMismatchError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
+    k, n = w.shape
+    rows = math.prod(x.shape[:-1])
+    data = (x.data.reshape(rows, k) @ w.data).reshape(x.shape[:-1] + (n,))
+    data += b.data
+    if relu:
+        data *= data >= 0.0
+
+    def backward_fn(g):
+        g = g.reshape(rows, n)
+        if relu:
+            g = g * ~np.signbit(data.reshape(rows, n))
+        return ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                x.data.reshape(rows, k).T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _result(data, "linear", (x, w, b), backward_fn)
+
+
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """(x - mean) / sqrt(var + 1e-5) * gain + bias over the last axis, the
+    inverse square root taken as exp(-0.5 log(var + 1e-5)).  The backward
+    recomputes the centred input and the inverse standard deviation from
+    ``x``; the tape holds only the output."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise ShapeMismatchError(f"layer_norm: {x.shape}, {gain.shape}, {bias.shape}")
+
+    def normalised():
+        centred = x.data - x.data.mean(axis=-1, keepdims=True)
+        var = (centred * centred).mean(axis=-1, keepdims=True)
+        return centred, np.exp(np.log(var + _LAYER_NORM_EPS) * -0.5)
+
+    centred, inv_std = normalised()
+    data = centred * inv_std
+    data *= gain.data
+    data += bias.data
+
+    def backward_fn(g):
+        centred, inv_std = normalised()
+        centred *= inv_std                  # the normalised input
+        lead = tuple(range(g.ndim - 1))
+        g_gain = (g * centred).sum(axis=lead) if gain.requires_grad else None
+        g_bias = g.sum(axis=lead) if bias.requires_grad else None
+        g_x = None
+        if x.requires_grad:
+            g_x = g * gain.data
+            g_x -= centred * (g_x * centred).mean(axis=-1, keepdims=True)
+            g_x *= inv_std
+            g_x -= g_x.mean(axis=-1, keepdims=True)
+        return g_x, g_gain, g_bias
+
+    return _result(data, "layer_norm", (x, gain, bias), backward_fn)
+
+
+def attention(q, k, v, heads: int, return_weights: bool = False):
+    """Scaled dot-product attention of (N, t, e) operands, split into
+    ``heads`` heads of e / heads channels along the last axis: each of the
+    N sequences attends over its own t positions, and the (N, t, e) context
+    comes back with the heads side by side again.
+
+    The (N, heads, t, t) weights are not recorded: the backward recomputes
+    them from ``q`` and ``k``.  With ``return_weights`` the result is the
+    context and the weights as an unrecorded tensor.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape \
+            or q.shape[-1] % heads:
+        raise ShapeMismatchError(
+            f"attention: {q.shape}, {k.shape}, {v.shape} in {heads} heads")
+    n, t, e = q.shape
+    dh = e // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        """(N, t, e) -> (N, heads, t, dh), a view."""
+        return a.reshape((n, t, heads, dh)).transpose((0, 2, 1, 3))
+
+    def weights():
+        """The softmax of the scaled scores, max-subtracted."""
+        alpha = split(q.data) @ split(k.data).transpose((0, 1, 3, 2))
+        alpha *= scale
+        alpha -= alpha.max(axis=-1, keepdims=True)
+        np.exp(alpha, out=alpha)
+        alpha /= alpha.sum(axis=-1, keepdims=True)
+        return alpha
+
+    alpha = weights()
+    data = (alpha @ split(v.data)).transpose((0, 2, 1, 3)).reshape((n, t, e))
+
+    def backward_fn(g):
+        alpha = weights()
+        g = split(g)
+        g_v = None
+        if v.requires_grad:
+            g_v = (alpha.transpose((0, 1, 3, 2)) @ g).transpose((0, 2, 1, 3)) \
+                .reshape((n, t, e))
+        g_scores = g @ split(v.data).transpose((0, 1, 3, 2))
+        g_scores -= (g_scores * alpha).sum(axis=-1, keepdims=True)
+        g_scores *= alpha                   # the softmax's Jacobian
+        g_scores *= scale
+        g_q = g_k = None
+        if q.requires_grad:
+            g_q = (g_scores @ split(k.data)).transpose((0, 2, 1, 3)).reshape((n, t, e))
+        if k.requires_grad:
+            g_k = (g_scores.transpose((0, 1, 3, 2)) @ split(q.data)) \
+                .transpose((0, 2, 1, 3)).reshape((n, t, e))
+        return g_q, g_k, g_v
+
+    out = _result(data, "attention", (q, k, v), backward_fn)
+    return (out, Tensor(alpha)) if return_weights else out
 
 
 # -- reverse pass -------------------------------------------------------------

@@ -21,12 +21,7 @@ from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
 from stedge.edgegraph import edge_list, hodge_spectrum, line_graph_degrees
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
-from stedge.stgraph import (
-    DisconnectedGraphError,
-    effective_resistance,
-    patch_adjacencies,
-    patch_starts,
-)
+from stedge.stgraph import effective_resistances, patch_adjacencies, patch_starts
 from stedge.synth import gradcheck_window
 from stedge.trainer import (
     NonFiniteGradientError,
@@ -190,20 +185,18 @@ def cmd_graph_stats(args) -> int:
                 entry["degree_histogram"] = dict(zip(map(str, degree), count.tolist()))
                 entry["l1_spectrum"] = [round(float(v), 9) for v in hodge_spectrum(adj)]
             report["patches"].append(entry)
+            covered, nodes = [], []
             for (ped_a, t_a), (ped_b, t_b) in pairs:
                 if ped_a not in window.ped_ids or ped_b not in window.ped_ids:
                     continue
                 if not (start <= t_a < start + length
                         and start <= t_b < start + length):
                     continue
-                ia = window.ped_ids.index(ped_a) * length + (t_a - start)
-                ib = window.ped_ids.index(ped_b) * length + (t_b - start)
-                try:
-                    value = effective_resistance(adj, ia, ib)
-                except DisconnectedGraphError:
-                    value = None
-                resistance.append({"pair": [[ped_a, t_a], [ped_b, t_b]],
-                                   "k": k, "resistance": value})
+                covered.append([[ped_a, t_a], [ped_b, t_b]])
+                nodes.append((window.ped_ids.index(ped_a) * length + (t_a - start),
+                              window.ped_ids.index(ped_b) * length + (t_b - start)))
+            for pair, value in zip(covered, effective_resistances(adj, nodes)):
+                resistance.append({"pair": pair, "k": k, "resistance": value})
         if pairs:
             report["resistance"] = resistance
         print(json.dumps(report, sort_keys=True))

@@ -36,9 +36,10 @@ by adaptive moments smooth (see ``init_parameters`` and
   the learning rate.
 
 Before it records its first op, ``forward`` estimates the window's tape
-(``tape_bytes``) and raises ``WindowTooLargeError`` when the estimate
-exceeds physical memory, so a very large crowd fails with a named error
-instead of an out-of-memory kill.
+(``tape_bytes``) plus the parameter gradients every backward allocates,
+and raises ``WindowTooLargeError`` when the sum exceeds physical memory,
+so a very large crowd fails with a named error instead of an
+out-of-memory kill.
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ _NODE_ARRAYS = 13        # (n, d) per patch: attention, fusion, pooling
 _PAIR_ARRAYS = 3         # (n, n) per patch: scores, masked scores, attention
 _TOKEN_ARRAYS = 3        # (N, K + T_pred, d): the token sequence
 _ENCODER_IO_ARRAYS = 3   # (N, K + T_pred, e): input projection and head input
-_LAYER_ARRAYS = 37       # (N, K + T_pred, e) per encoder layer, 2e-wide counting 2
-_SCORE_ARRAYS = 3        # (N, heads, K + T_pred, K + T_pred) per encoder layer
+# (N, K + T_pred, e) per encoder layer, the 2e-wide FFN hidden counting 2:
+# q, k and v, the attention context and output, two residual sums, two
+# layer norms and the FFN's two linears; the attention weights, the
+# centred inputs and the pre-ReLU hidden are recomputed, not recorded
+_LAYER_ARRAYS = 12
 
 
 def _physical_memory() -> float:
@@ -109,12 +113,12 @@ def _physical_memory() -> float:
         return math.inf
 
 
-# the most tape one window may record; a window above it is refused
+# the most tape plus gradients one window may need; a window above it is refused
 TAPE_BUDGET_BYTES = _physical_memory()
 
 
 class WindowTooLargeError(ValueError):
-    """A window's forward would record more tape than physical memory."""
+    """A window's tape and gradients would need more than physical memory."""
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,8 @@ def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     tape), from N, the widths and each patch's edge count; the backward
     holds the tape until it has run.  The edge branch records an (m, d)
     filter output and its (m, d) or (m, 1) pre-sigmoid gates per patch;
-    no recorded array grows as n^2 d."""
+    no recorded array grows as n^2 d, and the encoder records no
+    (K + T_pred)^2 attention weights."""
     d, e, length = cfg.model_dim, cfg.encoder_dim, cfg.token_len
     n = n_peds * cfg.patch_len
     gate_width = 1 if cfg.fusion_gate == "scalar" else d
@@ -257,8 +262,7 @@ def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
         if cfg.fusion_gate != "zero":
             entries += m * (d + gate_width)
     entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IO_ARRAYS * e)
-    entries += cfg.encoder_layers * n_peds * length * (
-        _LAYER_ARRAYS * e + _SCORE_ARRAYS * cfg.encoder_heads * length)
+    entries += cfg.encoder_layers * n_peds * length * _LAYER_ARRAYS * e
     return 8 * entries
 
 
@@ -295,15 +299,18 @@ class TrajectoryForecaster:
                 f"window horizons ({window.t_obs}, {window.t_pred}) != "
                 f"configured ({cfg.t_obs}, {cfg.t_pred})")
         adjacencies = patch_adjacencies(window.obs, cfg.patching(), cfg.max_distance)
-        # refuse a window whose tape cannot fit before recording any of it
-        need = tape_bytes(cfg, window.n_peds,
+        # refuse a window whose tape and the leaf gradients of its backward
+        # cannot fit before recording any of it
+        params = self.params
+        tape = tape_bytes(cfg, window.n_peds,
                           [np.count_nonzero(a) // 2 for a in adjacencies])
-        if need > TAPE_BUDGET_BYTES:
+        grads = 8 * params.n_values()
+        if tape + grads > TAPE_BUDGET_BYTES:
             raise WindowTooLargeError(
                 f"a window of N={window.n_peds} pedestrians needs an estimated "
-                f"{need / 2**20:.1f} MiB of autodiff tape, more than the "
+                f"{tape / 2**20:.1f} MiB of autodiff tape and "
+                f"{grads / 2**20:.1f} MiB of gradients, more than the "
                 f"{TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
-        params = self.params
         feats = init_features(window, params, cfg.endpoint_mode)
         x = feats @ params["feat.w_proj"]
         patches = segment_patches(x, cfg.patching(), window.obs, adjacencies)

@@ -21,11 +21,12 @@ from stedge.autodiff import (
     ParameterStore,
     ShapeMismatchError,
     Tensor,
+    attention,
     concatenate,
     exp,
-    leaky_relu,
+    layer_norm,
+    linear,
     log,
-    softmax,
     tanh,
 )
 
@@ -33,7 +34,6 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 RHO_BOUND = 0.999  # smooth clamp: rho = 0.999 * tanh(raw)
 
 _STREAM_SAMPLING = 2  # sub-stream tag under the master seed
-_LAYER_NORM_EPS = 1e-5
 
 
 @dataclass
@@ -91,33 +91,20 @@ def assemble_tokens(hist: Tensor, placeholder: Tensor,
     return concatenate([hist, fut], axis=1) + positional
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = exp(log(var + _LAYER_NORM_EPS) * -0.5)
-    return centered * inv_std * gain + bias
-
-
 def multi_head_attention(x: Tensor, params: ParameterStore, prefix: str,
-                         heads: int):
-    """Full (non-causal) scaled dot-product attention per pedestrian."""
-    n, t, e = x.shape
-    dh = e // heads
-
-    def project(name, bias=True):
-        y = x @ params[f"{prefix}.w{name}"]
-        if bias:
-            y = y + params[f"{prefix}.b{name}"]
-        return y.reshape((n, t, heads, dh)).transpose((0, 2, 1, 3))
+                         heads: int, return_attention: bool = False):
+    """Full (non-causal) scaled dot-product attention per pedestrian, and
+    its (N, heads, t, t) weights with ``return_attention`` (else None)."""
+    def p(name):
+        return params[f"{prefix}.{name}"]
 
     # no key bias: a shared key offset shifts every logit of a query's row
     # equally, which the softmax cancels, so the parameter would be dead
-    q, k, v = project("q"), project("k", bias=False), project("v")
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    alpha = softmax(scores)                    # (n, heads, t, t)
-    ctx = (alpha @ v).transpose((0, 2, 1, 3)).reshape((n, t, e))
-    out = ctx @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
-    return out, alpha
+    ctx = attention(linear(x, p("wq"), p("bq")), x @ p("wk"),
+                    linear(x, p("wv"), p("bv")), heads,
+                    return_weights=return_attention)
+    ctx, alpha = ctx if return_attention else (ctx, None)
+    return linear(ctx, p("wo"), p("bo")), alpha
 
 
 def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
@@ -127,11 +114,12 @@ def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
     attentions = []
     for i in range(layers):
         lp = f"enc.l{i}"
-        attn, alpha = multi_head_attention(x, params, f"{lp}.att", heads)
+        attn, alpha = multi_head_attention(x, params, f"{lp}.att", heads,
+                                           return_attention)
         attentions.append(alpha)
         x = layer_norm(x + attn, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
-        ff = leaky_relu(x @ params[f"{lp}.ffn.w1"] + params[f"{lp}.ffn.b1"], 0.0)
-        ff = ff @ params[f"{lp}.ffn.w2"] + params[f"{lp}.ffn.b2"]
+        ff = linear(x, params[f"{lp}.ffn.w1"], params[f"{lp}.ffn.b1"], relu=True)
+        ff = linear(ff, params[f"{lp}.ffn.w2"], params[f"{lp}.ffn.b2"])
         x = layer_norm(x + ff, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
     return (x, attentions) if return_attention else x
 

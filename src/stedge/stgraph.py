@@ -194,35 +194,53 @@ def laplacian_pinv(adjacency) -> np.ndarray:
     return (v * inv) @ v.T
 
 
-def _same_component(a: np.ndarray, i: int, j: int) -> bool:
+def _component_labels(a: np.ndarray) -> np.ndarray:
+    """Each node's connected component, named by its lowest node."""
+    labels = np.full(len(a), -1)
+    for root in range(len(a)):
+        if labels[root] >= 0:
+            continue
+        labels[root] = root
+        frontier = [root]
+        while frontier:
+            reached = np.flatnonzero((a[frontier.pop()] != 0.0) & (labels < 0))
+            labels[reached] = root
+            frontier.extend(reached.tolist())
+    return labels
+
+
+def effective_resistances(adjacency, pairs) -> list:
+    """R_ij = (e_i - e_j)^T L^+ (e_i - e_j) for each (i, j) node pair, all
+    read off one pseudoinverse and one labelling of the components; None
+    for a pair in different components (infinite resistance)."""
+    a = _check_adjacency(adjacency)
     n = len(a)
-    seen = np.zeros(n, dtype=bool)
-    frontier = [i]
-    seen[i] = True
-    while frontier:
-        u = frontier.pop()
-        for w in np.flatnonzero(a[u] != 0.0):
-            if not seen[w]:
-                seen[w] = True
-                frontier.append(int(w))
-    return bool(seen[j])
+    labels = _component_labels(a) if pairs else None
+    pinv = None
+    out = []
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"node pair ({i}, {j}) outside graph of {n} nodes")
+        if i == j:
+            out.append(0.0)
+        elif labels[i] != labels[j]:
+            out.append(None)
+        else:
+            if pinv is None:
+                pinv = laplacian_pinv(a)
+            e = np.zeros(n)
+            e[i], e[j] = 1.0, -1.0
+            out.append(float(e @ pinv @ e))
+    return out
 
 
 def effective_resistance(adjacency, i: int, j: int) -> float:
-    """R_ij = (e_i - e_j)^T L^+ (e_i - e_j) on a connected node pair."""
-    a = _check_adjacency(adjacency)
-    n = len(a)
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node pair ({i}, {j}) outside graph of {n} nodes")
-    if i == j:
-        return 0.0
-    if not _same_component(a, i, j):
+    """R_ij on a connected node pair (``effective_resistances``)."""
+    (value,) = effective_resistances(adjacency, [(i, j)])
+    if value is None:
         raise DisconnectedGraphError(
             f"nodes {i} and {j} are in different components (infinite resistance)")
-    lp = laplacian_pinv(a)
-    e = np.zeros(n)
-    e[i], e[j] = 1.0, -1.0
-    return float(e @ lp @ e)
+    return value
 
 
 def resistance_matrix(adjacency) -> np.ndarray:

@@ -7,13 +7,15 @@ from stedge.autodiff import (
     ParameterStore,
     ShapeMismatchError,
     Tensor,
+    attention,
     backward,
     concatenate,
     elu,
     exp,
     gradcheck,
     gated_neighbour_sum,
-    leaky_relu,
+    layer_norm,
+    linear,
     log,
     matmul_elu,
     pair_attention_logits,
@@ -133,7 +135,6 @@ def _fd_for(param, closure, eps=1e-6):
     ("exp", lambda t: exp(t).sum()),
     ("log", lambda t: log(t * t + 1.0).sum()),
     ("tanh", lambda t: tanh(t).sum()),
-    ("leaky_relu", lambda t: leaky_relu(t, 0.2).sum()),
     ("elu", lambda t: elu(t).sum()),
     # pair sums kept 1 clear of LeakyReLU's kink, on both sides of it
     ("pair_attention_logits", lambda t: (
@@ -142,6 +143,15 @@ def _fd_for(param, closure, eps=1e-6):
     ("gated_neighbour_sum", lambda t: (gated_neighbour_sum(
         t, t, _TRIANGLE_ROWS, _TRIANGLE_COLS) * _WEIGHTS).sum()),
     ("matmul_elu", lambda t: (matmul_elu(t, t.T * 0.5) * _WEIGHTS[:, :3]).sum()),
+    # ReLU inputs kept at least 1 clear of the kink, on both sides of it
+    ("linear", lambda t: (
+        linear(t, t.T * 0.1, t[0, :3] * 0.1 + 3.0, relu=True) * _WEIGHTS[:, :3]
+        + linear(t, t.T * 0.1, t[1, :3] * 0.1 - 3.0, relu=True) * _WEIGHTS[:, 1:]
+        + linear(t, t.T, t[2, :3]) * _WEIGHTS[:, :3]).sum()),
+    ("layer_norm", lambda t: (layer_norm(t, t[0], t[1]) * _WEIGHTS).sum()),
+    ("attention", lambda t: (attention(
+        t.reshape((1, 3, 4)), (t * 0.5).reshape((1, 3, 4)),
+        (t * t).reshape((1, 3, 4)), 2).reshape((3, 4)) * _WEIGHTS).sum()),
     ("softmax", lambda t: (softmax(t) * softmax(t)).sum()),
     ("mul", lambda t: (t * t * t).sum()),
     ("sub", lambda t: ((t - 0.3) * t).sum()),
@@ -361,3 +371,15 @@ def test_fused_op_shape_mismatch():
                               Tensor(np.ones(2)))
     with pytest.raises(ShapeMismatchError):
         matmul_elu(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
+
+
+def test_fused_encoder_op_shape_mismatch():
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeMismatchError):     # bias as wide as the input
+        linear(x, Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeMismatchError):
+        layer_norm(x, Tensor(np.ones(3)), Tensor(np.ones(4)))
+    with pytest.raises(ShapeMismatchError):     # 4 channels in 3 heads
+        attention(x, x, x, 3)
+    with pytest.raises(ShapeMismatchError):
+        attention(x, x, Tensor(np.ones((2, 4, 4))), 2)

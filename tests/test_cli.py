@@ -7,7 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import stedge.cli
 import stedge.model
+import stedge.stgraph
 from stedge.cli import build_parser, run
 from stedge.config import (
     BadConfigError,
@@ -18,6 +20,7 @@ from stedge.config import (
     parse_config_text,
 )
 from stedge.model import ModelConfig, TrajectoryForecaster
+from stedge.stgraph import effective_resistances
 from stedge.trainer import TrainConfig, save_checkpoint
 from stedge.synth import linear_records, write_overfit_scenes, write_trajectory_file
 
@@ -201,6 +204,39 @@ def test_graph_stats_edge_counts_do_not_depend_on_edges_flag(tmp_path, capsys):
         assert len(patch["l1_spectrum"]) == patch["edges"]   # one per B1 column
         del patch["degree_histogram"], patch["l1_spectrum"]
     assert without[0] == json.dumps(report, sort_keys=True)
+
+
+def test_graph_stats_takes_one_pseudoinverse_per_covering_patch(
+        tmp_path, capsys, monkeypatch):
+    """Every requested pair a patch covers is read off one pseudoinverse of
+    that patch, and the report is byte for byte the one that a
+    pseudoinverse per pair gives, disconnected pairs (null) included."""
+    records = linear_records([(1, (0.0, 0.0), (0.4, 0.0)),
+                              (2, (0.0, 1.0), (0.4, 0.1)),
+                              (3, (4.0, 0.0), (-0.3, 0.05))], n_frames=21)
+    scene = write_trajectory_file(tmp_path / "scene.txt", records)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\ngraph.max_distance = 1.5\n")
+    argv = ["graph-stats", "--config", str(cfg)]
+    for pair in ("1,2,2,2", "1,1,2,3", "1,2,1,3", "1,0,3,0", "1,6,3,7", "1,0,2,9"):
+        argv += ["--pair", pair]
+    calls = []
+    pinv = stedge.stgraph.laplacian_pinv
+    monkeypatch.setattr(stedge.stgraph, "laplacian_pinv",
+                        lambda a: calls.append(len(a)) or pinv(a))
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    entries = [(report["window"], r) for report in map(json.loads, out.splitlines())
+               for r in report["resistance"]]
+    assert any(r["resistance"] is None for _, r in entries)
+    resolved = [(w, r["k"]) for w, r in entries if r["resistance"] is not None]
+    assert len(calls) == len(set(resolved)) < len(resolved)
+
+    calls.clear()
+    monkeypatch.setattr(stedge.cli, "effective_resistances", lambda adj, nodes: [
+        effective_resistances(adj, [pair])[0] for pair in nodes])
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out
+    assert len(calls) == len(resolved)
 
 
 def test_graph_stats_edges_on_20_walkers_stays_small(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""The fused pair and edge ops against the chains of recorded ops they
-replace: outputs and every input gradient, per op and through the whole
-model, and the size of the tape they leave."""
+"""The fused pair, edge and encoder ops against the chains of recorded ops
+they replace: outputs and every input gradient, per op and through the
+whole model, and the size of the tape they leave."""
 
+import math
 import os
 from dataclasses import replace
 
@@ -11,15 +12,21 @@ import pytest
 import stedge.autodiff
 import stedge.edgegraph
 import stedge.model
+import stedge.predictor
 import stedge.stgraph
 from stedge.autodiff import (
     Tensor,
+    attention,
     backward,
     elu,
+    exp,
     gated_neighbour_sum,
-    leaky_relu,
+    layer_norm,
+    linear,
+    log,
     matmul_elu,
     pair_attention_logits,
+    softmax,
     tanh,
 )
 from stedge.model import (
@@ -38,12 +45,19 @@ TOL = 1e-12
 # -- the unfused chains ------------------------------------------------------------
 
 
+def _leaky_relu(x, negative_slope):
+    """The rectifier as a recorded product with its slope, 1 where x >= 0;
+    below zero the forward is negative_slope * x, so a slope of 0 gives
+    -0.0 there."""
+    return x * Tensor(np.where(x.data >= 0.0, 1.0, negative_slope))
+
+
 def _unfused_pair_attention_logits(dst, src, att):
     """The (n, n, d) pair sum, its rectifier and the product with att, each
     recorded."""
     (n_dst, d), n_src = dst.shape, src.shape[0]
     pair = dst.reshape((n_dst, 1, d)) + src.reshape((1, n_src, d))
-    return (leaky_relu(pair) @ att.reshape((d, 1))).reshape((n_dst, n_src))
+    return (_leaky_relu(pair, 0.2) @ att.reshape((d, 1))).reshape((n_dst, n_src))
 
 
 def _unfused_gated_neighbour_sum(z, x, rows, cols):
@@ -57,6 +71,34 @@ def _unfused_gated_neighbour_sum(z, x, rows, cols):
 
 def _unfused_matmul_elu(a, b):
     return elu(a @ b)
+
+
+def _unfused_linear(x, w, b, relu=False):
+    y = x @ w + b
+    return _leaky_relu(y, 0.0) if relu else y
+
+
+def _unfused_layer_norm(x, gain, bias):
+    """The encoder's eleven-op layer norm."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = exp(log(var + 1e-5) * -0.5)
+    return centered * inv_std * gain + bias
+
+
+def _unfused_attention(q, k, v, heads, return_weights=False):
+    """Heads split by reshape and transpose, the scaled scores, the softmax
+    and the weighted sum, each recorded."""
+    n, t, e = q.shape
+    dh = e // heads
+
+    def split(a):
+        return a.reshape((n, t, heads, dh)).transpose((0, 2, 1, 3))
+
+    scores = (split(q) @ split(k).transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    alpha = softmax(scores)
+    ctx = (alpha @ split(v)).transpose((0, 2, 1, 3)).reshape((n, t, e))
+    return (ctx, alpha) if return_weights else ctx
 
 
 def _outputs_and_grads(run, leaves, seed):
@@ -124,6 +166,63 @@ def test_matmul_elu_matches_unfused_chain(case):
     _assert_parity(matmul_elu, _unfused_matmul_elu, leaves, rng.normal(size=(40, 6)))
 
 
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("shape", [(7, 5), (3, 4, 5)], ids=["2d", "3d"])
+def test_linear_matches_unfused_chain(shape, relu):
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=shape)
+    x[..., 0, :] = 0.0          # a row of exact zeros: its pre-activation is b
+    b = rng.normal(size=6)
+    b[:2] = 0.0                 # ... and exactly 0 in these two columns
+    leaves = [Tensor(x, requires_grad=True),
+              Tensor(rng.normal(size=(5, 6)), requires_grad=True),
+              Tensor(b, requires_grad=True)]
+    pre = (leaves[0].data @ leaves[1].data + b).reshape(-1, 6)
+    assert np.any(pre == 0.0) and np.any(pre < 0.0) and np.any(pre > 0.0)
+    _assert_parity(lambda x_, w_, b_: linear(x_, w_, b_, relu=relu),
+                   lambda x_, w_, b_: _unfused_linear(x_, w_, b_, relu=relu),
+                   leaves, rng.normal(size=shape[:-1] + (6,)))
+
+
+def test_linear_relu_forward_is_the_rectifier_bit_for_bit():
+    x = Tensor(np.array([[1.0, 0.0, -2.0]]))
+    out = linear(x, Tensor(np.eye(3)), Tensor(np.zeros(3)), relu=True).data
+    np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0]])
+    assert list(np.signbit(out[0])) == [False, False, True]   # 0 * -2 = -0.0
+
+
+@pytest.mark.parametrize("case", ["mixed", "constant_row", "one_position"])
+def test_layer_norm_matches_unfused_chain(case):
+    rng = np.random.default_rng(45)
+    shape = (1, 1, 8) if case == "one_position" else (3, 4, 8)
+    x = rng.normal(3.0, 2.0, size=shape)
+    if case == "constant_row":
+        x[1, 2] = 0.7
+    leaves = [Tensor(x, requires_grad=True),
+              Tensor(rng.normal(size=8), requires_grad=True),
+              Tensor(rng.normal(size=8), requires_grad=True)]
+    _assert_parity(layer_norm, _unfused_layer_norm, leaves, rng.normal(size=shape))
+    assert layer_norm(*leaves).data.tobytes() == \
+        _unfused_layer_norm(*leaves).data.tobytes()
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("t", [1, 6])
+def test_attention_matches_unfused_chain(heads, t):
+    rng = np.random.default_rng(46)
+    shape = (3, t, 8)
+    leaves = [Tensor(rng.normal(size=shape) * 2.0, requires_grad=True)
+              for _ in range(3)]
+    _assert_parity(lambda q, k, v: attention(q, k, v, heads),
+                   lambda q, k, v: _unfused_attention(q, k, v, heads),
+                   leaves, rng.normal(size=shape))
+    ctx, weights = attention(*leaves, heads, return_weights=True)
+    want_ctx, want_weights = _unfused_attention(*leaves, heads, return_weights=True)
+    assert ctx.data.tobytes() == want_ctx.data.tobytes()
+    assert weights.data.tobytes() == want_weights.data.tobytes()
+    assert weights.shape == (3, heads, t, t) and weights._backward is None
+
+
 # -- through the model -----------------------------------------------------------------
 
 
@@ -160,6 +259,29 @@ def test_model_matches_unfused_forward(n, max_distance, gate, monkeypatch):
         assert np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max()), name
 
 
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_model_matches_unfused_encoder(n, max_distance, monkeypatch):
+    """The default-config loss and forecast bit for bit, and every parameter
+    gradient, with the fused encoder ops and with the chains they replace
+    patched in where the encoder calls them."""
+    cfg = ModelConfig(max_distance=max_distance)
+    window = _circle_window(n)
+    loss, grads = _loss_and_grads(cfg, window)
+    track = TrajectoryForecaster(cfg, seed=0).predict(window)
+    monkeypatch.setattr(stedge.predictor, "linear", _unfused_linear)
+    monkeypatch.setattr(stedge.predictor, "layer_norm", _unfused_layer_norm)
+    monkeypatch.setattr(stedge.predictor, "attention", _unfused_attention)
+    want_loss, want_grads = _loss_and_grads(cfg, window)
+    want_track = TrajectoryForecaster(cfg, seed=0).predict(window)
+    assert loss == want_loss
+    for field in ("mu", "sigma", "rho"):
+        assert getattr(track, field).tobytes() == getattr(want_track, field).tobytes()
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= TOL * max(1.0, np.abs(want).max()), name
+
+
 def _tape_bytes(loss):
     """Bytes of every array a recorded op produced, over the graph behind
     ``loss``."""
@@ -175,10 +297,12 @@ def _tape_bytes(loss):
     return total
 
 
-def test_tape_of_a_20_walker_window_stays_under_100_mib():
-    # 200.8 MiB while the pair sums, the gates and their grid were recorded
+def test_tape_of_a_20_walker_window_stays_under_55_mib():
+    # 200.8 MiB while the pair sums, the gates and their grid were recorded,
+    # 83.4 MiB while the encoder's attention weights, layer-norm pieces,
+    # bias sums and pre-ReLU hidden were
     loss = TrajectoryForecaster(ModelConfig(), seed=0).loss(_circle_window(20))
-    assert _tape_bytes(loss) <= 100 * 2**20
+    assert _tape_bytes(loss) <= 55 * 2**20
 
 
 # -- the memory guard ------------------------------------------------------------------
@@ -200,13 +324,21 @@ def test_tape_estimate_is_within_10_percent(cfg, max_distance, gate):
 def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
     window = _circle_window(20)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
-    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 50 * 2**20)
+    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 40 * 2**20)
     recorded = []
     monkeypatch.setattr(stedge.autodiff, "_result",
                         lambda *args: recorded.append(args[1]))
-    with pytest.raises(WindowTooLargeError, match=r"N=20 .* 83.3 MiB .* 50.0 MiB"):
+    with pytest.raises(WindowTooLargeError, match=r"N=20 .* 46.9 MiB of autodiff "
+                       r"tape and 9.6 MiB of gradients, .* 40.0 MiB"):
         model.loss(window)
     assert recorded == []
+
+
+def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
+    # the 46.9 MiB tape fits in 50 MiB, but not with 9.6 MiB of gradients
+    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 50 * 2**20)
+    with pytest.raises(WindowTooLargeError, match=r"46.9 MiB .* 9.6 MiB .* 50.0 MiB"):
+        TrajectoryForecaster(ModelConfig(), seed=0).loss(_circle_window(20))
 
 
 def test_window_under_the_budget_runs(monkeypatch):

@@ -14,6 +14,7 @@ from stedge.stgraph import (
     UnifiedPatch,
     build_node_adjacency,
     effective_resistance,
+    effective_resistances,
     gat_layer,
     patch_adjacencies,
     patch_count,
@@ -240,6 +241,20 @@ def test_resistance_disconnected_is_error():
     assert effective_resistance(adj, 0, 1) == pytest.approx(1.0)
     with pytest.raises(DisconnectedGraphError):
         effective_resistance(adj, 0, 2)
+
+
+def test_resistances_of_many_pairs_are_the_single_pair_values():
+    adj = np.zeros((5, 5))
+    adj[:3, :3] = _cycle(3)
+    adj[3, 4] = adj[4, 3] = 1.0
+    pairs = [(0, 1), (1, 2), (2, 2), (0, 3), (3, 4), (2, 0)]
+    got = effective_resistances(adj, pairs)
+    assert got[2] == 0.0 and got[3] is None       # same node; other component
+    for (i, j), value in zip(pairs, got):
+        if value is not None:
+            assert value == effective_resistance(adj, i, j)
+    with pytest.raises(IndexError):
+        effective_resistances(adj, [(0, 5)])
 
 
 def _random_connected(rng, n=6):
