@@ -10,7 +10,7 @@ The model never builds B1.  It keeps each edge signal on the patch's
 (n, n) node-pair grid, edge (u, v), u < v, at [u, v] and antisymmetric,
 where B1 x is a column sum and B1^T y is y[v] - y[u]; the patch adjacency
 is then the only structure the edge branch needs, and L1's spectrum comes
-from the node Laplacian (``hodge_spectrum``).  ``boundary_operator``,
+from the node Laplacian's (``hodge_spectrum``).  ``boundary_operator``,
 ``line_graph`` and ``hodge_laplacian`` build B1, the dense edge graph and
 L1 as references for tests and demos only.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stedge.autodiff import Tensor, elu, gated_neighbour_sum, matmul_elu
-from stedge.stgraph import UnifiedPatch, graph_laplacian
+from stedge.stgraph import UnifiedPatch, laplacian_spectrum, node_distances
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
 
@@ -113,12 +113,10 @@ def line_graph_degrees(adjacency) -> np.ndarray:
 def hodge_spectrum(adjacency) -> np.ndarray:
     """L1's eigenvalues, ascending, one per edge, without building L1:
     D - A = B1 B1^T shares L1 = B1^T B1's nonzero spectrum, and L1's other
-    eigenvalues are zeros.  Each component's smallest nonzero eigenvalue is
-    at least 4 / n^2 (Mohar), far above the solver's error of about
-    n^2 eps, so one below 1 / n^2 counts as zero."""
+    eigenvalues are zeros (the zero rule is ``laplacian_spectrum``'s)."""
     a = np.asarray(adjacency)
-    values = np.linalg.eigvalsh(graph_laplacian(a))
-    nonzero = values[values >= 1.0 / len(a) ** 2]
+    values = laplacian_spectrum(a)
+    nonzero = values[values > 0.0]
     zeros = np.zeros(np.count_nonzero(np.triu(a, 1)) - len(nonzero))  # m - rank
     return np.concatenate([zeros, nonzero])
 
@@ -190,9 +188,7 @@ def edge_distances(patch: UnifiedPatch) -> np.ndarray:
     u < v, -d at [v, u], zero off the patch's edges.  Distances are the
     raw geometric edge feature.
     """
-    pos = patch.positions
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    upper = np.triu(dist * patch.adjacency, 1)
+    upper = np.triu(node_distances(patch.positions) * patch.adjacency, 1)
     return upper - upper.T
 
 

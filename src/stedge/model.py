@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate
+from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate, linear
 from stedge.data import ENDPOINT_MODES, Window, future_displacements, init_features
 from stedge.edgegraph import (
     EdgeGraph,
@@ -97,7 +97,7 @@ _FEATURE_ARRAYS = 7      # (N, T_obs, d): three embeddings, their 3d-wide join, 
 _NODE_ARRAYS = 13        # (n, d) per patch: attention, fusion, pooling
 _PAIR_ARRAYS = 3         # (n, n) per patch: scores, masked scores, attention
 _TOKEN_ARRAYS = 3        # (N, K + T_pred, d): the token sequence
-_ENCODER_IO_ARRAYS = 3   # (N, K + T_pred, e): input projection and head input
+_ENCODER_IO_ARRAYS = 2   # (N, K + T_pred, e): input projection and head input
 # (N, K + T_pred, e) per encoder layer, the 2e-wide FFN hidden counting 2:
 # q, k and v, the attention context and output, two residual sums, two
 # layer norms and the FFN's two linears; the attention weights, the
@@ -338,7 +338,7 @@ class TrajectoryForecaster:
         pooled = stack_and_pool(fused, window.n_peds, cfg.patch_len)
         tokens = assemble_tokens(pooled, params["pred.placeholder"],
                                  params["pred.positional"])
-        enc_in = tokens @ params["enc.in_w"] + params["enc.in_b"]
+        enc_in = linear(tokens, params["enc.in_w"], params["enc.in_b"])
         result = encoder_forward(enc_in, params, heads=cfg.encoder_heads,
                                  layers=cfg.encoder_layers,
                                  return_attention=return_attention)

@@ -127,7 +127,7 @@ def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
 def gaussian_parameters(y_repr: Tensor, head_w: Tensor, head_b: Tensor,
                         t_pred: int):
     """Project the last T_pred positions to (mu, log_sigma, rho) tensors."""
-    raw = y_repr[:, -t_pred:, :] @ head_w + head_b
+    raw = linear(y_repr[:, -t_pred:, :], head_w, head_b)
     mu = raw[..., 0:2]
     log_sigma = raw[..., 2:4]
     rho = tanh(raw[..., 4:5]) * RHO_BOUND

@@ -3,8 +3,9 @@
 Observed features are segmented into K overlapping length-L patches; each
 patch becomes one graph whose nodes are (pedestrian, time-slot) pairs in
 pedestrian-major order, so cross-time interaction is a single hop.  Node
-embeddings come from a single attention layer; effective resistance via the
-Laplacian pseudoinverse quantifies how much the dense patch wiring eases
+embeddings come from a single attention layer; effective resistance, read
+off the one eigendecomposition of the patch Laplacian
+(``laplacian_spectrum``), quantifies how much the dense patch wiring eases
 message passing.
 """
 
@@ -17,7 +18,6 @@ import numpy as np
 from stedge.autodiff import Tensor, elu, pair_attention_logits, softmax
 
 _NEG_INF = 1e30  # added with weight -1 to logits of non-neighbours
-_PINV_REL_TOL = 1e-9
 
 
 class PatchTooLongError(ValueError):
@@ -87,8 +87,7 @@ def build_node_adjacency(n_peds: int, length: int, positions=None,
         return adj
     if positions is None:
         raise ValueError("max_distance thresholding needs node positions")
-    positions = np.asarray(positions, dtype=np.float64)
-    dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    dist = node_distances(positions)
     ped_of = np.arange(n) // length
     same_ped = ped_of[:, None] == ped_of[None, :]
     adj *= (same_ped | (dist <= max_distance)).astype(float)
@@ -98,6 +97,13 @@ def build_node_adjacency(n_peds: int, length: int, positions=None,
         j = int(np.argmin(d))
         adj[i, j] = adj[j, i] = 1.0
     return adj
+
+
+def node_distances(positions) -> np.ndarray:
+    """Euclidean distance between every two of the (n, 2) node positions,
+    (n, n)."""
+    pos = np.asarray(positions, dtype=np.float64)
+    return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
 
 
 def patch_adjacencies(positions, cfg: PatchingConfig,
@@ -178,60 +184,56 @@ def graph_laplacian(adjacency) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def laplacian_pinv(adjacency) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the graph Laplacian.
+def laplacian_spectrum(adjacency, vectors: bool = False):
+    """The eigenvalues of D - A, ascending, and with ``vectors`` the
+    orthonormal eigenvectors as columns, (values, vectors).
 
-    Eigenvalues below _PINV_REL_TOL * lambda_max are the (near-)null space
-    of a connected graph and invert to zero.
+    The one zero rule: an eigenvalue below 1 / n^2 is set to 0.0.  Each
+    component's smallest nonzero eigenvalue is at least 4 / n^2 (Mohar,
+    Graphs and Combinatorics 1991), far above the solver's error of about
+    n^2 eps, so there is one zero per component.  Values alone come from
+    ``eigvalsh``, whose top eigenvalue is not bit for bit ``eigh``'s.
     """
     lap = graph_laplacian(adjacency)
-    w, v = np.linalg.eigh(lap)
-    lam_max = float(w.max(initial=0.0))
-    if lam_max <= 0.0:
-        return np.zeros_like(lap)
-    inv = np.where(np.abs(w) < _PINV_REL_TOL * lam_max, 0.0,
-                   1.0 / np.where(np.abs(w) < _PINV_REL_TOL * lam_max, 1.0, w))
-    return (v * inv) @ v.T
+    values, vecs = np.linalg.eigh(lap) if vectors else (np.linalg.eigvalsh(lap), None)
+    values[values < 1.0 / len(lap) ** 2] = 0.0
+    return (values, vecs) if vectors else values
 
 
-def _component_labels(a: np.ndarray) -> np.ndarray:
-    """Each node's connected component, named by its lowest node."""
-    labels = np.full(len(a), -1)
-    for root in range(len(a)):
-        if labels[root] >= 0:
-            continue
-        labels[root] = root
-        frontier = [root]
-        while frontier:
-            reached = np.flatnonzero((a[frontier.pop()] != 0.0) & (labels < 0))
-            labels[reached] = root
-            frontier.extend(reached.tolist())
-    return labels
+def resistance_matrix(adjacency) -> np.ndarray:
+    """All-pairs effective resistance, R_ij = L+_ii + L+_jj - 2 L+_ij with
+    the pseudoinverse L+ = V diag(1/lambda) V^T over the nonzero
+    eigenvalues; infinite between components.
+
+    e_i - e_j has no part in the null space when i and j share a
+    component, and a squared part 1/|C_i| + 1/|C_j| >= 4/n when they do
+    not, so a part above 1/n marks a pair in different components.
+    """
+    values, vecs = laplacian_spectrum(adjacency, vectors=True)
+    kept = values > 0.0
+    pinv = (vecs[:, kept] * (1.0 / values[kept])) @ vecs[:, kept].T
+    null = vecs[:, ~kept] @ vecs[:, ~kept].T     # projector on the null space
+
+    def pair_sums(m):
+        d = np.diag(m)
+        return d[:, None] + d[None, :] - 2.0 * m
+
+    r = pair_sums(pinv)
+    r[pair_sums(null) > 1.0 / len(r)] = np.inf
+    return r
 
 
 def effective_resistances(adjacency, pairs) -> list:
-    """R_ij = (e_i - e_j)^T L^+ (e_i - e_j) for each (i, j) node pair, all
-    read off one pseudoinverse and one labelling of the components; None
-    for a pair in different components (infinite resistance)."""
-    a = _check_adjacency(adjacency)
-    n = len(a)
-    labels = _component_labels(a) if pairs else None
-    pinv = None
-    out = []
+    """R_ij for each (i, j) node pair, all read off one
+    ``resistance_matrix``; None for a pair in different components
+    (infinite resistance).  Self-pairs alone decompose nothing."""
+    n = len(_check_adjacency(adjacency))
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"node pair ({i}, {j}) outside graph of {n} nodes")
-        if i == j:
-            out.append(0.0)
-        elif labels[i] != labels[j]:
-            out.append(None)
-        else:
-            if pinv is None:
-                pinv = laplacian_pinv(a)
-            e = np.zeros(n)
-            e[i], e[j] = 1.0, -1.0
-            out.append(float(e @ pinv @ e))
-    return out
+    distinct = any(i != j for i, j in pairs)
+    r = resistance_matrix(adjacency) if distinct else np.zeros((n, n))
+    return [None if np.isinf(r[i, j]) else float(r[i, j]) for i, j in pairs]
 
 
 def effective_resistance(adjacency, i: int, j: int) -> float:
@@ -241,10 +243,3 @@ def effective_resistance(adjacency, i: int, j: int) -> float:
         raise DisconnectedGraphError(
             f"nodes {i} and {j} are in different components (infinite resistance)")
     return value
-
-
-def resistance_matrix(adjacency) -> np.ndarray:
-    """All-pairs effective resistance of a connected graph."""
-    lp = laplacian_pinv(adjacency)
-    d = np.diag(lp)
-    return d[:, None] + d[None, :] - 2.0 * lp

@@ -23,6 +23,7 @@ from stedge.model import ModelConfig, TrajectoryForecaster
 from stedge.stgraph import effective_resistances
 from stedge.trainer import TrainConfig, save_checkpoint
 from stedge.synth import linear_records, write_overfit_scenes, write_trajectory_file
+from test_model import _count_eigensolves
 
 TINY_MODEL = """
 data.t_obs = 8
@@ -208,9 +209,10 @@ def test_graph_stats_edge_counts_do_not_depend_on_edges_flag(tmp_path, capsys):
 
 def test_graph_stats_takes_one_pseudoinverse_per_covering_patch(
         tmp_path, capsys, monkeypatch):
-    """Every requested pair a patch covers is read off one pseudoinverse of
-    that patch, and the report is byte for byte the one that a
-    pseudoinverse per pair gives, disconnected pairs (null) included."""
+    """Every requested pair a patch covers is read off one
+    eigendecomposition of that patch, and the report is byte for byte the
+    one that an eigendecomposition per pair gives, disconnected pairs
+    (null) included."""
     records = linear_records([(1, (0.0, 0.0), (0.4, 0.0)),
                               (2, (0.0, 1.0), (0.4, 0.1)),
                               (3, (4.0, 0.0), (-0.3, 0.05))], n_frames=21)
@@ -220,9 +222,10 @@ def test_graph_stats_takes_one_pseudoinverse_per_covering_patch(
     for pair in ("1,2,2,2", "1,1,2,3", "1,2,1,3", "1,0,3,0", "1,6,3,7", "1,0,2,9"):
         argv += ["--pair", pair]
     calls = []
-    pinv = stedge.stgraph.laplacian_pinv
-    monkeypatch.setattr(stedge.stgraph, "laplacian_pinv",
-                        lambda a: calls.append(len(a)) or pinv(a))
+    spectrum = stedge.stgraph.laplacian_spectrum
+    monkeypatch.setattr(stedge.stgraph, "laplacian_spectrum",
+                        lambda a, vectors=False:
+                        calls.append(len(a)) or spectrum(a, vectors))
     assert run(argv) == 0
     out = capsys.readouterr().out
     entries = [(report["window"], r) for report in map(json.loads, out.splitlines())
@@ -236,7 +239,30 @@ def test_graph_stats_takes_one_pseudoinverse_per_covering_patch(
         effective_resistances(adj, [pair])[0] for pair in nodes])
     assert run(argv) == 0
     assert capsys.readouterr().out == out
-    assert len(calls) == len(resolved)
+    assert len(calls) == len(entries)
+
+
+def test_graph_stats_takes_at_most_one_eigensolve_of_each_kind_per_patch(
+        tmp_path, capsys, monkeypatch):
+    """L1's spectrum needs the eigenvalues of each patch, the resistances
+    of the pairs it covers its eigenvectors too: one eigvalsh per patch,
+    and one eigh per patch that covers a pair."""
+    records = linear_records([(1, (0.0, 0.0), (0.4, 0.0)),
+                              (2, (0.0, 1.0), (0.4, 0.1)),
+                              (3, (4.0, 0.0), (-0.3, 0.05))], n_frames=21)
+    scene = write_trajectory_file(tmp_path / "scene.txt", records)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\ngraph.max_distance = 1.5\n")
+    argv = ["graph-stats", "--config", str(cfg), "--edges"]
+    for pair in ("1,2,2,2", "1,1,2,3", "1,2,1,3", "1,0,3,0", "1,6,3,7"):
+        argv += ["--pair", pair]
+    calls = _count_eigensolves(monkeypatch)
+    assert run(argv) == 0
+    reports = list(map(json.loads, capsys.readouterr().out.splitlines()))
+    patches = sum(len(report["patches"]) for report in reports)
+    covering = len({(report["window"], r["k"]) for report in reports
+                    for r in report["resistance"]})
+    assert calls == {"eigh": covering, "eigvalsh": patches}
+    assert 0 < covering < patches
 
 
 def test_graph_stats_edges_on_20_walkers_stays_small(tmp_path, capsys):

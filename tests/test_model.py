@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stedge.model import (
     gradcheck_parameters,
     init_parameters,
 )
+from stedge.stgraph import patch_adjacencies
 from stedge.synth import gradcheck_window, overfit_windows
 
 SMALL = ModelConfig(model_dim=8, encoder_dim=16, encoder_heads=2, encoder_layers=1)
@@ -207,6 +209,33 @@ def test_structure_cache_consistency():
     fresh = TrajectoryForecaster(SMALL, seed=0)  # no state from earlier windows
     again = [fresh.loss(w).item() for w in windows]
     np.testing.assert_array_equal(base, again)
+
+
+def _count_eigensolves(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("gate", ["vector", "zero"])
+@pytest.mark.parametrize("max_distance", [None, 1.0])
+def test_forward_takes_one_eigvalsh_per_patch_with_edges(monkeypatch, max_distance, gate):
+    """lam comes from eigenvalues alone, one solve per patch whose edge
+    branch runs; the model never asks for eigenvectors."""
+    cfg = replace(SMALL, max_distance=max_distance, fusion_gate=gate)
+    window = _circle_window(5)
+    with_edges = sum(np.count_nonzero(a) > 0 for a in
+                     patch_adjacencies(window.obs, cfg.patching(), cfg.max_distance))
+    calls = _count_eigensolves(monkeypatch)
+    TrajectoryForecaster(cfg, seed=0).forward(window)
+    assert calls == {"eigh": 0, "eigvalsh": with_edges if gate != "zero" else 0}
 
 
 def test_max_distance_variant_runs():

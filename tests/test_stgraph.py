@@ -16,12 +16,14 @@ from stedge.stgraph import (
     effective_resistance,
     effective_resistances,
     gat_layer,
+    laplacian_spectrum,
     patch_adjacencies,
     patch_count,
     patch_starts,
     resistance_matrix,
     segment_patches,
 )
+from test_edgegraph import _all_graphs, _proximity_adjacencies
 
 
 # -- patching ---------------------------------------------------------------
@@ -319,3 +321,116 @@ def test_unified_patch_lowers_resistance_vs_chain():
     r_dense = resistance_matrix(dense)
     assert np.all(r_dense <= r_sparse + 1e-9)
     assert r_dense.max() < r_sparse.max()
+
+
+# -- the one spectral route ---------------------------------------------------
+
+
+def _relative_rule_pinv(adj):
+    """The pseudoinverse by the rule the spectral route replaced:
+    eigenvalues below 1e-9 * lambda_max invert to zero."""
+    lap = np.diag(adj.sum(axis=1)) - adj
+    w, v = np.linalg.eigh(lap)
+    lam_max = float(w.max(initial=0.0))
+    if lam_max <= 0.0:
+        return np.zeros_like(lap)
+    small = np.abs(w) < 1e-9 * lam_max
+    return (v * np.where(small, 0.0, 1.0 / np.where(small, 1.0, w))) @ v.T
+
+
+def _bfs_labels(adj):
+    """Each node's connected component, named by its lowest node."""
+    labels = np.full(len(adj), -1)
+    for root in range(len(adj)):
+        if labels[root] >= 0:
+            continue
+        labels[root] = root
+        frontier = [root]
+        while frontier:
+            reached = np.flatnonzero((adj[frontier.pop()] != 0.0) & (labels < 0))
+            labels[reached] = root
+            frontier.extend(reached.tolist())
+    return labels
+
+
+def _sparse_proximity_adjacencies(sizes=(5, 20, 50), seeds=range(5)):
+    """Seeded max_distance patch graphs spread over a 20 m square and linked
+    within 1 m, so that each has several components."""
+    for n_peds in sizes:
+        for seed in seeds:
+            pos = np.random.default_rng(seed).uniform(0.0, 20.0, size=(3 * n_peds, 2))
+            yield build_node_adjacency(n_peds, 3, pos, 1.0)
+
+
+def test_spectral_route_matches_relative_rule_pinv_and_bfs():
+    """Resistances agree with the relative-rule pseudoinverse to 1e-12, and
+    the infinite (None) verdicts with a breadth-first labelling, on every
+    graph with <= 5 nodes, proximity patches and complete patches up to
+    50 pedestrians."""
+    graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
+    graphs += list(_proximity_adjacencies()) + list(_sparse_proximity_adjacencies())
+    assert all(_bfs_labels(adj).max() > 0 for adj in _sparse_proximity_adjacencies())
+    graphs += [build_node_adjacency(n_peds, 3) for n_peds in (1, 2, 3, 5, 10, 20, 35, 50)]
+    for adj in graphs:
+        n = len(adj)
+        labels = _bfs_labels(adj)
+        apart = labels[:, None] != labels[None, :]
+        pinv = _relative_rule_pinv(adj)
+        d = np.diag(pinv)
+        want = d[:, None] + d[None, :] - pinv - pinv.T
+        got = resistance_matrix(adj)
+        np.testing.assert_array_equal(np.isinf(got), apart)
+        near = ~apart
+        assert np.all(np.abs(got - want)[near] <= 1e-12 * np.maximum(1.0, want[near]))
+        pairs = list(itertools.combinations(range(n), 2))
+        values = effective_resistances(adj, pairs)
+        assert [v is None for v in values] == [bool(apart[i, j]) for i, j in pairs]
+
+
+def test_zero_rule_keeps_the_path_spectrum():
+    """P_n's smallest nonzero eigenvalue, 2 - 2 cos(pi / n) ~ pi^2 / n^2,
+    stays nonzero up to n = 400, and its one null eigenvalue is exact."""
+    for n in range(1, 401):
+        path = np.eye(n, k=1) + np.eye(n, k=-1)
+        values = laplacian_spectrum(path)
+        assert values[0] == 0.0
+        assert np.count_nonzero(values) == n - 1
+
+
+def test_zero_rule_counts_the_components():
+    rng = np.random.default_rng(3)
+    for k in range(1, 7):
+        blocks = [build_node_adjacency(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+                  for _ in range(k)]
+        adj = np.zeros((sum(map(len, blocks)),) * 2)
+        at = 0
+        for block in blocks:
+            adj[at:at + len(block), at:at + len(block)] = block
+            at += len(block)
+        perm = rng.permutation(len(adj))
+        adj = adj[np.ix_(perm, perm)]
+        for values in (laplacian_spectrum(adj), laplacian_spectrum(adj, vectors=True)[0]):
+            assert np.count_nonzero(values == 0.0) == k
+            assert values.min() >= 0.0
+    assert np.all(laplacian_spectrum(np.zeros((4, 4))) == 0.0)
+
+
+def test_resistance_is_infinite_across_components():
+    two_edges = np.zeros((4, 4))
+    two_edges[0, 1] = two_edges[1, 0] = two_edges[2, 3] = two_edges[3, 2] = 1.0
+    r = resistance_matrix(two_edges)
+    assert r[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert r[2, 3] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.isinf(r[:2, 2:])) and np.all(np.isinf(r[2:, :2]))
+    edgeless = resistance_matrix(np.zeros((3, 3)))
+    assert np.all(np.diag(edgeless) == 0.0)
+    assert np.all(np.isinf(edgeless[~np.eye(3, dtype=bool)]))
+    assert effective_resistances(np.zeros((3, 3)), [(0, 1), (2, 2)]) == [None, 0.0]
+
+
+def test_self_pairs_decompose_nothing(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert effective_resistances(_cycle(4), [(1, 1), (3, 3)]) == [0.0, 0.0]
+    assert effective_resistances(_cycle(4), []) == []
+
