@@ -45,10 +45,9 @@ class MissingCheckpointError(FileNotFoundError):
 
 def _data_files(cfg: Config, leave_out: str | None = None):
     """Resolve data.path into (train_files, held_out_files)."""
-    raw = cfg["data.path"]
-    if not raw:
+    if not cfg.data_path:
         raise BadConfigError("data.path is not set")
-    path = Path(raw)
+    path = Path(cfg.data_path)
     if path.is_dir():
         files = sorted(path.glob("*.txt"))
         if not files:
@@ -69,15 +68,18 @@ def _data_files(cfg: Config, leave_out: str | None = None):
 
 
 def _windows_from_files(files, cfg: Config):
+    t_obs, t_pred = cfg.model.t_obs, cfg.model.t_pred
     windows = []
     for f in files:
-        scene = parse_trajectory_file(f)
-        windows.extend(build_windows(scene, cfg["data.t_obs"], cfg["data.t_pred"]))
+        windows.extend(build_windows(parse_trajectory_file(f), t_obs, t_pred))
+    if not windows:
+        raise EmptyFileError(f"{', '.join(map(str, files))}: no window of "
+                             f"t_obs + t_pred = {t_obs + t_pred} samples")
     return windows
 
 
 def _model_with_checkpoint(cfg: Config, checkpoint) -> TrajectoryForecaster:
-    model = TrajectoryForecaster(cfg.model_config(), seed=cfg["seed"])
+    model = TrajectoryForecaster(cfg.model, seed=cfg.train.seed)
     if checkpoint is None:
         raise MissingCheckpointError("no checkpoint given (--checkpoint)")
     path = Path(checkpoint)
@@ -91,16 +93,16 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     train_files, held = _data_files(cfg, args.leave_out)
     windows = _windows_from_files(train_files, cfg)
-    model = TrajectoryForecaster(cfg.model_config(), seed=cfg["seed"])
-    out_dir = Path(cfg["train.out_dir"])
-    records = train(model, windows, cfg.train_config(), out_dir)
+    held_windows = _windows_from_files(held, cfg) if held else []
+    model = TrajectoryForecaster(cfg.model, seed=cfg.train.seed)
+    out_dir = Path(cfg.out_dir)
+    records = train(model, windows, cfg.train, out_dir)
     summary = {"epochs": len(records), "final": records[-1],
                "checkpoint": str(out_dir / "checkpoint.bin"),
                "metrics": str(out_dir / "metrics.jsonl")}
     if held:
-        held_windows = _windows_from_files(held, cfg)
         summary["held_out"] = evaluate(model, held_windows,
-                                       cfg["eval.samples"], cfg["seed"])
+                                       cfg.train.eval_samples, cfg.train.seed)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -121,7 +123,7 @@ def cmd_eval(args) -> int:
                   "n_windows": len(windows)}
     else:
         model = _model_with_checkpoint(cfg, args.checkpoint)
-        result = evaluate(model, windows, cfg["eval.samples"], cfg["seed"])
+        result = evaluate(model, windows, cfg.train.eval_samples, cfg.train.seed)
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
@@ -137,8 +139,8 @@ def cmd_predict(args) -> int:
         writer.writerow(["window_id", "sample_id", "ped_id", "t", "x", "y"])
         for wi, window in enumerate(windows):
             track = model.predict(window)
-            samples = sample_trajectories(track, cfg["eval.samples"],
-                                          seed=[cfg["seed"], _STREAM_SAMPLING, wi])
+            samples = sample_trajectories(track, cfg.train.eval_samples,
+                                          seed=[cfg.train.seed, _STREAM_SAMPLING, wi])
             for si in range(samples.shape[0]):
                 for pi, ped in enumerate(window.ped_ids):
                     for t in range(samples.shape[2]):
@@ -166,8 +168,7 @@ def cmd_graph_stats(args) -> int:
     files, _ = _data_files(cfg)
     windows = _windows_from_files(files, cfg)
     pairs = [_parse_pair(p) for p in args.pair or []]
-    model_cfg = cfg.model_config()
-    patching, max_dist = model_cfg.patching(), model_cfg.max_distance
+    patching, max_dist = cfg.model.patching(), cfg.model.max_distance
     length = patching.length
 
     for wi, window in enumerate(windows):
@@ -205,17 +206,13 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
-    if cfg["data.path"]:
+    if cfg.data_path:
         files, _ = _data_files(cfg)
-        windows = _windows_from_files(files, cfg)
-        if not windows:
-            raise EmptyFileError("no usable window for gradcheck")
-        window = windows[0]
+        window = _windows_from_files(files, cfg)[0]
     else:
-        window = gradcheck_window(cfg["data.t_obs"], cfg["data.t_pred"])
-    model_cfg = cfg.model_config()
+        window = gradcheck_window(cfg.model.t_obs, cfg.model.t_pred)
     model = TrajectoryForecaster(
-        model_cfg, params=gradcheck_parameters(model_cfg, cfg["seed"]))
+        cfg.model, params=gradcheck_parameters(cfg.model, cfg.train.seed))
     err = gradcheck(lambda: model.loss(window), model.params.tensors(),
                     eps=args.eps)
     print(json.dumps({"max_rel_err": err,

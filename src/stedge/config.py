@@ -3,13 +3,15 @@
 Unknown keys are rejected by name, every key has a documented default, and
 all randomness in a run flows from the single ``seed`` key through named
 sub-streams (init / batching / sampling).  A key names a field of
-``ModelConfig`` or ``TrainConfig``, which declares its default and type and
-checks its value; a file is checked by building both.
+``ModelConfig``, ``TrainConfig`` or ``Config``, which declares its default
+and type; a file is checked by building both settings classes once, and a
+parsed ``Config`` holds them, frozen, with the two paths the command line
+reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -21,10 +23,17 @@ class BadConfigError(ValueError):
     """Unknown key, or a value that does not parse; the message names the key."""
 
 
-# key -> (owner, field, help line).  The two paths only the command line
-# reads have no owner; their middle entry is the default.
+@dataclass(frozen=True)
+class Config:
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    data_path: str = ""
+    out_dir: str = "runs"
+
+
+# key -> (owner, field, help line)
 CONFIG_KEYS: dict[str, tuple] = {
-    "data.path": (None, "", "trajectory file, or directory of *.txt files"),
+    "data.path": (Config, "data_path", "trajectory file, or directory of *.txt files"),
     "data.t_obs": (ModelConfig, "t_obs", "observed samples per window"),
     "data.t_pred": (ModelConfig, "t_pred", "predicted samples per window"),
     "patch.len": (ModelConfig, "patch_len", "temporal patch length L"),
@@ -47,36 +56,19 @@ CONFIG_KEYS: dict[str, tuple] = {
                              "epochs between halvings"),
     "train.weight_decay": (TrainConfig, "weight_decay", "decoupled weight decay"),
     "train.augment": (TrainConfig, "augment", "training-window augmentation"),
-    "train.out_dir": (None, "runs", "checkpoint / metrics directory"),
+    "train.out_dir": (Config, "out_dir", "checkpoint / metrics directory"),
     "eval.samples": (TrainConfig, "eval_samples", "samples per window at evaluation"),
     "seed": (TrainConfig, "seed", "master seed for init/batching/sampling"),
 }
 
-_DEFAULTS = {key: owner.__dataclass_fields__[field].default if owner else field
-             for key, (owner, field, _) in CONFIG_KEYS.items()}
+_DEFAULTS = {key: owner.__dataclass_fields__[name].default
+             for key, (owner, name, _) in CONFIG_KEYS.items()}
 
 
-def _build(owner, values: dict):
-    return owner(**{field: values[key] for key, (o, field, _) in CONFIG_KEYS.items()
-                    if o is owner})
-
-
-@dataclass
-class Config:
-    values: dict
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def model_config(self) -> ModelConfig:
-        return _build(ModelConfig, self.values)
-
-    def train_config(self) -> TrainConfig:
-        return _build(TrainConfig, self.values)
-
-
-def default_config() -> Config:
-    return Config(dict(_DEFAULTS))
+def _build(owner, values: dict, **built):
+    return owner(**built, **{name: values[key]
+                             for key, (o, name, _) in CONFIG_KEYS.items()
+                             if o is owner})
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Config:
@@ -100,12 +92,13 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
             raise BadConfigError(
                 f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno
-    for owner in (ModelConfig, TrainConfig):
+    built = {}
+    for name, owner in (("model", ModelConfig), ("train", TrainConfig)):
         try:
-            _build(owner, values)
+            built[name] = _build(owner, values)
         except ValueError as exc:
             raise _blame(exc, owner, values, lines, source) from exc
-    return Config(values)
+    return _build(Config, values, **built)
 
 
 def _blame(exc: ValueError, owner, values: dict, lines: dict,

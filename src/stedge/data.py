@@ -35,7 +35,7 @@ class DuplicateObservationError(ValueError):
 
 
 class EmptyFileError(ValueError):
-    """The trajectory file holds no observations."""
+    """The trajectory data holds no observations, or no whole window."""
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class PatchingConfig:
-    length: int = 3
-    stride: int = 1
+    length: int
+    stride: int
 
     def __post_init__(self):
         if self.length < 1:
@@ -156,9 +156,6 @@ def gat_layer(patch: UnifiedPatch, theta: Tensor, theta_dst: Tensor,
     n = patch.n_nodes
     src = patch.features @ theta        # messages and attention source half
     dst = patch.features @ theta_dst    # attention receiver half
-    d = src.shape[1]
-    if att.size != d:
-        raise ValueError(f"attention vector has {att.size} entries, expected {d}")
     logits = pair_attention_logits(dst, src, att)
     mask = patch.adjacency + np.eye(n)
     logits = logits + Tensor((mask - 1.0) * _NEG_INF)

@@ -41,7 +41,7 @@ class CheckpointFormatError(ValueError):
     """Checkpoint file is malformed or does not match the parameter store."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
@@ -141,7 +141,8 @@ def best_of_k_eval(samples, truth) -> tuple[float, float]:
 
 
 def evaluate(model: TrajectoryForecaster, windows: list[Window],
-             n_samples: int = 20, seed: int = 0) -> dict:
+             n_samples: int = TrainConfig.eval_samples,
+             seed: int = TrainConfig.seed) -> dict:
     """Best-of-K metrics pooled over every pedestrian of every window."""
     ades, fdes = [], []
     for wi, window in enumerate(windows):

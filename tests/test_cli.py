@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from stedge.cli import build_parser, run
 from stedge.config import (
     BadConfigError,
     CONFIG_KEYS,
+    Config,
     config_help,
-    default_config,
     load_config,
     parse_config_text,
 )
@@ -51,13 +51,12 @@ def _scene_file(tmp_path, n_frames=20):
 
 
 def test_defaults_cover_every_key():
-    cfg = default_config()
-    for key in CONFIG_KEYS:
-        assert cfg[key] is not None
-    assert cfg["data.t_obs"] == 8
-    assert cfg["train.batch_size"] == 128
-    assert cfg["eval.samples"] == 20
-    assert cfg["preprocess.endpoint_mode"] == "off"
+    cfg = parse_config_text("")
+    assert cfg == Config()
+    assert cfg.model.t_obs == 8
+    assert cfg.train.batch_size == 128
+    assert cfg.train.eval_samples == 20
+    assert cfg.model.endpoint_mode == "off"
 
 
 def test_unknown_key_is_named():
@@ -83,16 +82,26 @@ def test_config_comments_and_spacing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\n  seed = 7   # inline\n\npatch.len=2\n")
     cfg = load_config(path)
-    assert cfg["seed"] == 7
-    assert cfg["patch.len"] == 2
+    assert cfg.train.seed == 7
+    assert cfg.model.patch_len == 2
 
 
 def test_model_and_train_config_builders():
     cfg = parse_config_text("graph.max_distance = 2.5\ntrain.base_lr = 0.01\n")
-    mc = cfg.model_config()
-    assert mc.max_distance == 2.5
-    assert cfg.train_config().base_lr == 0.01
-    assert default_config().model_config().max_distance is None
+    assert cfg.model.max_distance == 2.5
+    assert cfg.train.base_lr == 0.01
+    assert Config().model.max_distance is None
+
+
+def test_a_parsed_config_is_frozen():
+    cfg = parse_config_text("data.path = scenes\nencoder.heads = 2\n")
+    for owner, name, value in ((cfg, "data_path", "other"),
+                               (cfg, "model", ModelConfig()),
+                               (cfg.model, "encoder_heads", 0),
+                               (cfg.train, "seed", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(owner, name, value)
+    assert cfg.data_path == "scenes" and cfg.model.encoder_heads == 2
 
 
 # The config-key block of ``stedge --help``, kept as text so that a changed
@@ -124,12 +133,13 @@ config keys (key = value per line, '#' comments):
 
 
 def test_every_setting_is_reached_by_exactly_one_key():
-    reached = [(owner, field) for owner, field, _ in CONFIG_KEYS.values() if owner]
+    reached = [(owner, field) for owner, field, _ in CONFIG_KEYS.values()]
     declared = [(owner, f.name) for owner in (ModelConfig, TrainConfig)
                 for f in fields(owner)]
+    declared += [(Config, "data_path"), (Config, "out_dir")]
     assert sorted(reached, key=repr) == sorted(declared, key=repr)
-    assert default_config().model_config() == ModelConfig()
-    assert default_config().train_config() == TrainConfig()
+    assert parse_config_text("").model == ModelConfig()
+    assert parse_config_text("").train == TrainConfig()
 
 
 def test_config_help_block_is_unchanged():
@@ -147,7 +157,7 @@ def test_settings_are_blamed_on_the_lines_that_set_them():
                           "run.cfg")
     for text in ("data.t_obs = 10\npatch.len = 9\n",
                  "patch.len = 9\ndata.t_obs = 10\n"):
-        assert parse_config_text(text).model_config().n_patches == 2
+        assert parse_config_text(text).model.n_patches == 2
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -346,7 +356,7 @@ def test_predict_out_directory_exits_1_naming_it(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")
     ckpt = tmp_path / "checkpoint.bin"
-    model = TrajectoryForecaster(load_config(cfg).model_config())
+    model = TrajectoryForecaster(load_config(cfg).model)
     save_checkpoint(ckpt, model.params)
     out = tmp_path / "out"
     out.mkdir()
@@ -455,6 +465,45 @@ def test_gradcheck_cli_passes_on_tiny_fixture(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["max_rel_err"] < 1e-4
+
+
+def _no_window_config(tmp_path):
+    """A config whose only scene is 10 frames long, half a window."""
+    scene = _scene_file(tmp_path, n_frames=10)
+    return scene, _config_file(tmp_path, (f"data.path = {scene}\n"
+                                          f"train.out_dir = {tmp_path / 'run'}\n"
+                                          "train.epochs = 1\n"))
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--oracle"], ["predict"],
+                                  ["graph-stats"], ["gradcheck"], ["train"]])
+def test_data_with_no_window_exits_1_naming_the_file(tmp_path, capsys, argv):
+    scene, cfg = _no_window_config(tmp_path)
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(ckpt, TrajectoryForecaster(load_config(cfg).model).params)
+    if argv[0] in ("eval", "predict") and "--oracle" not in argv:
+        argv = argv + ["--checkpoint", str(ckpt)]
+    assert run([*argv, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {scene}: no window of t_obs + t_pred = 20 samples" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_leave_out_with_no_held_out_window_writes_no_checkpoint(
+        tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    write_overfit_scenes(data_dir)
+    short = write_trajectory_file(
+        data_dir / "short.txt",
+        linear_records([(1, (0.0, 0.0), (0.4, 0.0))], n_frames=10))
+    out_dir = tmp_path / "run"
+    cfg = _config_file(tmp_path, (f"data.path = {data_dir}\n"
+                                  f"train.out_dir = {out_dir}\n"
+                                  "train.epochs = 1\n"))
+    assert run(["train", "--config", str(cfg), "--leave-out", "short"]) == 1
+    assert str(short) in capsys.readouterr().err
+    assert not (out_dir / "checkpoint.bin").exists()
 
 
 def test_missing_data_path(tmp_path, capsys):

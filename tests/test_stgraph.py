@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stedge.autodiff import Tensor
+from stedge.autodiff import ShapeMismatchError, Tensor
 from stedge.stgraph import (
     DisconnectedGraphError,
     PatchTooLongError,
@@ -128,6 +128,17 @@ def test_gat_isolated_node_is_self_loop():
     h = z @ theta.data
     expected = np.where(h >= 0, h, np.expm1(h))
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+def test_gat_attention_vector_of_the_wrong_width_is_a_shape_mismatch():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(2, 3))
+    theta = Tensor(rng.normal(size=(3, 4)))
+    theta_dst = Tensor(rng.normal(size=(3, 4)))
+    for width in (3, 5):
+        with pytest.raises(ShapeMismatchError, match="pair_attention_logits"):
+            gat_layer(_patch(z, [[0, 1], [1, 0]]), theta, theta_dst,
+                      Tensor(rng.normal(size=width)))
 
 
 def _gat_oracle(z, adjacency, theta, theta_dst, att, slope=0.2):
