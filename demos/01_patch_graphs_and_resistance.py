@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Unified (pedestrian, time) patch graphs and why their density helps.
 
-Builds windows from a small synthetic scene, segments them into temporal
-patches, and compares effective resistance between a conventional wiring
+Builds windows from a small synthetic scene, cuts the first into temporal
+patches (``patch_graphs``: each patch's adjacency, edge list and edge
+lengths), and compares effective resistance between a conventional wiring
 (per-frame spatial links plus per-pedestrian temporal chains) and the dense
 unified patch graph, where every cross-time pair is one hop.
 """
@@ -14,12 +15,10 @@ from stedge.stgraph import (
     PatchingConfig,
     build_node_adjacency,
     effective_resistance,
-    patch_adjacencies,
     patch_count,
+    patch_graphs,
     resistance_matrix,
-    segment_patches,
 )
-from stedge.autodiff import Tensor
 from stedge.synth import linear_records
 
 scene = scene_from_records(linear_records(
@@ -33,13 +32,11 @@ cfg = PatchingConfig(length=3, stride=1)
 print(f"patching T_obs=8 with L={cfg.length}, S={cfg.stride} -> "
       f"K={patch_count(window.t_obs, cfg)} patches")
 
-features = Tensor(np.zeros((window.n_peds, window.t_obs, 4)))
-patches = segment_patches(features, cfg, window.obs, patch_adjacencies(window.obs, cfg))
-for k, patch in enumerate(patches, start=1):
-    n_edges = int(patch.adjacency.sum() // 2)
-    print(f"  patch {k}: slots [{patch.start}, "
-          f"{patch.start + patch.length}), {patch.n_nodes} nodes, "
-          f"{n_edges} edges (complete graph)")
+for k, graph in enumerate(patch_graphs(window.obs, cfg), start=1):
+    print(f"  patch {k}: slots [{graph.start}, {graph.start + cfg.length}), "
+          f"{len(graph.adjacency)} nodes, {len(graph.edge_index)} edges "
+          f"(complete graph), edge lengths {graph.distances.min():.2f}-"
+          f"{graph.distances.max():.2f} m")
 
 # conventional wiring of the same 2x3 node block: a temporal chain per
 # pedestrian plus one spatial link per frame

@@ -18,10 +18,10 @@ import numpy as np
 from stedge.autodiff import NonFiniteError, gradcheck
 from stedge.config import BadConfigError, Config, config_help, load_config
 from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
-from stedge.edgegraph import edge_list, hodge_spectrum, line_graph_degrees
+from stedge.edgegraph import hodge_spectrum, line_graph_degrees
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
-from stedge.stgraph import effective_resistances, patch_adjacencies, patch_starts
+from stedge.stgraph import effective_resistances, patch_graphs
 from stedge.synth import gradcheck_window
 from stedge.trainer import (
     NonFiniteGradientError,
@@ -176,15 +176,14 @@ def cmd_graph_stats(args) -> int:
         report = {"window": wi, "start_frame": window.start_frame,
                   "n_peds": n, "ped_ids": window.ped_ids, "patches": []}
         resistance = []
-        graphs = zip(patch_starts(window.t_obs, patching),
-                     patch_adjacencies(window.obs, patching, max_dist))
-        for k, (start, adj) in enumerate(graphs, start=1):
+        for k, graph in enumerate(patch_graphs(window.obs, patching, max_dist), start=1):
+            start, adj = graph.start, graph.adjacency
             entry = {"k": k, "start": start, "nodes": len(adj),
-                     "edges": len(edge_list(adj))}
+                     "edges": len(graph.edge_index)}
             if args.edges:
-                degree, count = np.unique(line_graph_degrees(adj), return_counts=True)
+                degree, count = np.unique(line_graph_degrees(graph), return_counts=True)
                 entry["degree_histogram"] = dict(zip(map(str, degree), count.tolist()))
-                entry["l1_spectrum"] = [round(float(v), 9) for v in hodge_spectrum(adj)]
+                entry["l1_spectrum"] = [round(float(v), 9) for v in hodge_spectrum(graph)]
             report["patches"].append(entry)
             covered, nodes = [], []
             for (ped_a, t_a), (ped_b, t_b) in pairs:

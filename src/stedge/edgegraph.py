@@ -6,11 +6,11 @@ L1 = B1^T B1 (the two-simplex term is zero here).  Edge features are
 filtered by a truncated Laguerre expansion of L1, then fused back into node
 embeddings as multiplicative gates.
 
-The model never builds B1.  It keeps each edge signal on the patch's
-(n, n) node-pair grid, edge (u, v), u < v, at [u, v] and antisymmetric,
-where B1 x is a column sum and B1^T y is y[v] - y[u]; the patch adjacency
-is then the only structure the edge branch needs, and L1's spectrum comes
-from the node Laplacian's (``hodge_spectrum``).  ``boundary_operator``,
+An edge signal is an (m,) vector over a ``PatchGraph``'s edge list.  The
+model never builds B1: B1 x is one ``np.bincount`` over the edges'
+endpoints and B1^T y is y[v] - y[u] (``HodgeOperator``), so the edge list
+is the only structure the filter needs, and L1's spectrum comes from the
+node Laplacian's (``hodge_spectrum``).  ``boundary_operator``,
 ``line_graph`` and ``hodge_laplacian`` build B1, the dense edge graph and
 L1 as references for tests and demos only.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stedge.autodiff import Tensor, elu, gated_neighbour_sum, matmul_elu
-from stedge.stgraph import UnifiedPatch, laplacian_spectrum, node_distances
+from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
 
@@ -41,35 +41,20 @@ class BoundaryOperator:
 
 @dataclass(frozen=True)
 class HodgeOperator:
-    """L1 / lam on the node-pair grid.
+    """L1 / lam on (m,) edge vectors over ``edge_index``.
 
-    An oriented edge signal is an antisymmetric (n, n) array holding edge
-    (u, v), u < v, at [u, v].  On that grid B1 x is the column sum y and
-    B1^T y is y[v] - y[u] on each edge, so ``op @ x`` needs only the
-    patch adjacency: no (n, m) or (m, m) array exists.
+    B1 x is one bincount: each node sums +x over the edges it heads, then
+    -x over the edges it tails, in edge order.  B1^T y is y[v] - y[u] on
+    each edge, so no (n, m) or (m, m) array exists.
     """
 
-    adjacency: np.ndarray    # (n, n), 0/1, zero diagonal
+    edge_index: np.ndarray   # (m, 2), (u, v) with u < v
     lam: float
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = x.sum(axis=0)
-        return self.adjacency * (y[None, :] - y[:, None]) / self.lam
-
-
-@dataclass
-class EdgeGraph:
-    """Edges of one patch: their signal on the pair grid and the Hodge
-    operator."""
-
-    edge_index: np.ndarray       # (n_edges, 2), as ``edge_list`` orders them
-    features: np.ndarray         # (n, n) antisymmetric edge signal
-    hodge: HodgeOperator
-
-
-def edge_list(adjacency) -> np.ndarray:
-    """The undirected edges (u, v), u < v, in lexicographic order, (m, 2)."""
-    return np.argwhere(np.triu(np.asarray(adjacency), 1))
+        u, v = self.edge_index.T
+        y = np.bincount(np.concatenate([v, u]), weights=np.concatenate([x, -x]))
+        return (y[v] - y[u]) / self.lam
 
 
 def boundary_operator(adjacency) -> BoundaryOperator:
@@ -103,30 +88,29 @@ def hodge_laplacian(b1) -> np.ndarray:
     return m.T @ m
 
 
-def line_graph_degrees(adjacency) -> np.ndarray:
-    """Each edge's degree in the edge graph, in ``edge_list`` order: edge
-    (u, v) shares an endpoint with deg u - 1 + deg v - 1 other edges."""
-    a = np.asarray(adjacency)
-    return a.sum(axis=1).astype(np.int64)[edge_list(a)].sum(axis=1) - 2
+def line_graph_degrees(graph: PatchGraph) -> np.ndarray:
+    """Each edge's degree in the edge graph, in edge order: edge (u, v)
+    shares an endpoint with deg u - 1 + deg v - 1 other edges."""
+    degree = graph.adjacency.sum(axis=1).astype(np.int64)
+    return degree[graph.edge_index].sum(axis=1) - 2
 
 
-def hodge_spectrum(adjacency) -> np.ndarray:
+def hodge_spectrum(graph: PatchGraph) -> np.ndarray:
     """L1's eigenvalues, ascending, one per edge, without building L1:
     D - A = B1 B1^T shares L1 = B1^T B1's nonzero spectrum, and L1's other
     eigenvalues are zeros (the zero rule is ``laplacian_spectrum``'s)."""
-    a = np.asarray(adjacency)
-    values = laplacian_spectrum(a)
+    values = laplacian_spectrum(graph.adjacency)
     nonzero = values[values > 0.0]
-    zeros = np.zeros(np.count_nonzero(np.triu(a, 1)) - len(nonzero))  # m - rank
+    zeros = np.zeros(len(graph.edge_index) - len(nonzero))  # m - rank
     return np.concatenate([zeros, nonzero])
 
 
-def hodge_operator(adjacency) -> HodgeOperator:
+def hodge_operator(graph: PatchGraph) -> HodgeOperator:
     """L1 scaled by its largest eigenvalue lam, so that the Laguerre
     polynomials see a spectrum in [0, 1]: n on a complete graph,
     ``_LAMBDA_FLOOR`` on an edgeless one."""
-    lam = max(float(hodge_spectrum(adjacency).max(initial=0.0)), _LAMBDA_FLOOR)
-    return HodgeOperator(adjacency=np.asarray(adjacency), lam=lam)
+    lam = max(float(hodge_spectrum(graph).max(initial=0.0)), _LAMBDA_FLOOR)
+    return HodgeOperator(edge_index=graph.edge_index, lam=lam)
 
 
 def laguerre_scalars(lam: float, order: int) -> list[float]:
@@ -146,7 +130,7 @@ def laguerre_scalars(lam: float, order: int) -> list[float]:
 def laguerre_basis(operator, x, order: int) -> list:
     """Apply the scalar recurrence to the operator: T_j = G_j(L1) X.
 
-    The operator is a ``HodgeOperator``, applied to a pair-grid signal
+    The operator is a ``HodgeOperator``, applied to an (m,) edge vector
     (numpy arrays throughout), or a dense square array, applied to a
     Tensor.
     """
@@ -165,31 +149,18 @@ def laguerre_basis(operator, x, order: int) -> list:
     return basis
 
 
-def hll_conv(edge_graph: EdgeGraph, coeffs: Tensor) -> Tensor:
-    """Spectral edge convolution of a one-channel edge signal E:
+def hll_conv(graph: PatchGraph, coeffs: Tensor) -> Tensor:
+    """Spectral edge convolution of the graph's edge lengths E:
     sum_j G_j(L1 / lam) E theta_j, then ELU, where row j of the
     (order, d) ``coeffs`` is theta_j.
 
-    The edge signal is a constant, so its basis is plain numpy on the pair
-    grid; each order's values at the edges form one column of an
-    (m, order) array, and one product with the coefficients mixes them.
-    Product and ELU are one op (``matmul_elu``), so the tape holds only
-    the (m, d) output.
+    The edge signal is a constant, so its basis is plain numpy: each
+    order's (m,) vector is one column of an (m, order) array, and one
+    product with the coefficients mixes them.  Product and ELU are one op
+    (``matmul_elu``), so the tape holds only the (m, d) output.
     """
-    rows, cols = edge_graph.edge_index.T
-    basis = laguerre_basis(edge_graph.hodge, edge_graph.features, coeffs.shape[0])
-    terms = np.stack([t[rows, cols] for t in basis], axis=1)
-    return matmul_elu(Tensor(terms), coeffs)
-
-
-def edge_distances(patch: UnifiedPatch) -> np.ndarray:
-    """Euclidean distance between each edge's endpoint positions, as an
-    oriented edge signal on the pair grid: d at [u, v] for each edge
-    u < v, -d at [v, u], zero off the patch's edges.  Distances are the
-    raw geometric edge feature.
-    """
-    upper = np.triu(node_distances(patch.positions) * patch.adjacency, 1)
-    return upper - upper.T
+    basis = laguerre_basis(hodge_operator(graph), graph.distances, coeffs.shape[0])
+    return matmul_elu(Tensor(np.stack(basis, axis=1)), coeffs)
 
 
 def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,

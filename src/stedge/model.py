@@ -3,18 +3,20 @@ fusion -> encoder tokens -> bivariate Gaussian forecasts.
 
 The three motion embeddings are each ``model_dim`` wide, so the concatenated
 feature width is 3*model_dim and a learned projection brings it back to
-``model_dim`` before the graph stage.  The edge branch needs no structure
-beyond each patch's adjacency: the Hodge operator and the fusion's
-neighbour sum both act on the patch's n x n node-pair grid (see
-``stedge.edgegraph``), so nothing is built ahead or cached.
+``model_dim`` before the graph stage.  Each patch's constant structure
+(adjacency, edge list and edge lengths) is built once per window by
+``stgraph.patch_graphs``, which records no op; the attention layer, the
+Hodge operator, the fusion's neighbour sum and the memory guard all read
+it, and nothing is cached across windows.
 
-The Laguerre edge filter runs on the raw edge distances D.  The
-edge embedding w (``edge.w_embed``, 1 x model_dim) is linear and has no
-bias, and the filter is linear in its input, so the two evaluation
-orders are one function, not an approximation:
+The Laguerre edge filter runs on the raw edge distances D, an (m,)
+vector per patch.  The edge embedding w (``edge.w_embed``, 1 x model_dim)
+is linear and has no bias, and the filter is linear in its input, so the
+two evaluation orders are one function, not an approximation:
 sum_j G_j(L) (D w) theta_j = sum_j (G_j(L) D) (w theta_j).  Each order's
-coefficients become w theta_j, built once per window, and the Laguerre
-basis of the distances is a constant, computed without recording any op.
+coefficients become w theta_j, built once per window when the edge branch
+runs (not under the zero gate), and the Laguerre basis of the distances
+is a constant, computed without recording any op.
 The parameters, their gradients and the checkpoint layout are those of
 embedding first.
 
@@ -52,14 +54,7 @@ import numpy as np
 
 from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate, linear
 from stedge.data import ENDPOINT_MODES, Window, future_displacements, init_features
-from stedge.edgegraph import (
-    EdgeGraph,
-    edge_distances,
-    edge_list,
-    fusion_gcn,
-    hll_conv,
-    hodge_operator,
-)
+from stedge.edgegraph import fusion_gcn, hll_conv
 from stedge.predictor import (
     GaussianTrack,
     assemble_tokens,
@@ -72,8 +67,8 @@ from stedge.predictor import (
 from stedge.stgraph import (
     PatchingConfig,
     gat_layer,
-    patch_adjacencies,
     patch_count,
+    patch_graphs,
     segment_patches,
 )
 
@@ -298,12 +293,11 @@ class TrajectoryForecaster:
             raise ShapeMismatchError(
                 f"window horizons ({window.t_obs}, {window.t_pred}) != "
                 f"configured ({cfg.t_obs}, {cfg.t_pred})")
-        adjacencies = patch_adjacencies(window.obs, cfg.patching(), cfg.max_distance)
+        graphs = patch_graphs(window.obs, cfg.patching(), cfg.max_distance)
         # refuse a window whose tape and the leaf gradients of its backward
         # cannot fit before recording any of it
         params = self.params
-        tape = tape_bytes(cfg, window.n_peds,
-                          [np.count_nonzero(a) // 2 for a in adjacencies])
+        tape = tape_bytes(cfg, window.n_peds, [len(g.edge_index) for g in graphs])
         grads = 8 * params.n_values()
         if tape + grads > TAPE_BUDGET_BYTES:
             raise WindowTooLargeError(
@@ -313,27 +307,25 @@ class TrajectoryForecaster:
                 f"{TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
         feats = init_features(window, params, cfg.endpoint_mode)
         x = feats @ params["feat.w_proj"]
-        patches = segment_patches(x, cfg.patching(), window.obs, adjacencies)
+        blocks = segment_patches(x, cfg.patching())
 
-        # the edge embedding rides in the filter (see the module docstring)
-        coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
-                              for j in range(cfg.hll_order)])
+        edge_branch = cfg.fusion_gate != "zero"
+        if edge_branch:
+            # the edge embedding rides in the filter (see the module docstring)
+            coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
+                                  for j in range(cfg.hll_order)])
         fused = []
-        for patch in patches:
-            edges = edge_list(patch.adjacency)
-            h_node = gat_layer(patch, params["gat.theta"],
+        for z, graph in zip(blocks, graphs, strict=True):
+            h_node = gat_layer(z, graph.adjacency, params["gat.theta"],
                                params["gat.theta_dst"], params["gat.att"])
             h_edge = None
-            if len(edges) and cfg.fusion_gate != "zero":
-                graph = EdgeGraph(edge_index=edges,
-                                  features=edge_distances(patch),
-                                  hodge=hodge_operator(patch.adjacency))
+            if edge_branch and len(graph.edge_index):
                 h_edge = hll_conv(graph, coeffs)
-            update = fusion_gcn(h_node, h_edge, edges,
+            update = fusion_gcn(h_node, h_edge, graph.edge_index,
                                 params["fuse.theta"], params["fuse.phi"])
             # each node's own features ride around the graph stage, which
             # on a complete graph averages every node towards the patch mean
-            fused.append(patch.features + update)
+            fused.append(z + update)
 
         pooled = stack_and_pool(fused, window.n_peds, cfg.patch_len)
         tokens = assemble_tokens(pooled, params["pred.placeholder"],

@@ -1,12 +1,14 @@
 """Unified spatial-temporal patch graphs.
 
-Observed features are segmented into K overlapping length-L patches; each
+The observed horizon is cut into K overlapping length-L patches; each
 patch becomes one graph whose nodes are (pedestrian, time-slot) pairs in
-pedestrian-major order, so cross-time interaction is a single hop.  Node
-embeddings come from a single attention layer; effective resistance, read
-off the one eigendecomposition of the patch Laplacian
-(``laplacian_spectrum``), quantifies how much the dense patch wiring eases
-message passing.
+pedestrian-major order, so cross-time interaction is a single hop.
+``patch_graphs`` builds each patch's constant structure once per window
+(``PatchGraph``: adjacency, edge list and edge lengths), and
+``segment_patches`` slices the node features to match.  Node embeddings
+come from a single attention layer; effective resistance, read off the
+one eigendecomposition of the patch Laplacian (``laplacian_spectrum``),
+quantifies how much the dense patch wiring eases message passing.
 """
 
 from __future__ import annotations
@@ -40,25 +42,21 @@ class PatchingConfig:
             raise ValueError("patch stride must be >= 1")
 
 
-@dataclass
-class UnifiedPatch:
-    """One patch graph: node features and positions plus 0/1 adjacency
-    (zero diagonal).
+@dataclass(frozen=True)
+class PatchGraph:
+    """One patch's constant structure, built once per window by
+    ``patch_graphs``.
 
-    Node index = ped * length + local_time; self-loops are not stored, the
-    attention layer adds them.
+    Node index = ped * length + local_time.  Self-loops are not stored, the
+    attention layer adds them.  The edges are the adjacency's (u, v),
+    u < v, in lexicographic order (``edge_list``); an edge signal is an
+    (m,) vector in that order, oriented low -> high index.
     """
 
-    start: int          # first observed time slot covered
-    n_peds: int
-    length: int
-    features: Tensor    # (n_peds * length, D)
-    positions: np.ndarray   # (n_peds * length, 2), observed node positions
-    adjacency: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_peds * self.length
+    start: int                # first observed time slot covered
+    adjacency: np.ndarray     # (n, n), 0/1, zero diagonal
+    edge_index: np.ndarray    # (m, 2)
+    distances: np.ndarray     # (m,), Euclidean length of each edge
 
 
 def patch_count(t_obs: int, cfg: PatchingConfig) -> int:
@@ -106,43 +104,45 @@ def node_distances(positions) -> np.ndarray:
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
 
 
-def patch_adjacencies(positions, cfg: PatchingConfig,
-                      max_distance: float | None = None) -> list[np.ndarray]:
-    """The adjacency of each of the K patch graphs of (N, T_obs, 2)
-    positions, in patch order (``build_node_adjacency``)."""
-    positions = np.asarray(positions, dtype=np.float64)
-    n_peds = positions.shape[0]
-    return [build_node_adjacency(
-                n_peds, cfg.length,
-                positions[:, start:start + cfg.length, :].reshape(-1, 2), max_distance)
-            for start in patch_starts(positions.shape[1], cfg)]
+def edge_list(adjacency) -> np.ndarray:
+    """The undirected edges (u, v), u < v, in lexicographic order, (m, 2)."""
+    return np.argwhere(np.triu(np.asarray(adjacency), 1))
 
 
-def segment_patches(features: Tensor, cfg: PatchingConfig, positions,
-                    adjacencies: list[np.ndarray]) -> list[UnifiedPatch]:
-    """Slice (N, T_obs, D) features and (N, T_obs, 2) positions into K
-    patch graphs with the given adjacencies, as ``patch_adjacencies``
-    builds them from the same positions.
+def patch_graphs(obs, cfg: PatchingConfig,
+                 max_distance: float | None = None) -> list[PatchGraph]:
+    """The K patch graphs of (N, T_obs, 2) observed positions, in patch
+    order.
 
     Patch k (1-based) covers time slots [(k-1)*stride, (k-1)*stride + length);
-    its feature and position matrices are the pedestrian-major flattenings
-    of that slice.
+    its nodes sit at the pedestrian-major flattening of that slice, wired
+    by ``build_node_adjacency``.  Each edge's length is the raw geometric
+    edge signal.  Plain numpy: no op is recorded.
     """
-    n_peds, t_obs = features.shape[0], features.shape[1]
-    positions = np.asarray(positions, dtype=np.float64)
-    patches = []
-    for start, adj in zip(patch_starts(t_obs, cfg), adjacencies, strict=True):
-        block = features[:, start:start + cfg.length, :]
-        z = block.reshape((n_peds * cfg.length, features.shape[2]))
-        pos = positions[:, start:start + cfg.length, :].reshape(-1, 2)
-        patches.append(UnifiedPatch(start=start, n_peds=n_peds, length=cfg.length,
-                                    features=z, positions=pos, adjacency=adj))
-    return patches
+    obs = np.asarray(obs, dtype=np.float64)
+    graphs = []
+    for start in patch_starts(obs.shape[1], cfg):
+        pos = obs[:, start:start + cfg.length, :].reshape(-1, 2)
+        adj = build_node_adjacency(obs.shape[0], cfg.length, pos, max_distance)
+        edges = edge_list(adj)
+        graphs.append(PatchGraph(
+            start=start, adjacency=adj, edge_index=edges,
+            distances=np.linalg.norm(pos[edges[:, 0]] - pos[edges[:, 1]], axis=-1)))
+    return graphs
 
 
-def gat_layer(patch: UnifiedPatch, theta: Tensor, theta_dst: Tensor,
+def segment_patches(features: Tensor, cfg: PatchingConfig) -> list[Tensor]:
+    """Slice (N, T_obs, D) features into the K patches' (N * length, D)
+    node features, in ``patch_graphs``' patch and node order."""
+    n_peds, t_obs, dim = features.shape
+    return [features[:, start:start + cfg.length, :].reshape((n_peds * cfg.length, dim))
+            for start in patch_starts(t_obs, cfg)]
+
+
+def gat_layer(z: Tensor, adjacency: np.ndarray, theta: Tensor, theta_dst: Tensor,
               att: Tensor, return_attention: bool = False):
-    """Single-head graph attention over a patch.
+    """Single-head graph attention over a patch's (n, D) node features
+    ``z`` and its (n, n) adjacency.
 
     The pair transform acts on the concatenated node pair as two blocks,
     logit(i, j) = a . LeakyReLU(theta_dst z_i + theta z_j), with the
@@ -153,11 +153,10 @@ def gat_layer(patch: UnifiedPatch, theta: Tensor, theta_dst: Tensor,
     aggregate passes through an exponential-linear unit.  The (n, n, d)
     pair sum is never recorded (``pair_attention_logits``).
     """
-    n = patch.n_nodes
-    src = patch.features @ theta        # messages and attention source half
-    dst = patch.features @ theta_dst    # attention receiver half
+    src = z @ theta        # messages and attention source half
+    dst = z @ theta_dst    # attention receiver half
     logits = pair_attention_logits(dst, src, att)
-    mask = patch.adjacency + np.eye(n)
+    mask = adjacency + np.eye(len(adjacency))
     logits = logits + Tensor((mask - 1.0) * _NEG_INF)
     alpha = softmax(logits)
     out = elu(alpha @ src)

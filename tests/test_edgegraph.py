@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from stedge.autodiff import Tensor, backward, concatenate, elu, gradcheck, tanh
+import stedge.edgegraph
 from stedge.edgegraph import (
-    EdgeGraph,
     HodgeOperator,
     boundary_operator,
-    edge_distances,
-    edge_list,
     fusion_gcn,
     hll_conv,
     hodge_laplacian,
@@ -21,7 +19,13 @@ from stedge.edgegraph import (
     line_graph,
     line_graph_degrees,
 )
-from stedge.stgraph import UnifiedPatch, build_node_adjacency
+from stedge.stgraph import (
+    PatchGraph,
+    PatchingConfig,
+    build_node_adjacency,
+    edge_list,
+    patch_graphs,
+)
 
 TRIANGLE = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
 PATH3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -46,16 +50,13 @@ def _proximity_adjacencies(sizes=(3, 5, 8), seeds=range(20)):
             yield build_node_adjacency(n_peds, 3, pos, 1.5)
 
 
-def _to_grid(x, edges, n):
-    """An edge vector as the antisymmetric pair-grid signal."""
-    grid = np.zeros((n, n))
-    grid[edges[:, 0], edges[:, 1]] = x
-    grid[edges[:, 1], edges[:, 0]] = -x
-    return grid
-
-
-def _from_grid(grid, edges):
-    return grid[edges[:, 0], edges[:, 1]]
+def _graph(adj, dists=None):
+    """The ``PatchGraph`` of an adjacency, with the given edge lengths
+    (zeros by default)."""
+    edges = edge_list(adj)
+    dists = np.zeros(len(edges)) if dists is None else np.asarray(dists, dtype=float)
+    return PatchGraph(start=0, adjacency=np.asarray(adj, dtype=float),
+                      edge_index=edges, distances=dists)
 
 
 # -- boundary operator and line graph ----------------------------------------
@@ -177,52 +178,93 @@ def test_hodge_properties_exhaustive_small_graphs():
                                            np.linalg.eigvalsh(l1), atol=1e-10)
 
 
-def test_grid_operator_matches_dense_laplacian():
-    """``op @ x`` on the pair grid is L1 x / lam on every graph with <= 5
-    nodes and on the proximity graphs, stays an edge signal (antisymmetric,
-    zero off the edges), and lam is the top eigenvalue of B1 B1^T to the
-    bit."""
+def test_hodge_operator_matches_dense_laplacian():
+    """``op @ x`` on an edge vector is L1 x / lam on every graph with <= 5
+    nodes and on the proximity graphs, and lam is the top eigenvalue of
+    B1 B1^T to the bit."""
     rng = np.random.default_rng(13)
     graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
     for adj in graphs + list(_proximity_adjacencies()):
         op = boundary_operator(adj)
-        b1, edges = op.matrix, edge_list(adj)
-        hodge = hodge_operator(adj)
+        b1 = op.matrix
+        hodge = hodge_operator(_graph(adj))
         assert hodge.lam == max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
         x = rng.normal(size=op.n_edges)
-        got = hodge @ _to_grid(x, edges, len(adj))
+        got = hodge @ x
         want = hodge_laplacian(op) @ x / hodge.lam
-        assert np.abs(_from_grid(got, edges) - want).max(initial=0.0) <= 1e-12 * max(
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(
             1.0, np.abs(want).max(initial=0.0))
-        np.testing.assert_array_equal(got, -got.T)
-        np.testing.assert_array_equal(got[adj == 0], 0.0)
 
 
 def test_hodge_operator_bounds_spectrum():
-    """lam is L1's top eigenvalue, so the spectrum of the grid operator,
-    read column by column, ends at 1.  A 50-step power iteration reached
-    1.015 on these proximity graphs."""
+    """lam is L1's top eigenvalue, so the spectrum of the operator, read
+    column by column, ends at 1.  A 50-step power iteration reached 1.015
+    on these proximity graphs."""
     for adj in [build_node_adjacency(3, 3), *_proximity_adjacencies()]:
         op = boundary_operator(adj)
-        edges = edge_list(adj)
-        hodge = hodge_operator(adj)
+        hodge = hodge_operator(_graph(adj))
         true_max = np.linalg.eigvalsh(hodge_laplacian(op)).max()
         assert hodge.lam == pytest.approx(true_max, rel=1e-12)
-        columns = [_from_grid(hodge @ _to_grid(e, edges, len(adj)), edges)
-                   for e in np.eye(op.n_edges)]
+        columns = [hodge @ e for e in np.eye(op.n_edges)]
         scaled = np.linalg.eigvalsh(np.stack(columns, axis=1))
         assert abs(scaled.max() - 1.0) <= 1e-12
         assert scaled.min() >= -1e-12
 
 
 def test_hodge_operator_shapes():
-    adj = build_node_adjacency(2, 3)
-    hodge = hodge_operator(adj)
-    assert hodge.adjacency.shape == (6, 6)
+    graph = _graph(build_node_adjacency(2, 3))
+    hodge = hodge_operator(graph)
+    assert hodge.edge_index is graph.edge_index
+    assert hodge.edge_index.shape == (15, 2)
     assert hodge.lam == pytest.approx(6.0, rel=1e-12)   # n on a complete graph
-    grid = _to_grid(np.ones(15), edge_list(adj), 6)
-    assert (hodge @ grid).shape == (6, 6)
-    assert hodge_operator(np.zeros((3, 3))).lam == 1e-6  # edgeless
+    assert (hodge @ np.ones(15)).shape == (15,)
+    assert hodge_operator(_graph(np.zeros((3, 3)))).lam == 1e-6  # edgeless
+
+
+def _pair_grid_basis(adj, lam, x, order):
+    """The Laguerre basis as it ran before edge vectors: the signal laid on
+    the antisymmetric (n, n) node-pair grid (edge (u, v), u < v, at [u, v],
+    negated at [v, u]), L1 / lam applied as a column sum y, then
+    A * (y[v] - y[u]) / lam, and each order gathered back to the edges."""
+    edges = edge_list(adj)
+    rows, cols = edges.T
+    grid = np.zeros(adj.shape)
+    grid[rows, cols] = x
+    grid[cols, rows] = -x
+
+    def apply(g):
+        y = g.sum(axis=0)
+        return adj * (y[None, :] - y[:, None]) / lam
+
+    basis = [grid]
+    if order > 1:
+        basis.append(grid - apply(grid))
+    for j in range(1, order - 1):
+        basis.append(basis[j] * ((2 * j + 1) / (j + 1))
+                     - apply(basis[j]) * (1.0 / (j + 1))
+                     - basis[j - 1] * (j / (j + 1)))
+    return [t[rows, cols] for t in basis]
+
+
+def test_edge_vector_basis_matches_pair_grid_bit_for_bit():
+    """The bincount operator sums each node's edges in the grid's column
+    order, so every Laguerre basis of orders 1-5 equals the pair-grid
+    route's to the bit: every graph with <= 5 nodes, the proximity graphs,
+    and complete patches of 2, 5, 20 and 50 pedestrians."""
+    rng = np.random.default_rng(15)
+    graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
+    graphs += list(_proximity_adjacencies())
+    graphs += [build_node_adjacency(n_peds, 3) for n_peds in (2, 5, 20, 50)]
+    for adj in graphs:
+        graph = _graph(adj, rng.uniform(0.0, 3.0, size=len(edge_list(adj))))
+        hodge = hodge_operator(graph)
+        for order in range(1, 6):
+            got = laguerre_basis(hodge, graph.distances, order)
+            want = _pair_grid_basis(adj, hodge.lam, graph.distances, order)
+            assert len(got) == len(want) == order
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 def test_node_route_matches_dense_line_graph_and_l1():
@@ -235,13 +277,14 @@ def test_node_route_matches_dense_line_graph_and_l1():
     graphs += [build_node_adjacency(n_peds, 3) for n_peds in (1, 2, 3, 5, 10, 15, 20)]
     for adj in graphs:
         op = boundary_operator(adj)
-        np.testing.assert_array_equal(line_graph_degrees(adj),
+        graph = _graph(adj)
+        np.testing.assert_array_equal(line_graph_degrees(graph),
                                       line_graph(op.edge_index).sum(axis=1))
-        spectrum = hodge_spectrum(adj)
+        spectrum = hodge_spectrum(graph)
         want = np.linalg.eigvalsh(hodge_laplacian(op))
         assert spectrum.shape == want.shape
         assert np.abs(spectrum - want).max(initial=0.0) <= 1e-9
-        assert hodge_operator(adj).lam == max(spectrum.max(initial=0.0), 1e-6)
+        assert hodge_operator(graph).lam == max(spectrum.max(initial=0.0), 1e-6)
 
 
 # -- Laguerre filtering ---------------------------------------------------------
@@ -285,16 +328,10 @@ def test_laguerre_operator_matches_spectral_evaluation():
             np.testing.assert_allclose(t.data, spectral, atol=1e-8)
 
 
-def _edge_graph_from(adj, dists):
-    edges = edge_list(adj)
-    return EdgeGraph(edge_index=edges, features=_to_grid(dists, edges, len(adj)),
-                     hodge=hodge_operator(adj))
-
-
 def test_hll_conv_order_one_is_linear_map():
     rng = np.random.default_rng(3)
     dists = rng.normal(size=3)
-    graph = _edge_graph_from(TRIANGLE, dists)
+    graph = _graph(TRIANGLE, dists)
     coeffs = rng.normal(size=(1, 4))
     out = hll_conv(graph, Tensor(coeffs))
     lin = dists[:, None] @ coeffs
@@ -302,11 +339,13 @@ def test_hll_conv_order_one_is_linear_map():
                                atol=1e-12)
 
 
-def test_hll_conv_zero_laplacian_collapses_to_sum():
+def test_hll_conv_zero_laplacian_collapses_to_sum(monkeypatch):
     rng = np.random.default_rng(4)
     dists = rng.normal(size=3)
-    graph = _edge_graph_from(TRIANGLE, dists)
-    graph.hodge = HodgeOperator(adjacency=np.zeros((3, 3)), lam=1.0)
+    graph = _graph(TRIANGLE, dists)
+    # an infinite scale makes L1 / lam the zero operator
+    monkeypatch.setattr(stedge.edgegraph, "hodge_operator",
+                        lambda g: HodgeOperator(edge_index=g.edge_index, lam=math.inf))
     w = rng.normal(size=(1, 4))
     out = hll_conv(graph, Tensor(np.repeat(w / 3.0, 3, axis=0)))
     lin = dists[:, None] @ w
@@ -317,11 +356,11 @@ def test_hll_conv_zero_laplacian_collapses_to_sum():
 def test_hll_conv_matches_spectral_oracle():
     rng = np.random.default_rng(5)
     dists = rng.normal(size=3)
-    graph = _edge_graph_from(TRIANGLE, dists)
+    graph = _graph(TRIANGLE, dists)
     coeffs = rng.normal(size=(3, 4))
     out = hll_conv(graph, Tensor(coeffs))
     w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
-                          / graph.hodge.lam)
+                          / hodge_operator(graph).lam)
     pre = np.zeros((3, 4))
     for j in range(3):
         scalars = np.array([laguerre_scalars(float(lam), 3)[j] for lam in w])
@@ -332,7 +371,7 @@ def test_hll_conv_matches_spectral_oracle():
 
 def test_hll_conv_gradients():
     rng = np.random.default_rng(6)
-    graph = _edge_graph_from(TRIANGLE, rng.normal(size=3))
+    graph = _graph(TRIANGLE, rng.normal(size=3))
     thetas = [Tensor(rng.normal(size=(1, 3)), requires_grad=True) for _ in range(3)]
     err = gradcheck(lambda: hll_conv(graph, concatenate(thetas)).sum(),
                     thetas, eps=1e-5)
@@ -370,8 +409,8 @@ _PARITY_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
 def test_hll_conv_matches_dense_laplacian(name):
-    """Forward output and the coefficient gradient of the pair-grid filter
-    match the filter on the stored L1 / lam, with lam exact and, on
+    """Forward output and the coefficient gradient of the edge-vector
+    filter match the filter on the stored L1 / lam, with lam exact and, on
     complete graphs, with lam from the power iteration the dense filter
     used."""
     adj = _PARITY_GRAPHS[name]
@@ -387,7 +426,7 @@ def test_hll_conv_matches_dense_laplacian(name):
         backward(out, seed)
         return [out.data, coeffs.grad.copy()]
 
-    graph = _edge_graph_from(adj, dists)
+    graph = _graph(adj, dists)
     got = output_and_grad(lambda: hll_conv(graph, coeffs))
     l1 = hodge_laplacian(op)
     rows = [coeffs[j:j + 1] for j in range(3)]
@@ -395,7 +434,7 @@ def test_hll_conv_matches_dense_laplacian(name):
     if name.startswith("complete"):
         lams.append(_power_iteration_lambda(l1))
     for lam in lams:
-        assert graph.hodge.lam == pytest.approx(lam, rel=1e-12)
+        assert hodge_operator(graph).lam == pytest.approx(lam, rel=1e-12)
         want = output_and_grad(
             lambda: _dense_hll_conv(l1 / lam, Tensor(dists[:, None]), rows))
         for g, w in zip(got, want):
@@ -428,17 +467,17 @@ def test_filter_on_distances_matches_embed_then_filter(name):
         backward(out, seed)
         return [out.data] + [t.grad.copy() for t in (w_embed, *thetas)]
 
-    graph = _edge_graph_from(adj, dists)
+    graph = _graph(adj, dists)
     got = output_and_grads(lambda: hll_conv(
         graph, concatenate([w_embed @ t for t in thetas])))
     want = output_and_grads(lambda: _embed_then_filter(
-        dists, w_embed, thetas, hodge_laplacian(op) / graph.hodge.lam))
+        dists, w_embed, thetas, hodge_laplacian(op) / hodge_operator(graph).lam))
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
-    """``hll_conv`` and ``fusion_gcn`` as they ran before the pair grid:
+    """``hll_conv`` and ``fusion_gcn`` as they ran before the node-pair grid:
     L1 / lam applied as (B1^T / lam) (B1 x), one rank-1 product per order,
     and the neighbour messages moved by one-hot edge selectors.  Returns
     the edge embedding and the fused node update."""
@@ -477,7 +516,7 @@ _BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
 @pytest.mark.parametrize("gate_mode", ["vector", "scalar"])
 @pytest.mark.parametrize("name", sorted(_BRANCH_GRAPHS))
 def test_edge_branch_matches_incidence_reference(name, gate_mode):
-    """The pair-grid edge branch (filter and fusion, as the model calls
+    """The edge-vector edge branch (filter and fusion, as the model calls
     them) against the B1 / selector path it replaced: both outputs and
     the gradients of h_node and of every parameter, and lam to the bit."""
     adj = _BRANCH_GRAPHS[name]
@@ -504,18 +543,17 @@ def test_edge_branch_matches_incidence_reference(name, gate_mode):
         backward((h_edge * seed_edge).sum() + (fused * seed_node).sum())
         return [h_edge.data, fused.data] + [t.grad.copy() for t in leaves.values()]
 
-    def grid_branch():
-        hodge = hodge_operator(adj)
-        graph = EdgeGraph(edge_index=edges, features=_to_grid(dists, edges, n),
-                          hodge=hodge)
+    graph = _graph(adj, dists)
+
+    def edge_branch():
         coeffs = concatenate([leaves["w_embed"] @ t for t in thetas])
         h_edge = hll_conv(graph, coeffs)
-        return h_edge, fusion_gcn(leaves["h_node"], h_edge, edges, leaves["theta"],
-                                  leaves["phi"])
+        return h_edge, fusion_gcn(leaves["h_node"], h_edge, graph.edge_index,
+                                  leaves["theta"], leaves["phi"])
 
     b1 = boundary_operator(adj).matrix
-    assert hodge_operator(adj).lam == np.linalg.eigvalsh(b1 @ b1.T)[-1]
-    got = outputs_and_grads(grid_branch)
+    assert hodge_operator(graph).lam == np.linalg.eigvalsh(b1 @ b1.T)[-1]
+    got = outputs_and_grads(edge_branch)
     want = outputs_and_grads(lambda: _incidence_edge_branch(
         adj, dists, leaves["w_embed"], thetas, leaves["h_node"], leaves["theta"],
         leaves["phi"]))
@@ -526,28 +564,23 @@ def test_edge_branch_matches_incidence_reference(name, gate_mode):
 # -- geometric edge features -----------------------------------------------------
 
 
-def _patch():
+def test_edge_distances_values():
     obs = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
                     [[0.0, 4.0], [3.0, 4.0], [3.0, 0.0]]])
-    return UnifiedPatch(start=0, n_peds=2, length=3,
-                        features=Tensor(np.zeros((6, 1))),
-                        positions=obs.reshape(-1, 2),
-                        adjacency=build_node_adjacency(2, 3))
 
+    def lengths(obs, max_distance=None):
+        (graph,) = patch_graphs(obs, PatchingConfig(3, 1), max_distance)
+        return dict(zip(map(tuple, graph.edge_index.tolist()), graph.distances))
 
-def test_edge_distances_values():
-    patch = _patch()
-    d = edge_distances(patch)
+    d = lengths(obs)
     assert d[0, 1] == pytest.approx(1.0)    # same ped, adjacent frames
     assert d[0, 3] == pytest.approx(4.0)
     assert d[0, 4] == pytest.approx(5.0)    # 3-4-5 triangle
     assert d[2, 5] == pytest.approx(1.0)
-    np.testing.assert_array_equal(d, -d.T)  # an oriented edge signal
-    patch.adjacency[0, 4] = patch.adjacency[4, 0] = 0.0
-    assert edge_distances(patch)[0, 4] == 0.0   # no edge, no value
-    patch.positions[3:] = patch.positions[:3]
-    d = edge_distances(patch)
-    assert d[0, 3] == pytest.approx(0.0)    # coincident endpoints
+    assert len(d) == 15 and min(d.values()) >= 0.0   # lengths, one per edge
+    assert (0, 4) not in lengths(obs, max_distance=4.5)   # no edge, no value
+    obs[1] = obs[0]
+    assert lengths(obs)[0, 3] == pytest.approx(0.0)    # coincident endpoints
 
 
 # -- fusion ------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from stedge.model import (
     WindowTooLargeError,
     tape_bytes,
 )
-from stedge.stgraph import patch_adjacencies
+from stedge.stgraph import patch_graphs
 
 from test_model import SMALL, _circle_window
 
@@ -315,8 +315,8 @@ def test_tape_estimate_is_within_10_percent(cfg, max_distance, gate):
     cfg = replace(cfg, max_distance=max_distance, fusion_gate=gate)
     for n in (2, 5, 20):
         window = _circle_window(n)
-        edges = [np.count_nonzero(a) // 2 for a in
-                 patch_adjacencies(window.obs, cfg.patching(), cfg.max_distance)]
+        edges = [len(g.edge_index) for g in
+                 patch_graphs(window.obs, cfg.patching(), cfg.max_distance)]
         measured = _tape_bytes(TrajectoryForecaster(cfg, seed=0).loss(window))
         assert abs(tape_bytes(cfg, n, edges) - measured) <= 0.1 * measured
 

@@ -1,9 +1,12 @@
 import hashlib
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stedge.autodiff
 from stedge.autodiff import ShapeMismatchError, backward
 from stedge.data import Window
 from stedge.model import (
@@ -12,7 +15,7 @@ from stedge.model import (
     gradcheck_parameters,
     init_parameters,
 )
-from stedge.stgraph import patch_adjacencies
+from stedge.stgraph import patch_graphs
 from stedge.synth import gradcheck_window, overfit_windows
 
 SMALL = ModelConfig(model_dim=8, encoder_dim=16, encoder_heads=2, encoder_layers=1)
@@ -187,6 +190,28 @@ def test_zero_gate_mode_ignores_edge_parameters():
         assert g is None or not np.any(g)
 
 
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+def test_zero_gate_records_no_edge_branch_op(monkeypatch, max_distance):
+    """Under the zero gate no recorded op reads the edge embedding or a
+    filter coefficient: the folded coefficients are built only when the
+    edge branch runs."""
+    cfg = replace(SMALL, fusion_gate="zero", max_distance=max_distance)
+    model = TrajectoryForecaster(cfg, seed=0)
+    edge_params = {id(model.params[name]) for name in
+                   ["edge.w_embed", *(f"hll.theta{j}" for j in range(cfg.hll_order))]}
+    readers = []
+    record_op = stedge.autodiff._result
+
+    def recording(data, op, parents, backward_fn):
+        if any(id(p) in edge_params for p in parents):
+            readers.append(op)
+        return record_op(data, op, parents, backward_fn)
+
+    monkeypatch.setattr(stedge.autodiff, "_result", recording)
+    backward(model.loss(_circle_window(5)))
+    assert readers == []
+
+
 def test_pipeline_translation_invariant_forecast_shape():
     # velocities / norms / angles and edge distances are translation
     # invariant, so shifted windows give identical Gaussian parameters
@@ -231,11 +256,33 @@ def test_forward_takes_one_eigvalsh_per_patch_with_edges(monkeypatch, max_distan
     branch runs; the model never asks for eigenvectors."""
     cfg = replace(SMALL, max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(5)
-    with_edges = sum(np.count_nonzero(a) > 0 for a in
-                     patch_adjacencies(window.obs, cfg.patching(), cfg.max_distance))
+    with_edges = sum(len(g.edge_index) > 0 for g in
+                     patch_graphs(window.obs, cfg.patching(), cfg.max_distance))
     calls = _count_eigensolves(monkeypatch)
     TrajectoryForecaster(cfg, seed=0).forward(window)
     assert calls == {"eigh": 0, "eigvalsh": with_edges if gate != "zero" else 0}
+
+
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+def test_traced_loss_has_one_span_per_patch_and_sizes_the_filter_by_edges(
+        monkeypatch, max_distance):
+    """The benchmark's tracer (``perfbench/tracing.py``) reads the model
+    through the names it wraps: one attention and one fusion span per
+    patch, and Laguerre filter spans sized by ``len(graph.edge_index)``,
+    which ``edges_per_patch`` and ``hll_us_per_edge`` divide by."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans, tracing = importlib.import_module("spans"), importlib.import_module("tracing")
+    cfg = replace(SMALL, max_distance=max_distance)
+    window = _circle_window(5)
+    graphs = patch_graphs(window.obs, cfg.patching(), cfg.max_distance)
+    rec = spans.SpanRecorder()
+    with tracing.installed(rec):
+        backward(TrajectoryForecaster(cfg, seed=0).loss(window))
+    names = [s.name for s in rec.spans]
+    assert names.count("stgraph.gat") == names.count("edgegraph.fusion") == len(graphs)
+    filter_sizes = [s.size for s in rec.spans if s.name == "edgegraph.hll"]
+    assert len(filter_sizes) == len(graphs)
+    assert sum(filter_sizes) == sum(len(g.edge_index) for g in graphs) > 0
 
 
 def test_max_distance_variant_runs():

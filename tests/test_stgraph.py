@@ -11,14 +11,13 @@ from stedge.stgraph import (
     DisconnectedGraphError,
     PatchTooLongError,
     PatchingConfig,
-    UnifiedPatch,
     build_node_adjacency,
     effective_resistance,
     effective_resistances,
     gat_layer,
     laplacian_spectrum,
-    patch_adjacencies,
     patch_count,
+    patch_graphs,
     patch_starts,
     resistance_matrix,
     segment_patches,
@@ -64,17 +63,38 @@ def test_patch_count_matches_enumeration(t_obs, length, stride):
 def test_segment_patches_layout():
     n, t, d = 2, 8, 3
     feats = Tensor(np.arange(n * t * d, dtype=float).reshape(n, t, d))
-    pos = np.arange(n * t * 2, dtype=float).reshape(n, t, 2)
-    cfg = PatchingConfig(3, 1)
-    patches = segment_patches(feats, cfg, pos, patch_adjacencies(pos, cfg))
-    assert len(patches) == 6
-    p = patches[2]
-    assert p.start == 2 and p.n_nodes == 6
+    blocks = segment_patches(feats, PatchingConfig(3, 1))
+    assert len(blocks) == 6
+    z = blocks[2]
+    assert z.shape == (6, d)
     # pedestrian-major: node index = ped * L + local_time
-    np.testing.assert_array_equal(p.features.data[0], feats.data[0, 2])
-    np.testing.assert_array_equal(p.features.data[3], feats.data[1, 2])
-    np.testing.assert_array_equal(p.features.data[5], feats.data[1, 4])
-    np.testing.assert_array_equal(p.positions, pos[:, 2:5].reshape(6, 2))
+    np.testing.assert_array_equal(z.data[0], feats.data[0, 2])
+    np.testing.assert_array_equal(z.data[3], feats.data[1, 2])
+    np.testing.assert_array_equal(z.data[5], feats.data[1, 4])
+
+
+@pytest.mark.parametrize("max_distance", [None, 1.5])
+@pytest.mark.parametrize("cfg", [PatchingConfig(3, 1), PatchingConfig(2, 3)])
+def test_patch_graphs_match_per_patch_references(cfg, max_distance):
+    """One graph per patch, at ``patch_starts``; each adjacency is
+    ``build_node_adjacency`` on the pedestrian-major slice, the edges are
+    the upper-triangle pairs in lexicographic order, and each distance is
+    its edge's endpoint-to-endpoint norm."""
+    obs = np.random.default_rng(5).uniform(0.0, 3.0, size=(4, 8, 2))
+    graphs = patch_graphs(obs, cfg, max_distance)
+    starts = patch_starts(8, cfg)
+    assert len(graphs) == len(starts) == patch_count(8, cfg)
+    for graph, start in zip(graphs, starts):
+        assert graph.start == start
+        pos = obs[:, start:start + cfg.length].reshape(-1, 2)
+        np.testing.assert_array_equal(pos[cfg.length + 1], obs[1, start + 1])
+        adj = build_node_adjacency(4, cfg.length, pos, max_distance)
+        np.testing.assert_array_equal(graph.adjacency, adj)
+        n = len(adj)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
+        np.testing.assert_array_equal(graph.edge_index, np.reshape(edges, (-1, 2)))
+        want = [np.linalg.norm(pos[u] - pos[v]) for u, v in edges]
+        np.testing.assert_allclose(graph.distances, want, rtol=1e-15, atol=0)
 
 
 def test_complete_adjacency():
@@ -97,12 +117,7 @@ def test_threshold_adjacency_keeps_degree():
 
 # -- graph attention ---------------------------------------------------------
 
-
-def _patch(z, adjacency):
-    z = np.asarray(z, dtype=float)
-    return UnifiedPatch(start=0, n_peds=z.shape[0], length=1, features=Tensor(z),
-                        positions=np.zeros((z.shape[0], 2)),
-                        adjacency=np.asarray(adjacency, float))
+_PAIR = np.array([[0.0, 1.0], [1.0, 0.0]])   # two linked nodes
 
 
 def test_gat_two_identical_nodes_uniform_attention():
@@ -111,7 +126,7 @@ def test_gat_two_identical_nodes_uniform_attention():
     theta = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     theta_dst = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     att = Tensor(rng.normal(size=4), requires_grad=True)
-    _, alpha = gat_layer(_patch(z, [[0, 1], [1, 0]]), theta, theta_dst, att,
+    _, alpha = gat_layer(Tensor(z), _PAIR, theta, theta_dst, att,
                          return_attention=True)
     np.testing.assert_allclose(alpha.data, 0.5, atol=1e-12)
 
@@ -122,7 +137,7 @@ def test_gat_isolated_node_is_self_loop():
     theta = Tensor(rng.normal(size=(3, 4)))
     theta_dst = Tensor(rng.normal(size=(3, 4)))
     att = Tensor(rng.normal(size=4))
-    out, alpha = gat_layer(_patch(z, [[0.0]]), theta, theta_dst, att,
+    out, alpha = gat_layer(Tensor(z), np.zeros((1, 1)), theta, theta_dst, att,
                            return_attention=True)
     np.testing.assert_allclose(alpha.data, [[1.0]], atol=0)
     h = z @ theta.data
@@ -137,7 +152,7 @@ def test_gat_attention_vector_of_the_wrong_width_is_a_shape_mismatch():
     theta_dst = Tensor(rng.normal(size=(3, 4)))
     for width in (3, 5):
         with pytest.raises(ShapeMismatchError, match="pair_attention_logits"):
-            gat_layer(_patch(z, [[0, 1], [1, 0]]), theta, theta_dst,
+            gat_layer(Tensor(z), _PAIR, theta, theta_dst,
                       Tensor(rng.normal(size=width)))
 
 
@@ -176,7 +191,7 @@ def test_gat_matches_scalar_oracle_on_path():
     theta = rng.normal(size=(3, 4))
     theta_dst = rng.normal(size=(3, 4))
     att = rng.normal(size=4)
-    out, alpha = gat_layer(_patch(z, adjacency), Tensor(theta),
+    out, alpha = gat_layer(Tensor(z), adjacency, Tensor(theta),
                            Tensor(theta_dst), Tensor(att),
                            return_attention=True)
     want_alpha, want_out = _gat_oracle(z.tolist(), adjacency.tolist(),
@@ -192,7 +207,7 @@ def test_gat_attention_depends_on_receiver():
     rng = np.random.default_rng(12)
     z = rng.normal(size=(4, 3))
     adj = build_node_adjacency(4, 1)
-    _, alpha = gat_layer(_patch(z, adj), Tensor(rng.normal(size=(3, 4))),
+    _, alpha = gat_layer(Tensor(z), adj, Tensor(rng.normal(size=(3, 4))),
                          Tensor(rng.normal(size=(3, 4))),
                          Tensor(rng.normal(size=4)), return_attention=True)
     rows = alpha.data
@@ -207,7 +222,7 @@ def test_gat_rows_sum_to_one_random():
         theta = Tensor(rng.normal(size=(6, 5)))
         theta_dst = Tensor(rng.normal(size=(6, 5)))
         att = Tensor(rng.normal(size=5))
-        _, alpha = gat_layer(_patch(z, adj), theta, theta_dst, att,
+        _, alpha = gat_layer(Tensor(z), adj, theta, theta_dst, att,
                              return_attention=True)
         np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -223,8 +238,8 @@ def test_gat_permutation_equivariant():
     theta_dst = Tensor(rng.normal(size=(4, 4)))
     att = Tensor(rng.normal(size=4))
     perm = rng.permutation(n)
-    base = gat_layer(_patch(z, adj), theta, theta_dst, att).data
-    permuted = gat_layer(_patch(z[perm], adj[np.ix_(perm, perm)]), theta,
+    base = gat_layer(Tensor(z), adj, theta, theta_dst, att).data
+    permuted = gat_layer(Tensor(z[perm]), adj[np.ix_(perm, perm)], theta,
                          theta_dst, att).data
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
