@@ -190,14 +190,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 1:
-            raise TypeError("only positive integer powers are supported")
-        out = self
-        for _ in range(n - 1):
-            out = mul(out, self)
-        return out
-
     def __getitem__(self, idx):
         return _getitem(self, idx)
 
@@ -529,8 +521,8 @@ def pair_attention_logits(dst, src, att) -> Tensor:
 def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
     """Gated messages summed over each node's pairs, (n, d): pair e sends
     sigmoid(z[e]) * x[cols[e]] to node rows[e] and sigmoid(z[e]) *
-    x[rows[e]] to node cols[e].  ``z`` holds the pre-sigmoid gates, (m, d)
-    for one gate per channel or (m, 1) for one per pair; ``x`` is (n, d).
+    x[rows[e]] to node cols[e].  ``z`` holds the (m, d) pre-sigmoid gates,
+    one per pair and channel; ``x`` is (n, d).
 
     The pairs must be distinct, off the diagonal and each listed in one
     orientation only.  The sigmoid is 0.5 tanh(z / 2) + 0.5, which cannot
@@ -542,7 +534,7 @@ def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
     """
     z, x = _as_tensor(z), _as_tensor(x)
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    if (z.ndim != 2 or x.ndim != 2 or z.shape[1] not in (1, x.shape[1])
+    if (z.ndim != 2 or x.ndim != 2 or z.shape[1] != x.shape[1]
             or len(rows) != z.shape[0] or len(cols) != z.shape[0]):
         raise ShapeMismatchError(
             f"gated_neighbour_sum: gates {z.shape} for {len(rows)}/{len(cols)} "
@@ -558,11 +550,7 @@ def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
 
     def grid_product(gate, v):
         """G_c @ v[:, c] per channel c, with G_c the symmetric pair grid of
-        the gates; under per-pair gates one grid serves every channel."""
-        if gate.shape[1] == 1:
-            grid = np.zeros(n * n)
-            grid[cells] = grid[mirror] = gate[:, 0]
-            return grid.reshape(n, n) @ v
+        the gates."""
         out = np.empty((n, d))
         for ch in _blocks(d, n * n):
             grid = np.zeros((ch.stop - ch.start, n * n))
@@ -583,8 +571,6 @@ def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
                 at_row, at_col = rows[pairs], cols[pairs]
                 g_gate = g[at_row] * x.data[at_col]
                 g_gate += g[at_col] * x.data[at_row]
-                if z.shape[1] == 1:
-                    g_gate = g_gate.sum(axis=1, keepdims=True)
                 g_z[pairs] = g_gate
             half *= half
             g_z *= 0.25 * (1.0 - half)       # the sigmoid's slope

@@ -20,7 +20,7 @@ from stedge.config import BadConfigError, Config, config_help, load_config
 from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
 from stedge.edgegraph import hodge_spectrum, line_graph_degrees
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
-from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
+from stedge.predictor import sample_window
 from stedge.stgraph import effective_resistances, patch_graphs
 from stedge.synth import gradcheck_window
 from stedge.trainer import (
@@ -139,8 +139,8 @@ def cmd_predict(args) -> int:
         writer.writerow(["window_id", "sample_id", "ped_id", "t", "x", "y"])
         for wi, window in enumerate(windows):
             track = model.predict(window)
-            samples = sample_trajectories(track, cfg.train.eval_samples,
-                                          seed=[cfg.train.seed, _STREAM_SAMPLING, wi])
+            samples = sample_window(track, cfg.train.eval_samples,
+                                    cfg.train.seed, wi)
             for si in range(samples.shape[0]):
                 for pi, ped in enumerate(window.ped_ids):
                     for t in range(samples.shape[2]):

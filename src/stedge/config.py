@@ -20,7 +20,7 @@ from stedge.trainer import TrainConfig
 
 
 class BadConfigError(ValueError):
-    """Unknown key, or a value that does not parse; the message names the key."""
+    """Unknown or repeated key, or a value that does not parse; names the key."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,9 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
         raw_value = raw_value.strip()
         if key not in CONFIG_KEYS:
             raise BadConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise BadConfigError(f"{source}:{lineno}: {key!r} is set again; "
+                                 f"line {lines[key]} already sets it")
         try:
             values[key] = type(_DEFAULTS[key])(raw_value)
         except ValueError as exc:

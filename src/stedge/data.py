@@ -63,8 +63,9 @@ class Window:
     """One observation/prediction slice.
 
     ``obs`` is (N, T_obs, 2) absolute positions, ``fut`` is (N, T_pred, 2),
-    and ``origin`` is each pedestrian's last observed position.  A bad
-    shape, or a coordinate the parser rejects, raises ``ValueError``.
+    and ``origin`` is each pedestrian's last observed position.  No
+    pedestrian, a bad shape, or a coordinate the parser rejects raises
+    ``ValueError``.
     """
 
     obs: np.ndarray
@@ -78,6 +79,9 @@ class Window:
         self.fut = np.asarray(self.fut, dtype=np.float64)
         self.origin = np.asarray(self.origin, dtype=np.float64)
         n = len(self.ped_ids)
+        if n == 0:
+            raise ValueError("Window.ped_ids is empty: a window needs at least "
+                             "one pedestrian")
         for name, ndim, dims in (("obs", 3, "N, T_obs, 2"), ("fut", 3, "N, T_pred, 2"),
                                  ("origin", 2, "N, 2")):
             value = getattr(self, name)

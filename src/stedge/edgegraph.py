@@ -169,13 +169,12 @@ def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,
 
     H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} gate(e_ij) * theta h_j),
     where the gate is a logistic squash of the edge embedding mapped through
-    ``phi``: per channel when ``phi`` is (d, d), one scalar per edge when
-    it is (d, 1).  Without an edge embedding (``h_edge`` None, or no
-    edges) the gate is zero, which severs the edge branch.  The neighbour
-    sum is divided by the node's degree: on a complete patch graph an
-    unnormalised sum outweighs the node's own term n - 1 times over and
-    pulls every node towards the patch mean, which washed out the
-    per-pedestrian signal the forecast needs.
+    the (d, d) ``phi``, one gate per channel.  Without an edge embedding
+    (``h_edge`` None, or no edges) the gate is zero, which severs the edge
+    branch.  The neighbour sum is divided by the node's degree: on a
+    complete patch graph an unnormalised sum outweighs the node's own term
+    n - 1 times over and pulls every node towards the patch mean, which
+    washed out the per-pedestrian signal the forecast needs.
 
     The gated sum is one recorded op (``gated_neighbour_sum``) on the
     pre-sigmoid gates h_edge phi.  It lays the gates on the pair grid, one
@@ -188,7 +187,7 @@ def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,
         return elu(t)
     n = t.shape[0]
     idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
-    # (|E|, d) or (|E|, 1) gates, one per channel or one for all
+    # (|E|, d) pre-sigmoid gates, one per channel
     messages = gated_neighbour_sum(h_edge @ phi, t, idx[:, 0], idx[:, 1])
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
     return elu(t + messages * inv_degree)

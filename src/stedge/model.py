@@ -74,8 +74,8 @@ from stedge.stgraph import (
 
 _STREAM_INIT = 0
 
-# "scalar" draws a (d, 1) fuse.phi; "zero" runs no edge branch
-FUSION_GATES = ("vector", "scalar", "zero")
+# "vector" gates each message per channel; "zero" runs no edge branch
+FUSION_GATES = ("vector", "zero")
 
 # Step scales (see init_parameters).  A hidden weight matrix with fan-in f
 # steps at _HIDDEN_STEP / sqrt(f); the head's weights step at
@@ -212,7 +212,7 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
     for j in range(cfg.hll_order):
         hidden(f"hll.theta{j}", (m, m))
     hidden("fuse.theta", (m, m))
-    hidden("fuse.phi", (m, 1) if cfg.fusion_gate == "scalar" else (m, m))
+    hidden("fuse.phi", (m, m))
     # small next to the pooled history, which carries each pedestrian's motion
     store.add("pred.placeholder", rng.normal(0.0, 0.1, size=(cfg.t_pred, m)))
     store.add("pred.positional", rng.normal(0.0, 0.1, size=(cfg.token_len, m)))
@@ -245,17 +245,16 @@ def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     """Estimated bytes of the arrays one window's forward records (its
     tape), from N, the widths and each patch's edge count; the backward
     holds the tape until it has run.  The edge branch records an (m, d)
-    filter output and its (m, d) or (m, 1) pre-sigmoid gates per patch;
-    no recorded array grows as n^2 d, and the encoder records no
-    (K + T_pred)^2 attention weights."""
+    filter output and its (m, d) pre-sigmoid gates per patch; no recorded
+    array grows as n^2 d, and the encoder records no (K + T_pred)^2
+    attention weights."""
     d, e, length = cfg.model_dim, cfg.encoder_dim, cfg.token_len
     n = n_peds * cfg.patch_len
-    gate_width = 1 if cfg.fusion_gate == "scalar" else d
     entries = _FEATURE_ARRAYS * n_peds * cfg.t_obs * d
     for m in edge_counts:
         entries += _NODE_ARRAYS * n * d + _PAIR_ARRAYS * n * n
         if cfg.fusion_gate != "zero":
-            entries += m * (d + gate_width)
+            entries += 2 * m * d
     entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IO_ARRAYS * e)
     entries += cfg.encoder_layers * n_peds * length * _LAYER_ARRAYS * e
     return 8 * entries

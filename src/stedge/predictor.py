@@ -186,3 +186,11 @@ def sample_trajectories(track: GaussianTrack, count: int = 20,
         steps = np.stack([dx, dy], axis=-1)
         out[s] = track.origin[:, None, :] + np.cumsum(steps, axis=1)
     return out
+
+
+def sample_window(track: GaussianTrack, count: int, seed: int,
+                  window_index: int) -> np.ndarray:
+    """``sample_trajectories`` for the ``window_index``-th window of a run
+    whose master seed is ``seed``, each window on its own sampling stream."""
+    return sample_trajectories(track, count,
+                               seed=[seed, _STREAM_SAMPLING, window_index])

@@ -22,7 +22,7 @@ import numpy as np
 from stedge.autodiff import ParameterStore, ShapeMismatchError, backward
 from stedge.data import Window
 from stedge.model import TrajectoryForecaster
-from stedge.predictor import _STREAM_SAMPLING, sample_trajectories
+from stedge.predictor import sample_window
 
 _STREAM_BATCH = 1
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8   # AdamW moment decays and floor
@@ -147,8 +147,7 @@ def evaluate(model: TrajectoryForecaster, windows: list[Window],
     ades, fdes = [], []
     for wi, window in enumerate(windows):
         track = model.predict(window)
-        samples = sample_trajectories(track, n_samples,
-                                      seed=[seed, _STREAM_SAMPLING, wi])
+        samples = sample_window(track, n_samples, seed, wi)
         a, f = best_of_k_per_ped(samples, window.fut)
         ades.append(a)
         fdes.append(f)

@@ -189,7 +189,12 @@ def test_concatenate_gradient():
     rng = np.random.default_rng(13)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    err = gradcheck(lambda: (concatenate([a, b], axis=1) ** 2).sum(), [a, b], eps=1e-5)
+
+    def f():
+        c = concatenate([a, b], axis=1)
+        return (c * c).sum()
+
+    err = gradcheck(f, [a, b], eps=1e-5)
     assert err < 1e-5
 
 
@@ -325,13 +330,12 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-@pytest.mark.parametrize("channels", [1, 4])
-def test_gated_neighbour_sum_matches_loop(channels):
+@pytest.mark.parametrize("d", [1, 4])
+def test_gated_neighbour_sum_matches_loop(d):
     rng = np.random.default_rng(31)
-    d = 4
     for n in (2, 3, 7):
         rows, cols = _pairs(n, rng)
-        z = rng.normal(size=(len(rows), channels))
+        z = rng.normal(size=(len(rows), d))
         x = rng.normal(size=(n, d))
         want = np.zeros((n, d))
         for e, (u, v) in enumerate(zip(rows, cols)):
@@ -341,14 +345,13 @@ def test_gated_neighbour_sum_matches_loop(channels):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.parametrize("channels", [1, 5])
-def test_gated_neighbour_sum_gradient(channels):
-    """At c = 1 (one gate per pair) and c = d, the widths the fusion
-    layer passes."""
+@pytest.mark.parametrize("d", [1, 5])
+def test_gated_neighbour_sum_gradient(d):
+    """One gate per pair and channel, at one channel and at five."""
     rng = np.random.default_rng(32)
-    n, d = 6, 5
+    n = 6
     rows, cols = _pairs(n, rng)
-    z = Tensor(rng.normal(size=(len(rows), channels)), requires_grad=True)
+    z = Tensor(rng.normal(size=(len(rows), d)), requires_grad=True)
     x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
     weights = rng.normal(size=(n, d))
     err = gradcheck(lambda: (gated_neighbour_sum(z, x, rows, cols) * weights).sum(),
@@ -361,8 +364,15 @@ def test_gated_neighbour_sum_shape_mismatch():
     rows, cols = np.array([0, 1]), np.array([1, 2])
     with pytest.raises(ShapeMismatchError):     # two pairs, three gates
         gated_neighbour_sum(Tensor(np.ones((3, 2))), x, rows, cols)
-    with pytest.raises(ShapeMismatchError):     # gates neither 1 nor d wide
+    with pytest.raises(ShapeMismatchError):     # gates not d wide
         gated_neighbour_sum(Tensor(np.ones((2, 3))), x, rows, cols)
+
+
+def test_gated_neighbour_sum_rejects_one_gate_per_pair():
+    # (m, 1) gates shared by every channel are not a layout the op takes
+    x = Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeMismatchError, match=r"gates \(2, 1\)"):
+        gated_neighbour_sum(Tensor(np.ones((2, 1))), x, [0, 1], [1, 2])
 
 
 def test_fused_op_shape_mismatch():

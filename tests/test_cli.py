@@ -67,8 +67,9 @@ def test_unknown_key_is_named():
 def test_bad_value_is_named():
     with pytest.raises(BadConfigError, match="train.epochs"):
         parse_config_text("train.epochs = -2\n")
-    with pytest.raises(BadConfigError, match="fusion.gate"):
-        parse_config_text("fusion.gate = open\n")
+    for gate in ("open", "scalar"):
+        with pytest.raises(BadConfigError, match="fusion.gate"):
+            parse_config_text(f"fusion.gate = {gate}\n")
 
 
 def test_cross_validation():
@@ -317,6 +318,22 @@ def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     assert f"cannot read config {cfg}" in err and "utf-8" in err
 
 
+def test_scalar_fusion_gate_exits_2_naming_the_key(tmp_path, capsys):
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\nfusion.gate = scalar\n")
+    assert run(["eval", "--config", str(cfg), "--oracle"]) == 2
+    assert f"{cfg}:9: bad value for 'fusion.gate'" in capsys.readouterr().err
+
+
+def test_a_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, (f"data.path = {scene}\n"
+                                  "fusion.gate = scalar\nfusion.gate = vector\n"))
+    assert run(["eval", "--config", str(cfg), "--oracle"]) == 2
+    assert (f"{cfg}:10: 'fusion.gate' is set again; line 9 already sets it"
+            in capsys.readouterr().err)
+
+
 def test_eval_without_checkpoint_fails(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")
@@ -459,8 +476,9 @@ def test_train_leave_out(tmp_path, capsys):
 
 def test_gradcheck_cli_passes_on_tiny_fixture(tmp_path, capsys):
     # narrower than criterion 5's widths, which check the same gradients
-    cfg = _config_file(tmp_path, ("model.dim = 2\nencoder.dim = 4\n"
-                                  "encoder.heads = 1\n"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.dim = 2\nencoder.dim = 4\nencoder.heads = 1\n"
+                   "encoder.layers = 1\n", encoding="utf-8")
     code = run(["gradcheck", "--config", str(cfg)])
     out = json.loads(capsys.readouterr().out)
     assert code == 0

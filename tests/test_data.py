@@ -116,6 +116,9 @@ def _with_obs_value(value):
                  id="nan"),
     pytest.param(_with_obs_value(-1e200), "Window.obs: coordinate beyond",
                  id="bound"),
+    pytest.param({"obs": np.zeros((0, 8, 2)), "fut": np.zeros((0, 12, 2)),
+                  "ped_ids": [], "origin": np.zeros((0, 2))},
+                 "Window.ped_ids is empty", id="no_pedestrian"),
 ])
 def test_window_checks_its_arrays_when_built(change, message):
     fields = _two_walker_fields()

@@ -513,9 +513,8 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
 _BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
 
 
-@pytest.mark.parametrize("gate_mode", ["vector", "scalar"])
 @pytest.mark.parametrize("name", sorted(_BRANCH_GRAPHS))
-def test_edge_branch_matches_incidence_reference(name, gate_mode):
+def test_edge_branch_matches_incidence_reference(name):
     """The edge-vector edge branch (filter and fusion, as the model calls
     them) against the B1 / selector path it replaced: both outputs and
     the gradients of h_node and of every parameter, and lam to the bit."""
@@ -529,7 +528,7 @@ def test_edge_branch_matches_incidence_reference(name, gate_mode):
         "w_embed": rng.normal(size=(1, d)),
         **{f"theta{j}": rng.normal(size=(d, d)) * 0.5 for j in range(3)},
         "theta": rng.normal(size=(d, d)) * 0.5,
-        "phi": rng.normal(size=(d, d if gate_mode == "vector" else 1)),
+        "phi": rng.normal(size=(d, d)),
     }
     leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
     thetas = [leaves[f"theta{j}"] for j in range(3)]
@@ -636,12 +635,12 @@ def test_fusion_gate_saturated_to_one_sums_neighbours():
                                atol=1e-9)
 
 
-def test_fusion_scalar_gate_mode():
+def test_fusion_gradients_match_central_differences():
     rng = np.random.default_rng(10)
     h_node = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     h_edge = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     theta = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    phi = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    phi = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     err = gradcheck(
         lambda: fusion_gcn(h_node, h_edge, ((0, 1),), theta, phi).sum(),
         [h_node, h_edge, theta, phi], eps=1e-5)

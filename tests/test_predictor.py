@@ -149,7 +149,8 @@ def test_encoder_gradients():
                     requires_grad=True)
 
     def f():
-        return (encoder_forward(tokens, params, heads=2, layers=1) ** 2).mean()
+        out = encoder_forward(tokens, params, heads=2, layers=1)
+        return (out * out).mean()
 
     checked = [tokens, *params.tensors()]
     for p in checked:
