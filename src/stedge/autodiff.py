@@ -4,10 +4,17 @@ A small define-by-run engine: every operation records its parent tensors
 and a closure mapping the output gradient to parent gradients.  backward()
 walks the recorded graph in reverse topological order and accumulates into
 ``Tensor.grad`` of the leaves, the tensors no recorded op produced (+=,
-never overwrite), so repeated backward passes sum.  Intermediates pass
-their gradient on and keep ``grad`` None.  A closure computes nothing for
-an operand that does not require a gradient (a constant, a Python scalar):
-it returns None in that slot.
+never overwrite), so backward passes over successive graphs sum.
+Intermediates pass their gradient on and keep ``grad`` None.  A closure
+computes nothing for an operand that does not require a gradient (a
+constant, a Python scalar): it returns None in that slot.
+
+A recorded graph is walked once.  As backward() passes each op it drops
+the op's parents and closure, and with them the arrays the closure saved,
+so a step holds less and less of its tape as the backward runs; each
+tensor keeps its ``op`` name and its ``data`` (``loss.item()`` still
+reads the value).  A second backward through an op already walked raises
+``GraphFreedError`` naming the op.
 
 The primitive set is deliberately fixed to what the model needs: matmul,
 elementwise arithmetic, exp/log/tanh (the likelihood and its correlation),
@@ -26,8 +33,8 @@ Memory Cost", 2016):
   pair, with the (n, n, d) pair sum formed one block of rows at a time;
 * ``gated_neighbour_sum``: sigmoid-gated messages summed over each node's
   pairs, with neither the gates nor their pair grid recorded;
-* ``matmul_elu``: ELU(a @ b), whose backward reads ELU's slope off the
-  output.
+* ``matmul_elu_matmul``: ELU(a @ b) @ c, recording only its output; the
+  backward recomputes ELU(a @ b), which costs little when a is narrow.
 
 Their row blocks depend only on the operand shapes, so results stay
 bit-reproducible.  Three more carry the encoder, on the same plan:
@@ -52,6 +59,7 @@ __all__ = [
     "ShapeMismatchError",
     "NonFiniteError",
     "DisconnectedOutputError",
+    "GraphFreedError",
     "backward",
     "gradcheck",
     "concatenate",
@@ -62,7 +70,7 @@ __all__ = [
     "softmax",
     "pair_attention_logits",
     "gated_neighbour_sum",
-    "matmul_elu",
+    "matmul_elu_matmul",
     "linear",
     "layer_norm",
     "attention",
@@ -122,6 +130,11 @@ class NonFiniteError(ArithmeticError):
 
 class DisconnectedOutputError(RuntimeError):
     """backward() was started from a tensor no recorded op produced."""
+
+
+class GraphFreedError(RuntimeError):
+    """backward() reached an op that an earlier backward walked and freed;
+    the message names the op."""
 
 
 class Tensor:
@@ -579,27 +592,41 @@ def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
     return _result(data, "gated_neighbour_sum", (z, x), backward_fn)
 
 
-def matmul_elu(a, b) -> Tensor:
-    """ELU(a @ b) of 2-D operands as one op.  Below zero ELU's slope
-    exp(a @ b) equals the output plus one, so the backward needs neither
-    the product nor an activation of its own, and the tape holds only the
-    output."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul_elu: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-    below = np.minimum(data, 0.0)
-    np.expm1(below, out=below)
-    np.maximum(data, below, out=data)     # expm1(x) > x below zero
+def matmul_elu_matmul(a, b, c) -> Tensor:
+    """ELU(a @ b) @ c of 2-D operands as one op, whose tape holds only the
+    output.  The backward recomputes ELU(a @ b) as the forward did and
+    reads ELU's slope off it: below zero the slope exp(a @ b) equals
+    ELU(a @ b) + 1.  With a narrow ``a`` the recompute costs a small share
+    of the product with ``c``."""
+    a, b, c = _as_tensor(a), _as_tensor(b), _as_tensor(c)
+    if a.ndim != 2 or b.ndim != 2 or c.ndim != 2 \
+            or a.shape[1] != b.shape[0] or b.shape[1] != c.shape[0]:
+        raise ShapeMismatchError(
+            f"matmul_elu_matmul: {a.shape} @ {b.shape} @ {c.shape}")
+
+    def activation():
+        """ELU(a @ b)."""
+        h = a.data @ b.data
+        below = np.minimum(h, 0.0)
+        np.expm1(below, out=below)
+        np.maximum(h, below, out=h)     # expm1(x) > x below zero
+        return h
+
+    data = activation() @ c.data
 
     def backward_fn(g):
-        g_pre = data + 1.0
-        np.minimum(g_pre, 1.0, out=g_pre)  # ELU's slope
-        g_pre *= g
-        return (g_pre @ b.data.T if a.requires_grad else None,
-                a.data.T @ g_pre if b.requires_grad else None)
+        h = activation()
+        g_c = h.T @ g if c.requires_grad else None
+        g_a = g_b = None
+        if a.requires_grad or b.requires_grad:
+            h += 1.0
+            np.minimum(h, 1.0, out=h)   # ELU's slope
+            h *= g @ c.data.T
+            g_a = h @ b.data.T if a.requires_grad else None
+            g_b = a.data.T @ h if b.requires_grad else None
+        return g_a, g_b, g_c
 
-    return _result(data, "matmul_elu", (a, b), backward_fn)
+    return _result(data, "matmul_elu_matmul", (a, b, c), backward_fn)
 
 
 # -- fused encoder ops ----------------------------------------------------------
@@ -745,6 +772,13 @@ def backward(output: Tensor, seed=None) -> None:
     place.  ``output`` must be a scalar unless a same-shaped gradient
     ``seed`` is supplied.  Grads add across calls, in place; callers zero
     them between steps.
+
+    The walk frees the graph behind ``output``: once an op's closure has
+    run, the op drops its parents and its closure, so what it saved for
+    the backward is released as soon as no longer needed.  Each tensor
+    keeps its ``op`` and ``data``.  A graph is walked once: a second
+    backward that reaches a freed op, from the same output or through a
+    shared subgraph, raises ``GraphFreedError`` before any gradient moves.
     """
     if output._backward is None and not output.requires_grad:
         raise DisconnectedOutputError("output was not produced by any recorded op")
@@ -770,6 +804,10 @@ def backward(output: Tensor, seed=None) -> None:
             continue
         if id(node) in visited:
             continue
+        if node.op is not None and node._backward is None:
+            raise GraphFreedError(
+                f"op {node.op!r} was freed by an earlier backward; a recorded "
+                f"graph is walked once")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -777,11 +815,10 @@ def backward(output: Tensor, seed=None) -> None:
                 stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(output): seed}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
+        if g is not None and node.op is None:
             # a leaf; g may be a view shared with other gradients, but the
             # leaf's grad is its own, so it accumulates in place and no
             # parameter-sized array is allocated anew on every pass
@@ -789,12 +826,13 @@ def backward(output: Tensor, seed=None) -> None:
                 node.grad = g.copy()
             else:
                 node.grad += g
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if not parent.requires_grad or pg is None:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+        elif g is not None:
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if not parent.requires_grad or pg is None:
+                    continue
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+        node._parents, node._backward = (), None   # release what the op saved
 
 
 def gradcheck(f, params, eps: float = 1e-5) -> float:

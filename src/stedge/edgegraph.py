@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, gated_neighbour_sum, matmul_elu
+from stedge.autodiff import Tensor, elu, gated_neighbour_sum, matmul_elu_matmul
 from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
@@ -149,45 +149,46 @@ def laguerre_basis(operator, x, order: int) -> list:
     return basis
 
 
-def hll_conv(graph: PatchGraph, coeffs: Tensor) -> Tensor:
-    """Spectral edge convolution of the graph's edge lengths E:
-    sum_j G_j(L1 / lam) E theta_j, then ELU, where row j of the
-    (order, d) ``coeffs`` is theta_j.
+def hll_conv(graph: PatchGraph, coeffs: Tensor, phi: Tensor) -> Tensor:
+    """The fusion's pre-sigmoid gates of the graph's edges, (m, d): the
+    spectral edge convolution of the edge lengths E,
+    ELU(sum_j G_j(L1 / lam) E theta_j), where row j of the (order, d)
+    ``coeffs`` is theta_j, mapped through the (d, d) ``phi``.
 
     The edge signal is a constant, so its basis is plain numpy: each
-    order's (m,) vector is one column of an (m, order) array, and one
-    product with the coefficients mixes them.  Product and ELU are one op
-    (``matmul_elu``), so the tape holds only the (m, d) output.
+    order's (m,) vector is one column of an (m, order) array T.  Filter,
+    ELU and gate map are one op, ELU(T coeffs) phi (``matmul_elu_matmul``):
+    the tape holds only the (m, d) gates, and the backward recomputes the
+    filtered embedding from the narrow T.
     """
     basis = laguerre_basis(hodge_operator(graph), graph.distances, coeffs.shape[0])
-    return matmul_elu(Tensor(np.stack(basis, axis=1)), coeffs)
+    return matmul_elu_matmul(Tensor(np.stack(basis, axis=1)), coeffs, phi)
 
 
-def fusion_gcn(h_node: Tensor, h_edge: Tensor | None, edge_index,
-               theta: Tensor, phi: Tensor) -> Tensor:
-    """Node update gated per neighbour by its edge embedding.
+def fusion_gcn(h_node: Tensor, gates: Tensor | None, edge_index,
+               theta: Tensor) -> Tensor:
+    """Node update gated per neighbour by its edge.
 
-    H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} gate(e_ij) * theta h_j),
-    where the gate is a logistic squash of the edge embedding mapped through
-    the (d, d) ``phi``, one gate per channel.  Without an edge embedding
-    (``h_edge`` None, or no edges) the gate is zero, which severs the edge
-    branch.  The neighbour sum is divided by the node's degree: on a
-    complete patch graph an unnormalised sum outweighs the node's own term
-    n - 1 times over and pulls every node towards the patch mean, which
-    washed out the per-pedestrian signal the forecast needs.
+    H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} sigmoid(z_ij) * theta h_j),
+    where z_ij is the edge's row of the (m, d) pre-sigmoid ``gates``
+    (``hll_conv``), one gate per channel.  Without gates (None, or no
+    edges) the gate is zero, which severs the edge branch.  The neighbour
+    sum is divided by the node's degree: on a complete patch graph an
+    unnormalised sum outweighs the node's own term n - 1 times over and
+    pulls every node towards the patch mean, which washed out the
+    per-pedestrian signal the forecast needs.
 
-    The gated sum is one recorded op (``gated_neighbour_sum``) on the
-    pre-sigmoid gates h_edge phi.  It lays the gates on the pair grid, one
-    symmetric (n, n) grid per gate channel, for one batched product with
-    the node messages; the gates and their grid are temporaries, no longer
-    recorded, and its backward rebuilds them.
+    The gated sum is one recorded op (``gated_neighbour_sum``).  It lays
+    the gates on the pair grid, one symmetric (n, n) grid per gate
+    channel, for one batched product with the node messages; the sigmoid
+    gates and their grid are temporaries, not recorded, and its backward
+    rebuilds them.
     """
     t = h_node @ theta
-    if h_edge is None or not len(edge_index):
+    if gates is None or not len(edge_index):
         return elu(t)
     n = t.shape[0]
     idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
-    # (|E|, d) pre-sigmoid gates, one per channel
-    messages = gated_neighbour_sum(h_edge @ phi, t, idx[:, 0], idx[:, 1])
+    messages = gated_neighbour_sum(gates, t, idx[:, 0], idx[:, 1])
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
     return elu(t + messages * inv_degree)

@@ -37,11 +37,19 @@ by adaptive moments smooth (see ``init_parameters`` and
   moves the forecast by a small, bounded amount instead of by fan-in times
   the learning rate.
 
+The edge branch of each patch is two recorded ops: ``hll_conv`` filters
+the edge lengths and maps the filtered embedding through ``fuse.phi`` to
+the (m, d) pre-sigmoid gates in one op, and ``fusion_gcn`` sums the gated
+neighbour messages.  Only the gates stay on the tape; the (m, d) filtered
+embedding is recomputed in the backward.
+
 Before it records its first op, ``forward`` estimates the window's tape
 (``tape_bytes``) plus the parameter gradients every backward allocates,
 and raises ``WindowTooLargeError`` when the sum exceeds physical memory,
 so a very large crowd fails with a named error instead of an
-out-of-memory kill.
+out-of-memory kill.  The backward frees the tape as it walks it; its own
+temporaries come on top, the largest about three (m, d) arrays while it
+passes one patch's edge branch.
 """
 
 from __future__ import annotations
@@ -243,18 +251,19 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
 
 def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     """Estimated bytes of the arrays one window's forward records (its
-    tape), from N, the widths and each patch's edge count; the backward
-    holds the tape until it has run.  The edge branch records an (m, d)
-    filter output and its (m, d) pre-sigmoid gates per patch; no recorded
-    array grows as n^2 d, and the encoder records no (K + T_pred)^2
-    attention weights."""
+    tape), from N, the widths and each patch's edge count.  The backward
+    frees each op's arrays once it has passed the op, so the tape is what
+    a step holds when its backward starts.  The edge branch records only
+    its (m, d) pre-sigmoid gates per patch (the filtered embedding is
+    recomputed); no recorded array grows as n^2 d, and the encoder
+    records no (K + T_pred)^2 attention weights."""
     d, e, length = cfg.model_dim, cfg.encoder_dim, cfg.token_len
     n = n_peds * cfg.patch_len
     entries = _FEATURE_ARRAYS * n_peds * cfg.t_obs * d
     for m in edge_counts:
         entries += _NODE_ARRAYS * n * d + _PAIR_ARRAYS * n * n
         if cfg.fusion_gate != "zero":
-            entries += 2 * m * d
+            entries += m * d
     entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IO_ARRAYS * e)
     entries += cfg.encoder_layers * n_peds * length * _LAYER_ARRAYS * e
     return 8 * entries
@@ -317,11 +326,10 @@ class TrajectoryForecaster:
         for z, graph in zip(blocks, graphs, strict=True):
             h_node = gat_layer(z, graph.adjacency, params["gat.theta"],
                                params["gat.theta_dst"], params["gat.att"])
-            h_edge = None
+            gates = None
             if edge_branch and len(graph.edge_index):
-                h_edge = hll_conv(graph, coeffs)
-            update = fusion_gcn(h_node, h_edge, graph.edge_index,
-                                params["fuse.theta"], params["fuse.phi"])
+                gates = hll_conv(graph, coeffs, params["fuse.phi"])
+            update = fusion_gcn(h_node, gates, graph.edge_index, params["fuse.theta"])
             # each node's own features ride around the graph stage, which
             # on a complete graph averages every node towards the patch mean
             fused.append(z + update)

@@ -3,6 +3,7 @@ import pytest
 
 from stedge.autodiff import (
     DisconnectedOutputError,
+    GraphFreedError,
     NonFiniteError,
     ParameterStore,
     ShapeMismatchError,
@@ -17,7 +18,7 @@ from stedge.autodiff import (
     layer_norm,
     linear,
     log,
-    matmul_elu,
+    matmul_elu_matmul,
     pair_attention_logits,
     softmax,
     tanh,
@@ -94,6 +95,66 @@ def test_disconnected_output_rejected():
         backward(c)
 
 
+def _graph_nodes(output):
+    """Every tensor reachable from ``output`` through recorded parents."""
+    seen, stack, nodes = set(), [output], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def _small_graph():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    return x, w, tanh(x @ w) * 2.0
+
+
+def test_backward_frees_the_graph_it_walks():
+    x, w, y = _small_graph()
+    loss = (y * y).sum() + y.sum()
+    held = _graph_nodes(loss)
+    assert sum(t._backward is not None for t in held) == 7   # the recorded ops
+    backward(loss)
+    assert _graph_nodes(loss) == [loss]
+    for t in held:
+        assert t._parents == () and t._backward is None
+    assert x.grad is not None and w.grad is not None
+
+
+def test_loss_value_reads_after_backward_frees_it():
+    x, w, y = _small_graph()
+    loss = (y * y).sum()
+    value = float((np.tanh(x.data @ w.data) ** 2).sum() * 4.0)
+    backward(loss)
+    assert loss._parents == () and loss._backward is None
+    assert loss.item() == pytest.approx(value, rel=1e-14)
+    assert loss.op == "sum"
+
+
+def test_second_backward_of_an_output_raises():
+    x, w, y = _small_graph()
+    loss = y.sum()
+    backward(loss)
+    first = w.grad.copy()
+    with pytest.raises(GraphFreedError, match="'sum'"):
+        backward(loss)
+    np.testing.assert_array_equal(w.grad, first)   # nothing accumulated
+
+
+def test_second_backward_through_a_shared_subgraph_raises():
+    x, w, y = _small_graph()
+    backward(y.sum())
+    first = x.grad.copy()
+    with pytest.raises(GraphFreedError, match="'mul'"):   # y, freed above
+        backward((y * y).sum())
+    np.testing.assert_array_equal(x.grad, first)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
@@ -142,7 +203,8 @@ def _fd_for(param, closure, eps=1e-6):
         + pair_attention_logits(t, t - 5.0, t[1]) * _WEIGHTS[:, 1:]).sum()),
     ("gated_neighbour_sum", lambda t: (gated_neighbour_sum(
         t, t, _TRIANGLE_ROWS, _TRIANGLE_COLS) * _WEIGHTS).sum()),
-    ("matmul_elu", lambda t: (matmul_elu(t, t.T * 0.5) * _WEIGHTS[:, :3]).sum()),
+    ("matmul_elu_matmul", lambda t: (
+        matmul_elu_matmul(t, t.T * 0.5, t * 0.3) * _WEIGHTS).sum()),
     # ReLU inputs kept at least 1 clear of the kink, on both sides of it
     ("linear", lambda t: (
         linear(t, t.T * 0.1, t[0, :3] * 0.1 + 3.0, relu=True) * _WEIGHTS[:, :3]
@@ -379,8 +441,12 @@ def test_fused_op_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         pair_attention_logits(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 3))),
                               Tensor(np.ones(2)))
-    with pytest.raises(ShapeMismatchError):
-        matmul_elu(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeMismatchError):     # a @ b does not fit
+        matmul_elu_matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
+                          Tensor(np.ones((2, 4))))
+    with pytest.raises(ShapeMismatchError):     # (a @ b) @ c does not fit
+        matmul_elu_matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4))),
+                          Tensor(np.ones((3, 4))))
 
 
 def test_fused_encoder_op_shape_mismatch():

@@ -27,6 +27,11 @@ from stedge.stgraph import (
     patch_graphs,
 )
 
+def _identity(d):
+    """A gate map that hands ``hll_conv`` the filtered embedding itself."""
+    return Tensor(np.eye(d))
+
+
 TRIANGLE = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
 PATH3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -333,7 +338,7 @@ def test_hll_conv_order_one_is_linear_map():
     dists = rng.normal(size=3)
     graph = _graph(TRIANGLE, dists)
     coeffs = rng.normal(size=(1, 4))
-    out = hll_conv(graph, Tensor(coeffs))
+    out = hll_conv(graph, Tensor(coeffs), _identity(4))
     lin = dists[:, None] @ coeffs
     np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
                                atol=1e-12)
@@ -347,7 +352,7 @@ def test_hll_conv_zero_laplacian_collapses_to_sum(monkeypatch):
     monkeypatch.setattr(stedge.edgegraph, "hodge_operator",
                         lambda g: HodgeOperator(edge_index=g.edge_index, lam=math.inf))
     w = rng.normal(size=(1, 4))
-    out = hll_conv(graph, Tensor(np.repeat(w / 3.0, 3, axis=0)))
+    out = hll_conv(graph, Tensor(np.repeat(w / 3.0, 3, axis=0)), _identity(4))
     lin = dists[:, None] @ w
     np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
                                atol=1e-12)
@@ -358,7 +363,7 @@ def test_hll_conv_matches_spectral_oracle():
     dists = rng.normal(size=3)
     graph = _graph(TRIANGLE, dists)
     coeffs = rng.normal(size=(3, 4))
-    out = hll_conv(graph, Tensor(coeffs))
+    out = hll_conv(graph, Tensor(coeffs), _identity(4))
     w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
                           / hodge_operator(graph).lam)
     pre = np.zeros((3, 4))
@@ -373,8 +378,9 @@ def test_hll_conv_gradients():
     rng = np.random.default_rng(6)
     graph = _graph(TRIANGLE, rng.normal(size=3))
     thetas = [Tensor(rng.normal(size=(1, 3)), requires_grad=True) for _ in range(3)]
-    err = gradcheck(lambda: hll_conv(graph, concatenate(thetas)).sum(),
-                    thetas, eps=1e-5)
+    phi = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    err = gradcheck(lambda: hll_conv(graph, concatenate(thetas), phi).sum(),
+                    [*thetas, phi], eps=1e-5)
     assert err < 1e-5
 
 
@@ -427,16 +433,16 @@ def test_hll_conv_matches_dense_laplacian(name):
         return [out.data, coeffs.grad.copy()]
 
     graph = _graph(adj, dists)
-    got = output_and_grad(lambda: hll_conv(graph, coeffs))
+    got = output_and_grad(lambda: hll_conv(graph, coeffs, _identity(3)))
     l1 = hodge_laplacian(op)
-    rows = [coeffs[j:j + 1] for j in range(3)]
     lams = [np.linalg.eigvalsh(l1).max()]
     if name.startswith("complete"):
         lams.append(_power_iteration_lambda(l1))
     for lam in lams:
         assert hodge_operator(graph).lam == pytest.approx(lam, rel=1e-12)
-        want = output_and_grad(
-            lambda: _dense_hll_conv(l1 / lam, Tensor(dists[:, None]), rows))
+        # a walked graph is freed, so each pass slices the rows anew
+        want = output_and_grad(lambda: _dense_hll_conv(
+            l1 / lam, Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)]))
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
@@ -469,7 +475,7 @@ def test_filter_on_distances_matches_embed_then_filter(name):
 
     graph = _graph(adj, dists)
     got = output_and_grads(lambda: hll_conv(
-        graph, concatenate([w_embed @ t for t in thetas])))
+        graph, concatenate([w_embed @ t for t in thetas]), _identity(6)))
     want = output_and_grads(lambda: _embed_then_filter(
         dists, w_embed, thetas, hodge_laplacian(op) / hodge_operator(graph).lam))
     for g, w in zip(got, want):
@@ -480,7 +486,7 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     """``hll_conv`` and ``fusion_gcn`` as they ran before the node-pair grid:
     L1 / lam applied as (B1^T / lam) (B1 x), one rank-1 product per order,
     and the neighbour messages moved by one-hot edge selectors.  Returns
-    the edge embedding and the fused node update."""
+    the pre-sigmoid gates and the fused node update."""
     op = boundary_operator(adj)
     b1, n = op.matrix, len(adj)
     lam = max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
@@ -498,16 +504,16 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     pre = basis[0] @ (w_embed @ thetas[0])
     for t_j, th in zip(basis[1:], thetas[1:]):
         pre = pre + t_j @ (w_embed @ th)
-    h_edge = elu(pre)
+    z = elu(pre) @ phi
 
     idx = np.asarray(op.edge_index)
     s_u, s_v = np.eye(n)[idx[:, 0]], np.eye(n)[idx[:, 1]]
     t = h_node @ theta
-    gate = tanh((h_edge @ phi) * 0.5) * 0.5 + 0.5     # the logistic sigmoid
+    gate = tanh(z * 0.5) * 0.5 + 0.5     # the logistic sigmoid
     from_v = Tensor(s_u.T) @ (gate * (Tensor(s_v) @ t))
     from_u = Tensor(s_v.T) @ (gate * (Tensor(s_u) @ t))
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
-    return h_edge, elu(t + (from_v + from_u) * inv_degree)
+    return z, elu(t + (from_v + from_u) * inv_degree)
 
 
 _BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
@@ -538,17 +544,17 @@ def test_edge_branch_matches_incidence_reference(name):
     def outputs_and_grads(run):
         for t in leaves.values():
             t.zero_grad()
-        h_edge, fused = run()
-        backward((h_edge * seed_edge).sum() + (fused * seed_node).sum())
-        return [h_edge.data, fused.data] + [t.grad.copy() for t in leaves.values()]
+        gates, fused = run()
+        backward((gates * seed_edge).sum() + (fused * seed_node).sum())
+        return [gates.data, fused.data] + [t.grad.copy() for t in leaves.values()]
 
     graph = _graph(adj, dists)
 
     def edge_branch():
         coeffs = concatenate([leaves["w_embed"] @ t for t in thetas])
-        h_edge = hll_conv(graph, coeffs)
-        return h_edge, fusion_gcn(leaves["h_node"], h_edge, graph.edge_index,
-                                  leaves["theta"], leaves["phi"])
+        gates = hll_conv(graph, coeffs, leaves["phi"])
+        return gates, fusion_gcn(leaves["h_node"], gates, graph.edge_index,
+                                 leaves["theta"])
 
     b1 = boundary_operator(adj).matrix
     assert hodge_operator(graph).lam == np.linalg.eigvalsh(b1 @ b1.T)[-1]
@@ -589,9 +595,8 @@ def test_fusion_zero_gate_is_pure_self_term():
     rng = np.random.default_rng(7)
     h_node = Tensor(rng.normal(size=(3, 4)))
     theta = Tensor(rng.normal(size=(4, 4)))
-    phi = Tensor(rng.normal(size=(4, 4)))
     op = boundary_operator(TRIANGLE)
-    out = fusion_gcn(h_node, None, op.edge_index, theta, phi)
+    out = fusion_gcn(h_node, None, op.edge_index, theta)
     t = h_node.data @ theta.data
     np.testing.assert_allclose(out.data, np.where(t >= 0, t, np.expm1(t)), atol=1e-12)
 
@@ -600,20 +605,18 @@ def test_fusion_single_node_no_neighbours():
     rng = np.random.default_rng(8)
     h_node = Tensor(rng.normal(size=(1, 4)))
     theta = Tensor(rng.normal(size=(4, 4)))
-    phi = Tensor(rng.normal(size=(4, 4)))
-    out = fusion_gcn(h_node, None, (), theta, phi)
+    out = fusion_gcn(h_node, None, (), theta)
     t = h_node.data @ theta.data
     np.testing.assert_allclose(out.data, np.where(t >= 0, t, np.expm1(t)), atol=1e-12)
 
 
 def test_fusion_two_nodes_matches_scalar_oracle():
-    # 2-node graph, scalar features, hand-evaluated update with gate sigma(phi e)
+    # 2-node graph, scalar features, hand-evaluated update with gate sigma(z)
     h_node = Tensor(np.array([[0.7], [-0.4]]))
-    h_edge = Tensor(np.array([[0.9]]))
+    gates = Tensor(np.array([[1.8]]))
     theta = Tensor(np.array([[1.3]]))
-    phi = Tensor(np.array([[2.0]]))
-    out = fusion_gcn(h_node, h_edge, ((0, 1),), theta, phi)
-    gate = 1.0 / (1.0 + math.exp(-0.9 * 2.0))
+    out = fusion_gcn(h_node, gates, ((0, 1),), theta)
+    gate = 1.0 / (1.0 + math.exp(-1.8))
     pre0 = 1.3 * 0.7 + gate * (1.3 * -0.4)
     pre1 = 1.3 * -0.4 + gate * (1.3 * 0.7)
     want = [[pre0 if pre0 >= 0 else math.expm1(pre0)],
@@ -624,11 +627,10 @@ def test_fusion_two_nodes_matches_scalar_oracle():
 def test_fusion_gate_saturated_to_one_sums_neighbours():
     rng = np.random.default_rng(9)
     h_node = Tensor(rng.normal(size=(3, 2)))
-    h_edge = Tensor(np.full((3, 1), 1e6))  # the sigmoid gate saturates to 1
+    gates = Tensor(np.full((3, 2), 1e6))  # the sigmoid gate saturates to 1
     theta = Tensor(rng.normal(size=(2, 2)))
-    phi = Tensor(np.ones((1, 2)))
     op = boundary_operator(TRIANGLE)
-    out = fusion_gcn(h_node, h_edge, op.edge_index, theta, phi)
+    out = fusion_gcn(h_node, gates, op.edge_index, theta)
     t = h_node.data @ theta.data
     pre = t + (TRIANGLE @ t) / 2.0  # every triangle node has degree 2
     np.testing.assert_allclose(out.data, np.where(pre >= 0, pre, np.expm1(pre)),
@@ -638,10 +640,9 @@ def test_fusion_gate_saturated_to_one_sums_neighbours():
 def test_fusion_gradients_match_central_differences():
     rng = np.random.default_rng(10)
     h_node = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    h_edge = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    gates = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     theta = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    phi = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     err = gradcheck(
-        lambda: fusion_gcn(h_node, h_edge, ((0, 1),), theta, phi).sum(),
-        [h_node, h_edge, theta, phi], eps=1e-5)
+        lambda: fusion_gcn(h_node, gates, ((0, 1),), theta).sum(),
+        [h_node, gates, theta], eps=1e-5)
     assert err < 1e-5
