@@ -29,8 +29,8 @@ recorded op that keeps only its operands and its output and recomputes
 the rest in its backward (Chen et al., "Training Deep Nets with Sublinear
 Memory Cost", 2016):
 
-* ``pair_attention_logits``: a . LeakyReLU(dst_i + src_j) for every node
-  pair, with the (n, n, d) pair sum formed one block of rows at a time;
+* ``pair_attention_logits``: a . LeakyReLU(dst_i + src_j) over the neighbour
+  mask, with the (n, n, d) pair sum formed one block of rows at a time;
 * ``gated_neighbour_sum``: sigmoid-gated messages summed over each node's
   pairs, with neither the gates nor their pair grid recorded;
 * ``matmul_elu_matmul``: ELU(a @ b) @ c, recording only its output; the
@@ -39,7 +39,8 @@ Memory Cost", 2016):
 Their row blocks depend only on the operand shapes, so results stay
 bit-reproducible.  Three more carry the encoder, on the same plan:
 
-* ``linear``: x @ w + b, with an optional ReLU read back off the output;
+* ``linear``: x @ w + b on the folded product it shares with ``matmul``,
+  with an optional ReLU read back off the output;
 * ``layer_norm``: its backward recomputes the centred input and the
   inverse standard deviation;
 * ``attention``: multi-head scaled dot-product attention, whose backward
@@ -298,10 +299,8 @@ def mul(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch semantics; operands must be >= 2-D.
 
-    With a 2-D right operand the left one's leading axes fold into rows,
-    so the product and each gradient are a single GEMM; the weight
-    gradient is then one (k, rows) @ (rows, n) product instead of a batch
-    of small ones summed afterwards.
+    With a 2-D right operand the left one's leading axes fold into rows
+    (``_folded_product``).
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -309,17 +308,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if b.ndim == 2:
-        k, n = b.shape
-        rows = math.prod(a.shape[:-1])
-        data = (a.data.reshape(rows, k) @ b.data).reshape(a.shape[:-1] + (n,))
-
-        def backward_fn(g):
-            g = g.reshape(rows, n)
-            ga = (g @ b.data.T).reshape(a.shape) if a.requires_grad else None
-            gb = a.data.reshape(rows, k).T @ g if b.requires_grad else None
-            return ga, gb
-
-        return _result(data, "matmul", (a, b), backward_fn)
+        return _folded_product(a, b)
     try:
         data = a.data @ b.data
     except ValueError as exc:
@@ -470,6 +459,7 @@ def _getitem(x: Tensor, idx) -> Tensor:
 
 _BLOCK_ENTRIES = 1 << 17   # float64 entries of one block temporary (1 MiB)
 _PAIR_SLOPE = 0.2          # pair attention's LeakyReLU slope below zero
+_MASKED_SCORE = -1e30      # pair attention's score outside the mask
 
 
 def _blocks(count: int, entries_each: int) -> list[slice]:
@@ -480,20 +470,22 @@ def _blocks(count: int, entries_each: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def pair_attention_logits(dst, src, att) -> Tensor:
-    """Additive attention scores of every pair: out[i, j] =
-    att . LeakyReLU(dst[i] + src[j]), slope 0.2 below zero, (n_dst, n_src)
-    from (n_dst, d) and (n_src, d) operands and a d-entry ``att``.
+def pair_attention_logits(dst, src, att, mask) -> Tensor:
+    """Additive attention scores on an (n_dst, n_src) neighbour ``mask``,
+    from (n_dst, d) and (n_src, d) operands and a d-entry ``att``: out[i, j]
+    = att . LeakyReLU(dst[i] + src[j]), slope 0.2 below zero, where the mask
+    is nonzero, else -1e30 (softmax weight 0), a score no gradient reaches.
 
     The (n_dst, n_src, d) pair sum and its rectified copy exist only one
     block of rows at a time, in the forward and again in the backward,
     which rebuilds them from the operands; the tape holds the scores.
     """
     dst, src, att = _as_tensor(dst), _as_tensor(src), _as_tensor(att)
+    keep = np.asarray(mask) != 0
     if dst.ndim != 2 or src.ndim != 2 or dst.shape[1] != src.shape[1] \
-            or att.size != dst.shape[1]:
+            or att.size != dst.shape[1] or keep.shape != (dst.shape[0], src.shape[0]):
         raise ShapeMismatchError(
-            f"pair_attention_logits: {dst.shape}, {src.shape}, {att.shape}")
+            f"pair_attention_logits: {dst.shape}, {src.shape}, {att.shape}, {keep.shape}")
     n_src, d = src.shape
     a = att.data.reshape(d)
     blocks = _blocks(dst.shape[0], n_src * d)
@@ -509,8 +501,10 @@ def pair_attention_logits(dst, src, att) -> Tensor:
         pair, slope = rectified(rows)
         pair *= slope
         data[rows] = (pair.reshape(-1, d) @ a).reshape(-1, n_src)
+    data[~keep] = _MASKED_SCORE
 
     def backward_fn(g):
+        g = np.where(keep, g, 0.0)
         g_dst = np.empty(dst.shape) if dst.requires_grad else None
         g_src = np.zeros(src.shape) if src.requires_grad else None
         g_att = np.zeros(d) if att.requires_grad else None
@@ -634,7 +628,7 @@ def matmul_elu_matmul(a, b, c) -> Tensor:
 
 def linear(x, w, b, relu: bool = False) -> Tensor:
     """x @ w + b over the last axis, and ReLU on top with ``relu``; ``w`` is
-    2-D and ``x``'s leading axes fold into rows, as in ``matmul``.
+    2-D and ``x``'s leading axes fold into rows (``_folded_product``).
 
     ReLU keeps the sign of zero that 0 * x gives (-0.0 below zero), so the
     backward reads the slope, 1 where the input was >= 0, off the output's
@@ -645,10 +639,17 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
             or b.shape != (w.shape[1],):
         raise ShapeMismatchError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
+    return _folded_product(x, w, b, relu)
+
+
+def _folded_product(x, w, b=None, relu=False) -> Tensor:
+    """``linear``, and without ``b`` ``matmul`` by a 2-D ``w``: x's leading
+    axes fold into rows, so the product and each gradient are one GEMM."""
     k, n = w.shape
     rows = math.prod(x.shape[:-1])
     data = (x.data.reshape(rows, k) @ w.data).reshape(x.shape[:-1] + (n,))
-    data += b.data
+    if b is not None:
+        data += b.data
     if relu:
         data *= data >= 0.0
 
@@ -658,9 +659,10 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
             g = g * ~np.signbit(data.reshape(rows, n))
         return ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
                 x.data.reshape(rows, k).T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+                g.sum(axis=0) if b is not None and b.requires_grad else None)
 
-    return _result(data, "linear", (x, w, b), backward_fn)
+    parents = (x, w) if b is None else (x, w, b)
+    return _result(data, "matmul" if b is None else "linear", parents, backward_fn)
 
 
 _LAYER_NORM_EPS = 1e-5
@@ -835,7 +837,10 @@ def backward(output: Tensor, seed=None) -> None:
         node._parents, node._backward = (), None   # release what the op saved
 
 
-def gradcheck(f, params, eps: float = 1e-5) -> float:
+GRADCHECK_EPS = 1e-5   # central-difference step of ``gradcheck`` by default
+
+
+def gradcheck(f, params, eps: float = GRADCHECK_EPS) -> float:
     """Max relative error between analytic gradients of scalar ``f()`` and
     central finite differences over every entry of every parameter.
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stedge.autodiff import NonFiniteError, gradcheck
+from stedge.autodiff import GRADCHECK_EPS, NonFiniteError, gradcheck
 from stedge.config import BadConfigError, Config, config_help, load_config
 from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
 from stedge.edgegraph import hodge_spectrum, line_graph_degrees
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gradcheck", cmd_gradcheck,
             "finite-difference check of the full model gradient")
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=float, default=GRADCHECK_EPS)
     return parser
 
 

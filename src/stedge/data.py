@@ -20,6 +20,7 @@ import numpy as np
 from stedge.autodiff import ParameterStore, Tensor, concatenate
 
 ENDPOINT_MODES = ("off", "last_velocity", "oracle_gt")
+DEFAULT_T_OBS, DEFAULT_T_PRED = 8, 12   # window horizons; ModelConfig's defaults
 
 # two points within +-B have dx^2 + dy^2 <= 8 B^2, the float64 maximum, so
 # no squared distance between them overflows
@@ -177,8 +178,8 @@ def scene_from_records(records) -> TrajectoryScene:
     return TrajectoryScene(records=ordered, frame_stride=stride or 1)
 
 
-def build_windows(scene: TrajectoryScene, t_obs: int = 8, t_pred: int = 12,
-                  slide: int = 1) -> list[Window]:
+def build_windows(scene: TrajectoryScene, t_obs: int = DEFAULT_T_OBS,
+                  t_pred: int = DEFAULT_T_PRED, slide: int = 1) -> list[Window]:
     """Cut every valid fixed-length window from a scene.
 
     A window starts at an observed frame and spans t_obs + t_pred samples

@@ -43,13 +43,11 @@ the (m, d) pre-sigmoid gates in one op, and ``fusion_gcn`` sums the gated
 neighbour messages.  Only the gates stay on the tape; the (m, d) filtered
 embedding is recomputed in the backward.
 
-Before it records its first op, ``forward`` estimates the window's tape
-(``tape_bytes``) plus the parameter gradients every backward allocates,
-and raises ``WindowTooLargeError`` when the sum exceeds physical memory,
-so a very large crowd fails with a named error instead of an
-out-of-memory kill.  The backward frees the tape as it walks it; its own
-temporaries come on top, the largest about three (m, d) arrays while it
-passes one patch's edge branch.
+Before it records its first op, ``forward`` sums the window's estimated
+tape (``tape_bytes``), the gradients every backward allocates and the
+backward's largest temporaries (about three (m, d) arrays of the widest
+patch's edge branch); above physical memory it raises ``WindowTooLargeError``,
+a named error in place of an out-of-memory kill.
 """
 
 from __future__ import annotations
@@ -61,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate, linear
-from stedge.data import ENDPOINT_MODES, Window, future_displacements, init_features
+from stedge.data import (DEFAULT_T_OBS, DEFAULT_T_PRED, ENDPOINT_MODES, Window,
+                         future_displacements, init_features)
 from stedge.edgegraph import fusion_gcn, hll_conv
 from stedge.predictor import (
     GaussianTrack,
@@ -93,12 +92,13 @@ FUSION_GATES = ("vector", "zero")
 _HIDDEN_STEP = 0.5
 _READOUT_STEP = (0.5, 0.5, 0.25, 0.25, 0.25)
 _BIAS_STEP = (1.0, 1.0, 4.0, 4.0, 1.0)
+_TABLE_SCALE = 0.1   # placeholders' and positions' initial scale, small next to the history
 
 # float64 arrays that one window's forward records, per stage, in units of
 # the stage's array size; counted off the ops (see tape_bytes)
 _FEATURE_ARRAYS = 7      # (N, T_obs, d): three embeddings, their 3d-wide join, projection
-_NODE_ARRAYS = 13        # (n, d) per patch: attention, fusion, pooling
-_PAIR_ARRAYS = 3         # (n, n) per patch: scores, masked scores, attention
+_NODE_ARRAYS = 14        # (n, d) per patch: attention, fusion, pooling's join and reshape
+_PAIR_ARRAYS = 2         # (n, n) per patch: masked scores, attention
 _TOKEN_ARRAYS = 3        # (N, K + T_pred, d): the token sequence
 _ENCODER_IO_ARRAYS = 2   # (N, K + T_pred, e): input projection and head input
 # (N, K + T_pred, e) per encoder layer, the 2e-wide FFN hidden counting 2:
@@ -106,6 +106,7 @@ _ENCODER_IO_ARRAYS = 2   # (N, K + T_pred, e): input projection and head input
 # layer norms and the FFN's two linears; the attention weights, the
 # centred inputs and the pre-ReLU hidden are recomputed, not recorded
 _LAYER_ARRAYS = 12
+_EDGE_BACKWARD_ARRAYS = 3   # (m, d), of one patch, live in the backward's edge branch
 
 
 def _physical_memory() -> float:
@@ -116,18 +117,18 @@ def _physical_memory() -> float:
         return math.inf
 
 
-# the most tape plus gradients one window may need; a window above it is refused
+# the most memory one window's step may need; a window above it is refused
 TAPE_BUDGET_BYTES = _physical_memory()
 
 
 class WindowTooLargeError(ValueError):
-    """A window's tape and gradients would need more than physical memory."""
+    """A window's step would need more than physical memory."""
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    t_obs: int = 8
-    t_pred: int = 12
+    t_obs: int = DEFAULT_T_OBS
+    t_pred: int = DEFAULT_T_PRED
     patch_len: int = 3
     patch_stride: int = 1
     model_dim: int = 128
@@ -221,9 +222,8 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
         hidden(f"hll.theta{j}", (m, m))
     hidden("fuse.theta", (m, m))
     hidden("fuse.phi", (m, m))
-    # small next to the pooled history, which carries each pedestrian's motion
-    store.add("pred.placeholder", rng.normal(0.0, 0.1, size=(cfg.t_pred, m)))
-    store.add("pred.positional", rng.normal(0.0, 0.1, size=(cfg.token_len, m)))
+    store.add("pred.placeholder", rng.normal(0.0, _TABLE_SCALE, size=(cfg.t_pred, m)))
+    store.add("pred.positional", rng.normal(0.0, _TABLE_SCALE, size=(cfg.token_len, m)))
     hidden("enc.in_w", (m, e))
     store.add("enc.in_b", np.zeros(e))
     for i in range(cfg.encoder_layers):
@@ -260,10 +260,8 @@ def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     d, e, length = cfg.model_dim, cfg.encoder_dim, cfg.token_len
     n = n_peds * cfg.patch_len
     entries = _FEATURE_ARRAYS * n_peds * cfg.t_obs * d
-    for m in edge_counts:
-        entries += _NODE_ARRAYS * n * d + _PAIR_ARRAYS * n * n
-        if cfg.fusion_gate != "zero":
-            entries += m * d
+    entries += len(edge_counts) * (_NODE_ARRAYS * n * d + _PAIR_ARRAYS * n * n)
+    entries += sum(edge_counts) * d * (cfg.fusion_gate != "zero")
     entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IO_ARRAYS * e)
     entries += cfg.encoder_layers * n_peds * length * _LAYER_ARRAYS * e
     return 8 * entries
@@ -302,22 +300,23 @@ class TrajectoryForecaster:
                 f"window horizons ({window.t_obs}, {window.t_pred}) != "
                 f"configured ({cfg.t_obs}, {cfg.t_pred})")
         graphs = patch_graphs(window.obs, cfg.patching(), cfg.max_distance)
-        # refuse a window whose tape and the leaf gradients of its backward
-        # cannot fit before recording any of it
+        edge_counts = [len(g.edge_index) for g in graphs]
+        edge_branch = cfg.fusion_gate != "zero"
+        # refuse a window that cannot fit before recording any of it
         params = self.params
-        tape = tape_bytes(cfg, window.n_peds, [len(g.edge_index) for g in graphs])
+        tape = tape_bytes(cfg, window.n_peds, edge_counts)
         grads = 8 * params.n_values()
-        if tape + grads > TAPE_BUDGET_BYTES:
+        temps = 8 * _EDGE_BACKWARD_ARRAYS * max(edge_counts) * cfg.model_dim * edge_branch
+        if tape + grads + temps > TAPE_BUDGET_BYTES:
             raise WindowTooLargeError(
                 f"a window of N={window.n_peds} pedestrians needs an estimated "
-                f"{tape / 2**20:.1f} MiB of autodiff tape and "
-                f"{grads / 2**20:.1f} MiB of gradients, more than the "
-                f"{TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
+                f"{tape / 2**20:.1f} MiB of autodiff tape, {grads / 2**20:.1f} MiB of "
+                f"gradients and {temps / 2**20:.1f} MiB of backward temporaries, more "
+                f"than the {TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
         feats = init_features(window, params, cfg.endpoint_mode)
         x = feats @ params["feat.w_proj"]
         blocks = segment_patches(x, cfg.patching())
 
-        edge_branch = cfg.fusion_gate != "zero"
         if edge_branch:
             # the edge embedding rides in the filter (see the module docstring)
             coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]

@@ -58,17 +58,15 @@ def stack_and_pool(patch_embeddings: list[Tensor], n_peds: int,
     """Mean-pool each pedestrian's L node embeddings per patch -> (N, K, D).
 
     Relies on the pedestrian-major node order: rows [p*L, (p+1)*L) belong to
-    pedestrian p, so pooling is a contiguous-stride mean.
+    pedestrian p, so pooling is a contiguous-stride mean.  The K patches
+    pool as one (K, N, L, D) array: four recorded ops, whatever K.
     """
-    tokens = []
-    for h in patch_embeddings:
-        if h.shape[0] != n_peds * length:
-            raise ShapeMismatchError(
-                f"patch embedding rows {h.shape[0]} != n_peds*length "
-                f"{n_peds * length}")
-        d = h.shape[1]
-        tokens.append(h.reshape((n_peds, length, d)).mean(axis=1, keepdims=True))
-    return concatenate(tokens, axis=1)
+    rows = [h.shape[0] for h in patch_embeddings]
+    if any(r != n_peds * length for r in rows):
+        raise ShapeMismatchError(f"patch embedding rows {rows} != n_peds*length "
+                                 f"{n_peds * length}")
+    nodes = concatenate(patch_embeddings).reshape((len(rows), n_peds, length, -1))
+    return nodes.mean(axis=2).transpose((1, 0, 2))
 
 
 def assemble_tokens(hist: Tensor, placeholder: Tensor,
@@ -145,9 +143,9 @@ def bivariate_nll(mu: Tensor, log_sigma: Tensor, rho: Tensor,
     t = Tensor(np.asarray(targets, dtype=np.float64))
     if t.shape != mu.shape:
         raise ShapeMismatchError(f"targets {t.shape} != mu {mu.shape}")
+    standard = (t - mu) * exp(-log_sigma)
+    ex, ey = standard[..., 0:1], standard[..., 1:2]
     sx, sy = log_sigma[..., 0:1], log_sigma[..., 1:2]
-    ex = (t[..., 0:1] - mu[..., 0:1]) * exp(-sx)
-    ey = (t[..., 1:2] - mu[..., 1:2]) * exp(-sy)
     log_u = log(1.0 - rho * rho)
     quad = (ex * ex + ey * ey - (rho * ex * ey) * 2.0) * exp(-log_u) * 0.5
     nll = LOG_TWO_PI + sx + sy + log_u * 0.5 + quad

@@ -19,8 +19,6 @@ import numpy as np
 
 from stedge.autodiff import Tensor, elu, pair_attention_logits, softmax
 
-_NEG_INF = 1e30  # added with weight -1 to logits of non-neighbours
-
 
 class PatchTooLongError(ValueError):
     """Patch length exceeds the observed horizon."""
@@ -149,16 +147,13 @@ def gat_layer(z: Tensor, adjacency: np.ndarray, theta: Tensor, theta_dst: Tensor
     rectifier inside on the summed pair.  Acting on the sum is what keeps
     attention input-dependent: with a per-node rectifier the receiver term
     would be row-constant and the softmax would cancel it.  The softmax runs
-    over each node's neighbours plus itself; messages are theta z_j and the
-    aggregate passes through an exponential-linear unit.  The (n, n, d)
-    pair sum is never recorded (``pair_attention_logits``).
+    over each node's neighbours plus itself, the mask of the scores
+    (``pair_attention_logits``, which never records the (n, n, d) pair sum);
+    messages are theta z_j and the aggregate passes through an ELU.
     """
     src = z @ theta        # messages and attention source half
     dst = z @ theta_dst    # attention receiver half
-    logits = pair_attention_logits(dst, src, att)
-    mask = adjacency + np.eye(len(adjacency))
-    logits = logits + Tensor((mask - 1.0) * _NEG_INF)
-    alpha = softmax(logits)
+    alpha = softmax(pair_attention_logits(dst, src, att, adjacency + np.eye(len(adjacency))))
     out = elu(alpha @ src)
     return (out, alpha) if return_attention else out
 

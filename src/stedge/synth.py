@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from stedge.data import Window, build_windows, scene_from_records
+from stedge.data import (DEFAULT_T_OBS, DEFAULT_T_PRED, Window, build_windows,
+                         scene_from_records)
 
 JITTER_SEED = 2024
+OVERFIT_JITTER = 0.01   # position noise of the overfit scenes, by default
 
 
 def linear_records(walkers, n_frames: int, frame_stride: int = 1,
@@ -58,34 +60,33 @@ OVERFIT_SCENES = {
 }
 
 
-def overfit_windows(t_obs: int = 8, t_pred: int = 12,
-                    jitter: float = 0.01) -> list[Window]:
-    """One window per motion pattern (each scene spans exactly one window)."""
+def _overfit_records(n_frames: int, jitter: float):
+    """Each motion pattern's name and records, jittered from one stream."""
     rng = np.random.default_rng(JITTER_SEED)
+    return [(name, linear_records(walkers, n_frames, jitter=jitter, rng=rng))
+            for name, walkers in OVERFIT_SCENES.items()]
+
+
+def overfit_windows(t_obs: int = DEFAULT_T_OBS, t_pred: int = DEFAULT_T_PRED,
+                    jitter: float = OVERFIT_JITTER) -> list[Window]:
+    """One window per motion pattern (each scene spans exactly one window)."""
     windows = []
-    for walkers in OVERFIT_SCENES.values():
-        scene = scene_from_records(
-            linear_records(walkers, t_obs + t_pred, jitter=jitter, rng=rng))
-        cut = build_windows(scene, t_obs=t_obs, t_pred=t_pred)
-        assert len(cut) == 1
-        windows.extend(cut)
+    for _, records in _overfit_records(t_obs + t_pred, jitter):
+        (window,) = build_windows(scene_from_records(records), t_obs=t_obs, t_pred=t_pred)
+        windows.append(window)
     return windows
 
 
-def write_overfit_scenes(directory, t_obs: int = 8, t_pred: int = 12,
-                         jitter: float = 0.01) -> list[Path]:
+def write_overfit_scenes(directory, t_obs: int = DEFAULT_T_OBS, t_pred: int = DEFAULT_T_PRED,
+                         jitter: float = OVERFIT_JITTER) -> list[Path]:
     """Write each motion pattern as its own trajectory file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(JITTER_SEED)
-    paths = []
-    for name, walkers in OVERFIT_SCENES.items():
-        records = linear_records(walkers, t_obs + t_pred, jitter=jitter, rng=rng)
-        paths.append(write_trajectory_file(directory / f"{name}.txt", records))
-    return paths
+    return [write_trajectory_file(directory / f"{name}.txt", records)
+            for name, records in _overfit_records(t_obs + t_pred, jitter)]
 
 
-def gradcheck_window(t_obs: int = 8, t_pred: int = 12) -> Window:
+def gradcheck_window(t_obs: int = DEFAULT_T_OBS, t_pred: int = DEFAULT_T_PRED) -> Window:
     """Tiny deterministic two-pedestrian window with curved paths.
 
     The curvature is strong enough that every attention channel sees pair

@@ -33,6 +33,9 @@ from stedge.autodiff import (
 # of the fused ops depend on every entry
 _TRIANGLE_ROWS, _TRIANGLE_COLS = np.array([0, 0, 1]), np.array([1, 2, 2])
 _WEIGHTS = np.random.default_rng(4).normal(size=(3, 4))
+# the neighbour mask of a three-node path with self-loops; the weights of
+# the -1e30 scores off it are zeroed, which keeps them out of the sums
+_PATH_MASK = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 
 
 def test_matmul_all_ones_contraction():
@@ -199,8 +202,9 @@ def _fd_for(param, closure, eps=1e-6):
     ("elu", lambda t: elu(t).sum()),
     # pair sums kept 1 clear of LeakyReLU's kink, on both sides of it
     ("pair_attention_logits", lambda t: (
-        pair_attention_logits(t, t + 5.0, t[0]) * _WEIGHTS[:, :3]
-        + pair_attention_logits(t, t - 5.0, t[1]) * _WEIGHTS[:, 1:]).sum()),
+        pair_attention_logits(t, t + 5.0, t[0], _PATH_MASK) * _WEIGHTS[:, :3] * _PATH_MASK
+        + pair_attention_logits(t, t - 5.0, t[1], _PATH_MASK) * _WEIGHTS[:, 1:] * _PATH_MASK
+        ).sum()),
     ("gated_neighbour_sum", lambda t: (gated_neighbour_sum(
         t, t, _TRIANGLE_ROWS, _TRIANGLE_COLS) * _WEIGHTS).sum()),
     ("matmul_elu_matmul", lambda t: (
@@ -437,10 +441,33 @@ def test_gated_neighbour_sum_rejects_one_gate_per_pair():
         gated_neighbour_sum(Tensor(np.ones((2, 1))), x, [0, 1], [1, 2])
 
 
+def test_pair_attention_logits_masks_scores_and_their_gradient():
+    rng = np.random.default_rng(12)
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((3, 4), (3, 4), (4,))]
+    seed = rng.normal(size=(3, 3))
+
+    def grads(mask, g):
+        for t in leaves:
+            t.zero_grad()
+        out = pair_attention_logits(*leaves, mask)
+        backward(out, g)
+        return out.data, [t.grad for t in leaves]
+
+    masked, masked_grads = grads(_PATH_MASK, seed)
+    full, full_grads = grads(np.ones((3, 3)), seed * _PATH_MASK)
+    np.testing.assert_array_equal(masked, np.where(_PATH_MASK == 1.0, full, -1e30))
+    for got, want in zip(masked_grads, full_grads):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_fused_op_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         pair_attention_logits(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 3))),
-                              Tensor(np.ones(2)))
+                              Tensor(np.ones(2)), np.ones((3, 4)))
+    with pytest.raises(ShapeMismatchError, match=r"\(4, 3\)"):     # a transposed mask
+        pair_attention_logits(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
+                              Tensor(np.ones(2)), np.ones((4, 3)))
     with pytest.raises(ShapeMismatchError):     # a @ b does not fit
         matmul_elu_matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
                           Tensor(np.ones((2, 4))))

@@ -1,6 +1,8 @@
 """The fused pair, edge and encoder ops against the chains of recorded ops
 they replace: outputs and every input gradient, per op and through the
-whole model, and the size of the tape they leave."""
+whole model, and the size of the tape they leave.  Likewise the folds that
+record one op per job: the neighbour mask inside the attention scores, the
+pooling of all patches at once and the likelihood standardised whole."""
 
 import math
 import os
@@ -15,9 +17,11 @@ import stedge.model
 import stedge.predictor
 import stedge.stgraph
 from stedge.autodiff import (
+    ShapeMismatchError,
     Tensor,
     attention,
     backward,
+    concatenate,
     elu,
     exp,
     gated_neighbour_sum,
@@ -35,6 +39,7 @@ from stedge.model import (
     WindowTooLargeError,
     tape_bytes,
 )
+from stedge.predictor import LOG_TWO_PI, bivariate_nll, stack_and_pool
 from stedge.stgraph import patch_graphs
 
 from test_model import SMALL, _circle_window
@@ -52,12 +57,38 @@ def _leaky_relu(x, negative_slope):
     return x * Tensor(np.where(x.data >= 0.0, 1.0, negative_slope))
 
 
-def _unfused_pair_attention_logits(dst, src, att):
-    """The (n, n, d) pair sum, its rectifier and the product with att, each
-    recorded."""
+def _mask_add(scores, mask):
+    """The neighbour mask as the recorded add of a constant: 0 on the mask,
+    -1e30 off it."""
+    return scores + Tensor((np.asarray(mask) - 1.0) * 1e30)
+
+
+def _unfused_pair_attention_logits(dst, src, att, mask):
+    """The (n, n, d) pair sum, its rectifier, the product with att and the
+    mask add, each recorded."""
     (n_dst, d), n_src = dst.shape, src.shape[0]
     pair = dst.reshape((n_dst, 1, d)) + src.reshape((1, n_src, d))
-    return (_leaky_relu(pair, 0.2) @ att.reshape((d, 1))).reshape((n_dst, n_src))
+    scores = (_leaky_relu(pair, 0.2) @ att.reshape((d, 1))).reshape((n_dst, n_src))
+    return _mask_add(scores, mask)
+
+
+def _pooled_per_patch(patch_embeddings, n_peds, length):
+    """Each patch reshaped and mean-pooled on its own, the K tokens joined."""
+    d = patch_embeddings[0].shape[1]
+    return concatenate([h.reshape((n_peds, length, d)).mean(axis=1, keepdims=True)
+                        for h in patch_embeddings], axis=1)
+
+
+def _sliced_nll(mu, log_sigma, rho, targets):
+    """The likelihood with each coordinate sliced and standardised on its
+    own."""
+    t = Tensor(targets)
+    sx, sy = log_sigma[..., 0:1], log_sigma[..., 1:2]
+    ex = (t[..., 0:1] - mu[..., 0:1]) * exp(-sx)
+    ey = (t[..., 1:2] - mu[..., 1:2]) * exp(-sy)
+    log_u = log(1.0 - rho * rho)
+    quad = (ex * ex + ey * ey - (rho * ex * ey) * 2.0) * exp(-log_u) * 0.5
+    return (LOG_TWO_PI + sx + sy + log_u * 0.5 + quad).mean()
 
 
 def _unfused_gated_neighbour_sum(z, x, rows, cols):
@@ -117,6 +148,13 @@ def _assert_parity(fused, unfused, leaves, seed):
         assert np.abs(g - w).max() <= TOL * max(1.0, np.abs(w).max())
 
 
+def _assert_bit_parity(folded, chain, leaves, seed=None):
+    got = _outputs_and_grads(folded, leaves, seed)
+    want = _outputs_and_grads(chain, leaves, seed)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 # -- per op ----------------------------------------------------------------------------
 
 
@@ -134,8 +172,56 @@ def test_pair_attention_logits_matches_unfused_chain(case):
         assert np.all(np.sign(dst[:, None] + src[None]) == np.sign(shift))
     leaves = [Tensor(dst, requires_grad=True), Tensor(src, requires_grad=True),
               Tensor(rng.normal(size=d), requires_grad=True)]
-    _assert_parity(pair_attention_logits, _unfused_pair_attention_logits, leaves,
-                   rng.normal(size=(n_dst, n_src)))
+    # the softmax the scores feed, over a mask that keeps two in three pairs
+    # and one in each row
+    mask = rng.random((n_dst, n_src)) < 0.67
+    mask[np.arange(n_dst), np.arange(n_dst) % n_src] = True
+    _assert_parity(lambda *t: softmax(pair_attention_logits(*t, mask)),
+                   lambda *t: softmax(_unfused_pair_attention_logits(*t, mask)),
+                   leaves, rng.normal(size=(n_dst, n_src)))
+
+
+@pytest.mark.parametrize("n", [1, 6, 150])
+def test_masked_scores_match_the_mask_add_bit_for_bit(n):
+    """The mask applied inside the scores against the recorded add of the
+    -1e30 constant after them, through the softmax: attention weights and
+    every input gradient bit for bit."""
+    rng = np.random.default_rng(47)
+    adjacency = np.triu(rng.random((n, n)) < 0.4, 1).astype(float)
+    mask = adjacency + adjacency.T + np.eye(n)
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((n, 16), (n, 16), (16,))]
+    _assert_bit_parity(
+        lambda *t: softmax(pair_attention_logits(*t, mask)),
+        lambda *t: softmax(_mask_add(pair_attention_logits(*t, np.ones((n, n))), mask)),
+        leaves, rng.normal(size=(n, n)))
+
+
+@pytest.mark.parametrize("k,n_peds,length", [(1, 1, 1), (6, 5, 3), (3, 4, 2)])
+def test_pooling_all_patches_matches_the_per_patch_loop(k, n_peds, length):
+    rng = np.random.default_rng(48)
+    leaves = [Tensor(rng.normal(size=(n_peds * length, 8)), requires_grad=True)
+              for _ in range(k)]
+    _assert_bit_parity(lambda *h: stack_and_pool(list(h), n_peds, length),
+                       lambda *h: _pooled_per_patch(list(h), n_peds, length),
+                       leaves, rng.normal(size=(n_peds, k, 8)))
+
+
+def test_pooling_names_a_patch_of_the_wrong_row_count():
+    blocks = [Tensor(np.ones((6, 2))), Tensor(np.ones((4, 2)))]
+    with pytest.raises(ShapeMismatchError, match=r"rows \[6, 4\] != n_peds\*length 6"):
+        stack_and_pool(blocks, n_peds=2, length=3)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 12)])
+def test_whole_standardised_likelihood_matches_the_sliced_one(shape):
+    rng = np.random.default_rng(49)
+    leaves = [Tensor(rng.normal(size=shape + (2,)), requires_grad=True),
+              Tensor(rng.normal(scale=0.5, size=shape + (2,)), requires_grad=True),
+              Tensor(rng.uniform(-0.9, 0.9, size=shape + (1,)), requires_grad=True)]
+    targets = rng.normal(size=shape + (2,))
+    _assert_bit_parity(lambda *p: bivariate_nll(*p, targets),
+                       lambda *p: _sliced_nll(*p, targets), leaves)
 
 
 @pytest.mark.parametrize("case", ["mixed", "saturated", "channel_blocks"])
@@ -261,6 +347,53 @@ def test_model_matches_unfused_forward(n, max_distance, gate, monkeypatch):
         assert np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max()), name
 
 
+@pytest.mark.parametrize("gate", ["vector", "zero"])
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+@pytest.mark.parametrize("n", [2, 12])
+def test_model_matches_the_unfolded_glue_bit_for_bit(n, max_distance, gate, monkeypatch):
+    """The default-config loss, every parameter gradient and the forecast
+    bit for bit, with the mask inside the scores, the pooling of all
+    patches at once and the whole-array likelihood, and with the mask add,
+    the per-patch pooling loop and the sliced likelihood patched in."""
+    cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
+    window = _circle_window(n)
+
+    def run():
+        loss, grads = _loss_and_grads(cfg, window)
+        track = TrajectoryForecaster(cfg, seed=0).predict(window)
+        return [np.float64(loss)] + [g for g in grads.values() if g is not None] \
+            + [track.mu, track.sigma, track.rho]
+
+    got = run()
+    monkeypatch.setattr(stedge.stgraph, "pair_attention_logits", lambda d, s, a, mask: _mask_add(
+        pair_attention_logits(d, s, a, np.ones(mask.shape)), mask))
+    monkeypatch.setattr(stedge.model, "stack_and_pool", _pooled_per_patch)
+    monkeypatch.setattr(stedge.model, "bivariate_nll", _sliced_nll)
+    want = run()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_default_loss_records_166_ops_and_no_mask_add(monkeypatch):
+    """One recorded op per job: 187 before the mask moved into the scores
+    and the pooling and the likelihood's standardisation were each folded
+    into one array; the attention scores feed the softmax directly."""
+    ops, score_readers = [], []
+    record_op = stedge.autodiff._result
+
+    def recording(data, op, parents, backward_fn):
+        ops.append(op)
+        score_readers.extend(op for p in parents if p.op == "pair_attention_logits")
+        return record_op(data, op, parents, backward_fn)
+
+    monkeypatch.setattr(stedge.autodiff, "_result", recording)
+    cfg = ModelConfig()
+    TrajectoryForecaster(cfg, seed=0).loss(_circle_window(5))
+    assert len(ops) == 166
+    assert score_readers == ["softmax"] * cfg.n_patches
+
+
 @pytest.mark.parametrize("max_distance", [None, 2.0])
 @pytest.mark.parametrize("n", [2, 5, 20])
 def test_model_matches_unfused_encoder(n, max_distance, monkeypatch):
@@ -331,17 +464,41 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
     recorded = []
     monkeypatch.setattr(stedge.autodiff, "_result",
                         lambda *args: recorded.append(args[1]))
-    with pytest.raises(WindowTooLargeError, match=r"N=20 .* 35.9 MiB of autodiff "
-                       r"tape and 9.6 MiB of gradients, .* 40.0 MiB"):
+    with pytest.raises(WindowTooLargeError, match=r"N=20 .* 36.1 MiB of autodiff "
+                       r"tape, 9.6 MiB of gradients and 5.2 MiB of backward "
+                       r"temporaries, .* 40.0 MiB"):
         model.loss(window)
     assert recorded == []
 
 
 def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
-    # the 35.9 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
+    # the 36.1 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 40 * 2**20)
-    with pytest.raises(WindowTooLargeError, match=r"35.9 MiB .* 9.6 MiB .* 40.0 MiB"):
+    with pytest.raises(WindowTooLargeError, match=r"36.1 MiB .* 9.6 MiB .* 40.0 MiB"):
         TrajectoryForecaster(ModelConfig(), seed=0).loss(_circle_window(20))
+
+
+def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
+    # 36.1 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
+    # the three (m, d) arrays, 3 * 1770 * 128 * 8 bytes = 5.2 MiB, that the
+    # backward holds while it passes one patch's edge branch
+    window = _circle_window(20)
+    model = TrajectoryForecaster(ModelConfig(), seed=0)
+    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 48 * 2**20)
+    recorded, record_op = [], stedge.autodiff._result
+    monkeypatch.setattr(stedge.autodiff, "_result",
+                        lambda *args: recorded.append(args[1]) or record_op(*args))
+    with pytest.raises(WindowTooLargeError, match=r"5.2 MiB of backward temporaries"):
+        model.loss(window)
+    assert recorded == []
+
+
+def test_zero_gate_has_no_edge_temporaries(monkeypatch):
+    # no edge branch runs, so 25.7 MiB of tape and 9.6 MiB of gradients are all
+    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 36 * 2**20)
+    loss = TrajectoryForecaster(ModelConfig(fusion_gate="zero"), seed=0).loss(
+        _circle_window(20))
+    assert np.isfinite(loss.item())
 
 
 def test_window_under_the_budget_runs(monkeypatch):

@@ -264,11 +264,15 @@ def test_forward_takes_one_eigvalsh_per_patch_with_edges(monkeypatch, max_distan
 
 @pytest.mark.parametrize("max_distance", [None, 2.0])
 def test_traced_loss_has_one_span_per_patch_and_sizes_the_filter_by_edges(
-        monkeypatch, max_distance):
+        monkeypatch, capsys, max_distance):
     """The benchmark's tracer (``perfbench/tracing.py``) reads the model
-    through the names it wraps: one attention and one fusion span per
+    through the names it wraps: one features, segment and encoder span and
+    two head-and-loss spans per loss, one attention and one fusion span per
     patch, and Laguerre filter spans sized by ``len(graph.edge_index)``,
-    which ``edges_per_patch`` and ``hll_us_per_edge`` divide by."""
+    which ``edges_per_patch`` and ``hll_us_per_edge`` divide by.  A layer
+    renamed or inlined would silently zero its per-layer metric, so the
+    names the tracer finds missing are exactly the five structure builders
+    the patch graph replaced."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     spans, tracing = importlib.import_module("spans"), importlib.import_module("tracing")
     cfg = replace(SMALL, max_distance=max_distance)
@@ -277,7 +281,14 @@ def test_traced_loss_has_one_span_per_patch_and_sizes_the_filter_by_edges(
     rec = spans.SpanRecorder()
     with tracing.installed(rec):
         backward(TrajectoryForecaster(cfg, seed=0).loss(window))
+    stale = ["boundary_operator", "hodge_laplacian", "scale_laplacian", "line_graph",
+             "edge_selectors"]
+    assert capsys.readouterr().err == (
+        f"perfbench: not traced, absent from the program: {stale}\n")
     names = [s.name for s in rec.spans]
+    for span, count in [("data.features", 1), ("stgraph.segment", 1),
+                        ("predictor.encoder", 1), ("predictor.head_loss", 2)]:
+        assert names.count(span) == count, span
     assert names.count("stgraph.gat") == names.count("edgegraph.fusion") == len(graphs)
     filter_sizes = [s.size for s in rec.spans if s.name == "edgegraph.hll"]
     assert len(filter_sizes) == len(graphs)
