@@ -39,8 +39,8 @@ Memory Cost", 2016):
 Their row blocks depend only on the operand shapes, so results stay
 bit-reproducible.  Three more carry the encoder, on the same plan:
 
-* ``linear``: x @ w + b on the folded product it shares with ``matmul``,
-  with an optional ReLU read back off the output;
+* ``linear``: x @ w + b as one GEMM, which ``matmul`` by a 2-D operand
+  also runs, with an optional ReLU read back off the output;
 * ``layer_norm``: its backward recomputes the centred input and the
   inverse standard deviation;
 * ``attention``: multi-head scaled dot-product attention, whose backward
@@ -299,8 +299,7 @@ def mul(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch semantics; operands must be >= 2-D.
 
-    With a 2-D right operand the left one's leading axes fold into rows
-    (``_folded_product``).
+    With a 2-D right operand it is ``linear`` without a bias.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -308,7 +307,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if b.ndim == 2:
-        return _folded_product(a, b)
+        return linear(a, b)
     try:
         data = a.data @ b.data
     except ValueError as exc:
@@ -626,25 +625,23 @@ def matmul_elu_matmul(a, b, c) -> Tensor:
 # -- fused encoder ops ----------------------------------------------------------
 
 
-def linear(x, w, b, relu: bool = False) -> Tensor:
-    """x @ w + b over the last axis, and ReLU on top with ``relu``; ``w`` is
-    2-D and ``x``'s leading axes fold into rows (``_folded_product``).
+def linear(x, w, b=None, relu: bool = False) -> Tensor:
+    """x @ w, plus ``b`` if given, over the last axis, and ReLU on top with
+    ``relu``; ``w`` is 2-D and ``x``'s leading axes fold into rows, so the
+    product and each gradient are a single GEMM.  ``matmul`` by a 2-D
+    operand runs here too.
 
     ReLU keeps the sign of zero that 0 * x gives (-0.0 below zero), so the
     backward reads the slope, 1 where the input was >= 0, off the output's
     sign bit and the tape holds only the output.  (An input of exactly -0.0
     is the one case read as below zero.)
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
-            or b.shape != (w.shape[1],):
-        raise ShapeMismatchError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
-    return _folded_product(x, w, b, relu)
-
-
-def _folded_product(x, w, b=None, relu=False) -> Tensor:
-    """``linear``, and without ``b`` ``matmul`` by a 2-D ``w``: x's leading
-    axes fold into rows, so the product and each gradient are one GEMM."""
+            or (b is not None and b.shape != (w.shape[1],)):
+        raise ShapeMismatchError(
+            f"linear: {x.shape} @ {w.shape} + {None if b is None else b.shape}")
     k, n = w.shape
     rows = math.prod(x.shape[:-1])
     data = (x.data.reshape(rows, k) @ w.data).reshape(x.shape[:-1] + (n,))
@@ -661,8 +658,7 @@ def _folded_product(x, w, b=None, relu=False) -> Tensor:
                 x.data.reshape(rows, k).T @ g if w.requires_grad else None,
                 g.sum(axis=0) if b is not None and b.requires_grad else None)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _result(data, "matmul" if b is None else "linear", parents, backward_fn)
+    return _result(data, "linear", (x, w) if b is None else (x, w, b), backward_fn)
 
 
 _LAYER_NORM_EPS = 1e-5

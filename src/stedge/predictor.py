@@ -59,14 +59,14 @@ def stack_and_pool(patch_embeddings: list[Tensor], n_peds: int,
 
     Relies on the pedestrian-major node order: rows [p*L, (p+1)*L) belong to
     pedestrian p, so pooling is a contiguous-stride mean.  The K patches
-    pool as one (K, N, L, D) array: four recorded ops, whatever K.
+    pool as one (N, L, K, D) array: three recorded ops, whatever K.
     """
     rows = [h.shape[0] for h in patch_embeddings]
     if any(r != n_peds * length for r in rows):
         raise ShapeMismatchError(f"patch embedding rows {rows} != n_peds*length "
                                  f"{n_peds * length}")
-    nodes = concatenate(patch_embeddings).reshape((len(rows), n_peds, length, -1))
-    return nodes.mean(axis=2).transpose((1, 0, 2))
+    nodes = concatenate(patch_embeddings, axis=1)
+    return nodes.reshape((n_peds, length, len(rows), -1)).mean(axis=1)
 
 
 def assemble_tokens(hist: Tensor, placeholder: Tensor,
