@@ -3,9 +3,9 @@ trajectory forecasting.
 
 The library turns observed trajectories into overlapping unified
 (pedestrian, time) patch graphs, runs attention over nodes and a
-Hodge-Laplacian Laguerre spectral convolution over the line graph of each
-patch, fuses both into tokens, and forecasts per-step bivariate Gaussian
-displacements with a transformer encoder.  Everything differentiable runs
+Laguerre spectral convolution in the first Hodge Laplacian L1 over each
+patch's (m,) edge vectors, fuses both into tokens, and forecasts per-step
+bivariate Gaussian displacements with a transformer encoder.  Everything differentiable runs
 on the small reverse-mode engine in :mod:`stedge.autodiff`.
 
 Importing the package sets two glibc malloc thresholds for the process

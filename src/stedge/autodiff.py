@@ -19,7 +19,9 @@ reads the value).  A second backward through an op already walked raises
 The primitive set is deliberately fixed to what the model needs: matmul,
 elementwise arithmetic, exp/log/tanh (the likelihood and its correlation),
 exponential-linear, softmax over the last axis (graph attention), sum/mean
-reductions, reshape / transpose / concatenate and basic slicing.
+reductions, reshape / concatenate and basic slicing.  ``transpose`` (and
+``.T``) has no caller in the model; it stays for the unfused reference
+chains the tests compare the fused ops against.
 Elementwise ops broadcast with numpy's trailing-dimension alignment.  Every
 forward result is checked for NaN/Inf and the offending op is named when
 the check fires.
@@ -700,15 +702,14 @@ def layer_norm(x, gain, bias) -> Tensor:
     return _result(data, "layer_norm", (x, gain, bias), backward_fn)
 
 
-def attention(q, k, v, heads: int, return_weights: bool = False):
+def attention(q, k, v, heads: int) -> Tensor:
     """Scaled dot-product attention of (N, t, e) operands, split into
     ``heads`` heads of e / heads channels along the last axis: each of the
     N sequences attends over its own t positions, and the (N, t, e) context
     comes back with the heads side by side again.
 
     The (N, heads, t, t) weights are not recorded: the backward recomputes
-    them from ``q`` and ``k``.  With ``return_weights`` the result is the
-    context and the weights as an unrecorded tensor.
+    them from ``q`` and ``k``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape \
@@ -754,8 +755,7 @@ def attention(q, k, v, heads: int, return_weights: bool = False):
                 .transpose((0, 2, 1, 3)).reshape((n, t, e))
         return g_q, g_k, g_v
 
-    out = _result(data, "attention", (q, k, v), backward_fn)
-    return (out, Tensor(alpha)) if return_weights else out
+    return _result(data, "attention", (q, k, v), backward_fn)
 
 
 # -- reverse pass -------------------------------------------------------------

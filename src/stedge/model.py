@@ -293,7 +293,7 @@ class TrajectoryForecaster:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, window: Window, return_attention: bool = False):
+    def forward(self, window: Window):
         cfg = self.cfg
         if window.t_obs != cfg.t_obs or window.t_pred != cfg.t_pred:
             raise ShapeMismatchError(
@@ -337,15 +337,10 @@ class TrajectoryForecaster:
         tokens = assemble_tokens(pooled, params["pred.placeholder"],
                                  params["pred.positional"])
         enc_in = linear(tokens, params["enc.in_w"], params["enc.in_b"])
-        result = encoder_forward(enc_in, params, heads=cfg.encoder_heads,
-                                 layers=cfg.encoder_layers,
-                                 return_attention=return_attention)
-        y_repr, attentions = result if return_attention else (result, None)
-        mu, log_sigma, rho = gaussian_parameters(
-            y_repr, params["head.w"], params["head.b"], cfg.t_pred)
-        if return_attention:
-            return mu, log_sigma, rho, attentions
-        return mu, log_sigma, rho
+        y_repr = encoder_forward(enc_in, params, heads=cfg.encoder_heads,
+                                 layers=cfg.encoder_layers)
+        return gaussian_parameters(y_repr, params["head.w"], params["head.b"],
+                                   cfg.t_pred)
 
     def loss(self, window: Window) -> Tensor:
         mu, log_sigma, rho = self.forward(window)

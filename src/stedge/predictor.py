@@ -47,6 +47,19 @@ class GaussianTrack:
     ped_ids: list[int]
 
     def __post_init__(self):
+        n = len(self.ped_ids)
+        t = np.shape(self.mu)[1] if np.ndim(self.mu) == 3 else None
+        for name, dims, shape in (("mu", "N, T_pred, 2", (n, t, 2)),
+                                  ("sigma", "N, T_pred, 2", (n, t, 2)),
+                                  ("rho", "N, T_pred", (n, t)),
+                                  ("origin", "N, 2", (n, 2))):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, value)
+            if value.shape != shape:
+                raise ValueError(f"GaussianTrack.{name} must be ({dims}) with N = {n} "
+                                 f"ped_ids and mu's T_pred, got shape {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"GaussianTrack.{name} is not finite")
         if np.any(self.sigma <= 0.0):
             raise ValueError("sigma must be strictly positive")
         if np.any(np.abs(self.rho) >= 1.0):
@@ -89,37 +102,24 @@ def assemble_tokens(hist: Tensor, placeholder: Tensor,
     return concatenate([hist, fut], axis=1) + positional
 
 
-def multi_head_attention(x: Tensor, params: ParameterStore, prefix: str,
-                         heads: int, return_attention: bool = False):
-    """Full (non-causal) scaled dot-product attention per pedestrian, and
-    its (N, heads, t, t) weights with ``return_attention`` (else None)."""
-    def p(name):
-        return params[f"{prefix}.{name}"]
-
-    # no key bias: a shared key offset shifts every logit of a query's row
-    # equally, which the softmax cancels, so the parameter would be dead
-    ctx = attention(linear(x, p("wq"), p("bq")), x @ p("wk"),
-                    linear(x, p("wv"), p("bv")), heads,
-                    return_weights=return_attention)
-    ctx, alpha = ctx if return_attention else (ctx, None)
-    return linear(ctx, p("wo"), p("bo")), alpha
-
-
 def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
-                    layers: int, return_attention: bool = False):
-    """Post-norm encoder stack; attention is temporal only (batch axis = N)."""
+                    layers: int) -> Tensor:
+    """Post-norm encoder stack; attention is full (non-causal) scaled
+    dot-product attention over each pedestrian's positions (batch axis = N)."""
     x = tokens
-    attentions = []
     for i in range(layers):
         lp = f"enc.l{i}"
-        attn, alpha = multi_head_attention(x, params, f"{lp}.att", heads,
-                                           return_attention)
-        attentions.append(alpha)
+        # no key bias: a shared key offset shifts every logit of a query's
+        # row equally, which the softmax cancels, so the parameter would be dead
+        ctx = attention(linear(x, params[f"{lp}.att.wq"], params[f"{lp}.att.bq"]),
+                        x @ params[f"{lp}.att.wk"],
+                        linear(x, params[f"{lp}.att.wv"], params[f"{lp}.att.bv"]), heads)
+        attn = linear(ctx, params[f"{lp}.att.wo"], params[f"{lp}.att.bo"])
         x = layer_norm(x + attn, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
         ff = linear(x, params[f"{lp}.ffn.w1"], params[f"{lp}.ffn.b1"], relu=True)
         ff = linear(ff, params[f"{lp}.ffn.w2"], params[f"{lp}.ffn.b2"])
         x = layer_norm(x + ff, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
-    return (x, attentions) if return_attention else x
+    return x
 
 
 def gaussian_parameters(y_repr: Tensor, head_w: Tensor, head_b: Tensor,
@@ -161,8 +161,7 @@ def track_from_tensors(mu: Tensor, log_sigma: Tensor, rho: Tensor,
                          ped_ids=list(ped_ids))
 
 
-def sample_trajectories(track: GaussianTrack, count: int = 20,
-                        seed=0) -> np.ndarray:
+def sample_trajectories(track: GaussianTrack, count: int, seed=0) -> np.ndarray:
     """Draw ``count`` absolute trajectories, (count, N, T_pred, 2).
 
     Each sample uses an independent stream derived from (seed, sample

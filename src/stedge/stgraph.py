@@ -138,7 +138,7 @@ def segment_patches(features: Tensor, cfg: PatchingConfig) -> list[Tensor]:
 
 
 def gat_layer(z: Tensor, adjacency: np.ndarray, theta: Tensor, theta_dst: Tensor,
-              att: Tensor, return_attention: bool = False):
+              att: Tensor) -> Tensor:
     """Single-head graph attention over a patch's (n, D) node features
     ``z`` and its (n, n) adjacency.
 
@@ -154,8 +154,7 @@ def gat_layer(z: Tensor, adjacency: np.ndarray, theta: Tensor, theta_dst: Tensor
     src = z @ theta        # messages and attention source half
     dst = z @ theta_dst    # attention receiver half
     alpha = softmax(pair_attention_logits(dst, src, att, adjacency + np.eye(len(adjacency))))
-    out = elu(alpha @ src)
-    return (out, alpha) if return_attention else out
+    return elu(alpha @ src)
 
 
 # -- effective resistance -----------------------------------------------------

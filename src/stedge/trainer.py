@@ -125,9 +125,13 @@ def ade_fde(pred, truth) -> tuple[float, float]:
 
 def best_of_k_per_ped(samples, truth) -> tuple[np.ndarray, np.ndarray]:
     """Select, per pedestrian, the sample with minimal ADE; return its
-    ADE and FDE for every pedestrian."""
+    ADE and FDE for every pedestrian.  ``samples`` is (K,) + the (N, T, 2)
+    ``truth`` shape."""
     samples = np.asarray(samples, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
+    if truth.ndim != 3 or samples.shape[1:] != truth.shape:
+        raise ShapeMismatchError(f"samples {samples.shape} != (K,) + truth "
+                                 f"{truth.shape}, truth (N, T_pred, 2)")
     err = np.linalg.norm(samples - truth[None], axis=-1)   # (K, N, T)
     per_ped_ade = err.mean(axis=2)                         # (K, N)
     best = per_ped_ade.argmin(axis=0)

@@ -117,7 +117,7 @@ def _unfused_layer_norm(x, gain, bias):
     return centered * inv_std * gain + bias
 
 
-def _unfused_attention(q, k, v, heads, return_weights=False):
+def _unfused_attention(q, k, v, heads):
     """Heads split by reshape and transpose, the scaled scores, the softmax
     and the weighted sum, each recorded."""
     n, t, e = q.shape
@@ -127,9 +127,7 @@ def _unfused_attention(q, k, v, heads, return_weights=False):
         return a.reshape((n, t, heads, dh)).transpose((0, 2, 1, 3))
 
     scores = (split(q) @ split(k).transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    alpha = softmax(scores)
-    ctx = (alpha @ split(v)).transpose((0, 2, 1, 3)).reshape((n, t, e))
-    return (ctx, alpha) if return_weights else ctx
+    return (softmax(scores) @ split(v)).transpose((0, 2, 1, 3)).reshape((n, t, e))
 
 
 def _outputs_and_grads(run, leaves, seed):
@@ -310,11 +308,8 @@ def test_attention_matches_unfused_chain(heads, t):
     _assert_parity(lambda q, k, v: attention(q, k, v, heads),
                    lambda q, k, v: _unfused_attention(q, k, v, heads),
                    leaves, rng.normal(size=shape))
-    ctx, weights = attention(*leaves, heads, return_weights=True)
-    want_ctx, want_weights = _unfused_attention(*leaves, heads, return_weights=True)
-    assert ctx.data.tobytes() == want_ctx.data.tobytes()
-    assert weights.data.tobytes() == want_weights.data.tobytes()
-    assert weights.shape == (3, heads, t, t) and weights._backward is None
+    assert attention(*leaves, heads).data.tobytes() == \
+        _unfused_attention(*leaves, heads).data.tobytes()
 
 
 # -- through the model -----------------------------------------------------------------

@@ -226,7 +226,7 @@ def test_pipeline_translation_invariant_forecast_shape():
     np.testing.assert_allclose(rho_a.data, rho_b.data, atol=1e-9)
 
 
-def test_structure_cache_consistency():
+def test_model_carries_no_state_between_windows():
     model = TrajectoryForecaster(SMALL, seed=0)
     windows = overfit_windows()
     base = [model.loss(w).item() for w in windows]
@@ -301,13 +301,3 @@ def test_max_distance_variant_runs():
     model = TrajectoryForecaster(cfg, seed=0)
     loss = model.loss(gradcheck_window())
     assert np.isfinite(loss.item())
-
-
-def test_attention_export():
-    model = TrajectoryForecaster(SMALL, seed=0)
-    mu, log_sigma, rho, attn = model.forward(gradcheck_window(),
-                                             return_attention=True)
-    assert len(attn) == SMALL.encoder_layers
-    assert attn[0].shape == (2, SMALL.encoder_heads, SMALL.token_len,
-                             SMALL.token_len)
-    np.testing.assert_allclose(attn[0].data.sum(axis=-1), 1.0, atol=1e-12)

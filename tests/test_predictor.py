@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stedge.autodiff import ParameterStore, Tensor, backward, gradcheck
+from stedge.autodiff import ParameterStore, Tensor, attention, backward, gradcheck
 from stedge.predictor import (
     GaussianTrack,
     LOG_TWO_PI,
@@ -97,30 +97,33 @@ def _encoder_params(e, ffn, layers, seed=0) -> ParameterStore:
 
 
 def test_encoder_single_token_attention_is_one():
-    params = _encoder_params(8, 16, layers=1)
-    tokens = Tensor(np.random.default_rng(3).normal(size=(1, 1, 8)))
-    _, attn = encoder_forward(tokens, params, heads=2, layers=1,
-                              return_attention=True)
-    np.testing.assert_allclose(attn[0].data, 1.0, atol=0)
+    # one position: its weight is exactly 1, so the context is v itself
+    rng = np.random.default_rng(3)
+    q, k, v = (Tensor(rng.normal(size=(2, 1, 8))) for _ in range(3))
+    assert attention(q, k, v, heads=2).data.tobytes() == v.data.tobytes()
 
 
 def test_encoder_equal_tokens_uniform_attention():
-    params = _encoder_params(8, 16, layers=1)
-    tokens = Tensor(np.tile(np.random.default_rng(4).normal(size=8), (2, 5, 1)))
-    _, attn = encoder_forward(tokens, params, heads=2, layers=1,
-                              return_attention=True)
-    np.testing.assert_allclose(attn[0].data, 0.2, atol=1e-12)
+    # every query and every key alike: uniform weights, the context is v's
+    # mean over the positions
+    rng = np.random.default_rng(4)
+    q = Tensor(np.tile(rng.normal(size=8), (2, 5, 1)))
+    k = Tensor(np.tile(rng.normal(size=8), (2, 5, 1)))
+    v = rng.normal(size=(2, 5, 8))
+    ctx = attention(q, k, Tensor(v), heads=2).data
+    np.testing.assert_allclose(ctx, np.broadcast_to(v.mean(axis=1, keepdims=True),
+                                                    v.shape), atol=1e-12)
 
 
 def test_encoder_attention_rows_sum_to_one():
-    params = _encoder_params(16, 32, layers=2, seed=5)
-    tokens = Tensor(np.random.default_rng(5).normal(size=(3, 7, 16)))
-    _, attn = encoder_forward(tokens, params, heads=4, layers=2,
-                              return_attention=True)
-    assert len(attn) == 2
-    for layer in attn:
-        assert layer.shape == (3, 4, 7, 7)
-        np.testing.assert_allclose(layer.data.sum(axis=-1), 1.0, atol=1e-12)
+    # v constant along the positions: whatever the weights, a row summing
+    # to one returns v
+    rng = np.random.default_rng(5)
+    q, k = (Tensor(rng.normal(size=(3, 7, 16))) for _ in range(2))
+    v = np.repeat(rng.normal(size=(3, 1, 16)), 7, axis=1)
+    ctx = attention(q, k, Tensor(v), heads=4)
+    assert ctx.shape == (3, 7, 16)
+    np.testing.assert_allclose(ctx.data, v, atol=1e-12)
 
 
 def test_encoder_per_pedestrian_independence():
@@ -314,3 +317,35 @@ def test_track_invariants_enforced():
         _track([0.0, 0.0], [0.0, 1.0], 0.0)
     with pytest.raises(ValueError):
         _track([0.0, 0.0], [1.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("field", ["mu", "sigma", "rho", "origin"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_track_rejects_non_finite_values(field, bad):
+    # a NaN sigma or rho passes every comparison, and sampling would return
+    # NaN futures without an error
+    track = _track([0.5, -0.25], [1.0, 1.0], 0.3, n=2, t=3)
+    arrays = {name: getattr(track, name).copy()
+              for name in ("mu", "sigma", "rho", "origin")}
+    arrays[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"GaussianTrack.{field} is not finite"):
+        GaussianTrack(**arrays, ped_ids=track.ped_ids)
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("mu", (2, 3)), ("sigma", (2, 3, 1)), ("sigma", (2, 4, 2)), ("rho", (2, 3, 1)),
+    ("rho", (1, 3)), ("origin", (2, 3, 2)), ("origin", (1, 2)),
+])
+def test_track_rejects_mismatched_shapes(field, shape):
+    arrays = {"mu": np.zeros((2, 3, 2)), "sigma": np.ones((2, 3, 2)),
+              "rho": np.zeros((2, 3)), "origin": np.zeros((2, 2))}
+    arrays[field] = np.ones(shape) * 0.5
+    with pytest.raises(ValueError, match=f"GaussianTrack.{field} must be"):
+        GaussianTrack(**arrays, ped_ids=[1, 2])
+
+
+def test_track_needs_one_ped_id_per_pedestrian():
+    track = _track([0.0, 0.0], [1.0, 1.0], 0.0, n=1, t=2)
+    with pytest.raises(ValueError, match=r"N = 3 ped_ids"):
+        GaussianTrack(mu=track.mu, sigma=track.sigma, rho=track.rho,
+                      origin=track.origin, ped_ids=[1, 2, 3])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,17 @@ def test_best_of_k_argmin_scale_invariant():
     ade, _ = best_of_k_per_ped(samples, truth)
     ade_scaled, _ = best_of_k_per_ped(3.0 * samples, 3.0 * truth)
     np.testing.assert_allclose(ade_scaled, 3.0 * ade, atol=1e-12)
+
+
+@pytest.mark.parametrize("samples_shape, truth_shape", [
+    ((4, 3, 12, 2), (1, 12, 2)),   # one track would score all three pedestrians
+    ((4, 3, 12, 2), (3, 1, 2)),    # one step would score all twelve
+    ((4, 12, 2), (12, 2)),         # no pedestrian axis
+])
+def test_best_of_k_rejects_mismatched_shapes(samples_shape, truth_shape):
+    with pytest.raises(ShapeMismatchError,
+                       match=re.escape(f"{samples_shape}") + ".*" + re.escape(f"{truth_shape}")):
+        best_of_k_per_ped(np.zeros(samples_shape), np.zeros(truth_shape))
 
 
 # -- checkpoints ----------------------------------------------------------------
