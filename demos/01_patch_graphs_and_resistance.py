@@ -12,7 +12,6 @@ import numpy as np
 
 from stedge.data import build_windows, scene_from_records
 from stedge.stgraph import (
-    PatchingConfig,
     build_node_adjacency,
     effective_resistance,
     patch_count,
@@ -28,19 +27,19 @@ print(f"scene: {len(scene.records)} observations, stride {scene.frame_stride}")
 print(f"windows: {len(windows)} (8 observed + 12 future samples each)\n")
 
 window = windows[0]
-cfg = PatchingConfig(length=3, stride=1)
-print(f"patching T_obs=8 with L={cfg.length}, S={cfg.stride} -> "
-      f"K={patch_count(window.t_obs, cfg)} patches")
+length, stride = 3, 1
+print(f"patching T_obs=8 with L={length}, S={stride} -> "
+      f"K={patch_count(window.t_obs, length, stride)} patches")
 
-for k, graph in enumerate(patch_graphs(window.obs, cfg), start=1):
-    print(f"  patch {k}: slots [{graph.start}, {graph.start + cfg.length}), "
+for k, graph in enumerate(patch_graphs(window.obs, length, stride), start=1):
+    print(f"  patch {k}: slots [{graph.start}, {graph.start + length}), "
           f"{len(graph.adjacency)} nodes, {len(graph.edge_index)} edges "
           f"(complete graph), edge lengths {graph.distances.min():.2f}-"
           f"{graph.distances.max():.2f} m")
 
 # conventional wiring of the same 2x3 node block: a temporal chain per
 # pedestrian plus one spatial link per frame
-n_peds, length = 2, 3
+n_peds = 2
 n = n_peds * length
 sparse = np.zeros((n, n))
 for p in range(n_peds):

@@ -25,26 +25,26 @@ from stedge.edgegraph import (
 from stedge.stgraph import PatchGraph, edge_list
 
 triangle = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
-op = boundary_operator(triangle)
-print("triangle edges:", op.edge_index)
+edges = edge_list(triangle)
+b1 = boundary_operator(triangle)
+print("triangle edges:", edges.tolist())
 print("signed incidence B1 (rows nodes, columns edges):")
-print(op.matrix)
+print(b1)
 
-l1 = hodge_laplacian(op)
+l1 = hodge_laplacian(b1)
 print("\nHodge Laplacian L1 = B1^T B1:")
 print(l1)
 print("diagonal is 2 everywhere (each edge has two endpoints);",
       "eigenvalues:", np.round(np.linalg.eigvalsh(l1), 6))
 
 print("\nline graph (edges sharing an endpoint):")
-print(line_graph(op.edge_index))
+print(line_graph(edges))
 
 print("\nLaguerre polynomial values by the recurrence:")
 for lam in (0.0, 0.5, 1.0, 2.0):
     print(f"  G_j({lam}) for j=0..3:",
           [round(v, 4) for v in laguerre_scalars(lam, 4)])
 
-edges = edge_list(triangle)
 rng = np.random.default_rng(0)
 x = rng.uniform(0.5, 3.0, size=len(edges))   # edge lengths, the model's edge signal
 graph = PatchGraph(start=0, adjacency=triangle, edge_index=edges, distances=x)
@@ -57,7 +57,7 @@ print("\nan edge signal, one value per oriented edge (u, v), u < v:", np.round(x
 u, v = edges.T
 b1x = np.bincount(np.concatenate([v, u]), weights=np.concatenate([x, -x]))
 print("B1 x as one bincount (+x at each head, -x at each tail) vs the dense "
-      f"product: max |difference| = {np.abs(b1x - op.matrix @ x).max():.2e}")
+      f"product: max |difference| = {np.abs(b1x - b1 @ x).max():.2e}")
 print("hodge @ x vs dense (L1 / lambda) x: max |difference| = "
       f"{np.abs(hodge @ x - scaled @ x).max():.2e}")
 basis = laguerre_basis(hodge, x, 3)

@@ -16,12 +16,13 @@ tensor keeps its ``op`` name and its ``data`` (``loss.item()`` still
 reads the value).  A second backward through an op already walked raises
 ``GraphFreedError`` naming the op.
 
-The primitive set is deliberately fixed to what the model needs: matmul,
-elementwise arithmetic, exp/log/tanh (the likelihood and its correlation),
-exponential-linear, softmax over the last axis (graph attention), sum/mean
-reductions, reshape / concatenate and basic slicing.  ``transpose`` (and
-``.T``) has no caller in the model; it stays for the unfused reference
-chains the tests compare the fused ops against.
+The primitive set is deliberately fixed to what the model needs: matmul by
+a 2-D operand, elementwise arithmetic, exp/log/tanh (the likelihood and its
+correlation), exponential-linear, softmax over the last axis (graph
+attention), mean reductions, reshape / concatenate and basic slicing (an
+advanced index raises ``IndexError``).  ``Tensor.sum``, batched ``matmul``
+and ``transpose`` (and ``.T``) have no caller in the model; they stay for
+the unfused reference chains the tests compare the fused ops against.
 Elementwise ops broadcast with numpy's trailing-dimension alignment.  Every
 forward result is checked for NaN/Inf and the offending op is named when
 the check fires.
@@ -443,9 +444,16 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
     return _result(data, "concatenate", tuple(parts), backward_fn)
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
+
+
 def _getitem(x: Tensor, idx) -> Tensor:
-    # basic indexing only (ints/slices/Ellipsis); no advanced integer arrays,
-    # so the scatter in backward never aliases
+    # basic indexing only: an integer array, list or mask may repeat an
+    # entry, and the scatter in backward (buf[idx] += g) counts it once
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(i, bool) or not isinstance(i, _BASIC_INDEX):
+            raise IndexError(f"only basic indices are differentiable (ints, slices, "
+                             f"Ellipsis and None), got {type(i).__name__}")
     data = x.data[idx]
 
     def backward_fn(g):

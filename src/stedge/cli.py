@@ -79,12 +79,14 @@ def _windows_from_files(files, cfg: Config):
 
 
 def _model_with_checkpoint(cfg: Config, checkpoint) -> TrajectoryForecaster:
-    model = TrajectoryForecaster(cfg.model, seed=cfg.train.seed)
+    # checked before the model draws its parameters, which at a large
+    # model.dim can take more memory than the error message
     if checkpoint is None:
         raise MissingCheckpointError("no checkpoint given (--checkpoint)")
     path = Path(checkpoint)
     if not path.exists():
         raise MissingCheckpointError(f"checkpoint {path} does not exist")
+    model = TrajectoryForecaster(cfg.model, seed=cfg.train.seed)
     load_checkpoint(path, model.params)
     return model
 
@@ -168,15 +170,15 @@ def cmd_graph_stats(args) -> int:
     files, _ = _data_files(cfg)
     windows = _windows_from_files(files, cfg)
     pairs = [_parse_pair(p) for p in args.pair or []]
-    patching, max_dist = cfg.model.patching(), cfg.model.max_distance
-    length = patching.length
+    length, stride = cfg.model.patch_len, cfg.model.patch_stride
 
     for wi, window in enumerate(windows):
         n = window.n_peds
         report = {"window": wi, "start_frame": window.start_frame,
                   "n_peds": n, "ped_ids": window.ped_ids, "patches": []}
         resistance = []
-        for k, graph in enumerate(patch_graphs(window.obs, patching, max_dist), start=1):
+        graphs = patch_graphs(window.obs, length, stride, cfg.model.max_distance)
+        for k, graph in enumerate(graphs, start=1):
             start, adj = graph.start, graph.adjacency
             entry = {"k": k, "start": start, "nodes": len(adj),
                      "edges": len(graph.edge_index)}

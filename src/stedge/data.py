@@ -179,26 +179,24 @@ def scene_from_records(records) -> TrajectoryScene:
 
 
 def build_windows(scene: TrajectoryScene, t_obs: int = DEFAULT_T_OBS,
-                  t_pred: int = DEFAULT_T_PRED, slide: int = 1) -> list[Window]:
+                  t_pred: int = DEFAULT_T_PRED) -> list[Window]:
     """Cut every valid fixed-length window from a scene.
 
     A window starts at an observed frame and spans t_obs + t_pred samples
     spaced ``frame_stride`` apart; pedestrians observed at every one of those
     frames are included, others are excluded from that window.  Start frames
-    are visited in order, stepping ``slide`` at a time.
+    are visited in order.
     """
     if t_obs < 2:
         raise ValueError("t_obs must be >= 2")
     if t_pred < 1:
         raise ValueError("t_pred must be >= 1")
-    if slide < 1:
-        raise ValueError("slide must be >= 1")
     span = t_obs + t_pred
     stride = scene.frame_stride
     by_ped = scene.positions_by_ped()
 
     windows = []
-    for start in scene.frames()[::slide]:
+    for start in scene.frames():
         needed = [start + i * stride for i in range(span)]
         peds = [p for p in sorted(by_ped) if all(f in by_ped[p] for f in needed)]
         if not peds:

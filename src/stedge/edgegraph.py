@@ -9,10 +9,11 @@ embeddings as multiplicative gates.
 An edge signal is an (m,) vector over a ``PatchGraph``'s edge list.  The
 model never builds B1: B1 x is one ``np.bincount`` over the edges'
 endpoints and B1^T y is y[v] - y[u] (``HodgeOperator``), so the edge list
-is the only structure the filter needs, and L1's spectrum comes from the
-node Laplacian's (``hodge_spectrum``).  ``boundary_operator``,
-``line_graph`` and ``hodge_laplacian`` build B1, the dense edge graph and
-L1 as references for tests and demos only.
+is the only structure the filter needs, and the scale lam is the node
+Laplacian's largest eigenvalue, which L1 shares.  ``boundary_operator``
+(the (n, m) B1 array, one column per ``edge_list`` edge), ``line_graph``
+and ``hodge_laplacian`` build B1, the dense edge graph and L1 as
+references for tests and demos only.
 """
 
 from __future__ import annotations
@@ -25,18 +26,6 @@ from stedge.autodiff import Tensor, elu, gated_neighbour_sum, matmul_elu_matmul
 from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
-
-
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """Signed node-edge incidence matrix with lexicographic edge order."""
-
-    matrix: np.ndarray                       # (n_nodes, n_edges)
-    edge_index: tuple[tuple[int, int], ...]  # (u, v) with u < v
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edge_index)
 
 
 @dataclass(frozen=True)
@@ -57,15 +46,16 @@ class HodgeOperator:
         return (y[v] - y[u]) / self.lam
 
 
-def boundary_operator(adjacency) -> BoundaryOperator:
-    """Columns are the graph's undirected edges, oriented low -> high index."""
+def boundary_operator(adjacency) -> np.ndarray:
+    """The signed incidence matrix B1, (n, m): column e is ``edge_list``'s
+    edge e = (u, v), u < v, with -1 at u and +1 at v."""
     a = np.asarray(adjacency)
     edges = edge_list(a)
     cols = np.arange(len(edges))
     b1 = np.zeros((a.shape[0], len(edges)))
     b1[edges[:, 0], cols] = -1.0
     b1[edges[:, 1], cols] = 1.0
-    return BoundaryOperator(matrix=b1, edge_index=tuple(map(tuple, edges.tolist())))
+    return b1
 
 
 def line_graph(edge_index) -> np.ndarray:
@@ -83,9 +73,10 @@ def line_graph(edge_index) -> np.ndarray:
 
 
 def hodge_laplacian(b1) -> np.ndarray:
-    """L1 = B1^T B1; the B2 term is zero (no two-simplices are built)."""
-    m = b1.matrix if isinstance(b1, BoundaryOperator) else np.asarray(b1)
-    return m.T @ m
+    """L1 = B1^T B1 of an (n, m) B1; the B2 term is zero (no two-simplices
+    are built)."""
+    b1 = np.asarray(b1)
+    return b1.T @ b1
 
 
 def line_graph_degrees(graph: PatchGraph) -> np.ndarray:
@@ -98,7 +89,8 @@ def line_graph_degrees(graph: PatchGraph) -> np.ndarray:
 def hodge_spectrum(graph: PatchGraph) -> np.ndarray:
     """L1's eigenvalues, ascending, one per edge, without building L1:
     D - A = B1 B1^T shares L1 = B1^T B1's nonzero spectrum, and L1's other
-    eigenvalues are zeros (the zero rule is ``laplacian_spectrum``'s)."""
+    eigenvalues are zeros (the zero rule is ``laplacian_spectrum``'s).
+    Read by ``graph-stats``."""
     values = laplacian_spectrum(graph.adjacency)
     nonzero = values[values > 0.0]
     zeros = np.zeros(len(graph.edge_index) - len(nonzero))  # m - rank
@@ -108,8 +100,10 @@ def hodge_spectrum(graph: PatchGraph) -> np.ndarray:
 def hodge_operator(graph: PatchGraph) -> HodgeOperator:
     """L1 scaled by its largest eigenvalue lam, so that the Laguerre
     polynomials see a spectrum in [0, 1]: n on a complete graph,
-    ``_LAMBDA_FLOOR`` on an edgeless one."""
-    lam = max(float(hodge_spectrum(graph).max(initial=0.0)), _LAMBDA_FLOOR)
+    ``_LAMBDA_FLOOR`` on an edgeless one.  L1 = B1^T B1 and D - A = B1 B1^T
+    share their nonzero eigenvalues, so lam is the top of the node
+    Laplacian's ascending spectrum."""
+    lam = max(float(laplacian_spectrum(graph.adjacency)[-1]), _LAMBDA_FLOOR)
     return HodgeOperator(edge_index=graph.edge_index, lam=lam)
 
 

@@ -71,13 +71,7 @@ from stedge.predictor import (
     stack_and_pool,
     track_from_tensors,
 )
-from stedge.stgraph import (
-    PatchingConfig,
-    gat_layer,
-    patch_count,
-    patch_graphs,
-    segment_patches,
-)
+from stedge.stgraph import gat_layer, patch_count, patch_graphs, segment_patches
 
 _STREAM_INIT = 0
 
@@ -147,7 +141,7 @@ class ModelConfig:
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, "
                                  f"got {getattr(self, name)}")
-        patch_count(self.t_obs, self.patching())  # these check patch_len/stride
+        patch_count(self.t_obs, self.patch_len, self.patch_stride)  # checks L and S
         if self.encoder_dim % self.encoder_heads:
             raise ValueError(f"encoder_dim {self.encoder_dim} is not divisible "
                              f"by encoder_heads {self.encoder_heads}")
@@ -165,14 +159,11 @@ class ModelConfig:
 
     @property
     def n_patches(self) -> int:
-        return patch_count(self.t_obs, self.patching())
+        return patch_count(self.t_obs, self.patch_len, self.patch_stride)
 
     @property
     def token_len(self) -> int:
         return self.n_patches + self.t_pred
-
-    def patching(self) -> PatchingConfig:
-        return PatchingConfig(self.patch_len, self.patch_stride)
 
 
 def _glorot(rng, shape) -> np.ndarray:
@@ -299,7 +290,8 @@ class TrajectoryForecaster:
             raise ShapeMismatchError(
                 f"window horizons ({window.t_obs}, {window.t_pred}) != "
                 f"configured ({cfg.t_obs}, {cfg.t_pred})")
-        graphs = patch_graphs(window.obs, cfg.patching(), cfg.max_distance)
+        graphs = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                              cfg.max_distance)
         edge_counts = [len(g.edge_index) for g in graphs]
         edge_branch = cfg.fusion_gate != "zero"
         # refuse a window that cannot fit before recording any of it
@@ -315,7 +307,7 @@ class TrajectoryForecaster:
                 f"than the {TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
         feats = init_features(window, params, cfg.endpoint_mode)
         x = feats @ params["feat.w_proj"]
-        blocks = segment_patches(x, cfg.patching())
+        blocks = segment_patches(x, cfg.patch_len, cfg.patch_stride)
 
         if edge_branch:
             # the edge embedding rides in the filter (see the module docstring)

@@ -29,18 +29,6 @@ class DisconnectedGraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class PatchingConfig:
-    length: int
-    stride: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("patch length must be >= 1")
-        if self.stride < 1:
-            raise ValueError("patch stride must be >= 1")
-
-
-@dataclass(frozen=True)
 class PatchGraph:
     """One patch's constant structure, built once per window by
     ``patch_graphs``.
@@ -57,15 +45,20 @@ class PatchGraph:
     distances: np.ndarray     # (m,), Euclidean length of each edge
 
 
-def patch_count(t_obs: int, cfg: PatchingConfig) -> int:
-    """K = floor((T_obs - L) / S) + 1."""
-    if cfg.length > t_obs:
-        raise PatchTooLongError(f"patch length {cfg.length} > horizon {t_obs}")
-    return (t_obs - cfg.length) // cfg.stride + 1
+def patch_count(t_obs: int, length: int, stride: int) -> int:
+    """K = floor((T_obs - L) / S) + 1.  Every patch path counts its patches
+    here, so here L and S are checked."""
+    if length < 1:
+        raise ValueError("patch length must be >= 1")
+    if stride < 1:
+        raise ValueError("patch stride must be >= 1")
+    if length > t_obs:
+        raise PatchTooLongError(f"patch length {length} > horizon {t_obs}")
+    return (t_obs - length) // stride + 1
 
 
-def patch_starts(t_obs: int, cfg: PatchingConfig) -> list[int]:
-    return [k * cfg.stride for k in range(patch_count(t_obs, cfg))]
+def patch_starts(t_obs: int, length: int, stride: int) -> list[int]:
+    return [k * stride for k in range(patch_count(t_obs, length, stride))]
 
 
 def build_node_adjacency(n_peds: int, length: int, positions=None,
@@ -107,7 +100,7 @@ def edge_list(adjacency) -> np.ndarray:
     return np.argwhere(np.triu(np.asarray(adjacency), 1))
 
 
-def patch_graphs(obs, cfg: PatchingConfig,
+def patch_graphs(obs, length: int, stride: int,
                  max_distance: float | None = None) -> list[PatchGraph]:
     """The K patch graphs of (N, T_obs, 2) observed positions, in patch
     order.
@@ -119,9 +112,9 @@ def patch_graphs(obs, cfg: PatchingConfig,
     """
     obs = np.asarray(obs, dtype=np.float64)
     graphs = []
-    for start in patch_starts(obs.shape[1], cfg):
-        pos = obs[:, start:start + cfg.length, :].reshape(-1, 2)
-        adj = build_node_adjacency(obs.shape[0], cfg.length, pos, max_distance)
+    for start in patch_starts(obs.shape[1], length, stride):
+        pos = obs[:, start:start + length, :].reshape(-1, 2)
+        adj = build_node_adjacency(obs.shape[0], length, pos, max_distance)
         edges = edge_list(adj)
         graphs.append(PatchGraph(
             start=start, adjacency=adj, edge_index=edges,
@@ -129,12 +122,12 @@ def patch_graphs(obs, cfg: PatchingConfig,
     return graphs
 
 
-def segment_patches(features: Tensor, cfg: PatchingConfig) -> list[Tensor]:
+def segment_patches(features: Tensor, length: int, stride: int) -> list[Tensor]:
     """Slice (N, T_obs, D) features into the K patches' (N * length, D)
     node features, in ``patch_graphs``' patch and node order."""
     n_peds, t_obs, dim = features.shape
-    return [features[:, start:start + cfg.length, :].reshape((n_peds * cfg.length, dim))
-            for start in patch_starts(t_obs, cfg)]
+    return [features[:, start:start + length, :].reshape((n_peds * length, dim))
+            for start in patch_starts(t_obs, length, stride)]
 
 
 def gat_layer(z: Tensor, adjacency: np.ndarray, theta: Tensor, theta_dst: Tensor,

@@ -158,6 +158,24 @@ def test_second_backward_through_a_shared_subgraph_raises():
     np.testing.assert_array_equal(x.grad, first)
 
 
+@pytest.mark.parametrize("idx", [[0, 0, 2], np.array([0, 0, 2]),
+                                 np.array([True, False, True]), True,
+                                 (slice(None), [1, 1])],
+                         ids=["list", "int-array", "mask", "bool", "list-in-tuple"])
+def test_advanced_index_is_refused_before_recording(monkeypatch, idx):
+    """The slice backward scatters with buf[idx] += g, which counts a
+    repeated index once (x[[0, 0, 2]].sum() would give x.grad [1, 0, 1],
+    not [2, 0, 1]), so only basic indices record an op."""
+    import stedge.autodiff
+    recorded = []
+    monkeypatch.setattr(stedge.autodiff, "_result",
+                        lambda *args: recorded.append(args[1]) or _result(*args))
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with pytest.raises(IndexError, match="only basic indices are differentiable"):
+        x[idx]
+    assert recorded == []
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
@@ -225,6 +243,7 @@ def _fd_for(param, closure, eps=1e-6):
     ("reshape", lambda t: (t.reshape((6, 2)) * 2.0).sum()),
     ("transpose", lambda t: (t.T @ Tensor(np.ones((3, 2)))).sum()),
     ("slice", lambda t: (t[1:, :2] * t[1:, :2]).sum()),
+    ("basic_index", lambda t: (t[None, ..., np.int64(0)] * t[1, ::2, None]).sum()),
 ])
 def test_primitive_gradients_vs_finite_differences(name, fn):
     rng = np.random.default_rng(hash(name) % 2**32)

@@ -342,6 +342,26 @@ def test_eval_without_checkpoint_fails(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("given", [False, True], ids=["no-flag", "missing-file"])
+def test_checkpoint_is_checked_before_parameters_are_drawn(tmp_path, capsys,
+                                                           monkeypatch, command, given):
+    """A draw at a large model.dim can exhaust memory, so a missing
+    checkpoint must fail first, naming it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("parameters drawn before the checkpoint was checked")
+
+    monkeypatch.setattr(stedge.model, "init_parameters", refuse)
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    ckpt = tmp_path / "absent.bin"
+    argv = [command, "--config", str(cfg)] + (["--checkpoint", str(ckpt)] if given else [])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert (f"checkpoint {ckpt} does not exist" if given
+            else "no checkpoint given (--checkpoint)") in err
+
+
 def test_eval_with_corrupt_checkpoint_fails(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")

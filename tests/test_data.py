@@ -178,16 +178,15 @@ def test_windows_respect_frame_stride():
     assert windows[0].start_frame == 0
 
 
-@given(n_frames=st.integers(min_value=1, max_value=40),
-       slide=st.integers(min_value=1, max_value=3))
+@given(n_frames=st.integers(min_value=1, max_value=40))
 @settings(max_examples=40, deadline=None)
-def test_window_count_matches_brute_force(n_frames, slide):
+def test_window_count_matches_brute_force(n_frames):
     scene = scene_from_records(linear_records(
         [(1, (0.0, 0.0), (1.0, 0.0))], n_frames=n_frames))
-    got = len(build_windows(scene, slide=slide))
+    got = len(build_windows(scene))
     # brute force: test every start frame independently
     frames = scene.frames()
-    expected = sum(1 for start in frames[::slide]
+    expected = sum(1 for start in frames
                    if all(start + i in frames for i in range(20)))
     assert got == expected
 

@@ -1,6 +1,7 @@
-"""The narrative demos that run in seconds still run: 01 and 02 in about
-a second each, 04 (the README quickstart's train, evaluate and sample
-path) in about seven.  Demo 03 takes about a minute and is run by hand."""
+"""Every narrative demo still runs: 01 and 02 in about a second each, 03
+(the autodiff engine and a full-pipeline gradcheck at narrow widths) in
+about four, 04 (the README quickstart's train, evaluate and sample path)
+in about seven."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("prefix", ["01_", "02_", "04_"])
+@pytest.mark.parametrize("prefix", ["01_", "02_", "03_", "04_"])
 def test_demo_runs(prefix):
     (script,) = sorted((ROOT / "demos").glob(f"{prefix}*.py"))
     env = dict(os.environ)

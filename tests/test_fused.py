@@ -454,7 +454,8 @@ def test_tape_estimate_is_within_10_percent(cfg, max_distance, gate):
     for n in (2, 5, 20):
         window = _circle_window(n)
         edges = [len(g.edge_index) for g in
-                 patch_graphs(window.obs, cfg.patching(), cfg.max_distance)]
+                 patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                              cfg.max_distance)]
         measured = _tape_bytes(TrajectoryForecaster(cfg, seed=0).loss(window))
         assert abs(tape_bytes(cfg, n, edges) - measured) <= 0.1 * measured
 

@@ -256,7 +256,8 @@ def test_forward_takes_one_eigvalsh_per_patch_with_edges(monkeypatch, max_distan
     cfg = replace(SMALL, max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(5)
     with_edges = sum(len(g.edge_index) > 0 for g in
-                     patch_graphs(window.obs, cfg.patching(), cfg.max_distance))
+                     patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                                  cfg.max_distance))
     calls = _count_eigensolves(monkeypatch)
     TrajectoryForecaster(cfg, seed=0).forward(window)
     assert calls == {"eigh": 0, "eigvalsh": with_edges if gate != "zero" else 0}
@@ -277,7 +278,8 @@ def test_traced_loss_has_one_span_per_patch_and_sizes_the_filter_by_edges(
     spans, tracing = importlib.import_module("spans"), importlib.import_module("tracing")
     cfg = replace(SMALL, max_distance=max_distance)
     window = _circle_window(5)
-    graphs = patch_graphs(window.obs, cfg.patching(), cfg.max_distance)
+    graphs = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                          cfg.max_distance)
     rec = spans.SpanRecorder()
     with tracing.installed(rec):
         backward(TrajectoryForecaster(cfg, seed=0).loss(window))

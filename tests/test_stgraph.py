@@ -10,7 +10,6 @@ from stedge.autodiff import ShapeMismatchError, Tensor, elu, pair_attention_logi
 from stedge.stgraph import (
     DisconnectedGraphError,
     PatchTooLongError,
-    PatchingConfig,
     build_node_adjacency,
     effective_resistance,
     effective_resistances,
@@ -29,41 +28,50 @@ from test_edgegraph import _all_graphs, _proximity_adjacencies
 
 
 def test_patch_count_paper_default():
-    assert patch_count(8, PatchingConfig(3, 1)) == 6
+    assert patch_count(8, 3, 1) == 6
 
 
 def test_patch_count_whole_sequence():
-    assert patch_count(8, PatchingConfig(8, 1)) == 1
+    assert patch_count(8, 8, 1) == 1
 
 
 def test_patch_count_stride_two():
-    cfg = PatchingConfig(3, 2)
-    assert patch_count(8, cfg) == 3
-    assert patch_starts(8, cfg) == [0, 2, 4]
+    assert patch_count(8, 3, 2) == 3
+    assert patch_starts(8, 3, 2) == [0, 2, 4]
 
 
 def test_patch_too_long():
     with pytest.raises(PatchTooLongError):
-        patch_count(4, PatchingConfig(5, 1))
+        patch_count(4, 5, 1)
+
+
+@pytest.mark.parametrize("length, stride, message", [
+    (0, 1, "patch length must be >= 1"), (3, 0, "patch stride must be >= 1")])
+def test_patch_paths_check_length_and_stride(length, stride, message):
+    obs = np.zeros((2, 8, 2))
+    for build in (lambda: patch_count(8, length, stride),
+                  lambda: patch_graphs(obs, length, stride),
+                  lambda: segment_patches(Tensor(obs), length, stride)):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 @given(t_obs=st.integers(2, 12), length=st.integers(1, 12), stride=st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_patch_count_matches_enumeration(t_obs, length, stride):
-    cfg = PatchingConfig(length, stride)
     if length > t_obs:
         with pytest.raises(PatchTooLongError):
-            patch_count(t_obs, cfg)
+            patch_count(t_obs, length, stride)
         return
     brute = sum(1 for s in range(0, t_obs, stride) if s + length <= t_obs)
-    assert patch_count(t_obs, cfg) == brute
-    assert len(patch_starts(t_obs, cfg)) == brute
+    assert patch_count(t_obs, length, stride) == brute
+    assert len(patch_starts(t_obs, length, stride)) == brute
 
 
 def test_segment_patches_layout():
     n, t, d = 2, 8, 3
     feats = Tensor(np.arange(n * t * d, dtype=float).reshape(n, t, d))
-    blocks = segment_patches(feats, PatchingConfig(3, 1))
+    blocks = segment_patches(feats, 3, 1)
     assert len(blocks) == 6
     z = blocks[2]
     assert z.shape == (6, d)
@@ -74,21 +82,22 @@ def test_segment_patches_layout():
 
 
 @pytest.mark.parametrize("max_distance", [None, 1.5])
-@pytest.mark.parametrize("cfg", [PatchingConfig(3, 1), PatchingConfig(2, 3)])
+@pytest.mark.parametrize("cfg", [(3, 1), (2, 3)])
 def test_patch_graphs_match_per_patch_references(cfg, max_distance):
     """One graph per patch, at ``patch_starts``; each adjacency is
     ``build_node_adjacency`` on the pedestrian-major slice, the edges are
     the upper-triangle pairs in lexicographic order, and each distance is
     its edge's endpoint-to-endpoint norm."""
+    length, stride = cfg
     obs = np.random.default_rng(5).uniform(0.0, 3.0, size=(4, 8, 2))
-    graphs = patch_graphs(obs, cfg, max_distance)
-    starts = patch_starts(8, cfg)
-    assert len(graphs) == len(starts) == patch_count(8, cfg)
+    graphs = patch_graphs(obs, length, stride, max_distance)
+    starts = patch_starts(8, length, stride)
+    assert len(graphs) == len(starts) == patch_count(8, length, stride)
     for graph, start in zip(graphs, starts):
         assert graph.start == start
-        pos = obs[:, start:start + cfg.length].reshape(-1, 2)
-        np.testing.assert_array_equal(pos[cfg.length + 1], obs[1, start + 1])
-        adj = build_node_adjacency(4, cfg.length, pos, max_distance)
+        pos = obs[:, start:start + length].reshape(-1, 2)
+        np.testing.assert_array_equal(pos[length + 1], obs[1, start + 1])
+        adj = build_node_adjacency(4, length, pos, max_distance)
         np.testing.assert_array_equal(graph.adjacency, adj)
         n = len(adj)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
