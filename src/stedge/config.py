@@ -47,8 +47,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "hll.order": (ModelConfig, "hll_order", "Laguerre polynomial order J"),
     "fusion.gate": (ModelConfig, "fusion_gate",
                     "edge-gate mode; 'zero' severs the edge branch"),
-    "preprocess.endpoint_mode": (ModelConfig, "endpoint_mode",
-                                 "endpoint-subtraction preprocessing"),
     "train.epochs": (TrainConfig, "epochs", "training epochs"),
     "train.batch_size": (TrainConfig, "batch_size", "windows per optimizer step"),
     "train.base_lr": (TrainConfig, "base_lr", "initial learning rate"),

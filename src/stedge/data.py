@@ -4,8 +4,9 @@ feature initialization.
 Input files are plain text, one observation per line: ``frame_id ped_id x y``
 (whitespace separated, ``#`` starts a comment).  Windows are fixed-length
 slices of 8 observed + 12 future samples by default; features are per-step
-velocities, their norms, and movement angles, each embedded by its own
-single-layer perceptron and concatenated.
+velocities, their norms, and movement angles of the observed positions only,
+each embedded by its own single-layer perceptron and concatenated.  No
+feature reads a window's future.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from stedge.autodiff import ParameterStore, Tensor, concatenate
 
-ENDPOINT_MODES = ("off", "last_velocity", "oracle_gt")
 DEFAULT_T_OBS, DEFAULT_T_PRED = 8, 12   # window horizons; ModelConfig's defaults
 
 # two points within +-B have dx^2 + dy^2 <= 8 B^2, the float64 maximum, so
@@ -41,10 +41,30 @@ class EmptyFileError(ValueError):
 
 @dataclass(frozen=True)
 class TrajectoryScene:
-    """All observations of one scene, sorted by (frame_id, ped_id)."""
+    """All observations of one scene, sorted by (frame_id, ped_id).
+
+    No records, a coordinate the parser rejects, a repeated (frame_id,
+    ped_id) pair or a ``frame_stride`` below 1 raises ``ValueError``.
+    """
 
     records: tuple[tuple[int, int, float, float], ...]
     frame_stride: int
+
+    def __post_init__(self):
+        if not self.records:
+            raise EmptyFileError("no observations")
+        seen = set()
+        for frame, ped, x, y in self.records:
+            fault = _coordinate_fault(x, y)
+            if fault:
+                raise ValueError(f"frame {frame}, pedestrian {ped}: {fault}")
+            key = (frame, ped)
+            if key in seen:
+                raise DuplicateObservationError(
+                    f"duplicate observation for frame {frame}, pedestrian {ped}")
+            seen.add(key)
+        if self.frame_stride < 1:
+            raise ValueError(f"frame_stride must be >= 1, got {self.frame_stride}")
 
     def ped_ids(self) -> list[int]:
         return sorted({r[1] for r in self.records})
@@ -152,19 +172,7 @@ def parse_trajectory_file(path) -> TrajectoryScene:
 
 
 def scene_from_records(records) -> TrajectoryScene:
-    """Validate, sort and stride-infer a record list into a scene."""
-    if not records:
-        raise EmptyFileError("no observations")
-    seen = set()
-    for frame, ped, x, y in records:
-        fault = _coordinate_fault(x, y)
-        if fault:
-            raise ValueError(f"frame {frame}, pedestrian {ped}: {fault}")
-        key = (frame, ped)
-        if key in seen:
-            raise DuplicateObservationError(
-                f"duplicate observation for frame {frame}, pedestrian {ped}")
-        seen.add(key)
+    """Sort and stride-infer a record list into a scene, which checks it."""
     ordered = tuple(sorted(records, key=lambda r: (r[0], r[1])))
 
     # stride = GCD of per-pedestrian frame gaps; single-sample peds contribute none
@@ -208,39 +216,24 @@ def build_windows(scene: TrajectoryScene, t_obs: int = DEFAULT_T_OBS,
     return windows
 
 
-def motion_features(window: Window, endpoint_mode: str = "off"):
-    """Per-step velocities, norms and angles as plain arrays.
+def motion_features(obs: np.ndarray):
+    """Per-step velocities, norms and angles of the (N, T_obs, 2) observed
+    positions, as plain arrays.
 
     The first observed step has zero velocity so the sequence keeps T_obs
-    entries.  Endpoint subtraction (when enabled) removes either the last
-    observed velocity or the ground-truth final displacement from every
-    step before norms/angles are derived.
+    entries.
     """
-    obs = window.obs
     vel = np.zeros_like(obs)
     vel[:, 1:] = obs[:, 1:] - obs[:, :-1]
-    if endpoint_mode == "last_velocity":
-        vel = vel - vel[:, -1:, :]
-    elif endpoint_mode == "oracle_gt":
-        fut = window.fut
-        if fut.shape[1] >= 2:
-            endpoint = fut[:, -1] - fut[:, -2]
-        else:
-            endpoint = fut[:, 0] - obs[:, -1]
-        vel = vel - endpoint[:, None, :]
-    elif endpoint_mode != "off":
-        raise ValueError(f"unknown endpoint mode {endpoint_mode!r}; "
-                         f"expected one of {ENDPOINT_MODES}")
     norm = np.linalg.norm(vel, axis=-1)
     angle = np.arctan2(vel[..., 1], vel[..., 0])
     angle[norm == 0.0] = 0.0  # atan2(0, 0) := 0 so stationary steps stay clean
     return vel, norm, angle
 
 
-def init_features(window: Window, params: ParameterStore,
-                  endpoint_mode: str = "off") -> Tensor:
+def init_features(obs: np.ndarray, params: ParameterStore) -> Tensor:
     """Embed velocity / norm / angle streams and concatenate to (N, T_obs, 3E)."""
-    vel, norm, angle = motion_features(window, endpoint_mode)
+    vel, norm, angle = motion_features(obs)
     parts = [
         Tensor(vel) @ params["feat.w_v"],
         Tensor(norm[..., None]) @ params["feat.w_norm"],

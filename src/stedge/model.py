@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate, linear
-from stedge.data import (DEFAULT_T_OBS, DEFAULT_T_PRED, ENDPOINT_MODES, Window,
+from stedge.data import (DEFAULT_T_OBS, DEFAULT_T_PRED, Window,
                          future_displacements, init_features)
 from stedge.edgegraph import fusion_gcn, hll_conv
 from stedge.predictor import (
@@ -131,7 +131,6 @@ class ModelConfig:
     encoder_layers: int = 2
     hll_order: int = 3
     fusion_gate: str = "vector"     # one of FUSION_GATES
-    endpoint_mode: str = "off"      # one of data.ENDPOINT_MODES
     max_distance: float | None = 0.0   # 0 or None: complete graph, kept as None
 
     def __post_init__(self):
@@ -148,9 +147,6 @@ class ModelConfig:
         if self.fusion_gate not in FUSION_GATES:
             raise ValueError(f"unknown fusion gate {self.fusion_gate!r}; "
                              f"expected one of {FUSION_GATES}")
-        if self.endpoint_mode not in ENDPOINT_MODES:
-            raise ValueError(f"unknown endpoint mode {self.endpoint_mode!r}; "
-                             f"expected one of {ENDPOINT_MODES}")
         if self.max_distance == 0:
             object.__setattr__(self, "max_distance", None)
         if self.max_distance is not None and not 0 < self.max_distance < math.inf:
@@ -305,7 +301,7 @@ class TrajectoryForecaster:
                 f"{tape / 2**20:.1f} MiB of autodiff tape, {grads / 2**20:.1f} MiB of "
                 f"gradients and {temps / 2**20:.1f} MiB of backward temporaries, more "
                 f"than the {TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
-        feats = init_features(window, params, cfg.endpoint_mode)
+        feats = init_features(window.obs, params)
         x = feats @ params["feat.w_proj"]
         blocks = segment_patches(x, cfg.patch_len, cfg.patch_stride)
 

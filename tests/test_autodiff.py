@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,7 @@ def _fd_for(param, closure, eps=1e-6):
     ("basic_index", lambda t: (t[None, ..., np.int64(0)] * t[1, ::2, None]).sum()),
 ])
 def test_primitive_gradients_vs_finite_differences(name, fn):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     vals = rng.uniform(-2.0, 2.0, size=(3, 4))
     vals[np.abs(vals) < 1e-3] = 0.5  # keep clear of rectifier kinks
     t = Tensor(vals, requires_grad=True)

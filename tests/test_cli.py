@@ -56,12 +56,13 @@ def test_defaults_cover_every_key():
     assert cfg.model.t_obs == 8
     assert cfg.train.batch_size == 128
     assert cfg.train.eval_samples == 20
-    assert cfg.model.endpoint_mode == "off"
 
 
 def test_unknown_key_is_named():
-    with pytest.raises(BadConfigError, match="patch.lenght"):
-        parse_config_text("patch.lenght = 3\n")
+    # a misspelt key, and a removed one: features read the observed track only
+    for key in ("patch.lenght", "preprocess.endpoint_mode"):
+        with pytest.raises(BadConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(f"{key} = 3\n")
 
 
 def test_bad_value_is_named():
@@ -121,7 +122,6 @@ config keys (key = value per line, '#' comments):
   encoder.layers               default 2            encoder layers
   hll.order                    default 3            Laguerre polynomial order J
   fusion.gate                  default 'vector'     edge-gate mode; 'zero' severs the edge branch
-  preprocess.endpoint_mode     default 'off'        endpoint-subtraction preprocessing
   train.epochs                 default 100          training epochs
   train.batch_size             default 128          windows per optimizer step
   train.base_lr                default 0.001        initial learning rate
@@ -165,10 +165,10 @@ def test_settings_are_blamed_on_the_lines_that_set_them():
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
-    cfg = _config_file(tmp_path, "patch.lenght = 3\n")
-    code = run(["graph-stats", "--config", str(cfg)])
-    assert code != 0
-    assert "patch.lenght" in capsys.readouterr().err
+    for key in ("patch.lenght", "preprocess.endpoint_mode"):
+        cfg = _config_file(tmp_path, f"{key} = 3\n")
+        assert run(["graph-stats", "--config", str(cfg)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_graph_stats_reports_windows(tmp_path, capsys):

@@ -10,6 +10,7 @@ from stedge.data import (
     DuplicateObservationError,
     EmptyFileError,
     MalformedLineError,
+    TrajectoryScene,
     Window,
     build_windows,
     future_displacements,
@@ -87,6 +88,28 @@ def test_scene_from_records_applies_the_coordinate_bound(x):
     records[5] = (frame, ped, y, x)
     with pytest.raises(ValueError, match=f"frame {frame}, pedestrian {ped}"):
         scene_from_records(records)
+
+
+_GOOD_RECORDS = ((0, 1, 0.0, 0.0), (1, 1, 0.4, 0.0))
+
+
+@pytest.mark.parametrize("records, stride, error, message", [
+    pytest.param(_GOOD_RECORDS, 0, ValueError, "frame_stride must be >= 1, got 0",
+                 id="stride_zero"),
+    pytest.param(_GOOD_RECORDS, -1, ValueError, "frame_stride must be >= 1, got -1",
+                 id="stride_backwards"),
+    pytest.param(_GOOD_RECORDS + ((1, 1, 0.5, 0.0),), 1, DuplicateObservationError,
+                 "duplicate observation for frame 1, pedestrian 1", id="duplicate"),
+    pytest.param((), 1, EmptyFileError, "no observations", id="empty"),
+    pytest.param(((0, 1, 0.0, math.inf),), 1, ValueError,
+                 "frame 0, pedestrian 1: non-finite coordinate", id="non_finite"),
+])
+def test_scene_built_in_code_is_checked(records, stride, error, message):
+    """A scene checks itself, however it is built: the same errors as
+    ``scene_from_records``, and a stride of at least one frame."""
+    TrajectoryScene(records=_GOOD_RECORDS, frame_stride=1)
+    with pytest.raises(error, match=message):
+        TrajectoryScene(records=records, frame_stride=stride)
 
 
 def _two_walker_fields():
@@ -202,7 +225,7 @@ def _square_window():
 
 
 def test_motion_features_values():
-    vel, norm, angle = motion_features(_square_window())
+    vel, norm, angle = motion_features(_square_window().obs)
     # first step is defined as zero velocity
     np.testing.assert_array_equal(vel[:, 0], 0.0)
     np.testing.assert_allclose(norm[0, 1:], math.sqrt(2.0), atol=1e-12)
@@ -212,22 +235,9 @@ def test_motion_features_values():
     np.testing.assert_array_equal(angle[1], 0.0)
 
 
-def test_motion_features_endpoint_modes():
-    w = _square_window()
-    vel_off, _, _ = motion_features(w, "off")
-    vel_last, _, _ = motion_features(w, "last_velocity")
-    np.testing.assert_allclose(vel_last, vel_off - vel_off[:, -1:, :])
-    np.testing.assert_array_equal(vel_last[:, -1], 0.0)
-    vel_gt, _, _ = motion_features(w, "oracle_gt")
-    endpoint = w.fut[:, -1] - w.fut[:, -2]
-    np.testing.assert_allclose(vel_gt, vel_off - endpoint[:, None, :])
-    with pytest.raises(ValueError):
-        motion_features(w, "nope")
-
-
 def test_velocity_round_trip():
     w = _square_window()
-    vel, _, _ = motion_features(w)
+    vel, _, _ = motion_features(w.obs)
     rebuilt = w.obs[:, 0:1, :] + np.cumsum(vel[:, 1:], axis=1)
     np.testing.assert_allclose(rebuilt, w.obs[:, 1:], atol=1e-12)
 
@@ -241,15 +251,11 @@ def _feature_params(e=4, seed=0):
     return store
 
 
-@pytest.mark.parametrize("mode", ["off", "last_velocity", "oracle_gt"])
-def test_features_translation_invariant(mode):
+def test_features_translation_invariant():
     params = _feature_params()
     w = _square_window()
-    shifted = Window(obs=w.obs + np.array([13.0, -7.0]),
-                     fut=w.fut + np.array([13.0, -7.0]),
-                     ped_ids=w.ped_ids, origin=w.origin + np.array([13.0, -7.0]))
-    a = init_features(w, params, mode).data
-    b = init_features(shifted, params, mode).data
+    a = init_features(w.obs, params).data
+    b = init_features(w.obs + np.array([13.0, -7.0]), params).data
     np.testing.assert_allclose(a, b, atol=1e-12)
     assert a.shape == (2, 8, 12)  # N x T_obs x 3E
 

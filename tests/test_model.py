@@ -124,7 +124,6 @@ def test_proximity_loss_and_gradients_match_reference(gate):
 @pytest.mark.parametrize("field, value", [
     ("fusion_gate", "open"),
     ("fusion_gate", "scalar"),   # one gate per edge is not a gate mode
-    ("endpoint_mode", "bogus"),
     ("encoder_dim", 10),     # not divisible by the 4 heads
 ])
 def test_model_config_rejects_bad_settings_at_construction(field, value):
@@ -224,6 +223,21 @@ def test_pipeline_translation_invariant_forecast_shape():
     np.testing.assert_allclose(mu_a.data, mu_b.data, atol=1e-9)
     np.testing.assert_allclose(ls_a.data, ls_b.data, atol=1e-9)
     np.testing.assert_allclose(rho_a.data, rho_b.data, atol=1e-9)
+
+
+@pytest.mark.parametrize("gate", ["vector", "zero"])
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_forward_never_reads_the_future(n, max_distance, gate):
+    """A forecast depends on the observed track only: any other finite
+    future of the same shape leaves every output bit for bit unchanged."""
+    model = TrajectoryForecaster(replace(SMALL, max_distance=max_distance,
+                                         fusion_gate=gate), seed=0)
+    w = _circle_window(n)
+    fut = np.random.default_rng(n).normal(0.0, 50.0, w.fut.shape)
+    other = Window(obs=w.obs, fut=fut, ped_ids=w.ped_ids, origin=w.origin)
+    for a, b in zip(model.forward(w), model.forward(other), strict=True):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_model_carries_no_state_between_windows():

@@ -321,15 +321,23 @@ def test_single_window_training_reduces_loss(tmp_path):
 
 
 def test_training_is_bit_deterministic(tmp_path):
+    """Two runs from one seed write the same bytes, with and without
+    rotation; rotation draws its angles from the seed and changes the run."""
     windows = overfit_windows()
-    cfg = TrainConfig(epochs=3, batch_size=2, base_lr=0.01, seed=5,
-                      eval_samples=3)
-    for name in ("a", "b"):
-        model = TrajectoryForecaster(SMALL, seed=5)
-        train(model, windows, cfg, tmp_path / name)
-    a = (tmp_path / "a" / "metrics.jsonl").read_bytes()
-    b = (tmp_path / "b" / "metrics.jsonl").read_bytes()
-    assert a == b
+    logs = {}
+    for augment in ("off", "rotate"):
+        cfg = TrainConfig(epochs=3, batch_size=2, base_lr=0.01, seed=5,
+                          eval_samples=3, augment=augment)
+        runs = []
+        for name in ("a", "b"):
+            model = TrajectoryForecaster(SMALL, seed=5)
+            out = tmp_path / augment / name
+            train(model, windows, cfg, out)
+            runs.append([(out / f).read_bytes()
+                         for f in ("metrics.jsonl", "checkpoint.bin")])
+        assert runs[0] == runs[1], augment
+        logs[augment] = runs[0][0]
+    assert logs["rotate"] != logs["off"]
 
 
 def test_training_writes_metrics_and_checkpoint(tmp_path):
