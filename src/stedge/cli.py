@@ -23,13 +23,7 @@ from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import sample_window
 from stedge.stgraph import effective_resistances, patch_graphs
 from stedge.synth import gradcheck_window
-from stedge.trainer import (
-    NonFiniteGradientError,
-    best_of_k_per_ped,
-    evaluate,
-    load_checkpoint,
-    train,
-)
+from stedge.trainer import NonFiniteGradientError, evaluate, load_checkpoint, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -113,19 +107,8 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     files, _ = _data_files(cfg)
     windows = _windows_from_files(files, cfg)
-    if args.oracle:
-        # plumbing check: a predictor that emits ground truth scores zero
-        ades, fdes = [], []
-        for w in windows:
-            a, f = best_of_k_per_ped(w.fut[None], w.fut)
-            ades.append(a)
-            fdes.append(f)
-        result = {"ade": float(np.concatenate(ades).mean()),
-                  "fde": float(np.concatenate(fdes).mean()),
-                  "n_windows": len(windows)}
-    else:
-        model = _model_with_checkpoint(cfg, args.checkpoint)
-        result = evaluate(model, windows, cfg.train.eval_samples, cfg.train.seed)
+    model = _model_with_checkpoint(cfg, args.checkpoint)
+    result = evaluate(model, windows, cfg.train.eval_samples, cfg.train.seed)
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK
 
@@ -242,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("eval", cmd_eval, "best-of-K ADE/FDE on the configured data")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--oracle", action="store_true",
-                   help="score a predictor that emits ground truth (plumbing check)")
 
     p = add("predict", cmd_predict, "emit sampled trajectories as CSV")
     p.add_argument("--checkpoint", default=None)

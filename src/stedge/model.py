@@ -47,7 +47,8 @@ Before it records its first op, ``forward`` sums the window's estimated
 tape (``tape_bytes``), the gradients every backward allocates and the
 backward's largest temporaries (about three (m, d) arrays of the widest
 patch's edge branch); above physical memory it raises ``WindowTooLargeError``,
-a named error in place of an out-of-memory kill.
+a named error in place of an out-of-memory kill.  ``predict`` records no
+tape, but its window is checked on the same training estimate.
 """
 
 from __future__ import annotations
@@ -280,7 +281,10 @@ class TrajectoryForecaster:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, window: Window):
+    def forward(self, window: Window, params=None):
+        """(mu, log_sigma, rho) tensors of the window's forecast, read off
+        ``params``, a mapping from each parameter name to its tensor; by
+        default the store's own, whose ops record the tape a backward walks."""
         cfg = self.cfg
         if window.t_obs != cfg.t_obs or window.t_pred != cfg.t_pred:
             raise ShapeMismatchError(
@@ -291,9 +295,8 @@ class TrajectoryForecaster:
         edge_counts = [len(g.edge_index) for g in graphs]
         edge_branch = cfg.fusion_gate != "zero"
         # refuse a window that cannot fit before recording any of it
-        params = self.params
         tape = tape_bytes(cfg, window.n_peds, edge_counts)
-        grads = 8 * params.n_values()
+        grads = 8 * self.params.n_values()
         temps = 8 * _EDGE_BACKWARD_ARRAYS * max(edge_counts) * cfg.model_dim * edge_branch
         if tape + grads + temps > TAPE_BUDGET_BYTES:
             raise WindowTooLargeError(
@@ -301,6 +304,7 @@ class TrajectoryForecaster:
                 f"{tape / 2**20:.1f} MiB of autodiff tape, {grads / 2**20:.1f} MiB of "
                 f"gradients and {temps / 2**20:.1f} MiB of backward temporaries, more "
                 f"than the {TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
+        params = self.params if params is None else params
         feats = init_features(window.obs, params)
         x = feats @ params["feat.w_proj"]
         blocks = segment_patches(x, cfg.patch_len, cfg.patch_stride)
@@ -335,6 +339,10 @@ class TrajectoryForecaster:
         return bivariate_nll(mu, log_sigma, rho, future_displacements(window))
 
     def predict(self, window: Window) -> GaussianTrack:
-        mu, log_sigma, rho = self.forward(window)
+        """The forecast, with no tape: ``forward`` reads views of the
+        parameters that share their memory but require no gradient, so no
+        op keeps its parents or backward closure."""
+        views = {name: Tensor(p.data) for name, p in self.params.items()}
+        mu, log_sigma, rho = self.forward(window, views)
         return track_from_tensors(mu, log_sigma, rho, window.origin,
                                   window.ped_ids)

@@ -169,6 +169,8 @@ def sample_trajectories(track: GaussianTrack, count: int, seed=0) -> np.ndarray:
     the 2x2 Cholesky factor of the covariance maps unit normals to
     displacements, which cumulative-sum from each pedestrian's origin.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1 sample, got {count}")
     base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
     n, t_pred = track.mu.shape[:2]
     sx, sy = track.sigma[..., 0], track.sigma[..., 1]

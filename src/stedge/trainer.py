@@ -126,12 +126,12 @@ def ade_fde(pred, truth) -> tuple[float, float]:
 def best_of_k_per_ped(samples, truth) -> tuple[np.ndarray, np.ndarray]:
     """Select, per pedestrian, the sample with minimal ADE; return its
     ADE and FDE for every pedestrian.  ``samples`` is (K,) + the (N, T, 2)
-    ``truth`` shape."""
+    ``truth`` shape, with K >= 1."""
     samples = np.asarray(samples, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if truth.ndim != 3 or samples.shape[1:] != truth.shape:
+    if truth.ndim != 3 or samples.shape[1:] != truth.shape or samples.shape[0] < 1:
         raise ShapeMismatchError(f"samples {samples.shape} != (K,) + truth "
-                                 f"{truth.shape}, truth (N, T_pred, 2)")
+                                 f"{truth.shape}, truth (N, T_pred, 2), K >= 1")
     err = np.linalg.norm(samples - truth[None], axis=-1)   # (K, N, T)
     per_ped_ade = err.mean(axis=2)                         # (K, N)
     best = per_ped_ade.argmin(axis=0)

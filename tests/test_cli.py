@@ -301,13 +301,13 @@ def test_graph_stats_edges_on_20_walkers_stays_small(tmp_path, capsys):
         assert patch["l1_spectrum"] == [0.0] * (1770 - 59) + [60.0] * 59
 
 
-def test_eval_oracle_scores_zero(tmp_path, capsys):
+def test_eval_oracle_is_a_usage_error(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")
-    code = run(["eval", "--config", str(cfg), "--oracle"])
-    assert code == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result == {"ade": 0.0, "fde": 0.0, "n_windows": 1}
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--config", str(cfg), "--oracle"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
 
 def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
@@ -321,7 +321,7 @@ def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
 def test_scalar_fusion_gate_exits_2_naming_the_key(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\nfusion.gate = scalar\n")
-    assert run(["eval", "--config", str(cfg), "--oracle"]) == 2
+    assert run(["graph-stats", "--config", str(cfg)]) == 2
     assert f"{cfg}:9: bad value for 'fusion.gate'" in capsys.readouterr().err
 
 
@@ -329,7 +329,7 @@ def test_a_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, (f"data.path = {scene}\n"
                                   "fusion.gate = scalar\nfusion.gate = vector\n"))
-    assert run(["eval", "--config", str(cfg), "--oracle"]) == 2
+    assert run(["graph-stats", "--config", str(cfg)]) == 2
     assert (f"{cfg}:10: 'fusion.gate' is set again; line 9 already sets it"
             in capsys.readouterr().err)
 
@@ -513,13 +513,13 @@ def _no_window_config(tmp_path):
                                           "train.epochs = 1\n"))
 
 
-@pytest.mark.parametrize("argv", [["eval"], ["eval", "--oracle"], ["predict"],
-                                  ["graph-stats"], ["gradcheck"], ["train"]])
+@pytest.mark.parametrize("argv", [["eval"], ["predict"], ["graph-stats"],
+                                  ["gradcheck"], ["train"]])
 def test_data_with_no_window_exits_1_naming_the_file(tmp_path, capsys, argv):
     scene, cfg = _no_window_config(tmp_path)
     ckpt = tmp_path / "checkpoint.bin"
     save_checkpoint(ckpt, TrajectoryForecaster(load_config(cfg).model).params)
-    if argv[0] in ("eval", "predict") and "--oracle" not in argv:
+    if argv[0] in ("eval", "predict"):
         argv = argv + ["--checkpoint", str(ckpt)]
     assert run([*argv, "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
@@ -546,6 +546,6 @@ def test_train_leave_out_with_no_held_out_window_writes_no_checkpoint(
 
 def test_missing_data_path(tmp_path, capsys):
     cfg = _config_file(tmp_path)
-    code = run(["eval", "--config", str(cfg), "--oracle"])
+    code = run(["graph-stats", "--config", str(cfg)])
     assert code == 2
     assert "data.path" in capsys.readouterr().err

@@ -6,6 +6,7 @@ pooling of all patches at once and the likelihood standardised whole."""
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -443,6 +444,49 @@ def test_tape_of_a_20_walker_window_stays_under_40_mib():
     assert _tape_bytes(loss) <= 40 * 2**20
 
 
+def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
+    """``predict`` keeps no op's parents or closure and touches no
+    gradient; the loss and backward after it are those of a model that
+    never forecast, on the full 165-op tape."""
+    window = _circle_window(5)
+    want_loss, want_grads = _loss_and_grads(ModelConfig(), window)
+    model = TrajectoryForecaster(ModelConfig(), seed=0)
+    outputs, record_op = [], stedge.autodiff._result
+
+    def recording(*args):
+        outputs.append(record_op(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(stedge.autodiff, "_result", recording)
+    model.predict(window)
+    assert outputs
+    assert all(t._parents == () and t._backward is None and not t.requires_grad
+               for t in outputs)
+    assert all(p.grad is None for p in model.params.tensors())
+
+    outputs.clear()
+    loss = model.loss(window)
+    assert len(outputs) == 165
+    backward(loss)
+    assert loss.item() == want_loss
+    for name, p in model.params.items():
+        assert p.grad.tobytes() == want_grads[name].tobytes(), name
+
+
+def test_forecast_of_a_16_walker_window_stays_under_8_mib():
+    # 21.4 MiB while predict recorded the training tape
+    model = TrajectoryForecaster(ModelConfig(max_distance=2.0), seed=0)
+    window = _circle_window(16)
+    model.predict(window)
+    tracemalloc.start()
+    try:
+        model.predict(window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 # -- the memory guard ------------------------------------------------------------------
 
 
@@ -467,10 +511,12 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
     recorded = []
     monkeypatch.setattr(stedge.autodiff, "_result",
                         lambda *args: recorded.append(args[1]))
-    with pytest.raises(WindowTooLargeError, match=r"N=20 .* 36.1 MiB of autodiff "
-                       r"tape, 9.6 MiB of gradients and 5.2 MiB of backward "
-                       r"temporaries, .* 40.0 MiB"):
-        model.loss(window)
+    # a forecast records no tape but is refused on the training estimate
+    for step in (model.loss, model.predict):
+        with pytest.raises(WindowTooLargeError, match=r"N=20 .* 36.1 MiB of autodiff "
+                           r"tape, 9.6 MiB of gradients and 5.2 MiB of backward "
+                           r"temporaries, .* 40.0 MiB"):
+            step(window)
     assert recorded == []
 
 

@@ -121,6 +121,30 @@ def test_proximity_loss_and_gradients_match_reference(gate):
     assert abs(got - grad_sum) <= 1e-12 * grad_sum
 
 
+# seed 0, the summed |mu|, sigma and |rho| of predict() per (N,
+# max_distance, fusion gate), recorded while predict ran the training tape
+_REFERENCE_FORECASTS = {
+    (2, None, "vector"): (0.055088135395909524, 48.00802753753208, 0.02605849085414657),
+    (2, None, "zero"): (0.06005498329300088, 48.01217249799626, 0.023310167290936337),
+    (2, 2.0, "vector"): (0.05367953723139904, 48.00372257585041, 0.006660683968425594),
+    (2, 2.0, "zero"): (0.05410178007173348, 48.004200892020954, 0.00874153970096123),
+    (10, None, "vector"): (0.3414750594490631, 240.08361810178278, 0.10533955073297711),
+    (10, None, "zero"): (0.3508340981336263, 240.07402890090552, 0.10055325070124693),
+    (10, 2.0, "vector"): (0.31701931321494603, 240.02273494875737, 0.04329362198461818),
+    (10, 2.0, "zero"): (0.3225969585425981, 240.02286164144044, 0.05228752888499212),
+}
+
+
+@pytest.mark.parametrize("n, max_distance, gate", list(_REFERENCE_FORECASTS))
+def test_forecast_matches_reference(n, max_distance, gate):
+    model = TrajectoryForecaster(ModelConfig(max_distance=max_distance, fusion_gate=gate),
+                                 seed=0)
+    track = model.predict(_circle_window(n))
+    got = (np.abs(track.mu).sum(), track.sigma.sum(), np.abs(track.rho).sum())
+    for value, want in zip(got, _REFERENCE_FORECASTS[n, max_distance, gate], strict=True):
+        assert abs(value - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("field, value", [
     ("fusion_gate", "open"),
     ("fusion_gate", "scalar"),   # one gate per edge is not a gate mode

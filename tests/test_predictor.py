@@ -300,6 +300,12 @@ def test_sampling_is_deterministic_per_seed_and_index():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_sampling_needs_one_sample_or_more(count):
+    with pytest.raises(ValueError, match=f"count must be >= 1 sample, got {count}"):
+        sample_trajectories(_track([0.0, 0.0], [1.0, 1.0], 0.0), count)
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.8])
 def test_sampling_statistics(rho):
     track = _track([0.0, 0.0], [1.0, 1.0], rho, n=1, t=1)

@@ -192,6 +192,7 @@ def test_best_of_k_argmin_scale_invariant():
     ((4, 3, 12, 2), (1, 12, 2)),   # one track would score all three pedestrians
     ((4, 3, 12, 2), (3, 1, 2)),    # one step would score all twelve
     ((4, 12, 2), (12, 2)),         # no pedestrian axis
+    ((0, 3, 12, 2), (3, 12, 2)),   # no sample to pick the best of
 ])
 def test_best_of_k_rejects_mismatched_shapes(samples_shape, truth_shape):
     with pytest.raises(ShapeMismatchError,
