@@ -18,26 +18,28 @@ reads the value).  A second backward through an op already walked raises
 
 The primitive set is deliberately fixed to what the model needs: matmul by
 a 2-D operand, elementwise arithmetic, exp/log/tanh (the likelihood and its
-correlation), exponential-linear, softmax over the last axis (graph
-attention), mean reductions, reshape / concatenate and basic slicing (an
-advanced index raises ``IndexError``).  ``Tensor.sum``, batched ``matmul``
-and ``transpose`` (and ``.T``) have no caller in the model; they stay for
-the unfused reference chains the tests compare the fused ops against.
+correlation), exponential-linear, mean reductions, reshape / concatenate
+and basic slicing (an advanced index raises ``IndexError``).
+``Tensor.sum``, ``softmax`` over the last axis, batched ``matmul`` and
+``transpose`` (and ``.T``) have no caller in the model; they stay for the
+unfused reference chains the tests compare the fused ops against.
 Elementwise ops broadcast with numpy's trailing-dimension alignment.  Every
 forward result is checked for NaN/Inf and the offending op is named when
 the check fires.
 
-Three fused ops carry the graph stage's pairwise chains, each as one
-recorded op that keeps only its operands and its output and recomputes
-the rest in its backward (Chen et al., "Training Deep Nets with Sublinear
-Memory Cost", 2016):
+Three fused ops carry the graph stage, one op per job, each recording
+only its output and recomputing the rest in its backward (Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost", 2016).  The two node
+jobs read the patch's (m, 2) edge list:
 
-* ``pair_attention_logits``: a . LeakyReLU(dst_i + src_j) over the neighbour
-  mask, with the (n, n, d) pair sum formed one block of rows at a time;
-* ``gated_neighbour_sum``: sigmoid-gated messages summed over each node's
-  pairs, with neither the gates nor their pair grid recorded;
-* ``matmul_elu_matmul``: ELU(a @ b) @ c, recording only its output; the
-  backward recomputes ELU(a @ b), which costs little when a is narrow.
+* ``pair_attention``: each node's softmax-weighted messages over its
+  neighbours and itself, scored by a . LeakyReLU(dst_i + src_j), with the
+  (n, n, d) pair sum formed one block of rows at a time; the closure
+  keeps the (n, n) weights and the boolean neighbour mask;
+* ``gated_neighbour_mean``: sigmoid-gated messages averaged over each
+  node's neighbours, with neither the gates nor their pair grid recorded;
+* ``matmul_elu_matmul``: ELU(a @ b) @ c; the backward recomputes
+  ELU(a @ b), which costs little when a is narrow.
 
 Their row blocks depend only on the operand shapes, so results stay
 bit-reproducible.  Three more carry the encoder, on the same plan:
@@ -72,8 +74,8 @@ __all__ = [
     "tanh",
     "elu",
     "softmax",
-    "pair_attention_logits",
-    "gated_neighbour_sum",
+    "pair_attention",
+    "gated_neighbour_mean",
     "matmul_elu_matmul",
     "linear",
     "layer_norm",
@@ -468,7 +470,6 @@ def _getitem(x: Tensor, idx) -> Tensor:
 
 _BLOCK_ENTRIES = 1 << 17   # float64 entries of one block temporary (1 MiB)
 _PAIR_SLOPE = 0.2          # pair attention's LeakyReLU slope below zero
-_MASKED_SCORE = -1e30      # pair attention's score outside the mask
 
 
 def _blocks(count: int, entries_each: int) -> list[slice]:
@@ -479,25 +480,31 @@ def _blocks(count: int, entries_each: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def pair_attention_logits(dst, src, att, mask) -> Tensor:
-    """Additive attention scores on an (n_dst, n_src) neighbour ``mask``,
-    from (n_dst, d) and (n_src, d) operands and a d-entry ``att``: out[i, j]
-    = att . LeakyReLU(dst[i] + src[j]), slope 0.2 below zero, where the mask
-    is nonzero, else -1e30 (softmax weight 0), a score no gradient reaches.
+def pair_attention(dst, src, att, edge_index) -> Tensor:
+    """Additive graph attention, (n, d): node i receives sum_j alpha_ij
+    src[j], where alpha_i is the softmax, over i's neighbours and i itself,
+    of the scores att . LeakyReLU(dst[i] + src[j]), slope 0.2 below zero.
+    ``dst`` and ``src`` are (n, d), ``att`` has d entries and the (m, 2)
+    ``edge_index`` lists the undirected edges.
 
-    The (n_dst, n_src, d) pair sum and its rectified copy exist only one
-    block of rows at a time, in the forward and again in the backward,
-    which rebuilds them from the operands; the tape holds the scores.
+    A score off the neighbour mask is -inf, a softmax weight of 0 that no
+    gradient reaches; every row keeps its own node, so no row is all -inf.
+    The softmax and the product with ``src`` are those of ``softmax`` and
+    ``linear``, and so are their backward rules.  The (n, n, d) pair sum
+    and its rectified copy exist only one block of rows at a time, in the
+    forward and again in the backward, which rebuilds them from the
+    operands; the (n, n) scores are temporaries, and only the weights and
+    the boolean mask stay with the closure.
     """
     dst, src, att = _as_tensor(dst), _as_tensor(src), _as_tensor(att)
-    keep = np.asarray(mask) != 0
-    if dst.ndim != 2 or src.ndim != 2 or dst.shape[1] != src.shape[1] \
-            or att.size != dst.shape[1] or keep.shape != (dst.shape[0], src.shape[0]):
-        raise ShapeMismatchError(
-            f"pair_attention_logits: {dst.shape}, {src.shape}, {att.shape}, {keep.shape}")
-    n_src, d = src.shape
+    if dst.ndim != 2 or src.shape != dst.shape or att.size != dst.shape[1]:
+        raise ShapeMismatchError(f"pair_attention: {dst.shape}, {src.shape}, {att.shape}")
+    n, d = src.shape
+    u, v = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2).T
+    keep = np.eye(n, dtype=bool)
+    keep[u, v] = keep[v, u] = True
     a = att.data.reshape(d)
-    blocks = _blocks(dst.shape[0], n_src * d)
+    blocks = _blocks(n, n * d)
 
     def rectified(rows):
         """The pair sum of a row block and LeakyReLU's slope on it."""
@@ -505,15 +512,20 @@ def pair_attention_logits(dst, src, att, mask) -> Tensor:
         slope = np.where(pair >= 0.0, 1.0, _PAIR_SLOPE)
         return pair, slope
 
-    data = np.empty((dst.shape[0], n_src))
+    scores = np.empty((n, n))
     for rows in blocks:
         pair, slope = rectified(rows)
         pair *= slope
-        data[rows] = (pair.reshape(-1, d) @ a).reshape(-1, n_src)
-    data[~keep] = _MASKED_SCORE
+        scores[rows] = (pair.reshape(-1, d) @ a).reshape(-1, n)
+    scores[~keep] = -np.inf
+    alpha = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    data = alpha @ src.data
 
     def backward_fn(g):
-        g = np.where(keep, g, 0.0)
+        g_scores = (g @ src.data.T) * alpha
+        g_scores -= alpha * g_scores.sum(axis=-1, keepdims=True)   # the softmax's Jacobian
+        g_scores[~keep] = 0.0
         g_dst = np.empty(dst.shape) if dst.requires_grad else None
         g_src = np.zeros(src.shape) if src.requires_grad else None
         g_att = np.zeros(d) if att.requires_grad else None
@@ -521,43 +533,44 @@ def pair_attention_logits(dst, src, att, mask) -> Tensor:
             pair, slope = rectified(rows)
             if g_att is not None:
                 pair *= slope
-                g_att += g[rows].reshape(-1) @ pair.reshape(-1, d)
-            slope *= g[rows, :, None]      # dL/d(pair sum), up to the factor att
+                g_att += g_scores[rows].reshape(-1) @ pair.reshape(-1, d)
+            slope *= g_scores[rows, :, None]   # dL/d(pair sum), up to the factor att
             if g_dst is not None:
                 g_dst[rows] = slope.sum(axis=1)
             if g_src is not None:
                 g_src += slope.sum(axis=0)
         return (None if g_dst is None else g_dst * a,
-                None if g_src is None else g_src * a,
+                None if g_src is None else alpha.T @ g + g_src * a,
                 None if g_att is None else g_att.reshape(att.shape))
 
-    return _result(data, "pair_attention_logits", (dst, src, att), backward_fn)
+    return _result(data, "pair_attention", (dst, src, att), backward_fn)
 
 
-def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
-    """Gated messages summed over each node's pairs, (n, d): pair e sends
-    sigmoid(z[e]) * x[cols[e]] to node rows[e] and sigmoid(z[e]) *
-    x[rows[e]] to node cols[e].  ``z`` holds the (m, d) pre-sigmoid gates,
-    one per pair and channel; ``x`` is (n, d).
+def gated_neighbour_mean(z, x, edge_index) -> Tensor:
+    """Gated messages averaged over each node's neighbours, (n, d): edge e
+    = (u, v) of the (m, 2) ``edge_index`` sends sigmoid(z[e]) * x[v] to u
+    and sigmoid(z[e]) * x[u] to v, and each node's sum is divided by its
+    degree (an isolated node's by 1).  ``z`` holds the (m, d) pre-sigmoid
+    gates, one per edge and channel; ``x`` is (n, d).
 
-    The pairs must be distinct, off the diagonal and each listed in one
+    The edges must be distinct, off the diagonal and each listed in one
     orientation only.  The sigmoid is 0.5 tanh(z / 2) + 0.5, which cannot
     overflow.  Neither the gates nor the symmetric (c, n, n) grid they are
     laid on for the product is recorded: the forward and the backward each
     compute the gates from ``z`` and lay them on the grid a block of
     channels at a time, and the backward forms the gates' gradient a block
-    of pairs at a time.
+    of edges at a time.
     """
     z, x = _as_tensor(z), _as_tensor(x)
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    if (z.ndim != 2 or x.ndim != 2 or z.shape[1] != x.shape[1]
-            or len(rows) != z.shape[0] or len(cols) != z.shape[0]):
+    rows, cols = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2).T
+    if z.ndim != 2 or x.ndim != 2 or z.shape != (len(rows), x.shape[1]):
         raise ShapeMismatchError(
-            f"gated_neighbour_sum: gates {z.shape} for {len(rows)}/{len(cols)} "
-            f"pairs, values {x.shape}")
+            f"gated_neighbour_mean: gates {z.shape} for {len(rows)} edges, values {x.shape}")
     n, d = x.shape
     cells = rows * n + cols
     mirror = cols * n + rows
+    degree = np.bincount(np.concatenate([rows, cols]), minlength=n)
+    inv_degree = 1.0 / np.maximum(degree, 1)[:, None]
 
     def gates():
         """tanh(z / 2), and the sigmoid gates 0.5 tanh(z / 2) + 0.5."""
@@ -575,9 +588,10 @@ def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
             out[:, ch] = product[:, :, 0].T
         return out
 
-    data = grid_product(gates()[1], x.data)
+    data = grid_product(gates()[1], x.data) * inv_degree
 
     def backward_fn(g):
+        g = g * inv_degree
         half, gate = gates()
         g_x = grid_product(gate, g) if x.requires_grad else None
         g_z = None
@@ -592,7 +606,7 @@ def gated_neighbour_sum(z, x, rows, cols) -> Tensor:
             g_z *= 0.25 * (1.0 - half)       # the sigmoid's slope
         return g_z, g_x
 
-    return _result(data, "gated_neighbour_sum", (z, x), backward_fn)
+    return _result(data, "gated_neighbour_mean", (z, x), backward_fn)
 
 
 def matmul_elu_matmul(a, b, c) -> Tensor:

@@ -138,21 +138,27 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _parse_pair(raw: str):
+def _parse_pair(raw: str, t_obs: int):
+    """``ped,t,ped,t`` as ((ped, t), (ped, t)); each time slot must be an
+    observed one, in [0, t_obs), or it lies in no patch."""
     parts = raw.split(",")
     if len(parts) != 4:
         raise BadConfigError(f"--pair expects 'ped,t,ped,t', got {raw!r}")
     try:
-        return (int(parts[0]), int(parts[1])), (int(parts[2]), int(parts[3]))
+        pair = (int(parts[0]), int(parts[1])), (int(parts[2]), int(parts[3]))
     except ValueError as exc:
         raise BadConfigError(f"--pair expects integers, got {raw!r}") from exc
+    if not all(0 <= t < t_obs for _, t in pair):
+        raise BadConfigError(f"--pair {raw!r}: time slots must lie in [0, {t_obs}), "
+                             f"the observed slots of data.t_obs = {t_obs}")
+    return pair
 
 
 def cmd_graph_stats(args) -> int:
     cfg = load_config(args.config)
+    pairs = [_parse_pair(p, cfg.model.t_obs) for p in args.pair or []]
     files, _ = _data_files(cfg)
     windows = _windows_from_files(files, cfg)
-    pairs = [_parse_pair(p) for p in args.pair or []]
     length, stride = cfg.model.patch_len, cfg.model.patch_stride
 
     for wi, window in enumerate(windows):

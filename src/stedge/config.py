@@ -125,7 +125,7 @@ def _blame(exc: ValueError, owner, values: dict, lines: dict,
 def load_config(path) -> Config:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")   # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise BadConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))

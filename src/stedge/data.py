@@ -146,7 +146,8 @@ def _coordinate_fault(x: float, y: float) -> str | None:
 
 def parse_trajectory_file(path) -> TrajectoryScene:
     records = []
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    text = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")   # a UTF-8 byte-order mark
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             line = raw.decode("utf-8").split("#", 1)[0].strip()
         except UnicodeDecodeError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, gated_neighbour_sum, matmul_elu_matmul
+from stedge.autodiff import Tensor, elu, gated_neighbour_mean, matmul_elu_matmul
 from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
@@ -172,17 +172,13 @@ def fusion_gcn(h_node: Tensor, gates: Tensor | None, edge_index,
     pulls every node towards the patch mean, which washed out the
     per-pedestrian signal the forecast needs.
 
-    The gated sum is one recorded op (``gated_neighbour_sum``).  It lays
-    the gates on the pair grid, one symmetric (n, n) grid per gate
-    channel, for one batched product with the node messages; the sigmoid
-    gates and their grid are temporaries, not recorded, and its backward
-    rebuilds them.
+    The gated mean is one recorded op (``gated_neighbour_mean``).  It
+    lays the gates on the pair grid, one symmetric (n, n) grid per gate
+    channel, for one batched product with the node messages, and divides
+    by the degree; the sigmoid gates and their grid are temporaries, not
+    recorded, and its backward rebuilds them.
     """
     t = h_node @ theta
     if gates is None or not len(edge_index):
         return elu(t)
-    n = t.shape[0]
-    idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
-    messages = gated_neighbour_sum(gates, t, idx[:, 0], idx[:, 1])
-    inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
-    return elu(t + messages * inv_degree)
+    return elu(t + gated_neighbour_mean(gates, t, edge_index))

@@ -5,9 +5,10 @@ The three motion embeddings are each ``model_dim`` wide, so the concatenated
 feature width is 3*model_dim and a learned projection brings it back to
 ``model_dim`` before the graph stage.  Each patch's constant structure
 (adjacency, edge list and edge lengths) is built once per window by
-``stgraph.patch_graphs``, which records no op; the attention layer, the
-Hodge operator, the fusion's neighbour sum and the memory guard all read
-it, and nothing is cached across windows.
+``stgraph.patch_graphs``, which records no op, and nothing is cached
+across windows.  The attention layer, the Hodge operator, the fusion's
+gated mean and the memory guard read the edge list; the adjacency is
+read only for the scale of the Hodge operator (``hodge_operator``).
 
 The Laguerre edge filter runs on the raw edge distances D, an (m,)
 vector per patch.  The edge embedding w (``edge.w_embed``, 1 x model_dim)
@@ -37,11 +38,13 @@ by adaptive moments smooth (see ``init_parameters`` and
   moves the forecast by a small, bounded amount instead of by fan-in times
   the learning rate.
 
-The edge branch of each patch is two recorded ops: ``hll_conv`` filters
-the edge lengths and maps the filtered embedding through ``fuse.phi`` to
-the (m, d) pre-sigmoid gates in one op, and ``fusion_gcn`` sums the gated
-neighbour messages.  Only the gates stay on the tape; the (m, d) filtered
-embedding is recomputed in the backward.
+The graph stage records one op per job and patch.  The attention layer
+(``gat_layer``) is one op after its two halves' products, and the edge
+branch is two: ``hll_conv`` filters the edge lengths and maps the
+filtered embedding through ``fuse.phi`` to the (m, d) pre-sigmoid gates
+in one op, and ``fusion_gcn`` averages the gated neighbour messages in
+another.  Only the gates stay on the tape; the (m, d) filtered embedding
+is recomputed in the backward.
 
 Before it records its first op, ``forward`` sums the window's estimated
 tape (``tape_bytes``), the gradients every backward allocates and the
@@ -92,8 +95,11 @@ _TABLE_SCALE = 0.1   # placeholders' and positions' initial scale, small next to
 # float64 arrays that one window's forward records, per stage, in units of
 # the stage's array size; counted off the ops (see tape_bytes)
 _FEATURE_ARRAYS = 7      # (N, T_obs, d): three embeddings, their 3d-wide join, projection
-_NODE_ARRAYS = 14        # (n, d) per patch: attention, fusion, pooling's join and reshape
-_PAIR_ARRAYS = 2         # (n, n) per patch: masked scores, attention
+# (n, d) per patch: the node slice and its reshape, the attention's two
+# halves, messages and ELU, the fusion's product, gated mean, sum and ELU,
+# the residual sum, and pooling's join and reshape
+_NODE_ARRAYS = 13
+_PAIR_ARRAYS = 1         # (n, n) per patch: the weights pair_attention keeps for its backward
 _TOKEN_ARRAYS = 3        # (N, K + T_pred, d): the token sequence
 _ENCODER_IO_ARRAYS = 2   # (N, K + T_pred, e): input projection and head input
 # (N, K + T_pred, e) per encoder layer, the 2e-wide FFN hidden counting 2:
@@ -239,12 +245,14 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
 
 def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     """Estimated bytes of the arrays one window's forward records (its
-    tape), from N, the widths and each patch's edge count.  The backward
-    frees each op's arrays once it has passed the op, so the tape is what
-    a step holds when its backward starts.  The edge branch records only
-    its (m, d) pre-sigmoid gates per patch (the filtered embedding is
-    recomputed); no recorded array grows as n^2 d, and the encoder
-    records no (K + T_pred)^2 attention weights."""
+    tape), from N, the widths and each patch's edge count: each op's
+    output and what its closure keeps of its own.  The backward frees
+    each op's arrays once it has passed the op, so the tape is what a step
+    holds when its backward starts.  The edge branch records only its
+    (m, d) pre-sigmoid gates per patch (the filtered embedding is
+    recomputed); the graph attention keeps its (n, n) weights and no
+    array grows as n^2 d, and the encoder records no (K + T_pred)^2
+    attention weights."""
     d, e, length = cfg.model_dim, cfg.encoder_dim, cfg.token_len
     n = n_peds * cfg.patch_len
     entries = _FEATURE_ARRAYS * n_peds * cfg.t_obs * d
@@ -315,7 +323,7 @@ class TrajectoryForecaster:
                                   for j in range(cfg.hll_order)])
         fused = []
         for z, graph in zip(blocks, graphs, strict=True):
-            h_node = gat_layer(z, graph.adjacency, params["gat.theta"],
+            h_node = gat_layer(z, graph.edge_index, params["gat.theta"],
                                params["gat.theta_dst"], params["gat.att"])
             gates = None
             if edge_branch and len(graph.edge_index):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, pair_attention_logits, softmax
+from stedge.autodiff import Tensor, elu, pair_attention
 
 
 class PatchTooLongError(ValueError):
@@ -130,24 +130,24 @@ def segment_patches(features: Tensor, length: int, stride: int) -> list[Tensor]:
             for start in patch_starts(t_obs, length, stride)]
 
 
-def gat_layer(z: Tensor, adjacency: np.ndarray, theta: Tensor, theta_dst: Tensor,
+def gat_layer(z: Tensor, edge_index, theta: Tensor, theta_dst: Tensor,
               att: Tensor) -> Tensor:
     """Single-head graph attention over a patch's (n, D) node features
-    ``z`` and its (n, n) adjacency.
+    ``z`` and its (m, 2) edge list.
 
     The pair transform acts on the concatenated node pair as two blocks,
     logit(i, j) = a . LeakyReLU(theta_dst z_i + theta z_j), with the
     rectifier inside on the summed pair.  Acting on the sum is what keeps
     attention input-dependent: with a per-node rectifier the receiver term
     would be row-constant and the softmax would cancel it.  The softmax runs
-    over each node's neighbours plus itself, the mask of the scores
-    (``pair_attention_logits``, which never records the (n, n, d) pair sum);
-    messages are theta z_j and the aggregate passes through an ELU.
+    over each node's neighbours plus itself, and the weighted sum of the
+    messages theta z_j is one recorded op (``pair_attention``, which records
+    neither the (n, n, d) pair sum nor the (n, n) scores); the aggregate
+    passes through an ELU.
     """
     src = z @ theta        # messages and attention source half
     dst = z @ theta_dst    # attention receiver half
-    alpha = softmax(pair_attention_logits(dst, src, att, adjacency + np.eye(len(adjacency))))
-    return elu(alpha @ src)
+    return elu(pair_attention(dst, src, att, edge_index))
 
 
 # -- effective resistance -----------------------------------------------------

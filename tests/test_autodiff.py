@@ -16,12 +16,12 @@ from stedge.autodiff import (
     elu,
     exp,
     gradcheck,
-    gated_neighbour_sum,
+    gated_neighbour_mean,
     layer_norm,
     linear,
     log,
     matmul_elu_matmul,
-    pair_attention_logits,
+    pair_attention,
     softmax,
     tanh,
     _result,
@@ -31,13 +31,16 @@ from stedge.autodiff import (
     sub,
 )
 
-# the three pairs of a triangle, and weights that make the summed outputs
+# the three edges of a triangle, and weights that make the summed outputs
 # of the fused ops depend on every entry
-_TRIANGLE_ROWS, _TRIANGLE_COLS = np.array([0, 0, 1]), np.array([1, 2, 2])
+_TRIANGLE_EDGES = np.array([[0, 1], [0, 2], [1, 2]])
 _WEIGHTS = np.random.default_rng(4).normal(size=(3, 4))
-# the neighbour mask of a three-node path with self-loops; the weights of
-# the -1e30 scores off it are zeroed, which keeps them out of the sums
-_PATH_MASK = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+# the two edges of a three-node path: nodes 0 and 2 do not see each other
+_PATH_EDGES = np.array([[0, 1], [1, 2]])
+# a shift per sender that puts every row's pair sums on both sides of the
+# attention's LeakyReLU kink: a softmax cancels a row-constant receiver
+# term, so the receiver's gradient shows only where a row straddles it
+_SIDES = np.array([[3.0], [-3.0], [3.0]])
 
 
 def test_matmul_all_ones_contraction():
@@ -220,13 +223,12 @@ def _fd_for(param, closure, eps=1e-6):
     ("log", lambda t: log(t * t + 1.0).sum()),
     ("tanh", lambda t: tanh(t).sum()),
     ("elu", lambda t: elu(t).sum()),
-    # pair sums kept 1 clear of LeakyReLU's kink, on both sides of it
-    ("pair_attention_logits", lambda t: (
-        pair_attention_logits(t, t + 5.0, t[0], _PATH_MASK) * _WEIGHTS[:, :3] * _PATH_MASK
-        + pair_attention_logits(t, t - 5.0, t[1], _PATH_MASK) * _WEIGHTS[:, 1:] * _PATH_MASK
-        ).sum()),
-    ("gated_neighbour_sum", lambda t: (gated_neighbour_sum(
-        t, t, _TRIANGLE_ROWS, _TRIANGLE_COLS) * _WEIGHTS).sum()),
+    # pair_attention: pair sums 0.5 (t_i + t_j) +- 3 kept 1 clear of
+    # LeakyReLU's kink, on both sides of it in every row
+    ("pair_attention_logits", lambda t: (pair_attention(
+        t * 0.5, t * 0.5 + _SIDES, t[0] * 0.5, _PATH_EDGES) * _WEIGHTS).sum()),
+    ("gated_neighbour_sum", lambda t: (gated_neighbour_mean(
+        t, t, _TRIANGLE_EDGES) * _WEIGHTS).sum()),
     ("matmul_elu_matmul", lambda t: (
         matmul_elu_matmul(t, t.T * 0.5, t * 0.3) * _WEIGHTS).sum()),
     # ReLU inputs kept at least 1 clear of the kink, on both sides of it
@@ -407,10 +409,10 @@ def test_nd_at_2d_matmul_gradients(lead):
 
 def _pairs(n, rng):
     """A random set of distinct off-diagonal pairs, each listed once in a
-    random orientation."""
+    random orientation, as an (m, 2) edge list."""
     rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 0.5, 1))
     flip = rng.random(len(rows)) < 0.5
-    return np.where(flip, cols, rows), np.where(flip, rows, cols)
+    return np.stack([np.where(flip, cols, rows), np.where(flip, rows, cols)], axis=1)
 
 
 def _sigmoid(z):
@@ -419,76 +421,87 @@ def _sigmoid(z):
 
 @pytest.mark.parametrize("d", [1, 4])
 def test_gated_neighbour_sum_matches_loop(d):
+    """``gated_neighbour_mean`` is the looped gated sum over each node's
+    edges, divided by the node's degree (an isolated node's by 1)."""
     rng = np.random.default_rng(31)
     for n in (2, 3, 7):
-        rows, cols = _pairs(n, rng)
-        z = rng.normal(size=(len(rows), d))
+        edges = _pairs(n, rng)
+        z = rng.normal(size=(len(edges), d))
         x = rng.normal(size=(n, d))
         want = np.zeros((n, d))
-        for e, (u, v) in enumerate(zip(rows, cols)):
+        degree = np.zeros(n)
+        for e, (u, v) in enumerate(edges):
             want[u] += _sigmoid(z[e]) * x[v]
             want[v] += _sigmoid(z[e]) * x[u]
-        got = gated_neighbour_sum(Tensor(z), Tensor(x), rows, cols).data
+            degree[[u, v]] += 1
+        want /= np.maximum(degree, 1)[:, None]
+        got = gated_neighbour_mean(Tensor(z), Tensor(x), edges).data
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 5])
 def test_gated_neighbour_sum_gradient(d):
-    """One gate per pair and channel, at one channel and at five."""
+    """``gated_neighbour_mean`` with one gate per edge and channel, at one
+    channel and at five."""
     rng = np.random.default_rng(32)
     n = 6
-    rows, cols = _pairs(n, rng)
-    z = Tensor(rng.normal(size=(len(rows), d)), requires_grad=True)
+    edges = _pairs(n, rng)
+    z = Tensor(rng.normal(size=(len(edges), d)), requires_grad=True)
     x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
     weights = rng.normal(size=(n, d))
-    err = gradcheck(lambda: (gated_neighbour_sum(z, x, rows, cols) * weights).sum(),
+    err = gradcheck(lambda: (gated_neighbour_mean(z, x, edges) * weights).sum(),
                     [z, x], eps=1e-5)
     assert err < 1e-6
 
 
 def test_gated_neighbour_sum_shape_mismatch():
     x = Tensor(np.ones((3, 2)))
-    rows, cols = np.array([0, 1]), np.array([1, 2])
-    with pytest.raises(ShapeMismatchError):     # two pairs, three gates
-        gated_neighbour_sum(Tensor(np.ones((3, 2))), x, rows, cols)
+    edges = np.array([[0, 1], [1, 2]])
+    with pytest.raises(ShapeMismatchError):     # two edges, three gates
+        gated_neighbour_mean(Tensor(np.ones((3, 2))), x, edges)
     with pytest.raises(ShapeMismatchError):     # gates not d wide
-        gated_neighbour_sum(Tensor(np.ones((2, 3))), x, rows, cols)
+        gated_neighbour_mean(Tensor(np.ones((2, 3))), x, edges)
 
 
 def test_gated_neighbour_sum_rejects_one_gate_per_pair():
     # (m, 1) gates shared by every channel are not a layout the op takes
     x = Tensor(np.ones((3, 2)))
     with pytest.raises(ShapeMismatchError, match=r"gates \(2, 1\)"):
-        gated_neighbour_sum(Tensor(np.ones((2, 1))), x, [0, 1], [1, 2])
+        gated_neighbour_mean(Tensor(np.ones((2, 1))), x, [[0, 1], [1, 2]])
 
 
 def test_pair_attention_logits_masks_scores_and_their_gradient():
+    """On the path 0 - 1 - 2, node 0 attends over {0, 1} and node 2 over
+    {1, 2} as on those two nodes alone, and node 1 over all three as on
+    the complete graph; a gradient on node 0's messages reaches neither
+    node 2's source row nor the receiver rows of nodes 1 and 2."""
     rng = np.random.default_rng(12)
     leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
               for shape in ((3, 4), (3, 4), (4,))]
-    seed = rng.normal(size=(3, 3))
-
-    def grads(mask, g):
-        for t in leaves:
-            t.zero_grad()
-        out = pair_attention_logits(*leaves, mask)
-        backward(out, g)
-        return out.data, [t.grad for t in leaves]
-
-    masked, masked_grads = grads(_PATH_MASK, seed)
-    full, full_grads = grads(np.ones((3, 3)), seed * _PATH_MASK)
-    np.testing.assert_array_equal(masked, np.where(_PATH_MASK == 1.0, full, -1e30))
-    for got, want in zip(masked_grads, full_grads):
-        np.testing.assert_array_equal(got, want)
+    dst, src, att = leaves
+    out = pair_attention(dst, src, att, _PATH_EDGES)
+    first = pair_attention(dst.data[:2], src.data[:2], att.data, [[0, 1]]).data
+    last = pair_attention(dst.data[1:], src.data[1:], att.data, [[0, 1]]).data
+    full = pair_attention(dst.data, src.data, att.data, _TRIANGLE_EDGES).data
+    np.testing.assert_allclose(out.data, [first[0], full[1], last[1]],
+                               rtol=1e-14, atol=1e-14)
+    seed = np.zeros((3, 4))
+    seed[0] = rng.normal(size=4)
+    backward(out, seed)
+    assert not src.grad[2].any() and not dst.grad[1:].any()
+    assert src.grad[:2].all() and att.grad.all()
 
 
 def test_fused_op_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        pair_attention_logits(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 3))),
-                              Tensor(np.ones(2)), np.ones((3, 4)))
-    with pytest.raises(ShapeMismatchError, match=r"\(4, 3\)"):     # a transposed mask
-        pair_attention_logits(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
-                              Tensor(np.ones(2)), np.ones((4, 3)))
+    with pytest.raises(ShapeMismatchError):     # dst and src of different widths
+        pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 3))),
+                       Tensor(np.ones(2)), [[0, 1]])
+    with pytest.raises(ShapeMismatchError, match=r"\(4, 2\)"):     # a row per node each
+        pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
+                       Tensor(np.ones(2)), [[0, 1]])
+    with pytest.raises(ShapeMismatchError):     # an att of the wrong width
+        pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
+                       Tensor(np.ones(3)), [[0, 1]])
     with pytest.raises(ShapeMismatchError):     # a @ b does not fit
         matmul_elu_matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
                           Tensor(np.ones((2, 4))))

@@ -174,8 +174,9 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
 def test_graph_stats_reports_windows(tmp_path, capsys):
     scene = _scene_file(tmp_path, n_frames=21)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    # slots 0 and 5 are both observed, but no patch of length 3 covers both
     code = run(["graph-stats", "--config", str(cfg), "--edges",
-                "--pair", "1,0,2,0", "--pair", "1,0,2,9"])
+                "--pair", "1,0,2,0", "--pair", "1,0,2,5"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # 21 frames -> 2 windows
@@ -187,12 +188,45 @@ def test_graph_stats_reports_windows(tmp_path, capsys):
     assert patch["degree_histogram"] == {"8": 15}  # line graph of K6 is 8-regular
     assert len(patch["l1_spectrum"]) == 15
     assert min(patch["l1_spectrum"]) >= -1e-9
-    # in-range pair resolved in every covering patch; out-of-range pair absent
+    # a covered pair resolved in every covering patch; an uncovered pair absent
     pairs_seen = {tuple(map(tuple, r["pair"])) for r in report["resistance"]}
     assert ((1, 0), (2, 0)) in pairs_seen
-    assert ((1, 0), (2, 9)) not in pairs_seen
+    assert ((1, 0), (2, 5)) not in pairs_seen
     values = [r["resistance"] for r in report["resistance"]]
     assert all(v is not None and v > 0 for v in values)
+
+
+@pytest.mark.parametrize("pair", ["1,9,2,1", "1,-1,2,0", "1,0,2,8"])
+def test_graph_stats_pair_outside_the_observed_slots_exits_2(tmp_path, capsys, pair):
+    # data.t_obs = 8: a slot outside [0, 8) lies in no patch of any window
+    scene = _scene_file(tmp_path, n_frames=21)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    assert run(["graph-stats", "--config", str(cfg), "--pair", pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--pair {pair!r}" in captured.err and "[0, 8)" in captured.err
+
+
+def test_graph_stats_skips_a_pair_in_a_window_that_lacks_its_pedestrian(tmp_path, capsys):
+    # pedestrian 3 walks the first 20 frames only: the first window holds
+    # it, the second (frames 1-20) does not
+    records = linear_records([(1, (0.0, 0.0), (0.4, 0.0)), (2, (0.0, 1.0), (0.4, 0.1))],
+                             n_frames=21)
+    records += linear_records([(3, (0.0, 2.0), (0.4, 0.0))], n_frames=20)
+    scene = write_trajectory_file(tmp_path / "scene.txt", records)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    assert run(["graph-stats", "--config", str(cfg), "--pair", "1,0,3,0"]) == 0
+    first, second = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert 3 in first["ped_ids"] and first["resistance"]
+    assert 3 not in second["ped_ids"] and second["resistance"] == []
+
+
+def test_config_with_a_utf8_byte_order_mark_loads(tmp_path):
+    plain = _config_file(tmp_path, "seed = 3\n")
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(marked) == load_config(plain)
+    assert load_config(marked).train.seed == 3
 
 
 def test_graph_stats_edge_counts_do_not_depend_on_edges_flag(tmp_path, capsys):
@@ -230,7 +264,7 @@ def test_graph_stats_takes_one_pseudoinverse_per_covering_patch(
     scene = write_trajectory_file(tmp_path / "scene.txt", records)
     cfg = _config_file(tmp_path, f"data.path = {scene}\ngraph.max_distance = 1.5\n")
     argv = ["graph-stats", "--config", str(cfg)]
-    for pair in ("1,2,2,2", "1,1,2,3", "1,2,1,3", "1,0,3,0", "1,6,3,7", "1,0,2,9"):
+    for pair in ("1,2,2,2", "1,1,2,3", "1,2,1,3", "1,0,3,0", "1,6,3,7", "1,0,2,5"):
         argv += ["--pair", pair]
     calls = []
     spectrum = stedge.stgraph.laplacian_spectrum

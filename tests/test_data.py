@@ -35,6 +35,13 @@ def test_parse_minimal_file(tmp_path):
     assert len(scene.records) == 2
 
 
+def test_parse_accepts_a_utf8_byte_order_mark(tmp_path):
+    text = "0 1 0.0 0.0\n10 1 1.0 0.0\n"
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_trajectory_file(marked) == parse_trajectory_file(_write(tmp_path, text))
+
+
 def test_parse_accepts_float_ids_and_comments(tmp_path):
     text = "# header comment\n0.0 2.0 1.5 2.5   # trailing\n\n10.0 2.0 2.5 2.5\n"
     scene = parse_trajectory_file(_write(tmp_path, text))

@@ -1,8 +1,9 @@
 """The fused pair, edge and encoder ops against the chains of recorded ops
 they replace: outputs and every input gradient, per op and through the
 whole model, and the size of the tape they leave.  Likewise the folds that
-record one op per job: the neighbour mask inside the attention scores, the
-pooling of all patches at once and the likelihood standardised whole."""
+record one op per job: the attention's mask, softmax and weighted sum
+inside one op, the pooling of all patches at once and the likelihood
+standardised whole."""
 
 import math
 import os
@@ -25,12 +26,12 @@ from stedge.autodiff import (
     concatenate,
     elu,
     exp,
-    gated_neighbour_sum,
+    gated_neighbour_mean,
     layer_norm,
     linear,
     log,
     matmul_elu_matmul,
-    pair_attention_logits,
+    pair_attention,
     softmax,
     tanh,
 )
@@ -58,19 +59,65 @@ def _leaky_relu(x, negative_slope):
     return x * Tensor(np.where(x.data >= 0.0, 1.0, negative_slope))
 
 
+def _neighbour_mask(edge_index, n):
+    """1 where node j is node i's neighbour or i itself, else 0, (n, n)."""
+    mask = np.eye(n)
+    u, v = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2).T
+    mask[u, v] = mask[v, u] = 1.0
+    return mask
+
+
 def _mask_add(scores, mask):
     """The neighbour mask as the recorded add of a constant: 0 on the mask,
     -1e30 off it."""
     return scores + Tensor((np.asarray(mask) - 1.0) * 1e30)
 
 
-def _unfused_pair_attention_logits(dst, src, att, mask):
-    """The (n, n, d) pair sum, its rectifier, the product with att and the
-    mask add, each recorded."""
-    (n_dst, d), n_src = dst.shape, src.shape[0]
-    pair = dst.reshape((n_dst, 1, d)) + src.reshape((1, n_src, d))
-    scores = (_leaky_relu(pair, 0.2) @ att.reshape((d, 1))).reshape((n_dst, n_src))
-    return _mask_add(scores, mask)
+def _unfused_pair_attention(dst, src, att, edge_index):
+    """The (n, n, d) pair sum, its rectifier, the product with att, the
+    mask add, the softmax and the weighted sum of ``src``, each recorded."""
+    n, d = dst.shape
+    pair = dst.reshape((n, 1, d)) + src.reshape((1, n, d))
+    scores = (_leaky_relu(pair, 0.2) @ att.reshape((d, 1))).reshape((n, n))
+    return softmax(_mask_add(scores, _neighbour_mask(edge_index, n))) @ src
+
+
+def _pair_scores(dst, src, att):
+    """The unmasked scores att . LeakyReLU(dst_i + src_j) as one recorded
+    op, formed in ``pair_attention``'s row blocks and by its backward."""
+    (n, d), a = src.shape, att.data.reshape(-1)
+    blocks = stedge.autodiff._blocks(n, n * d)
+
+    def rectified(rows):
+        pair = dst.data[rows, None, :] + src.data
+        return pair, np.where(pair >= 0.0, 1.0, 0.2)
+
+    data = np.empty((n, n))
+    for rows in blocks:
+        pair, slope = rectified(rows)
+        pair *= slope
+        data[rows] = (pair.reshape(-1, d) @ a).reshape(-1, n)
+
+    def backward_fn(g):
+        g_dst, g_src, g_att = np.empty((n, d)), np.zeros((n, d)), np.zeros(d)
+        for rows in blocks:
+            pair, slope = rectified(rows)
+            pair *= slope
+            g_att += g[rows].reshape(-1) @ pair.reshape(-1, d)
+            slope *= g[rows, :, None]
+            g_dst[rows] = slope.sum(axis=1)
+            g_src += slope.sum(axis=0)
+        return g_dst * a, g_src * a, g_att.reshape(att.shape)
+
+    return stedge.autodiff._result(data, "pair_scores", (dst, src, att), backward_fn)
+
+
+def _chained_pair_attention(dst, src, att, edge_index):
+    """``pair_attention`` as the chain of recorded ops it folds: the
+    scores, the add of -1e30 off the neighbour mask, ``softmax`` and the
+    weighted sum by ``linear``."""
+    scores = _mask_add(_pair_scores(dst, src, att), _neighbour_mask(edge_index, len(dst.data)))
+    return softmax(scores) @ src
 
 
 def _pooled_per_patch(patch_embeddings, n_peds, length):
@@ -92,13 +139,16 @@ def _sliced_nll(mu, log_sigma, rho, targets):
     return (LOG_TWO_PI + sx + sy + log_u * 0.5 + quad).mean()
 
 
-def _unfused_gated_neighbour_sum(z, x, rows, cols):
-    """The sigmoid from tanh, and the messages moved by one-hot pair
-    selectors, each step recorded."""
-    eye = np.eye(x.shape[0])
-    at_row, at_col = Tensor(eye[rows]), Tensor(eye[cols])   # (m, n)
+def _unfused_gated_neighbour_mean(z, x, edge_index):
+    """The sigmoid from tanh, the messages moved by one-hot edge selectors
+    and the division by each node's degree, each step recorded."""
+    idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
+    n = x.shape[0]
+    at_row, at_col = Tensor(np.eye(n)[idx[:, 0]]), Tensor(np.eye(n)[idx[:, 1]])   # (m, n)
     gate = tanh(z * 0.5) * 0.5 + 0.5
-    return at_row.T @ (gate * (at_col @ x)) + at_col.T @ (gate * (at_row @ x))
+    inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
+    return (at_row.T @ (gate * (at_col @ x)) + at_col.T @ (gate * (at_row @ x))) \
+        * Tensor(inv_degree)
 
 
 def _unfused_matmul_elu_matmul(a, b, c):
@@ -160,47 +210,39 @@ def _assert_bit_parity(folded, chain, leaves, seed=None):
 # -- per op ----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative",
-                                  "rectangular", "row_blocks"])
+@pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative", "row_blocks"])
 def test_pair_attention_logits_matches_unfused_chain(case):
-    n_dst, n_src, d = {"rectangular": (5, 9, 6), "row_blocks": (150, 150, 16)}.get(
-        case, (7, 7, 6))
+    """``pair_attention``, whose scores, softmax and weighted sum are one
+    op, against the recorded chain, over a graph that keeps about two in
+    three pairs."""
+    n, d = (150, 16) if case == "row_blocks" else (7, 6)
     rng = np.random.default_rng(41)
-    dst = rng.normal(size=(n_dst, d))
-    src = rng.normal(size=(n_src, d))
+    dst = rng.normal(size=(n, d))
+    src = rng.normal(size=(n, d))
     if case.startswith("all_"):
         shift = 10.0 if case == "all_positive" else -10.0
         dst, src = dst + shift / 2, src + shift / 2
         assert np.all(np.sign(dst[:, None] + src[None]) == np.sign(shift))
     leaves = [Tensor(dst, requires_grad=True), Tensor(src, requires_grad=True),
               Tensor(rng.normal(size=d), requires_grad=True)]
-    # the raw scores over a mask that keeps two in three pairs; the seed is
-    # zero off the mask, where the new op passes no gradient and the old
-    # add would pass the seed's
-    mask = rng.random((n_dst, n_src)) < 0.67
-    seed = rng.normal(size=(n_dst, n_src)) * mask
-    got = _outputs_and_grads(lambda *t: pair_attention_logits(*t, mask), leaves, seed)
-    want = _outputs_and_grads(lambda *t: _unfused_pair_attention_logits(*t, mask),
-                              leaves, seed)
-    assert np.all(got[0][~mask] == -1e30) and np.all(want[0][~mask] == -1e30)
-    got[0], want[0] = got[0][mask], want[0][mask]   # -1e30 would set the tolerance
-    _assert_close(got, want)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < 0.67, 1))
+    _assert_parity(lambda *t: pair_attention(*t, edges),
+                   lambda *t: _unfused_pair_attention(*t, edges),
+                   leaves, rng.normal(size=(n, d)))
 
 
 @pytest.mark.parametrize("n", [1, 6, 150])
 def test_masked_scores_match_the_mask_add_bit_for_bit(n):
-    """The mask applied inside the scores against the recorded add of the
-    -1e30 constant after them, through the softmax: attention weights and
-    every input gradient bit for bit."""
+    """The mask, softmax and weighted sum inside ``pair_attention`` against
+    the recorded add of the -1e30 constant after the scores, ``softmax``
+    and ``linear``: the messages and every input gradient bit for bit."""
     rng = np.random.default_rng(47)
-    adjacency = np.triu(rng.random((n, n)) < 0.4, 1).astype(float)
-    mask = adjacency + adjacency.T + np.eye(n)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < 0.4, 1))
     leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
               for shape in ((n, 16), (n, 16), (16,))]
-    _assert_bit_parity(
-        lambda *t: softmax(pair_attention_logits(*t, mask)),
-        lambda *t: softmax(_mask_add(pair_attention_logits(*t, np.ones((n, n))), mask)),
-        leaves, rng.normal(size=(n, n)))
+    _assert_bit_parity(lambda *t: pair_attention(*t, edges),
+                       lambda *t: _chained_pair_attention(*t, edges),
+                       leaves, rng.normal(size=(n, 16)))
 
 
 @pytest.mark.parametrize("k,n_peds,length", [(1, 1, 1), (6, 5, 3), (3, 4, 2)])
@@ -234,15 +276,15 @@ def test_whole_standardised_likelihood_matches_the_sliced_one(shape):
 def test_gated_neighbour_sum_matches_unfused_chain(case):
     n, d = (60, 64) if case == "channel_blocks" else (9, 5)
     rng = np.random.default_rng(42)
-    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 0.6, 1))
-    z = rng.normal(size=(len(rows), d)) * 3.0
+    edges = np.argwhere(np.triu(rng.random((n, n)) < 0.6, 1))
+    z = rng.normal(size=(len(edges), d)) * 3.0
     if case == "saturated":
         z[::2] = 40.0
         z[1::4] = -40.0
     leaves = [Tensor(z, requires_grad=True),
               Tensor(rng.normal(size=(n, d)), requires_grad=True)]
-    _assert_parity(lambda z_, x_: gated_neighbour_sum(z_, x_, rows, cols),
-                   lambda z_, x_: _unfused_gated_neighbour_sum(z_, x_, rows, cols),
+    _assert_parity(lambda z_, x_: gated_neighbour_mean(z_, x_, edges),
+                   lambda z_, x_: _unfused_gated_neighbour_mean(z_, x_, edges),
                    leaves, rng.normal(size=(n, d)))
 
 
@@ -333,10 +375,9 @@ def test_model_matches_unfused_forward(n, max_distance, gate, monkeypatch):
     cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(n)
     loss, grads = _loss_and_grads(cfg, window)
-    monkeypatch.setattr(stedge.stgraph, "pair_attention_logits",
-                        _unfused_pair_attention_logits)
-    monkeypatch.setattr(stedge.edgegraph, "gated_neighbour_sum",
-                        _unfused_gated_neighbour_sum)
+    monkeypatch.setattr(stedge.stgraph, "pair_attention", _unfused_pair_attention)
+    monkeypatch.setattr(stedge.edgegraph, "gated_neighbour_mean",
+                        _unfused_gated_neighbour_mean)
     monkeypatch.setattr(stedge.edgegraph, "matmul_elu_matmul",
                         _unfused_matmul_elu_matmul)
     want_loss, want_grads = _loss_and_grads(cfg, window)
@@ -355,9 +396,11 @@ def test_model_matches_unfused_forward(n, max_distance, gate, monkeypatch):
 @pytest.mark.parametrize("n", [2, 12])
 def test_model_matches_the_unfolded_glue_bit_for_bit(n, max_distance, gate, monkeypatch):
     """The default-config loss, every parameter gradient and the forecast
-    bit for bit, with the mask inside the scores, the pooling of all
-    patches at once and the whole-array likelihood, and with the mask add,
-    the per-patch pooling loop and the sliced likelihood patched in."""
+    bit for bit, with the attention's mask, softmax and weighted sum in one
+    op, the pooling of all patches at once and the whole-array likelihood,
+    and with the chain of the scores, the mask add, ``softmax`` and
+    ``linear``, the per-patch pooling loop and the sliced likelihood
+    patched in."""
     cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(n)
 
@@ -368,8 +411,7 @@ def test_model_matches_the_unfolded_glue_bit_for_bit(n, max_distance, gate, monk
             + [track.mu, track.sigma, track.rho]
 
     got = run()
-    monkeypatch.setattr(stedge.stgraph, "pair_attention_logits", lambda d, s, a, mask: _mask_add(
-        pair_attention_logits(d, s, a, np.ones(mask.shape)), mask))
+    monkeypatch.setattr(stedge.stgraph, "pair_attention", _chained_pair_attention)
     monkeypatch.setattr(stedge.model, "stack_and_pool", _pooled_per_patch)
     monkeypatch.setattr(stedge.model, "bivariate_nll", _sliced_nll)
     want = run()
@@ -378,23 +420,29 @@ def test_model_matches_the_unfolded_glue_bit_for_bit(n, max_distance, gate, monk
         assert g.tobytes() == w.tobytes()
 
 
-def test_default_loss_records_165_ops_and_no_mask_add(monkeypatch):
-    """One recorded op per job: 187 before the mask moved into the scores
-    and the pooling and the likelihood's standardisation were each folded
-    into one array; the attention scores feed the softmax directly."""
-    ops, score_readers = [], []
-    record_op = stedge.autodiff._result
+def test_default_loss_records_147_ops_and_no_pair_array(monkeypatch):
+    """One recorded op per job: 147 ops, 125 under the zero gate.  It was
+    187 before the mask moved into the scores and the pooling and the
+    likelihood's standardisation were each folded into one array, and 165
+    (137) before the attention's softmax and weighted sum and the fusion's
+    division by the degree moved into their ops.  No op records an (n, n)
+    array over a patch's n nodes."""
+    recorded, record_op = [], stedge.autodiff._result
 
     def recording(data, op, parents, backward_fn):
-        ops.append(op)
-        score_readers.extend(op for p in parents if p.op == "pair_attention_logits")
+        recorded.append((op, data.shape))
         return record_op(data, op, parents, backward_fn)
 
     monkeypatch.setattr(stedge.autodiff, "_result", recording)
-    cfg = ModelConfig()
-    TrajectoryForecaster(cfg, seed=0).loss(_circle_window(5))
-    assert len(ops) == 165
-    assert score_readers == ["softmax"] * cfg.n_patches
+    n = 5 * ModelConfig().patch_len
+    for gate, count in (("vector", 147), ("zero", 125)):
+        recorded.clear()
+        cfg = ModelConfig(fusion_gate=gate)
+        TrajectoryForecaster(cfg, seed=0).loss(_circle_window(5))
+        ops = [op for op, _ in recorded]
+        assert len(ops) == count
+        assert ops.count("pair_attention") == cfg.n_patches and "softmax" not in ops
+        assert (n, n) not in [shape for _, shape in recorded]
 
 
 @pytest.mark.parametrize("max_distance", [None, 2.0])
@@ -422,7 +470,8 @@ def test_model_matches_unfused_encoder(n, max_distance, monkeypatch):
 
 def _tape_bytes(loss):
     """Bytes of every array a recorded op produced, over the graph behind
-    ``loss``."""
+    ``loss``, and of the float arrays of their own that the ops' closures
+    keep for the backward (the attention weights among them)."""
     seen, stack, total = set(), [loss], 0
     while stack:
         t = stack.pop()
@@ -432,6 +481,11 @@ def _tape_bytes(loss):
         stack.extend(t._parents)
         if t._backward is not None:
             total += t.data.nbytes
+            for cell in t._backward.__closure__ or ():
+                kept = cell.cell_contents
+                if isinstance(kept, np.ndarray) and kept.dtype == np.float64 \
+                        and kept.base is None and kept is not t.data:
+                    total += kept.nbytes
     return total
 
 
@@ -439,7 +493,8 @@ def test_tape_of_a_20_walker_window_stays_under_40_mib():
     # 200.8 MiB while the pair sums, the gates and their grid were recorded,
     # 83.4 MiB while the encoder's attention weights, layer-norm pieces,
     # bias sums and pre-ReLU hidden were, 46.2 MiB while the filtered edge
-    # embedding was
+    # embedding was, 35.9 MiB while the attention scores and the
+    # fusion's degree product were
     loss = TrajectoryForecaster(ModelConfig(), seed=0).loss(_circle_window(20))
     assert _tape_bytes(loss) <= 40 * 2**20
 
@@ -447,7 +502,7 @@ def test_tape_of_a_20_walker_window_stays_under_40_mib():
 def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
     """``predict`` keeps no op's parents or closure and touches no
     gradient; the loss and backward after it are those of a model that
-    never forecast, on the full 165-op tape."""
+    never forecast, on the full 147-op tape."""
     window = _circle_window(5)
     want_loss, want_grads = _loss_and_grads(ModelConfig(), window)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
@@ -466,7 +521,7 @@ def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
 
     outputs.clear()
     loss = model.loss(window)
-    assert len(outputs) == 165
+    assert len(outputs) == 147
     backward(loss)
     assert loss.item() == want_loss
     for name, p in model.params.items():
@@ -504,6 +559,32 @@ def test_tape_estimate_is_within_10_percent(cfg, max_distance, gate):
         assert abs(tape_bytes(cfg, n, edges) - measured) <= 0.1 * measured
 
 
+@pytest.mark.parametrize("gate", ["vector", "zero"])
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+@pytest.mark.parametrize("n", [5, 20])
+def test_guard_covers_the_traced_peak_of_a_training_step(n, max_distance, gate):
+    """The sum the guard refuses a window on, added up as ``forward`` adds
+    it (the tape, 8 bytes per parameter value for the gradients and the
+    edge branch's backward temporaries), is at least the traced peak of one
+    loss and its backward: what the closures keep and what the backward
+    allocates in passing are covered too."""
+    cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
+    window = _circle_window(n)
+    model = TrajectoryForecaster(cfg, seed=0)
+    edges = [len(g.edge_index) for g in
+             patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride, cfg.max_distance)]
+    guarded = (tape_bytes(cfg, n, edges) + 8 * model.params.n_values()
+               + 8 * stedge.model._EDGE_BACKWARD_ARRAYS * max(edges) * cfg.model_dim
+               * (gate != "zero"))
+    tracemalloc.start()
+    try:
+        backward(model.loss(window))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert guarded >= peak
+
+
 def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
     window = _circle_window(20)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
@@ -513,7 +594,7 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
                         lambda *args: recorded.append(args[1]))
     # a forecast records no tape but is refused on the training estimate
     for step in (model.loss, model.predict):
-        with pytest.raises(WindowTooLargeError, match=r"N=20 .* 36.1 MiB of autodiff "
+        with pytest.raises(WindowTooLargeError, match=r"N=20 .* 35.5 MiB of autodiff "
                            r"tape, 9.6 MiB of gradients and 5.2 MiB of backward "
                            r"temporaries, .* 40.0 MiB"):
             step(window)
@@ -521,14 +602,14 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
 
 
 def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
-    # the 36.1 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
+    # the 35.5 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 40 * 2**20)
-    with pytest.raises(WindowTooLargeError, match=r"36.1 MiB .* 9.6 MiB .* 40.0 MiB"):
+    with pytest.raises(WindowTooLargeError, match=r"35.5 MiB .* 9.6 MiB .* 40.0 MiB"):
         TrajectoryForecaster(ModelConfig(), seed=0).loss(_circle_window(20))
 
 
 def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
-    # 36.1 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
+    # 35.5 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
     # the three (m, d) arrays, 3 * 1770 * 128 * 8 bytes = 5.2 MiB, that the
     # backward holds while it passes one patch's edge branch
     window = _circle_window(20)
@@ -543,7 +624,7 @@ def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
 
 
 def test_zero_gate_has_no_edge_temporaries(monkeypatch):
-    # no edge branch runs, so 25.7 MiB of tape and 9.6 MiB of gradients are all
+    # no edge branch runs, so 25.2 MiB of tape and 9.6 MiB of gradients are all
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 36 * 2**20)
     loss = TrajectoryForecaster(ModelConfig(fusion_gate="zero"), seed=0).loss(
         _circle_window(20))

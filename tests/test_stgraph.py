@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stedge.autodiff import ShapeMismatchError, Tensor, elu, pair_attention_logits, softmax
+from stedge.autodiff import ShapeMismatchError, Tensor, elu, softmax
 from stedge.stgraph import (
     DisconnectedGraphError,
     PatchTooLongError,
     build_node_adjacency,
+    edge_list,
     effective_resistance,
     effective_resistances,
     gat_layer,
@@ -130,14 +131,18 @@ _PAIR = np.array([[0.0, 1.0], [1.0, 0.0]])   # two linked nodes
 
 
 def _gat_with_weights(z, adjacency, theta, theta_dst, att):
-    """``gat_layer``'s output and its attention weights, the softmax of the
-    masked pair scores over each node's neighbours plus itself; the output
-    must be the ELU of the weighted messages, bit for bit."""
+    """``gat_layer``'s output on the adjacency's edge list, and its
+    attention weights: the softmax of the scores a . LeakyReLU(dst_i +
+    src_j) over each node's neighbours plus itself, -inf elsewhere.  The
+    output must be the ELU of the weighted messages, bit for bit."""
     z = Tensor(z)
-    out = gat_layer(z, adjacency, theta, theta_dst, att)
-    src = z @ theta
-    alpha = softmax(pair_attention_logits(z @ theta_dst, src, att,
-                                          adjacency + np.eye(len(adjacency))))
+    out = gat_layer(z, edge_list(adjacency), theta, theta_dst, att)
+    src, dst = z @ theta, z @ theta_dst
+    pair = dst.data[:, None, :] + src.data
+    pair *= np.where(pair >= 0.0, 1.0, 0.2)
+    scores = (pair.reshape(-1, src.shape[1]) @ att.data).reshape(len(adjacency), -1)
+    scores[adjacency + np.eye(len(adjacency)) == 0] = -np.inf
+    alpha = softmax(Tensor(scores))
     assert out.data.tobytes() == elu(alpha @ src).data.tobytes()
     return out, alpha.data
 
@@ -171,8 +176,8 @@ def test_gat_attention_vector_of_the_wrong_width_is_a_shape_mismatch():
     theta = Tensor(rng.normal(size=(3, 4)))
     theta_dst = Tensor(rng.normal(size=(3, 4)))
     for width in (3, 5):
-        with pytest.raises(ShapeMismatchError, match="pair_attention_logits"):
-            gat_layer(Tensor(z), _PAIR, theta, theta_dst,
+        with pytest.raises(ShapeMismatchError, match="pair_attention"):
+            gat_layer(Tensor(z), edge_list(_PAIR), theta, theta_dst,
                       Tensor(rng.normal(size=width)))
 
 
@@ -255,8 +260,8 @@ def test_gat_permutation_equivariant():
     theta_dst = Tensor(rng.normal(size=(4, 4)))
     att = Tensor(rng.normal(size=4))
     perm = rng.permutation(n)
-    base = gat_layer(Tensor(z), adj, theta, theta_dst, att).data
-    permuted = gat_layer(Tensor(z[perm]), adj[np.ix_(perm, perm)], theta,
+    base = gat_layer(Tensor(z), edge_list(adj), theta, theta_dst, att).data
+    permuted = gat_layer(Tensor(z[perm]), edge_list(adj[np.ix_(perm, perm)]), theta,
                          theta_dst, att).data
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
