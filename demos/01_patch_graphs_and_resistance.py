@@ -2,10 +2,11 @@
 """Unified (pedestrian, time) patch graphs and why their density helps.
 
 Builds windows from a small synthetic scene, cuts the first into temporal
-patches (``patch_graphs``: each patch's adjacency, edge list and edge
-lengths), and compares effective resistance between a conventional wiring
-(per-frame spatial links plus per-pedestrian temporal chains) and the dense
-unified patch graph, where every cross-time pair is one hop.
+patches (``patch_graphs``: one structure holding every patch's adjacency,
+edge list and edge lengths, with ``patch(k)`` reading patch k alone), and
+compares effective resistance between a conventional wiring (per-frame
+spatial links plus per-pedestrian temporal chains) and the dense unified
+patch graph, where every cross-time pair is one hop.
 """
 
 import numpy as np
@@ -31,9 +32,11 @@ length, stride = 3, 1
 print(f"patching T_obs=8 with L={length}, S={stride} -> "
       f"K={patch_count(window.t_obs, length, stride)} patches")
 
-for k, graph in enumerate(patch_graphs(window.obs, length, stride), start=1):
-    print(f"  patch {k}: slots [{graph.start}, {graph.start + length}), "
-          f"{len(graph.adjacency)} nodes, {len(graph.edge_index)} edges "
+patches = patch_graphs(window.obs, length, stride)
+for k, start in enumerate(patches.starts, start=1):
+    graph = patches.patch(k - 1)
+    print(f"  patch {k}: slots [{start}, {start + length}), "
+          f"{graph.adjacency.shape[-1]} nodes, {len(graph.edge_index)} edges "
           f"(complete graph), edge lengths {graph.distances.min():.2f}-"
           f"{graph.distances.max():.2f} m")
 

@@ -47,10 +47,12 @@ for lam in (0.0, 0.5, 1.0, 2.0):
 
 rng = np.random.default_rng(0)
 x = rng.uniform(0.5, 3.0, size=len(edges))   # edge lengths, the model's edge signal
-graph = PatchGraph(start=0, adjacency=triangle, edge_index=edges, distances=x)
+# a one-patch graph: the adjacency stacked as (1, n, n), each edge tagged with patch 0
+graph = PatchGraph(starts=(0,), adjacency=triangle[None], edge_index=edge_list(triangle[None]),
+                   distances=x)
 hodge = hodge_operator(graph)
-scaled = l1 / hodge.lam
-print(f"\nspectral rescale: lambda_max of D - A = B1 B1^T = {hodge.lam:.4f}; "
+scaled = l1 / hodge.lam[0]
+print(f"\nspectral rescale: lambda_max of D - A = B1 B1^T = {hodge.lam[0]:.4f}; "
       f"scaled spectrum {np.round(np.linalg.eigvalsh(scaled), 4)}")
 
 print("\nan edge signal, one value per oriented edge (u, v), u < v:", np.round(x, 3))

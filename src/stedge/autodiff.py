@@ -18,38 +18,42 @@ reads the value).  A second backward through an op already walked raises
 
 The primitive set is deliberately fixed to what the model needs: matmul by
 a 2-D operand, elementwise arithmetic, exp/log/tanh (the likelihood and its
-correlation), exponential-linear, mean reductions, reshape / concatenate
-and basic slicing (an advanced index raises ``IndexError``).
-``Tensor.sum``, ``softmax`` over the last axis, batched ``matmul`` and
-``transpose`` (and ``.T``) have no caller in the model; they stay for the
-unfused reference chains the tests compare the fused ops against.
-Elementwise ops broadcast with numpy's trailing-dimension alignment.  Every
-forward result is checked for NaN/Inf and the offending op is named when
-the check fires.
+correlation), exponential-linear, mean reductions, reshape / concatenate /
+transpose, the windows of ``unfold`` and basic slicing (an advanced index
+raises ``IndexError``).  ``Tensor.sum``, ``softmax`` over the last axis and
+batched ``matmul`` have no caller in the model; they stay for the unfused
+reference chains the tests compare the fused ops against.  Elementwise ops
+broadcast with numpy's trailing-dimension alignment.  Every forward result
+is checked for NaN/Inf and the offending op is named when the check fires.
 
-Three fused ops carry the graph stage, one op per job, each recording
-only its output and recomputing the rest in its backward (Chen et al.,
-"Training Deep Nets with Sublinear Memory Cost", 2016).  The two node
-jobs read the patch's (m, 2) edge list:
+Three fused ops carry the graph stage, one op per job for all K patches
+of a window, each recording only its output and recomputing the rest in
+its backward (Chen et al., "Training Deep Nets with Sublinear Memory
+Cost", 2016).  The two node jobs take (K, n, d) operands and the
+window's (M, 3) patch-tagged edge list:
 
 * ``pair_attention``: each node's softmax-weighted messages over its
-  neighbours and itself, scored by a . LeakyReLU(dst_i + src_j), with the
-  (n, n, d) pair sum formed one block of rows at a time; the closure
-  keeps the (n, n) weights and the boolean neighbour mask;
+  neighbours and itself, scored by a . LeakyReLU(dst_i + src_j); the
+  closure keeps the softmax weights;
 * ``gated_neighbour_mean``: sigmoid-gated messages averaged over each
   node's neighbours, with neither the gates nor their pair grid recorded;
 * ``matmul_elu_matmul``: ELU(a @ b) @ c; the backward recomputes
   ELU(a @ b), which costs little when a is narrow.
 
-Their row blocks depend only on the operand shapes, so results stay
+The node jobs run on the (n, n) grids of the patches when the edges are
+dense and on segment sums over the receiver-sorted edge list when they are
+sparse (``segment_route``).  Every d-wide temporary of the three over
+node pairs or edges is a block of at most ``_BLOCK_ENTRIES`` whose split
+depends only on the window's structure, so results stay
 bit-reproducible.  Three more carry the encoder, on the same plan:
 
 * ``linear``: x @ w + b as one GEMM, which ``matmul`` by a 2-D operand
   also runs, with an optional ReLU read back off the output;
 * ``layer_norm``: its backward recomputes the centred input and the
   inverse standard deviation;
-* ``attention``: multi-head scaled dot-product attention, whose backward
-  recomputes the weights from the queries and keys.
+* ``attention``: multi-head scaled dot-product attention, of as many
+  queries as keys or fewer, whose backward recomputes the weights from
+  the queries and keys.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ __all__ = [
     "backward",
     "gradcheck",
     "concatenate",
+    "unfold",
     "exp",
     "log",
     "tanh",
@@ -446,6 +451,30 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
     return _result(data, "concatenate", tuple(parts), backward_fn)
 
 
+def unfold(x, length: int, stride: int) -> Tensor:
+    """The windows of ``length`` steps every ``stride`` steps along axis 1 of
+    an (N, T, D) array, each flattened pedestrian-major (row p * length + l
+    is step l of row p), stacked as (K, N * length, D) with K =
+    (T - length) // stride + 1.  The backward adds each window's gradient
+    back onto the steps it covers."""
+    x = _as_tensor(x)
+    if x.ndim != 3 or not 1 <= length <= x.shape[1] or stride < 1:
+        raise ShapeMismatchError(f"unfold: {x.shape} into windows of {length} every {stride}")
+    n, steps, width = x.shape
+    starts = np.arange(0, steps - length + 1, stride)
+    data = np.stack([x.data[:, s:s + length] for s in starts]).reshape(
+        (len(starts), n * length, width))
+
+    def backward_fn(g):
+        g = g.reshape((len(starts), n, length, width))
+        out = np.zeros(x.shape)
+        for step in range(length):      # the starts are distinct: no index repeats
+            out[:, starts + step] += g[:, :, step].transpose((1, 0, 2))
+        return (out,)
+
+    return _result(data, "unfold", (x,), backward_fn)
+
+
 _BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
 
 
@@ -470,6 +499,11 @@ def _getitem(x: Tensor, idx) -> Tensor:
 
 _BLOCK_ENTRIES = 1 << 17   # float64 entries of one block temporary (1 MiB)
 _PAIR_SLOPE = 0.2          # pair attention's LeakyReLU slope below zero
+# The two node jobs run on segment sums over the edge list below this
+# density, the share of the K patches' node pairs that their directed edges
+# and self-loops make up (1 on complete wiring), and on the (n, n) grids at
+# or above it.  Set by measurement (see ``segment_route``), not a setting.
+_SEGMENT_DENSITY = 0.5
 
 
 def _blocks(count: int, entries_each: int) -> list[slice]:
@@ -480,130 +514,299 @@ def _blocks(count: int, entries_each: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def pair_attention(dst, src, att, edge_index) -> Tensor:
-    """Additive graph attention, (n, d): node i receives sum_j alpha_ij
-    src[j], where alpha_i is the softmax, over i's neighbours and i itself,
-    of the scores att . LeakyReLU(dst[i] + src[j]), slope 0.2 below zero.
-    ``dst`` and ``src`` are (n, d), ``att`` has d entries and the (m, 2)
-    ``edge_index`` lists the undirected edges.
+def _tiles(outer: int, inner: int, entries_each: int) -> list[tuple[slice, slice]]:
+    """(outer, inner) slice pairs covering range(outer) x range(inner):
+    blocks of outer indices with every inner one while a whole inner range
+    fits ``_BLOCK_ENTRIES`` at ``entries_each`` entries per pair, else one
+    outer index at a time over ``_blocks`` of inner ones."""
+    if inner * entries_each <= _BLOCK_ENTRIES:
+        return [(o, slice(0, inner)) for o in _blocks(outer, inner * entries_each)]
+    return [(slice(o, o + 1), i) for o in range(outer) for i in _blocks(inner, entries_each)]
 
-    A score off the neighbour mask is -inf, a softmax weight of 0 that no
-    gradient reaches; every row keeps its own node, so no row is all -inf.
-    The softmax and the product with ``src`` are those of ``softmax`` and
-    ``linear``, and so are their backward rules.  The (n, n, d) pair sum
-    and its rectified copy exist only one block of rows at a time, in the
-    forward and again in the backward, which rebuilds them from the
-    operands; the (n, n) scores are temporaries, and only the weights and
-    the boolean mask stay with the closure.
+
+def segment_route(patches: int, nodes: int, edges: int) -> bool:
+    """Whether ``pair_attention`` and ``gated_neighbour_mean`` run on
+    segment sums for ``patches`` graphs of ``nodes`` nodes with ``edges``
+    undirected edges in all: when the edges, both ways, and the self-loops
+    make up less than ``_SEGMENT_DENSITY`` of the node pairs.
+
+    The grid route costs O(n^2 d) per patch whatever the wiring, the
+    segment route O((n + m) d), but it gathers and scatters a d-wide row
+    per directed pair where the grid runs one GEMM.  Measured on both ops
+    over K = 6 random patches of 12 to 150 nodes (d = 128, BLAS on one
+    thread), the forward alone breaks even near a density of 0.6 and the
+    forward plus backward near 0.4; one half splits the two.  2 m
+    proximity wiring has a density of about 0.2."""
+    return 2 * edges + patches * nodes < _SEGMENT_DENSITY * patches * nodes * nodes
+
+
+def _patch_edges(edge_index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (M, 3) patch-tagged edge list (k, u, v) as its three columns."""
+    return tuple(np.asarray(edge_index, dtype=np.int64).reshape(-1, 3).T)
+
+
+class _ReceiverPairs:
+    """The directed pairs of K patches' undirected edges, each edge both
+    ways (with ``self_loops`` also each node to itself), on the global node
+    ids k * n + i and sorted by receiver, then sender.
+
+    ``edge`` is each pair's row in the edge list (-1 for a self-loop).  The
+    pairs split into ``_blocks`` of d-wide rows, and each block into its
+    receivers' runs, so a sum over each receiver's pairs is one
+    ``np.add.reduceat`` per block; a receiver whose run two blocks share
+    gets both parts.  ``starts`` holds each receiver's first pair, which is
+    in node order when every node receives a pair (with ``self_loops``)."""
+
+    def __init__(self, k, u, v, patches: int, n: int, d: int, self_loops: bool):
+        a, b = k * n + u, k * n + v
+        rows = np.arange(len(k))
+        recv, send, edge = [a, b], [b, a], [rows, rows]
+        if self_loops:
+            nodes = np.arange(patches * n)
+            recv, send, edge = recv + [nodes], send + [nodes], edge + [np.full(len(nodes), -1)]
+        recv, send, edge = (np.concatenate(c) for c in (recv, send, edge))
+        order = np.lexsort((send, recv))
+        self.recv, self.send, self.edge = recv[order], send[order], edge[order]
+        self.rows, self.d = patches * n, d
+        self.starts = np.flatnonzero(_run_firsts(self.recv))
+        self.blocks = []
+        for pairs in _blocks(len(self.recv), d):
+            firsts = np.flatnonzero(_run_firsts(self.recv[pairs]))
+            self.blocks.append((pairs, firsts, self.recv[pairs][firsts]))
+
+    def sums(self, terms) -> np.ndarray:
+        """Each node's sum of the (pairs, d) ``terms(pairs)`` of the pairs
+        it receives, (K * n, d); a node that receives none gets 0."""
+        out = np.zeros((self.rows, self.d))
+        for pairs, firsts, receivers in self.blocks:
+            out[receivers] += np.add.reduceat(terms(pairs), firsts, axis=0)
+        return out
+
+
+def _run_firsts(ids) -> np.ndarray:
+    """True where a run of equal ``ids`` starts."""
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return first
+
+
+def pair_attention(dst, src, att, edge_index) -> Tensor:
+    """Additive graph attention over K patch graphs at once, (K, n, d):
+    node i of patch k receives sum_j alpha_kij src[k, j], where alpha_ki is
+    the softmax, over i's neighbours in patch k and i itself, of the scores
+    att . LeakyReLU(dst[k, i] + src[k, j]), slope 0.2 below zero.  ``dst``
+    and ``src`` are (K, n, d), ``att`` has d entries and the (M, 3)
+    ``edge_index`` lists the undirected edges (k, u, v).
+
+    Every node keeps its own node, so no softmax is empty.  The pair sums
+    and their rectified copies exist one block of at most
+    ``_BLOCK_ENTRIES`` at a time, in the forward and again in the backward,
+    which rebuilds them from the operands; the closure keeps the softmax
+    weights.  Two routes (``segment_route``):
+
+    * grid: the (K, n, n) weights, 0 off the neighbour mask, formed a block
+      of rows of a patch, or a block of whole patches, at a time, and one
+      batched product with ``src``;
+    * segment: one score per directed pair of the receiver-sorted edge
+      list plus self-loops; the softmax's shift and sum and the weighted
+      sum are ``np.maximum.reduceat`` and ``np.add.reduceat`` over each
+      node's pairs, O((n + m) d), and the backward reaches each sender
+      through the reverse of each pair.
     """
     dst, src, att = _as_tensor(dst), _as_tensor(src), _as_tensor(att)
-    if dst.ndim != 2 or src.shape != dst.shape or att.size != dst.shape[1]:
+    if dst.ndim != 3 or src.shape != dst.shape or att.size != dst.shape[2]:
         raise ShapeMismatchError(f"pair_attention: {dst.shape}, {src.shape}, {att.shape}")
-    n, d = src.shape
-    u, v = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2).T
-    keep = np.eye(n, dtype=bool)
-    keep[u, v] = keep[v, u] = True
-    a = att.data.reshape(d)
-    blocks = _blocks(n, n * d)
-
-    def rectified(rows):
-        """The pair sum of a row block and LeakyReLU's slope on it."""
-        pair = dst.data[rows, None, :] + src.data
-        slope = np.where(pair >= 0.0, 1.0, _PAIR_SLOPE)
-        return pair, slope
-
-    scores = np.empty((n, n))
-    for rows in blocks:
-        pair, slope = rectified(rows)
-        pair *= slope
-        scores[rows] = (pair.reshape(-1, d) @ a).reshape(-1, n)
-    scores[~keep] = -np.inf
-    alpha = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha /= alpha.sum(axis=-1, keepdims=True)
-    data = alpha @ src.data
-
-    def backward_fn(g):
-        g_scores = (g @ src.data.T) * alpha
-        g_scores -= alpha * g_scores.sum(axis=-1, keepdims=True)   # the softmax's Jacobian
-        g_scores[~keep] = 0.0
-        g_dst = np.empty(dst.shape) if dst.requires_grad else None
-        g_src = np.zeros(src.shape) if src.requires_grad else None
-        g_att = np.zeros(d) if att.requires_grad else None
-        for rows in blocks:
-            pair, slope = rectified(rows)
-            if g_att is not None:
-                pair *= slope
-                g_att += g_scores[rows].reshape(-1) @ pair.reshape(-1, d)
-            slope *= g_scores[rows, :, None]   # dL/d(pair sum), up to the factor att
-            if g_dst is not None:
-                g_dst[rows] = slope.sum(axis=1)
-            if g_src is not None:
-                g_src += slope.sum(axis=0)
-        return (None if g_dst is None else g_dst * a,
-                None if g_src is None else alpha.T @ g + g_src * a,
-                None if g_att is None else g_att.reshape(att.shape))
-
+    patches, n, d = src.shape
+    k, u, v = _patch_edges(edge_index)
+    route = _pair_segments if segment_route(patches, n, len(k)) else _pair_grid
+    data, backward_fn = route(dst, src, att, att.data.reshape(d), k, u, v)
     return _result(data, "pair_attention", (dst, src, att), backward_fn)
 
 
-def gated_neighbour_mean(z, x, edge_index) -> Tensor:
-    """Gated messages averaged over each node's neighbours, (n, d): edge e
-    = (u, v) of the (m, 2) ``edge_index`` sends sigmoid(z[e]) * x[v] to u
-    and sigmoid(z[e]) * x[u] to v, and each node's sum is divided by its
-    degree (an isolated node's by 1).  ``z`` holds the (m, d) pre-sigmoid
-    gates, one per edge and channel; ``x`` is (n, d).
+def _slope(pair):
+    """LeakyReLU's slope on the pair sums, 1 where they are >= 0."""
+    return np.where(pair >= 0.0, 1.0, _PAIR_SLOPE)
 
-    The edges must be distinct, off the diagonal and each listed in one
-    orientation only.  The sigmoid is 0.5 tanh(z / 2) + 0.5, which cannot
-    overflow.  Neither the gates nor the symmetric (c, n, n) grid they are
-    laid on for the product is recorded: the forward and the backward each
-    compute the gates from ``z`` and lay them on the grid a block of
-    channels at a time, and the backward forms the gates' gradient a block
-    of edges at a time.
+
+def _pair_grid(dst, src, att, a, k, u, v):
+    patches, n, d = src.shape
+    keep = np.broadcast_to(np.eye(n, dtype=bool), (patches, n, n)).copy()
+    keep[k, u, v] = keep[k, v, u] = True
+    tiles = _tiles(patches, n, n * d)
+
+    def pair_sums(ks, rows):
+        return dst.data[ks, rows, None, :] + src.data[ks, None, :, :]
+
+    alpha = np.empty((patches, n, n))
+    for ks, rows in tiles:
+        pair = pair_sums(ks, rows)
+        pair *= _slope(pair)
+        scores = (pair.reshape(-1, d) @ a).reshape(pair.shape[:3])
+        scores[~keep[ks, rows]] = -np.inf
+        scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        scores /= scores.sum(axis=-1, keepdims=True)
+        alpha[ks, rows] = scores
+
+    def backward_fn(g):
+        g_dst = np.empty(dst.shape) if dst.requires_grad else None
+        g_src = np.zeros(src.shape) if src.requires_grad else None
+        g_att = np.zeros(d) if att.requires_grad else None
+        for ks, rows in tiles:
+            weights = alpha[ks, rows]
+            g_scores = (g[ks, rows] @ src.data[ks].transpose(0, 2, 1)) * weights
+            # the softmax's Jacobian; 0 off the mask, where the weight is 0
+            g_scores -= weights * g_scores.sum(axis=-1, keepdims=True)
+            pair = pair_sums(ks, rows)
+            slope = _slope(pair)
+            if g_att is not None:
+                pair *= slope
+                g_att += g_scores.reshape(-1) @ pair.reshape(-1, d)
+            slope *= g_scores[..., None]   # dL/d(pair sum), up to the factor att
+            if g_dst is not None:
+                g_dst[ks, rows] = slope.sum(axis=2)
+            if g_src is not None:
+                g_src[ks] += slope.sum(axis=1)
+        return (None if g_dst is None else g_dst * a,
+                None if g_src is None else alpha.transpose(0, 2, 1) @ g + g_src * a,
+                None if g_att is None else g_att.reshape(att.shape))
+
+    return alpha @ src.data, backward_fn
+
+
+def _pair_segments(dst, src, att, a, k, u, v):
+    patches, n, d = src.shape
+    pairs = _ReceiverPairs(k, u, v, patches, n, d, self_loops=True)
+    recv, send = pairs.recv, pairs.send
+    dst_rows, src_rows = dst.data.reshape(-1, d), src.data.reshape(-1, d)
+
+    def pair_sums(block, receivers, senders):
+        return dst_rows[receivers[block]] + src_rows[senders[block]]
+
+    scores = np.empty(len(recv))
+    for block, _, _ in pairs.blocks:
+        pair = pair_sums(block, recv, send)
+        pair *= _slope(pair)
+        scores[block] = pair @ a
+    alpha = np.exp(scores - np.maximum.reduceat(scores, pairs.starts)[recv])
+    alpha /= np.add.reduceat(alpha, pairs.starts)[recv]
+    data = pairs.sums(lambda block: alpha[block, None] * src_rows[send[block]])
+
+    def backward_fn(g):
+        g_rows = g.reshape(-1, d)
+        g_scores = np.empty(len(recv))
+        for block, _, _ in pairs.blocks:
+            g_scores[block] = np.einsum("ij,ij->i", g_rows[recv[block]], src_rows[send[block]])
+        g_scores *= alpha
+        # the softmax's Jacobian
+        g_scores -= alpha * np.add.reduceat(g_scores, pairs.starts)[recv]
+        g_dst = np.zeros((pairs.rows, d)) if dst.requires_grad else None
+        g_src = np.zeros((pairs.rows, d)) if src.requires_grad else None
+        g_att = np.zeros(d) if att.requires_grad else None
+        # each pair's reverse: a sum over the reverses of the pairs a node
+        # receives is a sum over the pairs it sends
+        reverse = np.lexsort((recv, send)) if g_src is not None else None
+        for block, firsts, receivers in pairs.blocks:
+            if g_dst is not None or g_att is not None:
+                pair = pair_sums(block, recv, send)
+                slope = _slope(pair)
+                if g_att is not None:
+                    pair *= slope
+                    g_att += g_scores[block] @ pair
+                if g_dst is not None:
+                    slope *= g_scores[block, None]
+                    g_dst[receivers] += np.add.reduceat(slope, firsts, axis=0)
+            if g_src is not None:
+                slope = _slope(pair_sums(block, send, recv))
+                slope *= g_scores[reverse[block], None]
+                g_src[receivers] += np.add.reduceat(slope, firsts, axis=0)
+        if g_src is not None:
+            g_src *= a
+            g_src += pairs.sums(lambda block: alpha[reverse[block], None]
+                                * g_rows[send[block]])
+        return (None if g_dst is None else (g_dst * a).reshape(dst.shape),
+                None if g_src is None else g_src.reshape(src.shape),
+                None if g_att is None else g_att.reshape(att.shape))
+
+    return data.reshape(src.shape), backward_fn
+
+
+def gated_neighbour_mean(z, x, edge_index) -> Tensor:
+    """Gated messages averaged over each node's neighbours in K patch
+    graphs at once, (K, n, d): edge e = (k, u, v) of the (M, 3)
+    ``edge_index`` sends sigmoid(z[e]) * x[k, v] to node u of patch k and
+    sigmoid(z[e]) * x[k, u] to its node v, and each node's sum is divided
+    by its degree (an isolated node's by 1).  ``z`` holds the (M, d)
+    pre-sigmoid gates, one per edge and channel; ``x`` is (K, n, d).
+
+    The edges must be distinct, off the diagonal, each listed in one
+    orientation only and sorted by patch.  The sigmoid is 0.5 tanh(z / 2)
+    + 0.5, which cannot overflow.  The gates are not recorded: the forward
+    and the backward each compute them from ``z`` a block at a time, and the
+    backward forms the gates' gradient a block of edges at a time.  The
+    gated product G @ x, whose transpose the backward applies (G is
+    symmetric), takes one of two routes (``segment_route``):
+
+    * grid: the gates laid on each patch's symmetric (n, n) grid per
+      channel, for one batched product per block of channels and patches;
+    * segment: each directed pair's gated message summed over the
+      receiver-sorted edge list by ``np.add.reduceat``, O(m d).
     """
     z, x = _as_tensor(z), _as_tensor(x)
-    rows, cols = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2).T
-    if z.ndim != 2 or x.ndim != 2 or z.shape != (len(rows), x.shape[1]):
+    k, u, v = _patch_edges(edge_index)
+    if z.ndim != 2 or x.ndim != 3 or z.shape != (len(k), x.shape[2]):
         raise ShapeMismatchError(
-            f"gated_neighbour_mean: gates {z.shape} for {len(rows)} edges, values {x.shape}")
-    n, d = x.shape
-    cells = rows * n + cols
-    mirror = cols * n + rows
-    degree = np.bincount(np.concatenate([rows, cols]), minlength=n)
-    inv_degree = 1.0 / np.maximum(degree, 1)[:, None]
+            f"gated_neighbour_mean: gates {z.shape} for {len(k)} edges, values {x.shape}")
+    patches, n, d = x.shape
+    ends = (k * n + u, k * n + v)     # the endpoints' global node ids
+    degree = np.bincount(np.concatenate(ends), minlength=patches * n)
+    inv_degree = (1.0 / np.maximum(degree, 1)).reshape(patches, n, 1)
 
-    def gates():
-        """tanh(z / 2), and the sigmoid gates 0.5 tanh(z / 2) + 0.5."""
-        half = np.tanh(0.5 * z.data)
-        return half, half * 0.5 + 0.5
+    def gates(edges, channels=slice(None)):
+        """The sigmoid gates of some edges and channels."""
+        return np.tanh(0.5 * z.data[edges, channels]) * 0.5 + 0.5
 
-    def grid_product(gate, v):
-        """G_c @ v[:, c] per channel c, with G_c the symmetric pair grid of
-        the gates."""
-        out = np.empty((n, d))
-        for ch in _blocks(d, n * n):
-            grid = np.zeros((ch.stop - ch.start, n * n))
-            grid[:, cells] = grid[:, mirror] = gate[:, ch].T
-            product = grid.reshape(-1, n, n) @ v[:, ch].T[:, :, None]
-            out[:, ch] = product[:, :, 0].T
-        return out
+    if segment_route(patches, n, len(k)):
+        pairs = _ReceiverPairs(k, u, v, patches, n, d, self_loops=False)
 
-    data = grid_product(gates()[1], x.data) * inv_degree
+        def product(values):
+            rows = values.reshape(-1, d)
+            return pairs.sums(lambda block: gates(pairs.edge[block])
+                              * rows[pairs.send[block]]).reshape(x.shape)
+    else:
+        cells, mirror = ends[0] * n + v, ends[1] * n + u   # in the (K, n, n) stack
+        bounds = np.searchsorted(k, np.arange(patches + 1))
+        tiles = _tiles(d, patches, n * n)
+
+        def product(values):
+            out = np.empty(x.shape)
+            for ch, ks in tiles:
+                lo, hi = bounds[ks.start], bounds[ks.stop]
+                offset = ks.start * n * n
+                grid = np.zeros((ch.stop - ch.start, (ks.stop - ks.start) * n * n))
+                grid[:, cells[lo:hi] - offset] = grid[:, mirror[lo:hi] - offset] = \
+                    gates(slice(lo, hi), ch).T
+                column = values[ks, :, ch].transpose(2, 0, 1).reshape(-1, n, 1)
+                product = grid.reshape(-1, n, n) @ column
+                out[ks, :, ch] = product.reshape(grid.shape[0], -1, n).transpose(1, 2, 0)
+            return out
+
+    data = product(x.data) * inv_degree
 
     def backward_fn(g):
         g = g * inv_degree
-        half, gate = gates()
-        g_x = grid_product(gate, g) if x.requires_grad else None
+        g_x = product(g) if x.requires_grad else None
         g_z = None
         if z.requires_grad:
+            g_rows, x_rows = g.reshape(-1, d), x.data.reshape(-1, d)
             g_z = np.empty(z.shape)
-            for pairs in _blocks(len(rows), d):
-                at_row, at_col = rows[pairs], cols[pairs]
-                g_gate = g[at_row] * x.data[at_col]
-                g_gate += g[at_col] * x.data[at_row]
-                g_z[pairs] = g_gate
-            half *= half
-            g_z *= 0.25 * (1.0 - half)       # the sigmoid's slope
+            for edges in _blocks(len(k), d):
+                at_u, at_v = ends[0][edges], ends[1][edges]
+                g_gate = g_rows[at_u] * x_rows[at_v]
+                g_gate += g_rows[at_v] * x_rows[at_u]
+                half = np.tanh(0.5 * z.data[edges])
+                half *= half
+                g_gate *= 0.25 * (1.0 - half)       # the sigmoid's slope
+                g_z[edges] = g_gate
         return g_z, g_x
 
     return _result(data, "gated_neighbour_mean", (z, x), backward_fn)
@@ -614,33 +817,43 @@ def matmul_elu_matmul(a, b, c) -> Tensor:
     output.  The backward recomputes ELU(a @ b) as the forward did and
     reads ELU's slope off it: below zero the slope exp(a @ b) equals
     ELU(a @ b) + 1.  With a narrow ``a`` the recompute costs a small share
-    of the product with ``c``."""
+    of the product with ``c``.  Both passes run a block of a's rows at a
+    time, so no row-block temporary outgrows ``_BLOCK_ENTRIES``."""
     a, b, c = _as_tensor(a), _as_tensor(b), _as_tensor(c)
     if a.ndim != 2 or b.ndim != 2 or c.ndim != 2 \
             or a.shape[1] != b.shape[0] or b.shape[1] != c.shape[0]:
         raise ShapeMismatchError(
             f"matmul_elu_matmul: {a.shape} @ {b.shape} @ {c.shape}")
+    blocks = _blocks(a.shape[0], max(b.shape[1], c.shape[1]))
 
-    def activation():
-        """ELU(a @ b)."""
-        h = a.data @ b.data
+    def activation(rows):
+        """ELU(a @ b) of a block of rows."""
+        h = a.data[rows] @ b.data
         below = np.minimum(h, 0.0)
         np.expm1(below, out=below)
         np.maximum(h, below, out=h)     # expm1(x) > x below zero
         return h
 
-    data = activation() @ c.data
+    data = np.empty((a.shape[0], c.shape[1]))
+    for rows in blocks:
+        data[rows] = activation(rows) @ c.data
 
     def backward_fn(g):
-        h = activation()
-        g_c = h.T @ g if c.requires_grad else None
-        g_a = g_b = None
-        if a.requires_grad or b.requires_grad:
-            h += 1.0
-            np.minimum(h, 1.0, out=h)   # ELU's slope
-            h *= g @ c.data.T
-            g_a = h @ b.data.T if a.requires_grad else None
-            g_b = a.data.T @ h if b.requires_grad else None
+        g_c = np.zeros(c.shape) if c.requires_grad else None
+        g_a = np.empty(a.shape) if a.requires_grad else None
+        g_b = np.zeros(b.shape) if b.requires_grad else None
+        for rows in blocks:
+            h = activation(rows)
+            if g_c is not None:
+                g_c += h.T @ g[rows]
+            if g_a is not None or g_b is not None:
+                h += 1.0
+                np.minimum(h, 1.0, out=h)   # ELU's slope
+                h *= g[rows] @ c.data.T
+                if g_a is not None:
+                    g_a[rows] = h @ b.data.T
+                if g_b is not None:
+                    g_b += a.data[rows].T @ h
         return g_a, g_b, g_c
 
     return _result(data, "matmul_elu_matmul", (a, b, c), backward_fn)
@@ -725,26 +938,32 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 
 def attention(q, k, v, heads: int) -> Tensor:
-    """Scaled dot-product attention of (N, t, e) operands, split into
-    ``heads`` heads of e / heads channels along the last axis: each of the
-    N sequences attends over its own t positions, and the (N, t, e) context
-    comes back with the heads side by side again.
+    """Scaled dot-product attention of an (N, s, e) query and (N, t, e) keys
+    and values, s <= t, split into ``heads`` heads of e / heads channels
+    along the last axis: each of the N sequences' s queries attends over its
+    own t positions, and the (N, s, e) context comes back with the heads
+    side by side again.
 
-    The (N, heads, t, t) weights are not recorded: the backward recomputes
+    The (N, heads, s, t) weights are not recorded: the backward recomputes
     them from ``q`` and ``k``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape \
-            or q.shape[-1] % heads:
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or q.shape[0] != k.shape[0] \
+            or q.shape[2] != k.shape[2] or q.shape[1] > k.shape[1] or q.shape[-1] % heads:
         raise ShapeMismatchError(
             f"attention: {q.shape}, {k.shape}, {v.shape} in {heads} heads")
-    n, t, e = q.shape
+    n, s, e = q.shape
+    t = k.shape[1]
     dh = e // heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(a):
-        """(N, t, e) -> (N, heads, t, dh), a view."""
-        return a.reshape((n, t, heads, dh)).transpose((0, 2, 1, 3))
+        """(N, rows, e) -> (N, heads, rows, dh), a view."""
+        return a.reshape((n, a.shape[1], heads, dh)).transpose((0, 2, 1, 3))
+
+    def join(a):
+        """(N, heads, rows, dh) -> (N, rows, e)."""
+        return a.transpose((0, 2, 1, 3)).reshape((n, a.shape[2], e))
 
     def weights():
         """The softmax of the scaled scores, max-subtracted."""
@@ -755,26 +974,19 @@ def attention(q, k, v, heads: int) -> Tensor:
         alpha /= alpha.sum(axis=-1, keepdims=True)
         return alpha
 
-    alpha = weights()
-    data = (alpha @ split(v.data)).transpose((0, 2, 1, 3)).reshape((n, t, e))
+    data = join(weights() @ split(v.data))
 
     def backward_fn(g):
         alpha = weights()
         g = split(g)
-        g_v = None
-        if v.requires_grad:
-            g_v = (alpha.transpose((0, 1, 3, 2)) @ g).transpose((0, 2, 1, 3)) \
-                .reshape((n, t, e))
+        g_v = join(alpha.transpose((0, 1, 3, 2)) @ g) if v.requires_grad else None
         g_scores = g @ split(v.data).transpose((0, 1, 3, 2))
         g_scores -= (g_scores * alpha).sum(axis=-1, keepdims=True)
         g_scores *= alpha                   # the softmax's Jacobian
         g_scores *= scale
-        g_q = g_k = None
-        if q.requires_grad:
-            g_q = (g_scores @ split(k.data)).transpose((0, 2, 1, 3)).reshape((n, t, e))
-        if k.requires_grad:
-            g_k = (g_scores.transpose((0, 1, 3, 2)) @ split(q.data)) \
-                .transpose((0, 2, 1, 3)).reshape((n, t, e))
+        g_q = join(g_scores @ split(k.data)) if q.requires_grad else None
+        g_k = join(g_scores.transpose((0, 1, 3, 2)) @ split(q.data)) \
+            if k.requires_grad else None
         return g_q, g_k, g_v
 
     return _result(data, "attention", (q, k, v), backward_fn)

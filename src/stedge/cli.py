@@ -159,6 +159,11 @@ def cmd_graph_stats(args) -> int:
     pairs = [_parse_pair(p, cfg.model.t_obs) for p in args.pair or []]
     files, _ = _data_files(cfg)
     windows = _windows_from_files(files, cfg)
+    held = {ped for window in windows for ped in window.ped_ids}
+    for (ped_a, _), (ped_b, _) in pairs:
+        for ped in (ped_a, ped_b):
+            if ped not in held:
+                raise BadConfigError(f"--pair names pedestrian {ped}, whom no window holds")
     length, stride = cfg.model.patch_len, cfg.model.patch_stride
 
     for wi, window in enumerate(windows):
@@ -166,9 +171,10 @@ def cmd_graph_stats(args) -> int:
         report = {"window": wi, "start_frame": window.start_frame,
                   "n_peds": n, "ped_ids": window.ped_ids, "patches": []}
         resistance = []
-        graphs = patch_graphs(window.obs, length, stride, cfg.model.max_distance)
-        for k, graph in enumerate(graphs, start=1):
-            start, adj = graph.start, graph.adjacency
+        patches = patch_graphs(window.obs, length, stride, cfg.model.max_distance)
+        for k, start in enumerate(patches.starts, start=1):
+            graph = patches.patch(k - 1)
+            adj = graph.adjacency[0]
             entry = {"k": k, "start": start, "nodes": len(adj),
                      "edges": len(graph.edge_index)}
             if args.edges:

@@ -6,14 +6,15 @@ L1 = B1^T B1 (the two-simplex term is zero here).  Edge features are
 filtered by a truncated Laguerre expansion of L1, then fused back into node
 embeddings as multiplicative gates.
 
-An edge signal is an (m,) vector over a ``PatchGraph``'s edge list.  The
-model never builds B1: B1 x is one ``np.bincount`` over the edges'
-endpoints and B1^T y is y[v] - y[u] (``HodgeOperator``), so the edge list
-is the only structure the filter needs, and the scale lam is the node
-Laplacian's largest eigenvalue, which L1 shares.  ``boundary_operator``
-(the (n, m) B1 array, one column per ``edge_list`` edge), ``line_graph``
-and ``hodge_laplacian`` build B1, the dense edge graph and L1 as
-references for tests and demos only.
+An edge signal is an (M,) vector over a ``PatchGraph``'s edge list, all
+K patches' edges in one.  The model never builds B1: B1 x is one
+``np.bincount`` over the edges' endpoints and B1^T y is y[v] - y[u]
+(``HodgeOperator``), so the edge list is the only structure the filter
+needs, and each patch's scale lam is its node Laplacian's largest
+eigenvalue, which L1 shares; one stacked eigensolve gives all K.
+``boundary_operator`` (the (n, m) B1 array, one column per ``edge_list``
+edge), ``line_graph`` and ``hodge_laplacian`` build B1, the dense edge
+graph and L1 as references for tests and demos only.
 """
 
 from __future__ import annotations
@@ -30,20 +31,24 @@ _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides 
 
 @dataclass(frozen=True)
 class HodgeOperator:
-    """L1 / lam on (m,) edge vectors over ``edge_index``.
+    """L1 / lam on (M,) edge vectors over the K patches' (M, 3) edge list
+    ``edge_index``, each patch's L1 scaled by its own lam.
 
-    B1 x is one bincount: each node sums +x over the edges it heads, then
-    -x over the edges it tails, in edge order.  B1^T y is y[v] - y[u] on
-    each edge, so no (n, m) or (m, m) array exists.
+    B1 x is one bincount over the global node ids k * n + i: each node sums
+    +x over the edges it heads, then -x over the edges it tails, in edge
+    order.  B1^T y is y[v] - y[u] on each edge, so no (n, m) or (m, m)
+    array exists.
     """
 
-    edge_index: np.ndarray   # (m, 2), (u, v) with u < v
-    lam: float
+    edge_index: np.ndarray   # (M, 3), (k, u, v) with u < v
+    lam: np.ndarray          # (K,), each patch's scale
+    nodes: int               # n, the nodes of each patch
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        u, v = self.edge_index.T
-        y = np.bincount(np.concatenate([v, u]), weights=np.concatenate([x, -x]))
-        return (y[v] - y[u]) / self.lam
+        k, u, v = self.edge_index.T
+        tail, head = k * self.nodes + u, k * self.nodes + v
+        y = np.bincount(np.concatenate([head, tail]), weights=np.concatenate([x, -x]))
+        return (y[head] - y[tail]) / self.lam[k]
 
 
 def boundary_operator(adjacency) -> np.ndarray:
@@ -80,31 +85,33 @@ def hodge_laplacian(b1) -> np.ndarray:
 
 
 def line_graph_degrees(graph: PatchGraph) -> np.ndarray:
-    """Each edge's degree in the edge graph, in edge order: edge (u, v)
-    shares an endpoint with deg u - 1 + deg v - 1 other edges."""
-    degree = graph.adjacency.sum(axis=1).astype(np.int64)
-    return degree[graph.edge_index].sum(axis=1) - 2
+    """Each edge's degree in its patch's edge graph, in edge order: edge
+    (k, u, v) shares an endpoint with deg u - 1 + deg v - 1 other edges."""
+    degree = graph.adjacency.sum(axis=-1).astype(np.int64)
+    k, u, v = graph.edge_index.T
+    return degree[k, u] + degree[k, v] - 2
 
 
 def hodge_spectrum(graph: PatchGraph) -> np.ndarray:
-    """L1's eigenvalues, ascending, one per edge, without building L1:
-    D - A = B1 B1^T shares L1 = B1^T B1's nonzero spectrum, and L1's other
-    eigenvalues are zeros (the zero rule is ``laplacian_spectrum``'s).
-    Read by ``graph-stats``."""
-    values = laplacian_spectrum(graph.adjacency)
+    """L1's eigenvalues of a one-patch graph (``PatchGraph.patch``),
+    ascending, one per edge, without building L1: D - A = B1 B1^T shares
+    L1 = B1^T B1's nonzero spectrum, and L1's other eigenvalues are zeros
+    (the zero rule is ``laplacian_spectrum``'s).  Read by ``graph-stats``."""
+    (values,) = laplacian_spectrum(graph.adjacency)
     nonzero = values[values > 0.0]
     zeros = np.zeros(len(graph.edge_index) - len(nonzero))  # m - rank
     return np.concatenate([zeros, nonzero])
 
 
 def hodge_operator(graph: PatchGraph) -> HodgeOperator:
-    """L1 scaled by its largest eigenvalue lam, so that the Laguerre
-    polynomials see a spectrum in [0, 1]: n on a complete graph,
+    """Each patch's L1 scaled by its largest eigenvalue lam, so that the
+    Laguerre polynomials see a spectrum in [0, 1]: n on a complete graph,
     ``_LAMBDA_FLOOR`` on an edgeless one.  L1 = B1^T B1 and D - A = B1 B1^T
     share their nonzero eigenvalues, so lam is the top of the node
-    Laplacian's ascending spectrum."""
-    lam = max(float(laplacian_spectrum(graph.adjacency)[-1]), _LAMBDA_FLOOR)
-    return HodgeOperator(edge_index=graph.edge_index, lam=lam)
+    Laplacian's ascending spectrum, all K from one stacked eigensolve."""
+    lam = np.maximum(laplacian_spectrum(graph.adjacency)[:, -1], _LAMBDA_FLOOR)
+    return HodgeOperator(edge_index=graph.edge_index, lam=lam,
+                         nodes=graph.adjacency.shape[-1])
 
 
 def laguerre_scalars(lam: float, order: int) -> list[float]:
@@ -144,15 +151,15 @@ def laguerre_basis(operator, x, order: int) -> list:
 
 
 def hll_conv(graph: PatchGraph, coeffs: Tensor, phi: Tensor) -> Tensor:
-    """The fusion's pre-sigmoid gates of the graph's edges, (m, d): the
-    spectral edge convolution of the edge lengths E,
+    """The fusion's pre-sigmoid gates of the graph's edges, all K patches'
+    in one, (M, d): the spectral edge convolution of the edge lengths E,
     ELU(sum_j G_j(L1 / lam) E theta_j), where row j of the (order, d)
     ``coeffs`` is theta_j, mapped through the (d, d) ``phi``.
 
     The edge signal is a constant, so its basis is plain numpy: each
-    order's (m,) vector is one column of an (m, order) array T.  Filter,
+    order's (M,) vector is one column of an (M, order) array T.  Filter,
     ELU and gate map are one op, ELU(T coeffs) phi (``matmul_elu_matmul``):
-    the tape holds only the (m, d) gates, and the backward recomputes the
+    the tape holds only the (M, d) gates, and the backward recomputes the
     filtered embedding from the narrow T.
     """
     basis = laguerre_basis(hodge_operator(graph), graph.distances, coeffs.shape[0])
@@ -161,22 +168,23 @@ def hll_conv(graph: PatchGraph, coeffs: Tensor, phi: Tensor) -> Tensor:
 
 def fusion_gcn(h_node: Tensor, gates: Tensor | None, edge_index,
                theta: Tensor) -> Tensor:
-    """Node update gated per neighbour by its edge.
+    """Node update of the K patches' (K, n, d) ``h_node``, gated per
+    neighbour by its edge.
 
     H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} sigmoid(z_ij) * theta h_j),
-    where z_ij is the edge's row of the (m, d) pre-sigmoid ``gates``
-    (``hll_conv``), one gate per channel.  Without gates (None, or no
-    edges) the gate is zero, which severs the edge branch.  The neighbour
-    sum is divided by the node's degree: on a complete patch graph an
+    where z_ij is the edge's row of the (M, d) pre-sigmoid ``gates``
+    (``hll_conv``), one gate per channel, and the (M, 3) ``edge_index``
+    tags each edge with its patch.  Without gates (None, or no edges) the
+    gate is zero, which severs the edge branch.  The neighbour sum is
+    divided by the node's degree: on a complete patch graph an
     unnormalised sum outweighs the node's own term n - 1 times over and
     pulls every node towards the patch mean, which washed out the
     per-pedestrian signal the forecast needs.
 
-    The gated mean is one recorded op (``gated_neighbour_mean``).  It
-    lays the gates on the pair grid, one symmetric (n, n) grid per gate
-    channel, for one batched product with the node messages, and divides
-    by the degree; the sigmoid gates and their grid are temporaries, not
-    recorded, and its backward rebuilds them.
+    The gated mean is one recorded op (``gated_neighbour_mean``), on the
+    patches' (n, n) grids or on segment sums over the edge list by the
+    edges' density; the sigmoid gates are temporaries, not recorded, and
+    its backward rebuilds them.
     """
     t = h_node @ theta
     if gates is None or not len(edge_index):

@@ -3,15 +3,16 @@ fusion -> encoder tokens -> bivariate Gaussian forecasts.
 
 The three motion embeddings are each ``model_dim`` wide, so the concatenated
 feature width is 3*model_dim and a learned projection brings it back to
-``model_dim`` before the graph stage.  Each patch's constant structure
-(adjacency, edge list and edge lengths) is built once per window by
-``stgraph.patch_graphs``, which records no op, and nothing is cached
-across windows.  The attention layer, the Hodge operator, the fusion's
-gated mean and the memory guard read the edge list; the adjacency is
-read only for the scale of the Hodge operator (``hodge_operator``).
+``model_dim`` before the graph stage.  The constant structure of a
+window's K patches (stacked adjacency, one patch-tagged edge list and the
+edge lengths) is built once per window by ``stgraph.patch_graphs``, which
+records no op, and nothing is cached across windows.  The attention
+layer, the Hodge operator, the fusion's gated mean and the memory guard
+read the edge list; the adjacency is read only for the scales of the
+Hodge operator (``hodge_operator``).
 
-The Laguerre edge filter runs on the raw edge distances D, an (m,)
-vector per patch.  The edge embedding w (``edge.w_embed``, 1 x model_dim)
+The Laguerre edge filter runs on the raw edge distances D, an (M,)
+vector over all K patches' edges.  The edge embedding w (``edge.w_embed``, 1 x model_dim)
 is linear and has no bias, and the filter is linear in its input, so the
 two evaluation orders are one function, not an approximation:
 sum_j G_j(L) (D w) theta_j = sum_j (G_j(L) D) (w theta_j).  Each order's
@@ -38,20 +39,25 @@ by adaptive moments smooth (see ``init_parameters`` and
   moves the forecast by a small, bounded amount instead of by fan-in times
   the learning rate.
 
-The graph stage records one op per job and patch.  The attention layer
-(``gat_layer``) is one op after its two halves' products, and the edge
-branch is two: ``hll_conv`` filters the edge lengths and maps the
-filtered embedding through ``fuse.phi`` to the (m, d) pre-sigmoid gates
+The graph stage runs once per window, on all K patches at once, and
+records one op per job, so a window's op count does not grow with K:
+``segment_patches`` gives the (K, n, d) node features, the attention
+layer (``gat_layer``) is one op after its two halves' products, and the
+edge branch is two: ``hll_conv`` filters the edge lengths and maps the
+filtered embedding through ``fuse.phi`` to the (M, d) pre-sigmoid gates
 in one op, and ``fusion_gcn`` averages the gated neighbour messages in
-another.  Only the gates stay on the tape; the (m, d) filtered embedding
-is recomputed in the backward.
+another.  Only the gates stay on the tape; the (M, d) filtered embedding
+is recomputed in the backward.  The head reads only the T_pred future
+rows, so the encoder's last layer computes only those
+(``encoder_forward``'s ``last_rows``).
 
 Before it records its first op, ``forward`` sums the window's estimated
 tape (``tape_bytes``), the gradients every backward allocates and the
-backward's largest temporaries (about three (m, d) arrays of the widest
-patch's edge branch); above physical memory it raises ``WindowTooLargeError``,
-a named error in place of an out-of-memory kill.  ``predict`` records no
-tape, but its window is checked on the same training estimate.
+backward's largest temporary, the (M, d) gradient of the gates
+(``step_bytes``); above physical memory it raises
+``WindowTooLargeError``, a named error in place of an out-of-memory kill.
+``predict`` records no tape, but its window is checked on the same
+training estimate.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import ParameterStore, ShapeMismatchError, Tensor, concatenate, linear
+from stedge.autodiff import (ParameterStore, ShapeMismatchError, Tensor, concatenate,
+                             linear, segment_route)
 from stedge.data import (DEFAULT_T_OBS, DEFAULT_T_PRED, Window,
                          future_displacements, init_features)
 from stedge.edgegraph import fusion_gcn, hll_conv
@@ -95,19 +102,22 @@ _TABLE_SCALE = 0.1   # placeholders' and positions' initial scale, small next to
 # float64 arrays that one window's forward records, per stage, in units of
 # the stage's array size; counted off the ops (see tape_bytes)
 _FEATURE_ARRAYS = 7      # (N, T_obs, d): three embeddings, their 3d-wide join, projection
-# (n, d) per patch: the node slice and its reshape, the attention's two
-# halves, messages and ELU, the fusion's product, gated mean, sum and ELU,
-# the residual sum, and pooling's join and reshape
-_NODE_ARRAYS = 13
-_PAIR_ARRAYS = 1         # (n, n) per patch: the weights pair_attention keeps for its backward
+# (K, n, d): the patches' node features, the attention's two halves,
+# messages and ELU, the fusion's product, gated mean, sum and ELU, the
+# residual sum and pooling's reshape
+_NODE_ARRAYS = 11
 _TOKEN_ARRAYS = 3        # (N, K + T_pred, d): the token sequence
-_ENCODER_IO_ARRAYS = 2   # (N, K + T_pred, e): input projection and head input
+_ENCODER_IN_ARRAYS = 1   # (N, K + T_pred, e): the input projection
 # (N, K + T_pred, e) per encoder layer, the 2e-wide FFN hidden counting 2:
 # q, k and v, the attention context and output, two residual sums, two
 # layer norms and the FFN's two linears; the attention weights, the
 # centred inputs and the pre-ReLU hidden are recomputed, not recorded
 _LAYER_ARRAYS = 12
-_EDGE_BACKWARD_ARRAYS = 3   # (m, d), of one patch, live in the backward's edge branch
+# the last layer records k and v over all K + T_pred rows, and the other
+# ten arrays, the slice of its query rows and the head's slice over T_pred
+_LAST_LAYER_KEYS = 2
+_LAST_LAYER_ROWS = 12
+_EDGE_BACKWARD_ARRAYS = 1   # (M, d): the gates' gradient, live in the backward's edge branch
 
 
 def _physical_memory() -> float:
@@ -249,18 +259,35 @@ def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     output and what its closure keeps of its own.  The backward frees
     each op's arrays once it has passed the op, so the tape is what a step
     holds when its backward starts.  The edge branch records only its
-    (m, d) pre-sigmoid gates per patch (the filtered embedding is
-    recomputed); the graph attention keeps its (n, n) weights and no
-    array grows as n^2 d, and the encoder records no (K + T_pred)^2
-    attention weights."""
-    d, e, length = cfg.model_dim, cfg.encoder_dim, cfg.token_len
-    n = n_peds * cfg.patch_len
+    (M, d) pre-sigmoid gates (the filtered embedding is recomputed); the
+    graph attention keeps its weights, (K, n, n) on the grid route and one
+    per directed pair and self-loop on the segment route, and no array
+    grows as n^2 d; the encoder records no (K + T_pred)^2 attention
+    weights, and its last layer only k and v over all K + T_pred rows."""
+    d, e, length, t_pred = cfg.model_dim, cfg.encoder_dim, cfg.token_len, cfg.t_pred
+    n, patches, edges = n_peds * cfg.patch_len, len(edge_counts), int(sum(edge_counts))
     entries = _FEATURE_ARRAYS * n_peds * cfg.t_obs * d
-    entries += len(edge_counts) * (_NODE_ARRAYS * n * d + _PAIR_ARRAYS * n * n)
-    entries += sum(edge_counts) * d * (cfg.fusion_gate != "zero")
-    entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IO_ARRAYS * e)
-    entries += cfg.encoder_layers * n_peds * length * _LAYER_ARRAYS * e
+    entries += _NODE_ARRAYS * patches * n * d
+    entries += (2 * edges + patches * n if segment_route(patches, n, edges)
+                else patches * n * n)
+    entries += edges * d * (cfg.fusion_gate != "zero")
+    entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IN_ARRAYS * e)
+    entries += n_peds * e * ((cfg.encoder_layers - 1) * _LAYER_ARRAYS * length
+                             + _LAST_LAYER_KEYS * length + _LAST_LAYER_ROWS * t_pred)
     return 8 * entries
+
+
+def step_bytes(cfg: ModelConfig, n_peds: int, edge_counts,
+               n_values: int) -> tuple[int, int, int]:
+    """The three terms the memory guard sums for one window's training
+    step: the tape (``tape_bytes``), the leaf gradients every backward
+    allocates (8 bytes for each of the ``n_values`` parameter values) and
+    the backward's temporaries while it passes the edge branch, the (M, d)
+    gradient of the gates, when that branch runs; the fused ops' other
+    d-wide temporaries over pairs or edges are blocks of at most 1 MiB."""
+    temps = _EDGE_BACKWARD_ARRAYS * int(sum(edge_counts)) * cfg.model_dim
+    return (tape_bytes(cfg, n_peds, edge_counts), 8 * n_values,
+            8 * temps * (cfg.fusion_gate != "zero"))
 
 
 def gradcheck_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
@@ -298,14 +325,11 @@ class TrajectoryForecaster:
             raise ShapeMismatchError(
                 f"window horizons ({window.t_obs}, {window.t_pred}) != "
                 f"configured ({cfg.t_obs}, {cfg.t_pred})")
-        graphs = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
-                              cfg.max_distance)
-        edge_counts = [len(g.edge_index) for g in graphs]
-        edge_branch = cfg.fusion_gate != "zero"
+        graph = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                             cfg.max_distance)
         # refuse a window that cannot fit before recording any of it
-        tape = tape_bytes(cfg, window.n_peds, edge_counts)
-        grads = 8 * self.params.n_values()
-        temps = 8 * _EDGE_BACKWARD_ARRAYS * max(edge_counts) * cfg.model_dim * edge_branch
+        tape, grads, temps = step_bytes(cfg, window.n_peds, graph.edge_counts,
+                                        self.params.n_values())
         if tape + grads + temps > TAPE_BUDGET_BYTES:
             raise WindowTooLargeError(
                 f"a window of N={window.n_peds} pedestrians needs an estimated "
@@ -313,34 +337,34 @@ class TrajectoryForecaster:
                 f"gradients and {temps / 2**20:.1f} MiB of backward temporaries, more "
                 f"than the {TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
         params = self.params if params is None else params
-        feats = init_features(window.obs, params)
-        x = feats @ params["feat.w_proj"]
-        blocks = segment_patches(x, cfg.patch_len, cfg.patch_stride)
-
-        if edge_branch:
-            # the edge embedding rides in the filter (see the module docstring)
-            coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
-                                  for j in range(cfg.hll_order)])
-        fused = []
-        for z, graph in zip(blocks, graphs, strict=True):
-            h_node = gat_layer(z, graph.edge_index, params["gat.theta"],
-                               params["gat.theta_dst"], params["gat.att"])
-            gates = None
-            if edge_branch and len(graph.edge_index):
-                gates = hll_conv(graph, coeffs, params["fuse.phi"])
-            update = fusion_gcn(h_node, gates, graph.edge_index, params["fuse.theta"])
-            # each node's own features ride around the graph stage, which
-            # on a complete graph averages every node towards the patch mean
-            fused.append(z + update)
-
-        pooled = stack_and_pool(fused, window.n_peds, cfg.patch_len)
+        pooled = self._graph_stage(window, graph, params)
         tokens = assemble_tokens(pooled, params["pred.placeholder"],
                                  params["pred.positional"])
         enc_in = linear(tokens, params["enc.in_w"], params["enc.in_b"])
         y_repr = encoder_forward(enc_in, params, heads=cfg.encoder_heads,
-                                 layers=cfg.encoder_layers)
+                                 layers=cfg.encoder_layers, last_rows=cfg.t_pred)
         return gaussian_parameters(y_repr, params["head.w"], params["head.b"],
                                    cfg.t_pred)
+
+    def _graph_stage(self, window: Window, graph, params) -> Tensor:
+        """The (N, K, d) pooled patch tokens of the window's node features,
+        all K patches in each op.  Its intermediates, the (M, d) gates among
+        them, are freed on return when no tape holds them."""
+        cfg = self.cfg
+        x = init_features(window.obs, params) @ params["feat.w_proj"]
+        z = segment_patches(x, cfg.patch_len, cfg.patch_stride)   # (K, n, d)
+        h_node = gat_layer(z, graph.edge_index, params["gat.theta"],
+                           params["gat.theta_dst"], params["gat.att"])
+        gates = None
+        if cfg.fusion_gate != "zero" and len(graph.edge_index):
+            # the edge embedding rides in the filter (see the module docstring)
+            coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
+                                  for j in range(cfg.hll_order)])
+            gates = hll_conv(graph, coeffs, params["fuse.phi"])
+        update = fusion_gcn(h_node, gates, graph.edge_index, params["fuse.theta"])
+        # each node's own features ride around the graph stage, which on a
+        # complete graph averages every node towards the patch mean
+        return stack_and_pool(z + update, window.n_peds, cfg.patch_len)
 
     def loss(self, window: Window) -> Tensor:
         mu, log_sigma, rho = self.forward(window)

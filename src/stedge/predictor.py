@@ -1,13 +1,13 @@
 """Token assembly, the transformer encoder, the bivariate Gaussian head,
 and trajectory sampling.
 
-Per-patch node embeddings are pooled over each pedestrian's L time slots
-into K historical tokens; a shared learnable placeholder supplies the
+The K patches' node embeddings are pooled over each pedestrian's L time
+slots into K historical tokens; a shared learnable placeholder supplies the
 T_pred future tokens, a learnable positional table is added to the whole
 concatenated sequence, and a standard post-norm encoder attends over all
 K + T_pred positions per pedestrian (no cross-pedestrian attention; social
 mixing already happened in the graph stage).  Only the last T_pred outputs
-feed the Gaussian head.
+feed the Gaussian head, and the last encoder layer computes only those.
 """
 
 from __future__ import annotations
@@ -66,20 +66,21 @@ class GaussianTrack:
             raise ValueError("|rho| must be < 1")
 
 
-def stack_and_pool(patch_embeddings: list[Tensor], n_peds: int,
-                   length: int) -> Tensor:
-    """Mean-pool each pedestrian's L node embeddings per patch -> (N, K, D).
+def stack_and_pool(patch_embeddings: Tensor, n_peds: int, length: int) -> Tensor:
+    """Mean-pool each pedestrian's L node embeddings in each of the K
+    patches' (K, N * L, D) embeddings -> (N, K, D).
 
     Relies on the pedestrian-major node order: rows [p*L, (p+1)*L) belong to
-    pedestrian p, so pooling is a contiguous-stride mean.  The K patches
-    pool as one (N, L, K, D) array: three recorded ops, whatever K.
+    pedestrian p, so pooling is a contiguous-stride mean.  Three recorded
+    ops, whatever K: the reshape to (K, N, L, D), the mean over L and the
+    swap of the patch and pedestrian axes.
     """
-    rows = [h.shape[0] for h in patch_embeddings]
-    if any(r != n_peds * length for r in rows):
+    patches, rows, dim = patch_embeddings.shape
+    if rows != n_peds * length:
         raise ShapeMismatchError(f"patch embedding rows {rows} != n_peds*length "
                                  f"{n_peds * length}")
-    nodes = concatenate(patch_embeddings, axis=1)
-    return nodes.reshape((n_peds, length, len(rows), -1)).mean(axis=1)
+    pooled = patch_embeddings.reshape((patches, n_peds, length, dim)).mean(axis=2)
+    return pooled.transpose((1, 0, 2))
 
 
 def assemble_tokens(hist: Tensor, placeholder: Tensor,
@@ -103,19 +104,26 @@ def assemble_tokens(hist: Tensor, placeholder: Tensor,
 
 
 def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
-                    layers: int) -> Tensor:
+                    layers: int, last_rows: int | None = None) -> Tensor:
     """Post-norm encoder stack; attention is full (non-causal) scaled
-    dot-product attention over each pedestrian's positions (batch axis = N)."""
+    dot-product attention over each pedestrian's positions (batch axis = N).
+
+    With ``last_rows`` the last layer computes only the last ``last_rows``
+    positions, the rows a head reads: their queries attend over the keys
+    and values of every position, and only they get the attention output,
+    residuals, layer norms and feed-forward.  The output is then
+    (N, last_rows, e), equal to those rows of the full stack's."""
     x = tokens
     for i in range(layers):
         lp = f"enc.l{i}"
+        rows = x[:, -last_rows:, :] if last_rows and i == layers - 1 else x
         # no key bias: a shared key offset shifts every logit of a query's
         # row equally, which the softmax cancels, so the parameter would be dead
-        ctx = attention(linear(x, params[f"{lp}.att.wq"], params[f"{lp}.att.bq"]),
+        ctx = attention(linear(rows, params[f"{lp}.att.wq"], params[f"{lp}.att.bq"]),
                         x @ params[f"{lp}.att.wk"],
                         linear(x, params[f"{lp}.att.wv"], params[f"{lp}.att.bv"]), heads)
         attn = linear(ctx, params[f"{lp}.att.wo"], params[f"{lp}.att.bo"])
-        x = layer_norm(x + attn, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
+        x = layer_norm(rows + attn, params[f"{lp}.ln1.g"], params[f"{lp}.ln1.b"])
         ff = linear(x, params[f"{lp}.ffn.w1"], params[f"{lp}.ffn.b1"], relu=True)
         ff = linear(ff, params[f"{lp}.ffn.w2"], params[f"{lp}.ffn.b2"])
         x = layer_norm(x + ff, params[f"{lp}.ln2.g"], params[f"{lp}.ln2.b"])
@@ -167,7 +175,8 @@ def sample_trajectories(track: GaussianTrack, count: int, seed=0) -> np.ndarray:
     Each sample uses an independent stream derived from (seed, sample
     index), so samples are reproducible and order-independent.  Per step,
     the 2x2 Cholesky factor of the covariance maps unit normals to
-    displacements, which cumulative-sum from each pedestrian's origin.
+    displacements, which cumulative-sum from each pedestrian's origin; all
+    samples in one pass.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1 sample, got {count}")
@@ -175,16 +184,13 @@ def sample_trajectories(track: GaussianTrack, count: int, seed=0) -> np.ndarray:
     n, t_pred = track.mu.shape[:2]
     sx, sy = track.sigma[..., 0], track.sigma[..., 1]
     rho = track.rho
-    out = np.empty((count, n, t_pred, 2))
-    for s in range(count):
-        rng = np.random.default_rng(base + [s])
-        z = rng.standard_normal((n, t_pred, 2))
-        dx = track.mu[..., 0] + sx * z[..., 0]
-        dy = track.mu[..., 1] + sy * (rho * z[..., 0]
-                                      + np.sqrt(1.0 - rho * rho) * z[..., 1])
-        steps = np.stack([dx, dy], axis=-1)
-        out[s] = track.origin[:, None, :] + np.cumsum(steps, axis=1)
-    return out
+    z = np.stack([np.random.default_rng(base + [s]).standard_normal((n, t_pred, 2))
+                  for s in range(count)])
+    steps = np.empty(z.shape)
+    steps[..., 0] = track.mu[..., 0] + sx * z[..., 0]
+    steps[..., 1] = track.mu[..., 1] + sy * (rho * z[..., 0]
+                                             + np.sqrt(1.0 - rho * rho) * z[..., 1])
+    return track.origin[:, None, :] + np.cumsum(steps, axis=2)
 
 
 def sample_window(track: GaussianTrack, count: int, seed: int,

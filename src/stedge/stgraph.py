@@ -3,12 +3,14 @@
 The observed horizon is cut into K overlapping length-L patches; each
 patch becomes one graph whose nodes are (pedestrian, time-slot) pairs in
 pedestrian-major order, so cross-time interaction is a single hop.
-``patch_graphs`` builds each patch's constant structure once per window
-(``PatchGraph``: adjacency, edge list and edge lengths), and
-``segment_patches`` slices the node features to match.  Node embeddings
-come from a single attention layer; effective resistance, read off the
-one eigendecomposition of the patch Laplacian (``laplacian_spectrum``),
-quantifies how much the dense patch wiring eases message passing.
+``patch_graphs`` builds a window's constant structure once, as one
+``PatchGraph`` holding all K patches (stacked adjacency, one patch-tagged
+edge list and the edge lengths), and ``segment_patches`` slices the node
+features to match, as one (K, n, D) array.  The graph stage runs on all
+K patches at once.  Node embeddings come from a single attention layer;
+effective resistance, read off the one eigendecomposition of the patch
+Laplacian (``laplacian_spectrum``), quantifies how much the dense patch
+wiring eases message passing.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, pair_attention
+from stedge.autodiff import Tensor, elu, pair_attention, unfold
 
 
 class PatchTooLongError(ValueError):
@@ -30,19 +32,34 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class PatchGraph:
-    """One patch's constant structure, built once per window by
-    ``patch_graphs``.
+    """The constant structure of a window's K patch graphs, built once per
+    window by ``patch_graphs``; ``patch(k)`` is patch k alone, a
+    ``PatchGraph`` with K = 1.
 
-    Node index = ped * length + local_time.  Self-loops are not stored, the
-    attention layer adds them.  The edges are the adjacency's (u, v),
-    u < v, in lexicographic order (``edge_list``); an edge signal is an
-    (m,) vector in that order, oriented low -> high index.
+    Node index = ped * length + local_time within each patch.  Self-loops
+    are not stored, the attention layer adds them.  The edges are the
+    adjacency's (k, u, v), u < v, sorted by patch, then lexicographically
+    (``edge_list``); an edge signal is an (M,) vector in that order,
+    oriented low -> high index.
     """
 
-    start: int                # first observed time slot covered
-    adjacency: np.ndarray     # (n, n), 0/1, zero diagonal
-    edge_index: np.ndarray    # (m, 2)
-    distances: np.ndarray     # (m,), Euclidean length of each edge
+    starts: tuple[int, ...]   # first observed time slot each patch covers
+    adjacency: np.ndarray     # (K, n, n), 0/1, zero diagonals
+    edge_index: np.ndarray    # (M, 3)
+    distances: np.ndarray     # (M,), Euclidean length of each edge
+
+    @property
+    def edge_counts(self) -> np.ndarray:
+        """Each patch's number of edges, (K,)."""
+        return np.bincount(self.edge_index[:, 0], minlength=len(self.starts))
+
+    def patch(self, k: int) -> PatchGraph:
+        """Patch k (0-based) as a graph of its own, its edges tagged 0."""
+        lo, hi = np.searchsorted(self.edge_index[:, 0], [k, k + 1])
+        edges = self.edge_index[lo:hi].copy()
+        edges[:, 0] = 0
+        return PatchGraph(starts=(self.starts[k],), adjacency=self.adjacency[k:k + 1],
+                          edge_index=edges, distances=self.distances[lo:hi])
 
 
 def patch_count(t_obs: int, length: int, stride: int) -> int:
@@ -96,14 +113,15 @@ def node_distances(positions) -> np.ndarray:
 
 
 def edge_list(adjacency) -> np.ndarray:
-    """The undirected edges (u, v), u < v, in lexicographic order, (m, 2)."""
+    """The undirected edges (u, v), u < v, in lexicographic order, (m, 2);
+    of a (K, n, n) stack, (k, u, v) sorted by patch k first, (M, 3)."""
     return np.argwhere(np.triu(np.asarray(adjacency), 1))
 
 
 def patch_graphs(obs, length: int, stride: int,
-                 max_distance: float | None = None) -> list[PatchGraph]:
-    """The K patch graphs of (N, T_obs, 2) observed positions, in patch
-    order.
+                 max_distance: float | None = None) -> PatchGraph:
+    """The K patch graphs of (N, T_obs, 2) observed positions, as one
+    ``PatchGraph``.
 
     Patch k (1-based) covers time slots [(k-1)*stride, (k-1)*stride + length);
     its nodes sit at the pedestrian-major flattening of that slice, wired
@@ -111,39 +129,38 @@ def patch_graphs(obs, length: int, stride: int,
     edge signal.  Plain numpy: no op is recorded.
     """
     obs = np.asarray(obs, dtype=np.float64)
-    graphs = []
-    for start in patch_starts(obs.shape[1], length, stride):
-        pos = obs[:, start:start + length, :].reshape(-1, 2)
-        adj = build_node_adjacency(obs.shape[0], length, pos, max_distance)
-        edges = edge_list(adj)
-        graphs.append(PatchGraph(
-            start=start, adjacency=adj, edge_index=edges,
-            distances=np.linalg.norm(pos[edges[:, 0]] - pos[edges[:, 1]], axis=-1)))
-    return graphs
+    starts = patch_starts(obs.shape[1], length, stride)
+    pos = np.stack([obs[:, s:s + length, :].reshape(-1, 2) for s in starts])
+    adjacency = np.stack([build_node_adjacency(obs.shape[0], length, p, max_distance)
+                          for p in pos])
+    edges = edge_list(adjacency)
+    k, u, v = edges.T
+    return PatchGraph(starts=tuple(starts), adjacency=adjacency, edge_index=edges,
+                      distances=np.linalg.norm(pos[k, u] - pos[k, v], axis=-1))
 
 
-def segment_patches(features: Tensor, length: int, stride: int) -> list[Tensor]:
-    """Slice (N, T_obs, D) features into the K patches' (N * length, D)
-    node features, in ``patch_graphs``' patch and node order."""
-    n_peds, t_obs, dim = features.shape
-    return [features[:, start:start + length, :].reshape((n_peds * length, dim))
-            for start in patch_starts(t_obs, length, stride)]
+def segment_patches(features: Tensor, length: int, stride: int) -> Tensor:
+    """Slice (N, T_obs, D) features into the K patches' node features,
+    (K, N * length, D) in ``patch_graphs``' patch and node order: one
+    recorded op (``unfold``)."""
+    patch_count(features.shape[1], length, stride)    # checks L and S
+    return unfold(features, length, stride)
 
 
 def gat_layer(z: Tensor, edge_index, theta: Tensor, theta_dst: Tensor,
               att: Tensor) -> Tensor:
-    """Single-head graph attention over a patch's (n, D) node features
-    ``z`` and its (m, 2) edge list.
+    """Single-head graph attention over the K patches' (K, n, D) node
+    features ``z`` and their (M, 3) patch-tagged edge list.
 
     The pair transform acts on the concatenated node pair as two blocks,
     logit(i, j) = a . LeakyReLU(theta_dst z_i + theta z_j), with the
     rectifier inside on the summed pair.  Acting on the sum is what keeps
     attention input-dependent: with a per-node rectifier the receiver term
     would be row-constant and the softmax would cancel it.  The softmax runs
-    over each node's neighbours plus itself, and the weighted sum of the
-    messages theta z_j is one recorded op (``pair_attention``, which records
-    neither the (n, n, d) pair sum nor the (n, n) scores); the aggregate
-    passes through an ELU.
+    over each node's neighbours in its patch plus itself, and the weighted
+    sum of the messages theta z_j is one recorded op for all K patches
+    (``pair_attention``, which records neither the pair sums nor the
+    scores); the aggregate passes through an ELU.
     """
     src = z @ theta        # messages and attention source half
     dst = z @ theta_dst    # attention receiver half
@@ -155,21 +172,26 @@ def gat_layer(z: Tensor, edge_index, theta: Tensor, theta_dst: Tensor,
 
 def _check_adjacency(adjacency) -> np.ndarray:
     a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-12):
+    if not np.allclose(a, np.swapaxes(a, -1, -2), atol=1e-12):
         raise ValueError("adjacency must be symmetric")
     return a
 
 
 def graph_laplacian(adjacency) -> np.ndarray:
+    """D - A of an (n, n) adjacency, or of each of a (K, n, n) stack."""
     a = _check_adjacency(adjacency)
-    return np.diag(a.sum(axis=1)) - a
+    lap = 0.0 - a
+    nodes = np.arange(a.shape[-1])
+    lap[..., nodes, nodes] += a.sum(axis=-1)
+    return lap
 
 
 def laplacian_spectrum(adjacency, vectors: bool = False):
     """The eigenvalues of D - A, ascending, and with ``vectors`` the
-    orthonormal eigenvectors as columns, (values, vectors).
+    orthonormal eigenvectors as columns, (values, vectors); of a (K, n, n)
+    stack, each patch's, (K, n) and (K, n, n).
 
     The one zero rule: an eigenvalue below 1 / n^2 is set to 0.0.  Each
     component's smallest nonzero eigenvalue is at least 4 / n^2 (Mohar,
@@ -179,7 +201,7 @@ def laplacian_spectrum(adjacency, vectors: bool = False):
     """
     lap = graph_laplacian(adjacency)
     values, vecs = np.linalg.eigh(lap) if vectors else (np.linalg.eigvalsh(lap), None)
-    values[values < 1.0 / len(lap) ** 2] = 0.0
+    values[values < 1.0 / lap.shape[-1] ** 2] = 0.0
     return (values, vecs) if vectors else values
 
 

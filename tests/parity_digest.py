@@ -1,5 +1,5 @@
-"""SHA-256 parity digest of the model's numerics, for refactors that must
-keep every output bit-identical.
+"""Parity digest of the model's numerics, for refactors that must keep
+every output bit-identical, or within a stated tolerance.
 
 For circle windows at N in {2, 5, 12, 20}, on complete and 2 m wiring and
 with the vector and zero fusion gates, it hashes the default-config loss at
@@ -10,12 +10,24 @@ itself; the last line, the digest over every case, must match:
 
     PYTHONPATH=src python tests/parity_digest.py
 
+A refactor that moves the sums of floating-point terms keeps its results
+only to a tolerance.  ``--save FILE`` stores the raw arrays of every case
+(an ``.npz``); ``--against FILE``, run on the other side, prints each
+case's worst relative difference, max |got - want| / max |want| over each
+array, and the worst of all:
+
+    PYTHONPATH=<parent>/src python tests/parity_digest.py --save parent.npz
+    PYTHONPATH=src python tests/parity_digest.py --against parent.npz
+
 Python puts this file's directory on the import path, so ``test_model``
 is found; pytest does not collect this file.
 """
 
+import argparse
 import hashlib
 import itertools
+
+import numpy as np
 
 import stedge.autodiff
 from stedge.autodiff import backward
@@ -43,31 +55,76 @@ def _recorded_loss(model, window):
     return loss, count[0]
 
 
-def case_digest(n: int, max_distance, gate: str) -> tuple[str, int]:
-    """The case's digest and the number of ops its loss records."""
+def case_arrays(n: int, max_distance, gate: str) -> tuple[dict, int]:
+    """The case's named arrays (the loss, each leaf gradient, None as an
+    empty array, and the forecast) and the number of ops its loss records."""
     model = TrajectoryForecaster(
         ModelConfig(max_distance=max_distance, fusion_gate=gate), seed=0)
     window = _circle_window(n)
-    h = hashlib.sha256()
     loss, ops = _recorded_loss(model, window)
     backward(loss)
-    h.update(loss.data.tobytes())
+    arrays = {"loss": loss.data}
     for name, p in model.params.items():
-        h.update(name.encode())
-        h.update(b"none" if p.grad is None else p.grad.tobytes())
+        arrays[f"grad/{name}"] = np.empty(0) if p.grad is None else p.grad
     track = model.predict(window)
-    for array in (track.mu, track.sigma, track.rho):
-        h.update(array.tobytes())
-    return h.hexdigest(), ops
+    arrays.update(mu=track.mu, sigma=track.sigma, rho=track.rho)
+    return arrays, ops
+
+
+def case_digest(arrays: dict) -> str:
+    h = hashlib.sha256()
+    for name, array in arrays.items():
+        if name.startswith("grad/"):
+            h.update(name[5:].encode())
+            h.update(array.tobytes() if array.size else b"none")
+        else:
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def worst_relative_difference(got: dict, want: dict) -> float:
+    """max |got - want| / max |want| over each array, the worst of them;
+    inf if the arrays' names or shapes differ."""
+    if got.keys() != want.keys():
+        return np.inf
+    worst = 0.0
+    for name, w in want.items():
+        g = got[name]
+        if g.shape != w.shape:
+            return np.inf
+        if w.size:
+            scale = np.abs(w).max()
+            diff = np.abs(g - w).max()
+            worst = max(worst, diff / scale if scale else diff)
+    return worst
 
 
 def main() -> None:
-    total = hashlib.sha256()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="FILE", help="store every case's arrays")
+    parser.add_argument("--against", metavar="FILE",
+                        help="print each case's worst relative difference to FILE's")
+    args = parser.parse_args()
+    stored = dict(np.load(args.against)) if args.against else None
+    total, saved, worst = hashlib.sha256(), {}, 0.0
     for n, max_distance, gate in itertools.product(SIZES, WIRINGS, GATES):
-        digest, ops = case_digest(n, max_distance, gate)
+        case = f"N={n:<2} max_distance={max_distance} gate={gate:<6}"
+        arrays, ops = case_arrays(n, max_distance, gate)
+        digest = case_digest(arrays)
         total.update(digest.encode())
-        print(f"N={n:<2} max_distance={max_distance} gate={gate:<6} {digest} ops={ops}")
-    print(f"all {total.hexdigest()}")
+        line = f"{case} {digest} ops={ops}"
+        key = f"{n}/{max_distance}/{gate}"
+        saved.update({f"{key}/{name}": array for name, array in arrays.items()})
+        if stored is not None:
+            want = {name[len(key) + 1:]: array for name, array in stored.items()
+                    if name.startswith(key + "/")}
+            diff = worst_relative_difference(arrays, want)
+            worst = max(worst, diff)
+            line += f" worst_rel={diff:.2e}"
+        print(line)
+    print(f"all {total.hexdigest()}" + ("" if stored is None else f" worst_rel={worst:.2e}"))
+    if args.save:
+        np.savez(args.save, **saved)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
+import stedge.autodiff
 from stedge.autodiff import (
     DisconnectedOutputError,
     GraphFreedError,
@@ -24,6 +25,7 @@ from stedge.autodiff import (
     pair_attention,
     softmax,
     tanh,
+    unfold,
     _result,
     add,
     matmul,
@@ -31,12 +33,32 @@ from stedge.autodiff import (
     sub,
 )
 
+
+
+def _patch0(edges):
+    """An (m, 2) edge list as the (m, 3) list of one patch, patch 0."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.column_stack([np.zeros(len(edges), dtype=np.int64), edges])
+
+
+def _on_route(segment, op, *args):
+    """``op(*args)`` with the segment route, or the grid route, forced; the
+    backward closure keeps the route its forward took."""
+    saved = stedge.autodiff._SEGMENT_DENSITY
+    stedge.autodiff._SEGMENT_DENSITY = 2.0 if segment else 0.0   # above or below any density
+    try:
+        return op(*args)
+    finally:
+        stedge.autodiff._SEGMENT_DENSITY = saved
+
+
 # the three edges of a triangle, and weights that make the summed outputs
 # of the fused ops depend on every entry
-_TRIANGLE_EDGES = np.array([[0, 1], [0, 2], [1, 2]])
+_TRIANGLE_EDGES = _patch0([[0, 1], [0, 2], [1, 2]])
 _WEIGHTS = np.random.default_rng(4).normal(size=(3, 4))
+_WINDOW_WEIGHTS = np.random.default_rng(5).normal(size=(2, 4, 2))   # unfold's (K, N * L, D)
 # the two edges of a three-node path: nodes 0 and 2 do not see each other
-_PATH_EDGES = np.array([[0, 1], [1, 2]])
+_PATH_EDGES = _patch0([[0, 1], [1, 2]])
 # a shift per sender that puts every row's pair sums on both sides of the
 # attention's LeakyReLU kink: a softmax cancels a row-constant receiver
 # term, so the receiver's gradient shows only where a row straddles it
@@ -225,10 +247,16 @@ def _fd_for(param, closure, eps=1e-6):
     ("elu", lambda t: elu(t).sum()),
     # pair_attention: pair sums 0.5 (t_i + t_j) +- 3 kept 1 clear of
     # LeakyReLU's kink, on both sides of it in every row
-    ("pair_attention_logits", lambda t: (pair_attention(
-        t * 0.5, t * 0.5 + _SIDES, t[0] * 0.5, _PATH_EDGES) * _WEIGHTS).sum()),
-    ("gated_neighbour_sum", lambda t: (gated_neighbour_mean(
-        t, t, _TRIANGLE_EDGES) * _WEIGHTS).sum()),
+    ("pair_attention_logits", lambda t: (_on_route(False, pair_attention, (
+        t * 0.5)[None], (t * 0.5 + _SIDES)[None], t[0] * 0.5, _PATH_EDGES)[0]
+        * _WEIGHTS).sum()),
+    ("pair_attention_segments", lambda t: (_on_route(True, pair_attention, (
+        t * 0.5)[None], (t * 0.5 + _SIDES)[None], t[0] * 0.5, _PATH_EDGES)[0]
+        * _WEIGHTS).sum()),
+    ("gated_neighbour_sum", lambda t: (_on_route(False, gated_neighbour_mean,
+        t, t[None], _TRIANGLE_EDGES)[0] * _WEIGHTS).sum()),
+    ("gated_neighbour_mean_segments", lambda t: (_on_route(True, gated_neighbour_mean,
+        t, t[None], _TRIANGLE_EDGES)[0] * _WEIGHTS).sum()),
     ("matmul_elu_matmul", lambda t: (
         matmul_elu_matmul(t, t.T * 0.5, t * 0.3) * _WEIGHTS).sum()),
     # ReLU inputs kept at least 1 clear of the kink, on both sides of it
@@ -240,6 +268,11 @@ def _fd_for(param, closure, eps=1e-6):
     ("attention", lambda t: (attention(
         t.reshape((1, 3, 4)), (t * 0.5).reshape((1, 3, 4)),
         (t * t).reshape((1, 3, 4)), 2).reshape((3, 4)) * _WEIGHTS).sum()),
+    # two queries, the last two rows, over three keys and values
+    ("attention_fewer_queries", lambda t: (attention(
+        t[None, 1:], (t * 0.5)[None], (t * t)[None], 2)[0] * _WEIGHTS[1:]).sum()),
+    # two windows of two steps, overlapping on the middle step
+    ("unfold", lambda t: (unfold(t.reshape((2, 3, 2)), 2, 1) * _WINDOW_WEIGHTS).sum()),
     ("softmax", lambda t: (softmax(t) * softmax(t)).sum()),
     ("mul", lambda t: (t * t * t).sum()),
     ("sub", lambda t: ((t - 0.3) * t).sum()),
@@ -422,7 +455,8 @@ def _sigmoid(z):
 @pytest.mark.parametrize("d", [1, 4])
 def test_gated_neighbour_sum_matches_loop(d):
     """``gated_neighbour_mean`` is the looped gated sum over each node's
-    edges, divided by the node's degree (an isolated node's by 1)."""
+    edges, divided by the node's degree (an isolated node's by 1), on
+    either route."""
     rng = np.random.default_rng(31)
     for n in (2, 3, 7):
         edges = _pairs(n, rng)
@@ -435,28 +469,32 @@ def test_gated_neighbour_sum_matches_loop(d):
             want[v] += _sigmoid(z[e]) * x[u]
             degree[[u, v]] += 1
         want /= np.maximum(degree, 1)[:, None]
-        got = gated_neighbour_mean(Tensor(z), Tensor(x), edges).data
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        for segment in (False, True):
+            got = _on_route(segment, gated_neighbour_mean, Tensor(z), Tensor(x[None]),
+                            _patch0(edges)).data[0]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 5])
 def test_gated_neighbour_sum_gradient(d):
     """``gated_neighbour_mean`` with one gate per edge and channel, at one
-    channel and at five."""
+    channel and at five, on either route."""
     rng = np.random.default_rng(32)
     n = 6
     edges = _pairs(n, rng)
     z = Tensor(rng.normal(size=(len(edges), d)), requires_grad=True)
-    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    weights = rng.normal(size=(n, d))
-    err = gradcheck(lambda: (gated_neighbour_mean(z, x, edges) * weights).sum(),
-                    [z, x], eps=1e-5)
-    assert err < 1e-6
+    x = Tensor(rng.normal(size=(1, n, d)), requires_grad=True)
+    weights = rng.normal(size=(1, n, d))
+    for segment in (False, True):
+        err = gradcheck(lambda: (_on_route(segment, gated_neighbour_mean, z, x,
+                                           _patch0(edges)) * weights).sum(),
+                        [z, x], eps=1e-5)
+        assert err < 1e-6
 
 
 def test_gated_neighbour_sum_shape_mismatch():
-    x = Tensor(np.ones((3, 2)))
-    edges = np.array([[0, 1], [1, 2]])
+    x = Tensor(np.ones((1, 3, 2)))
+    edges = _patch0([[0, 1], [1, 2]])
     with pytest.raises(ShapeMismatchError):     # two edges, three gates
         gated_neighbour_mean(Tensor(np.ones((3, 2))), x, edges)
     with pytest.raises(ShapeMismatchError):     # gates not d wide
@@ -465,43 +503,88 @@ def test_gated_neighbour_sum_shape_mismatch():
 
 def test_gated_neighbour_sum_rejects_one_gate_per_pair():
     # (m, 1) gates shared by every channel are not a layout the op takes
-    x = Tensor(np.ones((3, 2)))
+    x = Tensor(np.ones((1, 3, 2)))
     with pytest.raises(ShapeMismatchError, match=r"gates \(2, 1\)"):
-        gated_neighbour_mean(Tensor(np.ones((2, 1))), x, [[0, 1], [1, 2]])
+        gated_neighbour_mean(Tensor(np.ones((2, 1))), x, _patch0([[0, 1], [1, 2]]))
 
 
 def test_pair_attention_logits_masks_scores_and_their_gradient():
     """On the path 0 - 1 - 2, node 0 attends over {0, 1} and node 2 over
     {1, 2} as on those two nodes alone, and node 1 over all three as on
     the complete graph; a gradient on node 0's messages reaches neither
-    node 2's source row nor the receiver rows of nodes 1 and 2."""
+    node 2's source row nor the receiver rows of nodes 1 and 2.  Both
+    routes."""
     rng = np.random.default_rng(12)
-    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
-              for shape in ((3, 4), (3, 4), (4,))]
-    dst, src, att = leaves
-    out = pair_attention(dst, src, att, _PATH_EDGES)
-    first = pair_attention(dst.data[:2], src.data[:2], att.data, [[0, 1]]).data
-    last = pair_attention(dst.data[1:], src.data[1:], att.data, [[0, 1]]).data
-    full = pair_attention(dst.data, src.data, att.data, _TRIANGLE_EDGES).data
-    np.testing.assert_allclose(out.data, [first[0], full[1], last[1]],
-                               rtol=1e-14, atol=1e-14)
-    seed = np.zeros((3, 4))
-    seed[0] = rng.normal(size=4)
-    backward(out, seed)
-    assert not src.grad[2].any() and not dst.grad[1:].any()
-    assert src.grad[:2].all() and att.grad.all()
+    data = [rng.normal(size=shape) for shape in ((1, 3, 4), (1, 3, 4), (4,))]
+    seed = np.zeros((1, 3, 4))
+    seed[0, 0] = rng.normal(size=4)
+    for segment in (False, True):
+        dst, src, att = leaves = [Tensor(a, requires_grad=True) for a in data]
+        out = _on_route(segment, pair_attention, dst, src, att, _PATH_EDGES)
+        first = pair_attention(dst.data[:, :2], src.data[:, :2], att.data,
+                               _patch0([[0, 1]])).data
+        last = pair_attention(dst.data[:, 1:], src.data[:, 1:], att.data,
+                              _patch0([[0, 1]])).data
+        full = pair_attention(dst.data, src.data, att.data, _TRIANGLE_EDGES).data
+        np.testing.assert_allclose(out.data[0], [first[0, 0], full[0, 1], last[0, 1]],
+                                   rtol=1e-14, atol=1e-14)
+        backward(out, seed)
+        assert not src.grad[0, 2].any() and not dst.grad[0, 1:].any()
+        assert src.grad[0, :2].all() and att.grad.all()
+
+
+@pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
+def test_pair_ops_on_an_edge_list_that_leaves_a_node_without_edges(segment):
+    """Node 2 of patch 0 and node 0 of patch 1 have no edge: each attends
+    over itself alone, so its message is its own source row, and its gated
+    mean is 0; no gradient reaches it through another node, and a gradient
+    on its own output reaches only its own rows."""
+    rng = np.random.default_rng(13)
+    edges = np.array([[0, 0, 1], [1, 1, 2]])
+    dst, src, att = leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+                              for shape in ((2, 3, 4), (2, 3, 4), (4,))]
+    z = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    messages = _on_route(segment, pair_attention, dst, src, att, edges)
+    mean = _on_route(segment, gated_neighbour_mean, z, x, edges)
+    lonely = [(0, 2), (1, 0)]
+    for k, i in lonely:
+        np.testing.assert_array_equal(messages.data[k, i], src.data[k, i])
+        assert not mean.data[k, i].any()
+    seed = np.ones((2, 3, 4))
+    for k, i in lonely:
+        seed[k, i] = 0.0
+    backward(messages, seed)
+    backward(mean, seed)
+    for k, i in lonely:
+        assert not src.grad[k, i].any() and not dst.grad[k, i].any()
+        assert not x.grad[k, i].any()
+    other = np.ones((2, 3), dtype=bool)
+    for k, i in lonely:
+        other[k, i] = False
+    for t in leaves + [z, x]:
+        t.zero_grad()
+    seed = np.zeros((2, 3, 4))
+    seed[0, 2] = 1.0
+    backward(_on_route(segment, pair_attention, dst, src, att, edges), seed)
+    assert not src.grad[other].any() and not dst.grad.any() and not att.grad.any()
+    np.testing.assert_array_equal(src.grad[0, 2], 1.0)
 
 
 def test_fused_op_shape_mismatch():
+    edge = _patch0([[0, 1]])
     with pytest.raises(ShapeMismatchError):     # dst and src of different widths
-        pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 3))),
-                       Tensor(np.ones(2)), [[0, 1]])
-    with pytest.raises(ShapeMismatchError, match=r"\(4, 2\)"):     # a row per node each
-        pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
-                       Tensor(np.ones(2)), [[0, 1]])
+        pair_attention(Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 3, 3))),
+                       Tensor(np.ones(2)), edge)
+    with pytest.raises(ShapeMismatchError, match=r"\(1, 4, 2\)"):     # a row per node each
+        pair_attention(Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 4, 2))),
+                       Tensor(np.ones(2)), edge)
     with pytest.raises(ShapeMismatchError):     # an att of the wrong width
+        pair_attention(Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 3, 2))),
+                       Tensor(np.ones(3)), edge)
+    with pytest.raises(ShapeMismatchError):     # one patch's (n, d) rows, not (K, n, d)
         pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
-                       Tensor(np.ones(3)), [[0, 1]])
+                       Tensor(np.ones(2)), edge)
     with pytest.raises(ShapeMismatchError):     # a @ b does not fit
         matmul_elu_matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
                           Tensor(np.ones((2, 4))))
@@ -520,3 +603,7 @@ def test_fused_encoder_op_shape_mismatch():
         attention(x, x, x, 3)
     with pytest.raises(ShapeMismatchError):
         attention(x, x, Tensor(np.ones((2, 4, 4))), 2)
+    with pytest.raises(ShapeMismatchError):     # more queries than keys
+        attention(Tensor(np.ones((2, 4, 4))), x, x, 2)
+    with pytest.raises(ShapeMismatchError):     # windows longer than the steps
+        unfold(x, 4, 1)

@@ -207,6 +207,18 @@ def test_graph_stats_pair_outside_the_observed_slots_exits_2(tmp_path, capsys, p
     assert f"--pair {pair!r}" in captured.err and "[0, 8)" in captured.err
 
 
+@pytest.mark.parametrize("pair", ["1,0,7,0", "7,0,2,1"])
+def test_graph_stats_pair_naming_a_pedestrian_no_window_holds_exits_2(
+        tmp_path, capsys, pair):
+    # the scene holds pedestrians 1 and 2 only: no window could report the pair
+    scene = _scene_file(tmp_path, n_frames=21)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\n")
+    assert run(["graph-stats", "--config", str(cfg), "--pair", pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pedestrian 7" in captured.err
+
+
 def test_graph_stats_skips_a_pair_in_a_window_that_lacks_its_pedestrian(tmp_path, capsys):
     # pedestrian 3 walks the first 20 frames only: the first window holds
     # it, the second (frames 1-20) does not

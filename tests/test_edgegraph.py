@@ -23,8 +23,10 @@ from stedge.stgraph import (
     PatchGraph,
     build_node_adjacency,
     edge_list,
+    laplacian_spectrum,
     patch_graphs,
 )
+from test_autodiff import _patch0
 
 def _identity(d):
     """A gate map that hands ``hll_conv`` the filtered embedding itself."""
@@ -55,12 +57,12 @@ def _proximity_adjacencies(sizes=(3, 5, 8), seeds=range(20)):
 
 
 def _graph(adj, dists=None):
-    """The ``PatchGraph`` of an adjacency, with the given edge lengths
-    (zeros by default)."""
+    """The one-patch ``PatchGraph`` of an adjacency, with the given edge
+    lengths (zeros by default)."""
+    adj = np.asarray(adj, dtype=float)[None]
     edges = edge_list(adj)
     dists = np.zeros(len(edges)) if dists is None else np.asarray(dists, dtype=float)
-    return PatchGraph(start=0, adjacency=np.asarray(adj, dtype=float),
-                      edge_index=edges, distances=dists)
+    return PatchGraph(starts=(0,), adjacency=adj, edge_index=edges, distances=dists)
 
 
 # -- boundary operator and line graph ----------------------------------------
@@ -184,10 +186,10 @@ def test_hodge_operator_matches_dense_laplacian():
     for adj in graphs + list(_proximity_adjacencies()):
         b1 = boundary_operator(adj)
         hodge = hodge_operator(_graph(adj))
-        assert hodge.lam == max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
+        assert hodge.lam[0] == max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
         x = rng.normal(size=b1.shape[1])
         got = hodge @ x
-        want = hodge_laplacian(b1) @ x / hodge.lam
+        want = hodge_laplacian(b1) @ x / hodge.lam[0]
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(
             1.0, np.abs(want).max(initial=0.0))
@@ -201,7 +203,7 @@ def test_hodge_operator_bounds_spectrum():
         b1 = boundary_operator(adj)
         hodge = hodge_operator(_graph(adj))
         true_max = np.linalg.eigvalsh(hodge_laplacian(b1)).max()
-        assert hodge.lam == pytest.approx(true_max, rel=1e-12)
+        assert hodge.lam[0] == pytest.approx(true_max, rel=1e-12)
         columns = [hodge @ e for e in np.eye(b1.shape[1])]
         scaled = np.linalg.eigvalsh(np.stack(columns, axis=1))
         assert abs(scaled.max() - 1.0) <= 1e-12
@@ -212,10 +214,40 @@ def test_hodge_operator_shapes():
     graph = _graph(build_node_adjacency(2, 3))
     hodge = hodge_operator(graph)
     assert hodge.edge_index is graph.edge_index
-    assert hodge.edge_index.shape == (15, 2)
-    assert hodge.lam == pytest.approx(6.0, rel=1e-12)   # n on a complete graph
+    assert hodge.edge_index.shape == (15, 3) and hodge.nodes == 6
+    assert hodge.lam.shape == (1,)
+    assert hodge.lam[0] == pytest.approx(6.0, rel=1e-12)   # n on a complete graph
     assert (hodge @ np.ones(15)).shape == (15,)
-    assert hodge_operator(_graph(np.zeros((3, 3)))).lam == 1e-6  # edgeless
+    assert hodge_operator(_graph(np.zeros((3, 3)))).lam[0] == 1e-6  # edgeless
+
+
+def test_stacked_patches_match_each_patch_alone():
+    """A window's K patches in one ``PatchGraph``: the stacked spectrum, each
+    patch's lam and every Laguerre basis are each patch's alone, bit for
+    bit, and ``hll_conv``'s gates to 1e-12."""
+    rng = np.random.default_rng(16)
+    obs = rng.uniform(0.0, 4.0, size=(6, 8, 2))
+    obs[:, 2:5] += 40.0 * np.arange(6)[:, None, None]   # slots 2-4: nearest-neighbour ties only
+    graph = patch_graphs(obs, 1, 1, max_distance=1.5)
+    assert len(set(graph.edge_counts.tolist())) > 1
+    stacked = laplacian_spectrum(graph.adjacency)
+    hodge = hodge_operator(graph)
+    coeffs = Tensor(rng.normal(size=(3, 4)))
+    phi = Tensor(rng.normal(size=(4, 4)))
+    gates = hll_conv(graph, coeffs, phi).data
+    bases = laguerre_basis(hodge, graph.distances, 4)
+    lo = 0
+    for k in range(len(graph.starts)):
+        patch = graph.patch(k)
+        hi = lo + len(patch.edge_index)
+        np.testing.assert_array_equal(stacked[k], laplacian_spectrum(graph.adjacency[k]))
+        assert hodge.lam[k] == hodge_operator(patch).lam[0]
+        for got, want in zip(bases, laguerre_basis(hodge_operator(patch), patch.distances, 4)):
+            np.testing.assert_array_equal(got[lo:hi], want)
+        want = hll_conv(patch, coeffs, phi).data
+        assert np.abs(gates[lo:hi] - want).max() <= 1e-12 * np.abs(want).max()
+        lo = hi
+    assert lo == len(graph.edge_index)
 
 
 def _pair_grid_basis(adj, lam, x, order):
@@ -257,7 +289,7 @@ def test_edge_vector_basis_matches_pair_grid_bit_for_bit():
         hodge = hodge_operator(graph)
         for order in range(1, 6):
             got = laguerre_basis(hodge, graph.distances, order)
-            want = _pair_grid_basis(adj, hodge.lam, graph.distances, order)
+            want = _pair_grid_basis(adj, hodge.lam[0], graph.distances, order)
             assert len(got) == len(want) == order
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -279,7 +311,7 @@ def test_node_route_matches_dense_line_graph_and_l1():
         want = np.linalg.eigvalsh(hodge_laplacian(boundary_operator(adj)))
         assert spectrum.shape == want.shape
         assert np.abs(spectrum - want).max(initial=0.0) <= 1e-9
-        assert hodge_operator(graph).lam == max(spectrum.max(initial=0.0), 1e-6)
+        assert hodge_operator(graph).lam[0] == max(spectrum.max(initial=0.0), 1e-6)
 
 
 # -- Laguerre filtering ---------------------------------------------------------
@@ -340,7 +372,8 @@ def test_hll_conv_zero_laplacian_collapses_to_sum(monkeypatch):
     graph = _graph(TRIANGLE, dists)
     # an infinite scale makes L1 / lam the zero operator
     monkeypatch.setattr(stedge.edgegraph, "hodge_operator",
-                        lambda g: HodgeOperator(edge_index=g.edge_index, lam=math.inf))
+                        lambda g: HodgeOperator(edge_index=g.edge_index,
+                                                lam=np.array([math.inf]), nodes=3))
     w = rng.normal(size=(1, 4))
     out = hll_conv(graph, Tensor(np.repeat(w / 3.0, 3, axis=0)), _identity(4))
     lin = dists[:, None] @ w
@@ -355,7 +388,7 @@ def test_hll_conv_matches_spectral_oracle():
     coeffs = rng.normal(size=(3, 4))
     out = hll_conv(graph, Tensor(coeffs), _identity(4))
     w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
-                          / hodge_operator(graph).lam)
+                          / hodge_operator(graph).lam[0])
     pre = np.zeros((3, 4))
     for j in range(3):
         scalars = np.array([laguerre_scalars(float(lam), 3)[j] for lam in w])
@@ -429,7 +462,7 @@ def test_hll_conv_matches_dense_laplacian(name):
     if name.startswith("complete"):
         lams.append(_power_iteration_lambda(l1))
     for lam in lams:
-        assert hodge_operator(graph).lam == pytest.approx(lam, rel=1e-12)
+        assert hodge_operator(graph).lam[0] == pytest.approx(lam, rel=1e-12)
         # a walked graph is freed, so each pass slices the rows anew
         want = output_and_grad(lambda: _dense_hll_conv(
             l1 / lam, Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)]))
@@ -467,7 +500,7 @@ def test_filter_on_distances_matches_embed_then_filter(name):
     got = output_and_grads(lambda: hll_conv(
         graph, concatenate([w_embed @ t for t in thetas]), _identity(6)))
     want = output_and_grads(lambda: _embed_then_filter(
-        dists, w_embed, thetas, hodge_laplacian(b1) / hodge_operator(graph).lam))
+        dists, w_embed, thetas, hodge_laplacian(b1) / hodge_operator(graph).lam[0]))
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
@@ -542,11 +575,11 @@ def test_edge_branch_matches_incidence_reference(name):
     def edge_branch():
         coeffs = concatenate([leaves["w_embed"] @ t for t in thetas])
         gates = hll_conv(graph, coeffs, leaves["phi"])
-        return gates, fusion_gcn(leaves["h_node"], gates, graph.edge_index,
-                                 leaves["theta"])
+        return gates, fusion_gcn(leaves["h_node"][None], gates, graph.edge_index,
+                                 leaves["theta"])[0]
 
     b1 = boundary_operator(adj)
-    assert hodge_operator(graph).lam == np.linalg.eigvalsh(b1 @ b1.T)[-1]
+    assert hodge_operator(graph).lam[0] == np.linalg.eigvalsh(b1 @ b1.T)[-1]
     got = outputs_and_grads(edge_branch)
     want = outputs_and_grads(lambda: _incidence_edge_branch(
         adj, dists, leaves["w_embed"], thetas, leaves["h_node"], leaves["theta"],
@@ -563,8 +596,8 @@ def test_edge_distances_values():
                     [[0.0, 4.0], [3.0, 4.0], [3.0, 0.0]]])
 
     def lengths(obs, max_distance=None):
-        (graph,) = patch_graphs(obs, 3, 1, max_distance)
-        return dict(zip(map(tuple, graph.edge_index.tolist()), graph.distances))
+        graph = patch_graphs(obs, 3, 1, max_distance)     # one patch, k = 0
+        return dict(zip(map(tuple, graph.edge_index[:, 1:].tolist()), graph.distances))
 
     d = lengths(obs)
     assert d[0, 1] == pytest.approx(1.0)    # same ped, adjacent frames
@@ -582,16 +615,16 @@ def test_edge_distances_values():
 
 def test_fusion_zero_gate_is_pure_self_term():
     rng = np.random.default_rng(7)
-    h_node = Tensor(rng.normal(size=(3, 4)))
+    h_node = Tensor(rng.normal(size=(1, 3, 4)))
     theta = Tensor(rng.normal(size=(4, 4)))
-    out = fusion_gcn(h_node, None, edge_list(TRIANGLE), theta)
+    out = fusion_gcn(h_node, None, _patch0(edge_list(TRIANGLE)), theta)
     t = h_node.data @ theta.data
     np.testing.assert_allclose(out.data, np.where(t >= 0, t, np.expm1(t)), atol=1e-12)
 
 
 def test_fusion_single_node_no_neighbours():
     rng = np.random.default_rng(8)
-    h_node = Tensor(rng.normal(size=(1, 4)))
+    h_node = Tensor(rng.normal(size=(1, 1, 4)))
     theta = Tensor(rng.normal(size=(4, 4)))
     out = fusion_gcn(h_node, None, (), theta)
     t = h_node.data @ theta.data
@@ -600,24 +633,24 @@ def test_fusion_single_node_no_neighbours():
 
 def test_fusion_two_nodes_matches_scalar_oracle():
     # 2-node graph, scalar features, hand-evaluated update with gate sigma(z)
-    h_node = Tensor(np.array([[0.7], [-0.4]]))
+    h_node = Tensor(np.array([[[0.7], [-0.4]]]))
     gates = Tensor(np.array([[1.8]]))
     theta = Tensor(np.array([[1.3]]))
-    out = fusion_gcn(h_node, gates, ((0, 1),), theta)
+    out = fusion_gcn(h_node, gates, ((0, 0, 1),), theta).data[0]
     gate = 1.0 / (1.0 + math.exp(-1.8))
     pre0 = 1.3 * 0.7 + gate * (1.3 * -0.4)
     pre1 = 1.3 * -0.4 + gate * (1.3 * 0.7)
     want = [[pre0 if pre0 >= 0 else math.expm1(pre0)],
             [pre1 if pre1 >= 0 else math.expm1(pre1)]]
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_fusion_gate_saturated_to_one_sums_neighbours():
     rng = np.random.default_rng(9)
-    h_node = Tensor(rng.normal(size=(3, 2)))
+    h_node = Tensor(rng.normal(size=(1, 3, 2)))
     gates = Tensor(np.full((3, 2), 1e6))  # the sigmoid gate saturates to 1
     theta = Tensor(rng.normal(size=(2, 2)))
-    out = fusion_gcn(h_node, gates, edge_list(TRIANGLE), theta)
+    out = fusion_gcn(h_node, gates, _patch0(edge_list(TRIANGLE)), theta)
     t = h_node.data @ theta.data
     pre = t + (TRIANGLE @ t) / 2.0  # every triangle node has degree 2
     np.testing.assert_allclose(out.data, np.where(pre >= 0, pre, np.expm1(pre)),
@@ -626,10 +659,10 @@ def test_fusion_gate_saturated_to_one_sums_neighbours():
 
 def test_fusion_gradients_match_central_differences():
     rng = np.random.default_rng(10)
-    h_node = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    h_node = Tensor(rng.normal(size=(1, 2, 3)), requires_grad=True)
     gates = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     theta = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     err = gradcheck(
-        lambda: fusion_gcn(h_node, gates, ((0, 1),), theta).sum(),
+        lambda: fusion_gcn(h_node, gates, ((0, 0, 1),), theta).sum(),
         [h_node, gates, theta], eps=1e-5)
     assert err < 1e-5

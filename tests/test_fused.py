@@ -3,7 +3,9 @@ they replace: outputs and every input gradient, per op and through the
 whole model, and the size of the tape they leave.  Likewise the folds that
 record one op per job: the attention's mask, softmax and weighted sum
 inside one op, the pooling of all patches at once and the likelihood
-standardised whole."""
+standardised whole.  The unfused chains run one patch at a time, so they
+are also the per-patch loop that the graph stage's K patches in one op
+replaced."""
 
 import math
 import os
@@ -39,10 +41,14 @@ from stedge.model import (
     ModelConfig,
     TrajectoryForecaster,
     WindowTooLargeError,
+    step_bytes,
     tape_bytes,
 )
-from stedge.predictor import LOG_TWO_PI, bivariate_nll, stack_and_pool
-from stedge.stgraph import patch_graphs
+from stedge.data import init_features
+from stedge.edgegraph import fusion_gcn, hll_conv
+from stedge.predictor import (LOG_TWO_PI, assemble_tokens, bivariate_nll, encoder_forward,
+                              gaussian_parameters, stack_and_pool)
+from stedge.stgraph import gat_layer, patch_graphs
 
 from test_model import SMALL, _circle_window
 
@@ -60,11 +66,39 @@ def _leaky_relu(x, negative_slope):
 
 
 def _neighbour_mask(edge_index, n):
-    """1 where node j is node i's neighbour or i itself, else 0, (n, n)."""
+    """1 where node j is node i's neighbour or i itself, else 0, (n, n),
+    of one patch's (m, 2) edge list."""
     mask = np.eye(n)
     u, v = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2).T
     mask[u, v] = mask[v, u] = 1.0
     return mask
+
+
+def _per_patch(chain):
+    """A one-patch chain of (n, d) operands and an (m, 2) edge list, run on
+    each patch of (K, n, d) operands and a patch-tagged (M, 3) edge list
+    in turn, the K results joined again as (K, n, d).  The first operand is
+    the (M, d) gates if ``chain`` takes them (``edge_rows``)."""
+
+    def run(*args, edge_rows=False):
+        *operands, edge_index = args
+        edges = np.asarray(edge_index, dtype=np.int64).reshape(-1, 3)
+        patches = next(op.shape[0] for op in operands if op.ndim == 3)
+        out = []
+        for k in range(patches):
+            mine = edges[:, 0] == k
+            lo, hi = np.searchsorted(edges[:, 0], [k, k + 1])
+            assert mine[lo:hi].all() and mine.sum() == hi - lo    # sorted by patch
+            # of one patch a reshape: a slice's backward adds its gradient
+            # onto zeros, which turns -0.0 into 0.0
+            patch = [op[lo:hi] if edge_rows and i == 0 else op if op.ndim != 3
+                     else op[k] if patches > 1 else op.reshape(op.shape[1:])
+                     for i, op in enumerate(operands)]
+            result = chain(*patch, edges[lo:hi, 1:])
+            out.append(result.reshape((1,) + result.shape))
+        return concatenate(out)
+
+    return run
 
 
 def _mask_add(scores, mask):
@@ -73,6 +107,7 @@ def _mask_add(scores, mask):
     return scores + Tensor((np.asarray(mask) - 1.0) * 1e30)
 
 
+@_per_patch
 def _unfused_pair_attention(dst, src, att, edge_index):
     """The (n, n, d) pair sum, its rectifier, the product with att, the
     mask add, the softmax and the weighted sum of ``src``, each recorded."""
@@ -112,6 +147,7 @@ def _pair_scores(dst, src, att):
     return stedge.autodiff._result(data, "pair_scores", (dst, src, att), backward_fn)
 
 
+@_per_patch
 def _chained_pair_attention(dst, src, att, edge_index):
     """``pair_attention`` as the chain of recorded ops it folds: the
     scores, the add of -1e30 off the neighbour mask, ``softmax`` and the
@@ -121,10 +157,11 @@ def _chained_pair_attention(dst, src, att, edge_index):
 
 
 def _pooled_per_patch(patch_embeddings, n_peds, length):
-    """Each patch reshaped and mean-pooled on its own, the K tokens joined."""
-    d = patch_embeddings[0].shape[1]
-    return concatenate([h.reshape((n_peds, length, d)).mean(axis=1, keepdims=True)
-                        for h in patch_embeddings], axis=1)
+    """Each patch sliced, reshaped and mean-pooled on its own, the K tokens
+    joined."""
+    patches, _, d = patch_embeddings.shape
+    return concatenate([patch_embeddings[k].reshape((n_peds, length, d))
+                        .mean(axis=1, keepdims=True) for k in range(patches)], axis=1)
 
 
 def _sliced_nll(mu, log_sigma, rho, targets):
@@ -140,6 +177,11 @@ def _sliced_nll(mu, log_sigma, rho, targets):
 
 
 def _unfused_gated_neighbour_mean(z, x, edge_index):
+    """The one-patch chain below on each of K patches (``_per_patch``)."""
+    return _per_patch(_unfused_patch_gated_mean)(z, x, edge_index, edge_rows=True)
+
+
+def _unfused_patch_gated_mean(z, x, edge_index):
     """The sigmoid from tanh, the messages moved by one-hot edge selectors
     and the division by each node's degree, each step recorded."""
     idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
@@ -171,14 +213,14 @@ def _unfused_layer_norm(x, gain, bias):
 def _unfused_attention(q, k, v, heads):
     """Heads split by reshape and transpose, the scaled scores, the softmax
     and the weighted sum, each recorded."""
-    n, t, e = q.shape
+    n, s, e = q.shape
     dh = e // heads
 
     def split(a):
-        return a.reshape((n, t, heads, dh)).transpose((0, 2, 1, 3))
+        return a.reshape((n, a.shape[1], heads, dh)).transpose((0, 2, 1, 3))
 
     scores = (split(q) @ split(k).transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    return (softmax(scores) @ split(v)).transpose((0, 2, 1, 3)).reshape((n, t, e))
+    return (softmax(scores) @ split(v)).transpose((0, 2, 1, 3)).reshape((n, s, e))
 
 
 def _outputs_and_grads(run, leaves, seed):
@@ -210,54 +252,79 @@ def _assert_bit_parity(folded, chain, leaves, seed=None):
 # -- per op ----------------------------------------------------------------------------
 
 
+def _random_patches(rng, patches, n, density):
+    """A (M, 3) edge list of ``patches`` random graphs of n nodes, each pair
+    an edge with probability ``density``; patch 1 of three or more has no
+    edge, and node 0 of patch 0 none."""
+    edges = []
+    for k in range(patches):
+        adj = np.triu(rng.random((n, n)) < density, 1)
+        if k == 0:
+            adj[0] = False      # its column is empty above the diagonal already
+        if k == 1 and patches >= 3:
+            adj[:] = False
+        pairs = np.argwhere(adj)
+        edges.append(np.column_stack([np.full(len(pairs), k), pairs]))
+    return np.concatenate(edges).reshape(-1, 3)
+
+
+def _route(segment, monkeypatch):
+    """Force the segment route of the pair ops, or the grid route."""
+    monkeypatch.setattr(stedge.autodiff, "_SEGMENT_DENSITY", 2.0 if segment else 0.0)
+
+
 @pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative", "row_blocks"])
-def test_pair_attention_logits_matches_unfused_chain(case):
+def test_pair_attention_logits_matches_unfused_chain(case, monkeypatch):
     """``pair_attention``, whose scores, softmax and weighted sum are one
-    op, against the recorded chain, over a graph that keeps about two in
-    three pairs."""
-    n, d = (150, 16) if case == "row_blocks" else (7, 6)
+    op for all patches, against the recorded chain run patch by patch,
+    over graphs that keep about two in three pairs, on each route."""
+    patches, n, d = (2, 150, 16) if case == "row_blocks" else (4, 7, 6)
     rng = np.random.default_rng(41)
-    dst = rng.normal(size=(n, d))
-    src = rng.normal(size=(n, d))
+    dst = rng.normal(size=(patches, n, d))
+    src = rng.normal(size=(patches, n, d))
     if case.startswith("all_"):
         shift = 10.0 if case == "all_positive" else -10.0
         dst, src = dst + shift / 2, src + shift / 2
-        assert np.all(np.sign(dst[:, None] + src[None]) == np.sign(shift))
+        assert np.all(np.sign(dst[:, :, None] + src[:, None]) == np.sign(shift))
     leaves = [Tensor(dst, requires_grad=True), Tensor(src, requires_grad=True),
               Tensor(rng.normal(size=d), requires_grad=True)]
-    edges = np.argwhere(np.triu(rng.random((n, n)) < 0.67, 1))
-    _assert_parity(lambda *t: pair_attention(*t, edges),
-                   lambda *t: _unfused_pair_attention(*t, edges),
-                   leaves, rng.normal(size=(n, d)))
+    edges = _random_patches(rng, patches, n, 0.67)
+    seed = rng.normal(size=(patches, n, d))
+    for segment in (False, True):
+        _route(segment, monkeypatch)
+        _assert_parity(lambda *t: pair_attention(*t, edges),
+                       lambda *t: _unfused_pair_attention(*t, edges), leaves, seed)
 
 
 @pytest.mark.parametrize("n", [1, 6, 150])
-def test_masked_scores_match_the_mask_add_bit_for_bit(n):
-    """The mask, softmax and weighted sum inside ``pair_attention`` against
-    the recorded add of the -1e30 constant after the scores, ``softmax``
-    and ``linear``: the messages and every input gradient bit for bit."""
+def test_masked_scores_match_the_mask_add_bit_for_bit(n, monkeypatch):
+    """The mask, softmax and weighted sum inside ``pair_attention``'s grid
+    route against the recorded add of the -1e30 constant after the scores,
+    ``softmax`` and ``linear``, on one patch: the messages and every input
+    gradient bit for bit.  (Over several patches the gradient of the
+    shared ``att`` sums the patches' terms in another order.)"""
     rng = np.random.default_rng(47)
-    edges = np.argwhere(np.triu(rng.random((n, n)) < 0.4, 1))
+    edges = np.argwhere(np.triu(rng.random((n, n)) < 0.4, 1)[None])
     leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
-              for shape in ((n, 16), (n, 16), (16,))]
+              for shape in ((1, n, 16), (1, n, 16), (16,))]
+    _route(False, monkeypatch)
     _assert_bit_parity(lambda *t: pair_attention(*t, edges),
                        lambda *t: _chained_pair_attention(*t, edges),
-                       leaves, rng.normal(size=(n, 16)))
+                       leaves, rng.normal(size=(1, n, 16)))
 
 
 @pytest.mark.parametrize("k,n_peds,length", [(1, 1, 1), (6, 5, 3), (3, 4, 2)])
 def test_pooling_all_patches_matches_the_per_patch_loop(k, n_peds, length):
     rng = np.random.default_rng(48)
-    leaves = [Tensor(rng.normal(size=(n_peds * length, 8)), requires_grad=True)
-              for _ in range(k)]
-    _assert_bit_parity(lambda *h: stack_and_pool(list(h), n_peds, length),
-                       lambda *h: _pooled_per_patch(list(h), n_peds, length),
+    leaves = [Tensor(rng.normal(size=(k, n_peds * length, 8)), requires_grad=True)]
+    _assert_bit_parity(lambda h: stack_and_pool(h, n_peds, length),
+                       lambda h: _pooled_per_patch(h, n_peds, length),
                        leaves, rng.normal(size=(n_peds, k, 8)))
 
 
 def test_pooling_names_a_patch_of_the_wrong_row_count():
-    blocks = [Tensor(np.ones((6, 2))), Tensor(np.ones((4, 2)))]
-    with pytest.raises(ShapeMismatchError, match=r"rows \[6, 4\] != n_peds\*length 6"):
+    blocks = Tensor(np.ones((2, 4, 2)))
+    with pytest.raises(ShapeMismatchError, match=r"rows 4 != n_peds\*length 6"):
         stack_and_pool(blocks, n_peds=2, length=3)
 
 
@@ -273,19 +340,22 @@ def test_whole_standardised_likelihood_matches_the_sliced_one(shape):
 
 
 @pytest.mark.parametrize("case", ["mixed", "saturated", "channel_blocks"])
-def test_gated_neighbour_sum_matches_unfused_chain(case):
-    n, d = (60, 64) if case == "channel_blocks" else (9, 5)
+def test_gated_neighbour_sum_matches_unfused_chain(case, monkeypatch):
+    patches, n, d = (6, 60, 64) if case == "channel_blocks" else (3, 9, 5)
     rng = np.random.default_rng(42)
-    edges = np.argwhere(np.triu(rng.random((n, n)) < 0.6, 1))
+    edges = _random_patches(rng, patches, n, 0.6)
     z = rng.normal(size=(len(edges), d)) * 3.0
     if case == "saturated":
         z[::2] = 40.0
         z[1::4] = -40.0
     leaves = [Tensor(z, requires_grad=True),
-              Tensor(rng.normal(size=(n, d)), requires_grad=True)]
-    _assert_parity(lambda z_, x_: gated_neighbour_mean(z_, x_, edges),
-                   lambda z_, x_: _unfused_gated_neighbour_mean(z_, x_, edges),
-                   leaves, rng.normal(size=(n, d)))
+              Tensor(rng.normal(size=(patches, n, d)), requires_grad=True)]
+    seed = rng.normal(size=(patches, n, d))
+    for segment in (False, True):
+        _route(segment, monkeypatch)
+        _assert_parity(lambda z_, x_: gated_neighbour_mean(z_, x_, edges),
+                       lambda z_, x_: _unfused_gated_neighbour_mean(z_, x_, edges),
+                       leaves, seed)
 
 
 @pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative"])
@@ -353,6 +423,11 @@ def test_attention_matches_unfused_chain(heads, t):
                    leaves, rng.normal(size=shape))
     assert attention(*leaves, heads).data.tobytes() == \
         _unfused_attention(*leaves, heads).data.tobytes()
+    # the last queries alone, over every key and value
+    queries = Tensor(leaves[0].data[:, -1:], requires_grad=True)
+    _assert_parity(lambda q, k, v: attention(q, k, v, heads),
+                   lambda q, k, v: _unfused_attention(q, k, v, heads),
+                   [queries] + leaves[1:], rng.normal(size=(3, 1, 8)))
 
 
 # -- through the model -----------------------------------------------------------------
@@ -395,38 +470,114 @@ def test_model_matches_unfused_forward(n, max_distance, gate, monkeypatch):
 @pytest.mark.parametrize("max_distance", [None, 2.0])
 @pytest.mark.parametrize("n", [2, 12])
 def test_model_matches_the_unfolded_glue_bit_for_bit(n, max_distance, gate, monkeypatch):
-    """The default-config loss, every parameter gradient and the forecast
-    bit for bit, with the attention's mask, softmax and weighted sum in one
-    op, the pooling of all patches at once and the whole-array likelihood,
-    and with the chain of the scores, the mask add, ``softmax`` and
-    ``linear``, the per-patch pooling loop and the sliced likelihood
-    patched in."""
+    """The default-config loss and the forecast bit for bit, and every
+    parameter gradient to 1e-12, with the attention's mask, softmax and
+    weighted sum in one op (the grid route), the pooling of all patches at
+    once and the whole-array likelihood, and with the chain of the scores,
+    the mask add, ``softmax`` and ``linear`` run patch by patch, the
+    per-patch pooling loop and the sliced likelihood patched in.  The
+    chain's gradients of the graph stage's shared parameters sum the
+    patches' terms in another order."""
     cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(n)
+    _route(False, monkeypatch)
 
     def run():
         loss, grads = _loss_and_grads(cfg, window)
         track = TrajectoryForecaster(cfg, seed=0).predict(window)
-        return [np.float64(loss)] + [g for g in grads.values() if g is not None] \
-            + [track.mu, track.sigma, track.rho]
+        return [np.float64(loss), track.mu, track.sigma, track.rho], \
+            [g for g in grads.values() if g is not None]
 
-    got = run()
+    got, got_grads = run()
     monkeypatch.setattr(stedge.stgraph, "pair_attention", _chained_pair_attention)
     monkeypatch.setattr(stedge.model, "stack_and_pool", _pooled_per_patch)
     monkeypatch.setattr(stedge.model, "bivariate_nll", _sliced_nll)
-    want = run()
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    want, want_grads = run()
+    for g, w in zip(got, want, strict=True):
         assert g.tobytes() == w.tobytes()
+    _assert_close(got_grads, want_grads)
 
 
-def test_default_loss_records_147_ops_and_no_pair_array(monkeypatch):
-    """One recorded op per job: 147 ops, 125 under the zero gate.  It was
-    187 before the mask moved into the scores and the pooling and the
-    likelihood's standardisation were each folded into one array, and 165
-    (137) before the attention's softmax and weighted sum and the fusion's
-    division by the degree moved into their ops.  No op records an (n, n)
-    array over a patch's n nodes."""
+def _per_patch_forward(model, window, params=None):
+    """``TrajectoryForecaster.forward`` as it ran one patch at a time: each
+    patch's slice, attention, edge filter (lam of that patch alone) and
+    fusion, the K results joined for pooling, and an encoder whose last
+    layer computes every row."""
+    cfg = model.cfg
+    params = model.params if params is None else params
+    graph = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride, cfg.max_distance)
+    x = init_features(window.obs, params) @ params["feat.w_proj"]
+    n, d = window.n_peds * cfg.patch_len, cfg.model_dim
+    fused = []
+    for k, start in enumerate(graph.starts):
+        patch = graph.patch(k)
+        z = x[:, start:start + cfg.patch_len, :].reshape((1, n, d))
+        h = gat_layer(z, patch.edge_index, params["gat.theta"], params["gat.theta_dst"],
+                      params["gat.att"])
+        gates = None
+        if cfg.fusion_gate != "zero" and len(patch.edge_index):
+            coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
+                                  for j in range(cfg.hll_order)])
+            gates = hll_conv(patch, coeffs, params["fuse.phi"])
+        fused.append(z + fusion_gcn(h, gates, patch.edge_index, params["fuse.theta"]))
+    pooled = stack_and_pool(concatenate(fused), window.n_peds, cfg.patch_len)
+    tokens = assemble_tokens(pooled, params["pred.placeholder"], params["pred.positional"])
+    y_repr = encoder_forward(linear(tokens, params["enc.in_w"], params["enc.in_b"]),
+                             params, heads=cfg.encoder_heads, layers=cfg.encoder_layers)
+    return gaussian_parameters(y_repr, params["head.w"], params["head.b"], cfg.t_pred)
+
+
+def _loss_grads_and_forecast(cfg, window):
+    loss, grads = _loss_and_grads(cfg, window)
+    track = TrajectoryForecaster(cfg, seed=0).predict(window)
+    return [np.float64(loss)] + [g for g in grads.values() if g is not None] \
+        + [track.mu, track.sigma, track.rho]
+
+
+@pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
+@pytest.mark.parametrize("gate", ["vector", "zero"])
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+@pytest.mark.parametrize("n", [2, 5, 12, 20])
+def test_one_graph_stage_per_window_matches_the_per_patch_loop(
+        n, max_distance, gate, segment, monkeypatch):
+    """The default-config loss, every parameter gradient and the forecast
+    to 1e-12, with the graph stage run once on all K patches and the last
+    encoder layer on the T_pred rows the head reads, and with the loop over
+    the patches and the full last layer patched in; each route forced on
+    both sides in turn."""
+    cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
+    window = _circle_window(n)
+    _route(segment, monkeypatch)
+    got = _loss_grads_and_forecast(cfg, window)
+    monkeypatch.setattr(TrajectoryForecaster, "forward", _per_patch_forward)
+    _assert_close(got, _loss_grads_and_forecast(cfg, window))
+
+
+@pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
+def test_one_walker_window_of_single_slot_patches_has_no_edge(segment, monkeypatch):
+    """One walker and ``patch_len`` 1: eight one-node patches and no edge
+    anywhere, so each node attends over itself alone and the edge branch
+    does not run; the loss, its gradients and the forecast still match
+    the per-patch loop."""
+    cfg = replace(SMALL, patch_len=1)
+    window = _circle_window(1)
+    graph = patch_graphs(window.obs, 1, 1, cfg.max_distance)
+    assert graph.adjacency.shape == (8, 1, 1) and graph.edge_index.shape == (0, 3)
+    _route(segment, monkeypatch)
+    got = _loss_grads_and_forecast(cfg, window)
+    assert all(np.isfinite(g).all() for g in got)
+    monkeypatch.setattr(TrajectoryForecaster, "forward", _per_patch_forward)
+    _assert_close(got, _loss_grads_and_forecast(cfg, window))
+
+
+def test_default_loss_records_87_ops_at_any_patch_count_and_no_pair_array(monkeypatch):
+    """One recorded op per job and window: 87 ops, 80 under the zero gate,
+    at K = 6 patches (stride 1) and at K = 3 (stride 2).  It was 147 (125)
+    while the graph stage ran once per patch and the last encoder layer
+    computed every row, 165 (137) before the attention's softmax and
+    weighted sum and the fusion's division by the degree moved into their
+    ops, and 187 before that.  No op records an (n, n) array over a patch's
+    n nodes."""
     recorded, record_op = [], stedge.autodiff._result
 
     def recording(data, op, parents, backward_fn):
@@ -435,14 +586,15 @@ def test_default_loss_records_147_ops_and_no_pair_array(monkeypatch):
 
     monkeypatch.setattr(stedge.autodiff, "_result", recording)
     n = 5 * ModelConfig().patch_len
-    for gate, count in (("vector", 147), ("zero", 125)):
-        recorded.clear()
-        cfg = ModelConfig(fusion_gate=gate)
-        TrajectoryForecaster(cfg, seed=0).loss(_circle_window(5))
-        ops = [op for op, _ in recorded]
-        assert len(ops) == count
-        assert ops.count("pair_attention") == cfg.n_patches and "softmax" not in ops
-        assert (n, n) not in [shape for _, shape in recorded]
+    for stride in (1, 2):
+        for gate, count in (("vector", 87), ("zero", 80)):
+            recorded.clear()
+            cfg = ModelConfig(fusion_gate=gate, patch_stride=stride)
+            TrajectoryForecaster(cfg, seed=0).loss(_circle_window(5))
+            ops = [op for op, _ in recorded]
+            assert len(ops) == count
+            assert ops.count("pair_attention") == 1 and "softmax" not in ops
+            assert not [shape for _, shape in recorded if shape[-2:] == (n, n)]
 
 
 @pytest.mark.parametrize("max_distance", [None, 2.0])
@@ -502,7 +654,7 @@ def test_tape_of_a_20_walker_window_stays_under_40_mib():
 def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
     """``predict`` keeps no op's parents or closure and touches no
     gradient; the loss and backward after it are those of a model that
-    never forecast, on the full 147-op tape."""
+    never forecast, on the full 87-op tape."""
     window = _circle_window(5)
     want_loss, want_grads = _loss_and_grads(ModelConfig(), window)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
@@ -521,7 +673,7 @@ def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
 
     outputs.clear()
     loss = model.loss(window)
-    assert len(outputs) == 147
+    assert len(outputs) == 87
     backward(loss)
     assert loss.item() == want_loss
     for name, p in model.params.items():
@@ -552,9 +704,8 @@ def test_tape_estimate_is_within_10_percent(cfg, max_distance, gate):
     cfg = replace(cfg, max_distance=max_distance, fusion_gate=gate)
     for n in (2, 5, 20):
         window = _circle_window(n)
-        edges = [len(g.edge_index) for g in
-                 patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
-                              cfg.max_distance)]
+        edges = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                             cfg.max_distance).edge_counts
         measured = _tape_bytes(TrajectoryForecaster(cfg, seed=0).loss(window))
         assert abs(tape_bytes(cfg, n, edges) - measured) <= 0.1 * measured
 
@@ -563,19 +714,18 @@ def test_tape_estimate_is_within_10_percent(cfg, max_distance, gate):
 @pytest.mark.parametrize("max_distance", [None, 2.0])
 @pytest.mark.parametrize("n", [5, 20])
 def test_guard_covers_the_traced_peak_of_a_training_step(n, max_distance, gate):
-    """The sum the guard refuses a window on, added up as ``forward`` adds
-    it (the tape, 8 bytes per parameter value for the gradients and the
-    edge branch's backward temporaries), is at least the traced peak of one
-    loss and its backward: what the closures keep and what the backward
-    allocates in passing are covered too."""
+    """The sum the guard refuses a window on, the three terms of
+    ``step_bytes`` as ``forward`` adds them (the tape, 8 bytes per
+    parameter value for the gradients and the edge branch's backward
+    temporaries), is at least the traced peak of one loss and its
+    backward: what the closures keep and what the backward allocates in
+    passing are covered too."""
     cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(n)
     model = TrajectoryForecaster(cfg, seed=0)
-    edges = [len(g.edge_index) for g in
-             patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride, cfg.max_distance)]
-    guarded = (tape_bytes(cfg, n, edges) + 8 * model.params.n_values()
-               + 8 * stedge.model._EDGE_BACKWARD_ARRAYS * max(edges) * cfg.model_dim
-               * (gate != "zero"))
+    edges = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                         cfg.max_distance).edge_counts
+    guarded = sum(step_bytes(cfg, n, edges, model.params.n_values()))
     tracemalloc.start()
     try:
         backward(model.loss(window))
@@ -594,37 +744,37 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
                         lambda *args: recorded.append(args[1]))
     # a forecast records no tape but is refused on the training estimate
     for step in (model.loss, model.predict):
-        with pytest.raises(WindowTooLargeError, match=r"N=20 .* 35.5 MiB of autodiff "
-                           r"tape, 9.6 MiB of gradients and 5.2 MiB of backward "
+        with pytest.raises(WindowTooLargeError, match=r"N=20 .* 32.7 MiB of autodiff "
+                           r"tape, 9.6 MiB of gradients and 10.4 MiB of backward "
                            r"temporaries, .* 40.0 MiB"):
             step(window)
     assert recorded == []
 
 
 def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
-    # the 35.5 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
+    # the 32.7 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 40 * 2**20)
-    with pytest.raises(WindowTooLargeError, match=r"35.5 MiB .* 9.6 MiB .* 40.0 MiB"):
+    with pytest.raises(WindowTooLargeError, match=r"32.7 MiB .* 9.6 MiB .* 40.0 MiB"):
         TrajectoryForecaster(ModelConfig(), seed=0).loss(_circle_window(20))
 
 
 def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
-    # 35.5 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
-    # the three (m, d) arrays, 3 * 1770 * 128 * 8 bytes = 5.2 MiB, that the
-    # backward holds while it passes one patch's edge branch
+    # 32.7 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
+    # the (M, d) gradient of the gates, 6 * 1770 * 128 * 8 bytes = 10.4 MiB,
+    # that the backward holds while it passes the six patches' edge branch
     window = _circle_window(20)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 48 * 2**20)
     recorded, record_op = [], stedge.autodiff._result
     monkeypatch.setattr(stedge.autodiff, "_result",
                         lambda *args: recorded.append(args[1]) or record_op(*args))
-    with pytest.raises(WindowTooLargeError, match=r"5.2 MiB of backward temporaries"):
+    with pytest.raises(WindowTooLargeError, match=r"10.4 MiB of backward temporaries"):
         model.loss(window)
     assert recorded == []
 
 
 def test_zero_gate_has_no_edge_temporaries(monkeypatch):
-    # no edge branch runs, so 25.2 MiB of tape and 9.6 MiB of gradients are all
+    # no edge branch runs, so 22.4 MiB of tape and 9.6 MiB of gradients are all
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 36 * 2**20)
     loss = TrajectoryForecaster(ModelConfig(fusion_gate="zero"), seed=0).loss(
         _circle_window(20))

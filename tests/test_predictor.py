@@ -22,23 +22,23 @@ from stedge.predictor import (
 
 def test_pool_length_one_is_identity():
     rng = np.random.default_rng(0)
-    embeddings = [Tensor(rng.normal(size=(3, 4))) for _ in range(5)]
+    embeddings = Tensor(rng.normal(size=(5, 3, 4)))    # K = 5 patches of 3 nodes
     pooled = stack_and_pool(embeddings, n_peds=3, length=1)
     assert pooled.shape == (3, 5, 4)
-    for k, e in enumerate(embeddings):
-        np.testing.assert_array_equal(pooled.data[:, k], e.data)
+    for k, e in enumerate(embeddings.data):
+        np.testing.assert_array_equal(pooled.data[:, k], e)
 
 
 def test_pool_constant_rows_pass_through():
     v = np.arange(4.0)
-    block = Tensor(np.tile(v, (6, 1)))  # 2 peds x L=3, all rows equal v
-    pooled = stack_and_pool([block], n_peds=2, length=3)
+    block = Tensor(np.tile(v, (1, 6, 1)))  # 2 peds x L=3, all rows equal v
+    pooled = stack_and_pool(block, n_peds=2, length=3)
     np.testing.assert_allclose(pooled.data, np.tile(v, (2, 1, 1)), atol=0)
 
 
 def test_pool_arithmetic_mean():
-    block = Tensor(np.array([[1.0], [2.0], [3.0], [10.0], [20.0], [30.0]]))
-    pooled = stack_and_pool([block], n_peds=2, length=3)
+    block = Tensor(np.array([[[1.0], [2.0], [3.0], [10.0], [20.0], [30.0]]]))
+    pooled = stack_and_pool(block, n_peds=2, length=3)
     np.testing.assert_allclose(pooled.data[:, 0, 0], [2.0, 20.0], atol=0)
 
 
@@ -133,6 +133,29 @@ def test_encoder_per_pedestrian_independence():
     perm = np.array([2, 0, 3, 1])
     out_perm = encoder_forward(Tensor(tokens[perm]), params, heads=2, layers=2).data
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_encoder_last_rows_are_the_full_stack_rows(rows):
+    """With ``last_rows`` the last layer computes only those rows: the
+    output and every gradient of the tokens and parameters match the full
+    stack's last rows to 1e-12."""
+    params = _encoder_params(8, 16, layers=2, seed=9)
+    tokens = Tensor(np.random.default_rng(9).normal(size=(3, 5, 8)), requires_grad=True)
+    seed = np.random.default_rng(10).normal(size=(3, rows, 8))
+
+    def run(last_rows):
+        for p in (tokens, *params.tensors()):
+            p.grad = None
+        out = encoder_forward(tokens, params, heads=2, layers=2, last_rows=last_rows)
+        out = out if last_rows else out[:, -rows:, :]
+        backward(out, seed)
+        return [out.data] + [p.grad for p in (tokens, *params.tensors())]
+
+    got, want = run(rows), run(None)
+    assert got[0].shape == (3, rows, 8)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 def test_layer_norm_normalizes():
@@ -287,6 +310,34 @@ def test_sampling_degenerate_sigma_returns_mu_path():
     want = track.origin[:, None, :] + np.cumsum(track.mu, axis=1)
     for s in range(5):
         np.testing.assert_allclose(samples[s], want, atol=1e-9)
+
+
+def _samples_one_at_a_time(track, count, seed):
+    """The per-sample loop ``sample_trajectories`` replaced: one stream and
+    one cumulative sum per sample."""
+    base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    n, t_pred = track.mu.shape[:2]
+    sx, sy, rho = track.sigma[..., 0], track.sigma[..., 1], track.rho
+    out = np.empty((count, n, t_pred, 2))
+    for s in range(count):
+        z = np.random.default_rng(base + [s]).standard_normal((n, t_pred, 2))
+        dx = track.mu[..., 0] + sx * z[..., 0]
+        dy = track.mu[..., 1] + sy * (rho * z[..., 0] + np.sqrt(1.0 - rho * rho) * z[..., 1])
+        out[s] = track.origin[:, None, :] + np.cumsum(np.stack([dx, dy], axis=-1), axis=1)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 20])
+@pytest.mark.parametrize("n", [1, 5])
+def test_sampling_in_one_pass_is_the_per_sample_loop_bit_for_bit(n, count):
+    rng = np.random.default_rng(11)
+    track = GaussianTrack(mu=rng.normal(size=(n, 12, 2)),
+                          sigma=rng.uniform(0.1, 2.0, size=(n, 12, 2)),
+                          rho=rng.uniform(-0.9, 0.9, size=(n, 12)),
+                          origin=rng.normal(size=(n, 2)), ped_ids=list(range(n)))
+    for seed in (3, [3, 2, 7]):
+        got = sample_trajectories(track, count, seed=seed)
+        assert got.tobytes() == _samples_one_at_a_time(track, count, seed).tobytes()
 
 
 def test_sampling_is_deterministic_per_seed_and_index():

@@ -22,6 +22,7 @@ from stedge.stgraph import (
     resistance_matrix,
     segment_patches,
 )
+from test_autodiff import _on_route
 from test_edgegraph import _all_graphs, _proximity_adjacencies
 
 
@@ -73,38 +74,51 @@ def test_segment_patches_layout():
     n, t, d = 2, 8, 3
     feats = Tensor(np.arange(n * t * d, dtype=float).reshape(n, t, d))
     blocks = segment_patches(feats, 3, 1)
-    assert len(blocks) == 6
-    z = blocks[2]
-    assert z.shape == (6, d)
+    assert blocks.shape == (6, 6, d)
+    z = blocks.data[2]
     # pedestrian-major: node index = ped * L + local_time
-    np.testing.assert_array_equal(z.data[0], feats.data[0, 2])
-    np.testing.assert_array_equal(z.data[3], feats.data[1, 2])
-    np.testing.assert_array_equal(z.data[5], feats.data[1, 4])
+    np.testing.assert_array_equal(z[0], feats.data[0, 2])
+    np.testing.assert_array_equal(z[3], feats.data[1, 2])
+    np.testing.assert_array_equal(z[5], feats.data[1, 4])
+    strided = segment_patches(feats, 3, 2).data     # patches at slots 0, 2 and 4
+    for k, start in enumerate(patch_starts(t, 3, 2)):
+        np.testing.assert_array_equal(
+            strided[k], feats.data[:, start:start + 3].reshape(n * 3, d))
 
 
 @pytest.mark.parametrize("max_distance", [None, 1.5])
 @pytest.mark.parametrize("cfg", [(3, 1), (2, 3)])
 def test_patch_graphs_match_per_patch_references(cfg, max_distance):
-    """One graph per patch, at ``patch_starts``; each adjacency is
-    ``build_node_adjacency`` on the pedestrian-major slice, the edges are
-    the upper-triangle pairs in lexicographic order, and each distance is
-    its edge's endpoint-to-endpoint norm."""
+    """One graph per patch, at ``patch_starts``, in one ``PatchGraph``;
+    each adjacency is ``build_node_adjacency`` on the pedestrian-major
+    slice, the edges are the upper-triangle pairs in lexicographic order,
+    tagged with their patch and in patch order, and each distance is its
+    edge's endpoint-to-endpoint norm.  ``patch(k)`` is patch k alone."""
     length, stride = cfg
     obs = np.random.default_rng(5).uniform(0.0, 3.0, size=(4, 8, 2))
     graphs = patch_graphs(obs, length, stride, max_distance)
     starts = patch_starts(8, length, stride)
-    assert len(graphs) == len(starts) == patch_count(8, length, stride)
-    for graph, start in zip(graphs, starts):
-        assert graph.start == start
+    assert list(graphs.starts) == starts and len(starts) == patch_count(8, length, stride)
+    tagged, lengths = [], []
+    for k, start in enumerate(starts):
+        graph = graphs.patch(k)
+        assert graph.starts == (start,)
         pos = obs[:, start:start + length].reshape(-1, 2)
         np.testing.assert_array_equal(pos[length + 1], obs[1, start + 1])
         adj = build_node_adjacency(4, length, pos, max_distance)
-        np.testing.assert_array_equal(graph.adjacency, adj)
+        np.testing.assert_array_equal(graphs.adjacency[k], adj)
+        np.testing.assert_array_equal(graph.adjacency, adj[None])
         n = len(adj)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
-        np.testing.assert_array_equal(graph.edge_index, np.reshape(edges, (-1, 2)))
+        np.testing.assert_array_equal(graph.edge_index,
+                                      np.reshape([(0, u, v) for u, v in edges], (-1, 3)))
+        tagged += [(k, u, v) for u, v in edges]
         want = [np.linalg.norm(pos[u] - pos[v]) for u, v in edges]
         np.testing.assert_allclose(graph.distances, want, rtol=1e-15, atol=0)
+        lengths += want
+        assert graphs.edge_counts[k] == len(edges)
+    np.testing.assert_array_equal(graphs.edge_index, np.reshape(tagged, (-1, 3)))
+    np.testing.assert_allclose(graphs.distances, lengths, rtol=1e-15, atol=0)
 
 
 def test_complete_adjacency():
@@ -131,12 +145,17 @@ _PAIR = np.array([[0.0, 1.0], [1.0, 0.0]])   # two linked nodes
 
 
 def _gat_with_weights(z, adjacency, theta, theta_dst, att):
-    """``gat_layer``'s output on the adjacency's edge list, and its
-    attention weights: the softmax of the scores a . LeakyReLU(dst_i +
-    src_j) over each node's neighbours plus itself, -inf elsewhere.  The
-    output must be the ELU of the weighted messages, bit for bit."""
+    """``gat_layer``'s output on the adjacency's edge list, as one patch,
+    and its attention weights: the softmax of the scores a .
+    LeakyReLU(dst_i + src_j) over each node's neighbours plus itself, -inf
+    elsewhere.  The grid route's output must be the ELU of the weighted
+    messages bit for bit, the segment route's to 1e-14."""
+    edges = edge_list(np.asarray(adjacency)[None])
+    out = _on_route(False, gat_layer, Tensor(z[None]), edges, theta, theta_dst, att)
+    segments = _on_route(True, gat_layer, Tensor(z[None]), edges, theta, theta_dst, att)
+    np.testing.assert_allclose(segments.data, out.data, rtol=1e-14, atol=1e-14)
+    out = out[0]
     z = Tensor(z)
-    out = gat_layer(z, edge_list(adjacency), theta, theta_dst, att)
     src, dst = z @ theta, z @ theta_dst
     pair = dst.data[:, None, :] + src.data
     pair *= np.where(pair >= 0.0, 1.0, 0.2)
@@ -177,7 +196,7 @@ def test_gat_attention_vector_of_the_wrong_width_is_a_shape_mismatch():
     theta_dst = Tensor(rng.normal(size=(3, 4)))
     for width in (3, 5):
         with pytest.raises(ShapeMismatchError, match="pair_attention"):
-            gat_layer(Tensor(z), edge_list(_PAIR), theta, theta_dst,
+            gat_layer(Tensor(z[None]), edge_list(_PAIR[None]), theta, theta_dst,
                       Tensor(rng.normal(size=width)))
 
 
@@ -260,9 +279,9 @@ def test_gat_permutation_equivariant():
     theta_dst = Tensor(rng.normal(size=(4, 4)))
     att = Tensor(rng.normal(size=4))
     perm = rng.permutation(n)
-    base = gat_layer(Tensor(z), edge_list(adj), theta, theta_dst, att).data
-    permuted = gat_layer(Tensor(z[perm]), edge_list(adj[np.ix_(perm, perm)]), theta,
-                         theta_dst, att).data
+    base = gat_layer(Tensor(z[None]), edge_list(adj[None]), theta, theta_dst, att).data[0]
+    permuted = gat_layer(Tensor(z[perm][None]), edge_list(adj[np.ix_(perm, perm)][None]),
+                         theta, theta_dst, att).data[0]
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
