@@ -72,9 +72,9 @@ for j, t in enumerate(basis):
 
 coeffs = Tensor(rng.normal(size=(3, 4)) * 0.4)   # row j maps order j to 4 channels
 out = hll_conv(graph, coeffs, Tensor(np.eye(4)))   # an identity gate map
-print(f"\nfiltered edge embedding shape: {out.shape}; "
+print(f"\nsigmoid of the filtered edge embedding, shape {out.shape}; "
       f"value range [{out.data.min():.3f}, {out.data.max():.3f}]")
 phi = Tensor(rng.normal(size=(4, 4)) * 0.5)          # the fusion's gate map
-gates = 1.0 / (1.0 + np.exp(-hll_conv(graph, coeffs, phi).data))
+gates = hll_conv(graph, coeffs, phi).data
 print(f"fusion gates sigmoid(embedding @ phi), one per edge and channel: "
       f"range [{gates.min():.3f}, {gates.max():.3f}]")

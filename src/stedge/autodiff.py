@@ -33,12 +33,16 @@ Cost", 2016).  The two node jobs take (K, n, d) operands and the
 window's (M, 3) patch-tagged edge list:
 
 * ``pair_attention``: each node's softmax-weighted messages over its
-  neighbours and itself, scored by a . LeakyReLU(dst_i + src_j); the
-  closure keeps the softmax weights;
-* ``gated_neighbour_mean``: sigmoid-gated messages averaged over each
-  node's neighbours, with neither the gates nor their pair grid recorded;
-* ``matmul_elu_matmul``: ELU(a @ b) @ c; the backward recomputes
-  ELU(a @ b), which costs little when a is narrow.
+  neighbours and itself, scored by a . LeakyReLU(dst_i + src_j), with
+  LeakyReLU written as p - 0.8 min(p, 0) so that no slope array is built;
+  the closure keeps the softmax weights;
+* ``gated_neighbour_mean``: gated messages averaged over each node's
+  neighbours, linear in its (M, d) gates, which arrive in (0, 1), and with
+  no pair grid recorded;
+* ``edge_gates``: the gates sigmoid(ELU(a @ b) @ c).  The sigmoid runs
+  here, once per edge and channel, and its backward reads the sigmoid's
+  slope off the output and recomputes ELU(a @ b), which costs little
+  when a is narrow.
 
 The node jobs run on the (n, n) grids of the patches when the edges are
 dense and on segment sums over the receiver-sorted edge list when they are
@@ -81,7 +85,7 @@ __all__ = [
     "softmax",
     "pair_attention",
     "gated_neighbour_mean",
-    "matmul_elu_matmul",
+    "edge_gates",
     "linear",
     "layer_norm",
     "attention",
@@ -499,11 +503,12 @@ def _getitem(x: Tensor, idx) -> Tensor:
 
 _BLOCK_ENTRIES = 1 << 17   # float64 entries of one block temporary (1 MiB)
 _PAIR_SLOPE = 0.2          # pair attention's LeakyReLU slope below zero
+_PAIR_BEND = _PAIR_SLOPE - 1.0   # LeakyReLU(p) = p + _PAIR_BEND * min(p, 0)
 # The two node jobs run on segment sums over the edge list below this
 # density, the share of the K patches' node pairs that their directed edges
 # and self-loops make up (1 on complete wiring), and on the (n, n) grids at
 # or above it.  Set by measurement (see ``segment_route``), not a setting.
-_SEGMENT_DENSITY = 0.5
+_SEGMENT_DENSITY = 0.25
 
 
 def _blocks(count: int, entries_each: int) -> list[slice]:
@@ -532,11 +537,22 @@ def segment_route(patches: int, nodes: int, edges: int) -> bool:
 
     The grid route costs O(n^2 d) per patch whatever the wiring, the
     segment route O((n + m) d), but it gathers and scatters a d-wide row
-    per directed pair where the grid runs one GEMM.  Measured on both ops
-    over K = 6 random patches of 12 to 150 nodes (d = 128, BLAS on one
-    thread), the forward alone breaks even near a density of 0.6 and the
-    forward plus backward near 0.4; one half splits the two.  2 m
-    proximity wiring has a density of about 0.2."""
+    per directed pair where the grid reads contiguous rows.  Segment time
+    over grid time of both ops together, K = 6 random patches, d = 128,
+    BLAS on one thread, best of three runs, forward / forward plus
+    backward:
+
+        density    0.1        0.2        0.3        0.5        1
+        n = 12     0.59/0.73  1.00/1.12  1.24/1.37  1.70/1.79  2.82/2.74
+        n = 30     0.49/0.63  0.80/0.97  0.97/1.18  1.53/1.69  2.91/2.94
+        n = 60     0.48/0.58  0.72/0.90  1.02/1.20  1.64/1.76  3.30/2.99
+        n = 90     0.42/0.50  0.72/0.86  1.02/1.26  1.63/1.75  2.96/3.29
+        n = 150    0.41/0.49  0.57/0.71  1.01/1.23  1.63/1.93  3.03/2.82
+
+    The forward alone breaks even near a density of 0.3 and the forward
+    plus backward near 0.2 to 0.25; 0.25 splits the two.  2 m proximity
+    wiring sits around 0.15 to 0.45, the sparser the larger the crowd;
+    complete wiring is at 1."""
     return 2 * edges + patches * nodes < _SEGMENT_DENSITY * patches * nodes * nodes
 
 
@@ -598,11 +614,22 @@ def pair_attention(dst, src, att, edge_index) -> Tensor:
     and ``src`` are (K, n, d), ``att`` has d entries and the (M, 3)
     ``edge_index`` lists the undirected edges (k, u, v).
 
-    Every node keeps its own node, so no softmax is empty.  The pair sums
-    and their rectified copies exist one block of at most
-    ``_BLOCK_ENTRIES`` at a time, in the forward and again in the backward,
-    which rebuilds them from the operands; the closure keeps the softmax
-    weights.  Two routes (``segment_route``):
+    LeakyReLU(p) = p - 0.8 min(p, 0), so a pair's score is
+    att . dst_i + att . src_j - 0.8 att . min(p, 0), and with
+    min(p, 0) = dst_i + min(src_j, -dst_i) it is 0.2 att . dst_i
+    + att . src_j - 0.8 att . min(src_j, -dst_i).  A softmax over i's pairs
+    does not see the term of i alone, so the op scores
+    att . src_j - 0.8 att . min(src_j, -dst_i): one product per sender,
+    and over the pairs one min and one product with ``att``.  Every node
+    keeps its own node, so no softmax is empty.  The (pairs, d) minima
+    exist one block of at most ``_BLOCK_ENTRIES`` at a time, and the
+    backward forms, block by block from the operands, only where a pair
+    sum is below zero (``_below_zero``); the closure keeps the softmax
+    weights.  The backward carries the linear part through each sender's
+    sum of the scores' gradient, and the bend through each node's
+    per-channel sums of it over the pairs below zero it receives and
+    sends, from which ``att``'s gradient follows too
+    (``_through_scores``).  Two routes (``segment_route``):
 
     * grid: the (K, n, n) weights, 0 off the neighbour mask, formed a block
       of rows of a patch, or a block of whole patches, at a time, and one
@@ -623,9 +650,40 @@ def pair_attention(dst, src, att, edge_index) -> Tensor:
     return _result(data, "pair_attention", (dst, src, att), backward_fn)
 
 
-def _slope(pair):
-    """LeakyReLU's slope on the pair sums, 1 where they are >= 0."""
-    return np.where(pair >= 0.0, 1.0, _PAIR_SLOPE)
+def _below_zero(dst_part, neg_src_part, out=None):
+    """1.0 where the pair sum dst_part - neg_src_part is below zero, else
+    0.0: the float sum of two floats has the sign of their exact sum, so
+    dst < -src decides it without forming the sum."""
+    return np.less(dst_part, neg_src_part, out=out)
+
+
+def _through_scores(dst, src, att, a, below_dst, sending):
+    """The operands' gradients through the scores att . LeakyReLU(p) of
+    the pair sums p = dst_i + src_j, of a gradient that sums to 0 over
+    each receiver's pairs (a softmax's).  ``below_dst`` is each node's
+    per-channel sum of the scores' gradient over the pairs it receives
+    whose pair sum is below zero, (K, n, d) (or (n, d) of one patch);
+    ``sending`` is each node's sum of it over the pairs it sends, (K, n),
+    and the same per-channel sum below zero over those, (K, n, d); either
+    is None where no operand needs it, and its (K, n, d) array is
+    overwritten.  A pair's score moves with dst_i and with src_j by att
+    times LeakyReLU's slope, 1 - 0.8 below zero, and with att by p
+    - 0.8 min(p, 0); the gradient's zero sums drop the parts that move
+    with dst_i alone."""
+    into_dst = into_src = None
+    if below_dst is not None:
+        into_dst = below_dst
+        into_dst *= _PAIR_BEND
+    if sending is not None:
+        total, into_src = sending
+        into_src *= _PAIR_BEND
+        into_src += total[..., None]
+    g_att = None
+    if att.requires_grad:
+        g_att = ((dst.data * into_dst).reshape(-1, a.size).sum(axis=0)
+                 + (src.data * into_src).reshape(-1, a.size).sum(axis=0)).reshape(att.shape)
+    return (into_dst * a if dst.requires_grad else None,
+            into_src * a if src.requires_grad else None, g_att)
 
 
 def _pair_grid(dst, src, att, a, k, u, v):
@@ -634,41 +692,39 @@ def _pair_grid(dst, src, att, a, k, u, v):
     keep[k, u, v] = keep[k, v, u] = True
     tiles = _tiles(patches, n, n * d)
 
-    def pair_sums(ks, rows):
-        return dst.data[ks, rows, None, :] + src.data[ks, None, :, :]
-
+    neg_dst, at_src, bend = -dst.data, src.data @ a, _PAIR_BEND * a
     alpha = np.empty((patches, n, n))
     for ks, rows in tiles:
-        pair = pair_sums(ks, rows)
-        pair *= _slope(pair)
-        scores = (pair.reshape(-1, d) @ a).reshape(pair.shape[:3])
+        bent = np.minimum(src.data[ks, None, :, :], neg_dst[ks, rows, None, :])
+        scores = (bent.reshape(-1, d) @ bend).reshape(bent.shape[:3])
+        scores += at_src[ks, None, :]
         scores[~keep[ks, rows]] = -np.inf
         scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
         scores /= scores.sum(axis=-1, keepdims=True)
         alpha[ks, rows] = scores
 
     def backward_fn(g):
-        g_dst = np.empty(dst.shape) if dst.requires_grad else None
-        g_src = np.zeros(src.shape) if src.requires_grad else None
-        g_att = np.zeros(d) if att.requires_grad else None
+        to_dst = dst.requires_grad or att.requires_grad
+        to_src = src.requires_grad or att.requires_grad
+        below_dst = np.empty(dst.shape) if to_dst else None
+        sending = (np.zeros((patches, n)), np.zeros(src.shape)) if to_src else None
+        neg_src = -src.data
         for ks, rows in tiles:
             weights = alpha[ks, rows]
             g_scores = (g[ks, rows] @ src.data[ks].transpose(0, 2, 1)) * weights
             # the softmax's Jacobian; 0 off the mask, where the weight is 0
             g_scores -= weights * g_scores.sum(axis=-1, keepdims=True)
-            pair = pair_sums(ks, rows)
-            slope = _slope(pair)
-            if g_att is not None:
-                pair *= slope
-                g_att += g_scores.reshape(-1) @ pair.reshape(-1, d)
-            slope *= g_scores[..., None]   # dL/d(pair sum), up to the factor att
-            if g_dst is not None:
-                g_dst[ks, rows] = slope.sum(axis=2)
-            if g_src is not None:
-                g_src[ks] += slope.sum(axis=1)
-        return (None if g_dst is None else g_dst * a,
-                None if g_src is None else alpha.transpose(0, 2, 1) @ g + g_src * a,
-                None if g_att is None else g_att.reshape(att.shape))
+            below = _below_zero(dst.data[ks, rows, None, :], neg_src[ks, None, :, :],
+                                out=np.empty(weights.shape + (d,)))
+            if below_dst is not None:
+                below_dst[ks, rows] = (g_scores[..., None, :] @ below)[..., 0, :]
+            if sending is not None:
+                sending[0][ks] += g_scores.sum(axis=1)
+                sending[1][ks] += np.einsum("krjd,krj->kjd", below, g_scores)
+        g_dst, g_src, g_att = _through_scores(dst, src, att, a, below_dst, sending)
+        if g_src is not None:
+            g_src += alpha.transpose(0, 2, 1) @ g
+        return g_dst, g_src, g_att
 
     return alpha @ src.data, backward_fn
 
@@ -679,14 +735,12 @@ def _pair_segments(dst, src, att, a, k, u, v):
     recv, send = pairs.recv, pairs.send
     dst_rows, src_rows = dst.data.reshape(-1, d), src.data.reshape(-1, d)
 
-    def pair_sums(block, receivers, senders):
-        return dst_rows[receivers[block]] + src_rows[senders[block]]
-
-    scores = np.empty(len(recv))
+    scores = (src_rows @ a)[send]
+    neg_dst_rows, bend = -dst_rows, _PAIR_BEND * a
     for block, _, _ in pairs.blocks:
-        pair = pair_sums(block, recv, send)
-        pair *= _slope(pair)
-        scores[block] = pair @ a
+        bent = src_rows[send[block]]
+        np.minimum(bent, neg_dst_rows[recv[block]], out=bent)
+        scores[block] += bent @ bend
     alpha = np.exp(scores - np.maximum.reduceat(scores, pairs.starts)[recv])
     alpha /= np.add.reduceat(alpha, pairs.starts)[recv]
     data = pairs.sums(lambda block: alpha[block, None] * src_rows[send[block]])
@@ -699,95 +753,94 @@ def _pair_segments(dst, src, att, a, k, u, v):
         g_scores *= alpha
         # the softmax's Jacobian
         g_scores -= alpha * np.add.reduceat(g_scores, pairs.starts)[recv]
-        g_dst = np.zeros((pairs.rows, d)) if dst.requires_grad else None
-        g_src = np.zeros((pairs.rows, d)) if src.requires_grad else None
-        g_att = np.zeros(d) if att.requires_grad else None
-        # each pair's reverse: a sum over the reverses of the pairs a node
-        # receives is a sum over the pairs it sends
-        reverse = np.lexsort((recv, send)) if g_src is not None else None
-        for block, firsts, receivers in pairs.blocks:
-            if g_dst is not None or g_att is not None:
-                pair = pair_sums(block, recv, send)
-                slope = _slope(pair)
-                if g_att is not None:
-                    pair *= slope
-                    g_att += g_scores[block] @ pair
-                if g_dst is not None:
-                    slope *= g_scores[block, None]
-                    g_dst[receivers] += np.add.reduceat(slope, firsts, axis=0)
-            if g_src is not None:
-                slope = _slope(pair_sums(block, send, recv))
-                slope *= g_scores[reverse[block], None]
-                g_src[receivers] += np.add.reduceat(slope, firsts, axis=0)
+
+        neg_src_rows = -src_rows
+
+        def below_sums(receivers, senders, weights):
+            """Each node's per-channel sum of ``weights`` over the pairs of
+            the ``receivers``-sorted list it receives whose pair sum is
+            below zero."""
+
+            def below(block):
+                terms = dst_rows[receivers[block]]
+                _below_zero(terms, neg_src_rows[senders[block]], out=terms)
+                terms *= weights[block, None]
+                return terms
+
+            return pairs.sums(below).reshape(src.shape)
+
+        below_dst = below_sums(recv, send, g_scores) \
+            if dst.requires_grad or att.requires_grad else None
+        sending = reverse = None
+        if src.requires_grad or att.requires_grad:
+            # each pair's reverse: a sum over the reverses of the pairs a node
+            # receives is a sum over the pairs it sends
+            reverse = np.lexsort((recv, send))
+            sent = g_scores[reverse]
+            sending = (np.add.reduceat(sent, pairs.starts).reshape(patches, n),
+                       below_sums(send, recv, sent))
+        g_dst, g_src, g_att = _through_scores(dst, src, att, a, below_dst, sending)
         if g_src is not None:
-            g_src *= a
             g_src += pairs.sums(lambda block: alpha[reverse[block], None]
-                                * g_rows[send[block]])
-        return (None if g_dst is None else (g_dst * a).reshape(dst.shape),
-                None if g_src is None else g_src.reshape(src.shape),
-                None if g_att is None else g_att.reshape(att.shape))
+                                * g_rows[send[block]]).reshape(src.shape)
+        return g_dst, g_src, g_att
 
     return data.reshape(src.shape), backward_fn
 
 
-def gated_neighbour_mean(z, x, edge_index) -> Tensor:
+def gated_neighbour_mean(gates, x, edge_index) -> Tensor:
     """Gated messages averaged over each node's neighbours in K patch
     graphs at once, (K, n, d): edge e = (k, u, v) of the (M, 3)
-    ``edge_index`` sends sigmoid(z[e]) * x[k, v] to node u of patch k and
-    sigmoid(z[e]) * x[k, u] to its node v, and each node's sum is divided
-    by its degree (an isolated node's by 1).  ``z`` holds the (M, d)
-    pre-sigmoid gates, one per edge and channel; ``x`` is (K, n, d).
+    ``edge_index`` sends gates[e] * x[k, v] to node u of patch k and
+    gates[e] * x[k, u] to its node v, and each node's sum is divided by its
+    degree (an isolated node's by 1).  ``gates`` holds the (M, d) gates,
+    one per edge and channel, in (0, 1) as ``edge_gates`` gives them;
+    ``x`` is (K, n, d).
 
     The edges must be distinct, off the diagonal, each listed in one
-    orientation only and sorted by patch.  The sigmoid is 0.5 tanh(z / 2)
-    + 0.5, which cannot overflow.  The gates are not recorded: the forward
-    and the backward each compute them from ``z`` a block at a time, and the
-    backward forms the gates' gradient a block of edges at a time.  The
-    gated product G @ x, whose transpose the backward applies (G is
-    symmetric), takes one of two routes (``segment_route``):
+    orientation only and sorted by patch.  The op is linear in each
+    operand: the backward forms the gates' gradient a block of edges at a
+    time, and applies the transpose of the gated product G @ x (G is
+    symmetric) by the same route as the forward (``segment_route``):
 
-    * grid: the gates laid on each patch's symmetric (n, n) grid per
-      channel, for one batched product per block of channels and patches;
+    * grid: a (K, n, n) map of each pair's edge row gathers the d-wide
+      gate rows of a block of rows of a patch, or of whole patches, whose
+      diagonal and pairs without an edge are then set to 0, and each
+      row's sum over its neighbours of the gates times their ``x`` rows
+      is one ``np.einsum``;
     * segment: each directed pair's gated message summed over the
       receiver-sorted edge list by ``np.add.reduceat``, O(m d).
     """
-    z, x = _as_tensor(z), _as_tensor(x)
+    gates, x = _as_tensor(gates), _as_tensor(x)
     k, u, v = _patch_edges(edge_index)
-    if z.ndim != 2 or x.ndim != 3 or z.shape != (len(k), x.shape[2]):
+    if gates.ndim != 2 or x.ndim != 3 or gates.shape != (len(k), x.shape[2]):
         raise ShapeMismatchError(
-            f"gated_neighbour_mean: gates {z.shape} for {len(k)} edges, values {x.shape}")
+            f"gated_neighbour_mean: gates {gates.shape} for {len(k)} edges, values {x.shape}")
     patches, n, d = x.shape
     ends = (k * n + u, k * n + v)     # the endpoints' global node ids
     degree = np.bincount(np.concatenate(ends), minlength=patches * n)
     inv_degree = (1.0 / np.maximum(degree, 1)).reshape(patches, n, 1)
-
-    def gates(edges, channels=slice(None)):
-        """The sigmoid gates of some edges and channels."""
-        return np.tanh(0.5 * z.data[edges, channels]) * 0.5 + 0.5
 
     if segment_route(patches, n, len(k)):
         pairs = _ReceiverPairs(k, u, v, patches, n, d, self_loops=False)
 
         def product(values):
             rows = values.reshape(-1, d)
-            return pairs.sums(lambda block: gates(pairs.edge[block])
+            return pairs.sums(lambda block: gates.data[pairs.edge[block]]
                               * rows[pairs.send[block]]).reshape(x.shape)
     else:
-        cells, mirror = ends[0] * n + v, ends[1] * n + u   # in the (K, n, n) stack
-        bounds = np.searchsorted(k, np.arange(patches + 1))
-        tiles = _tiles(d, patches, n * n)
+        edge_rows = np.zeros((patches, n, n), dtype=np.int64)
+        edge_rows[k, u, v] = edge_rows[k, v, u] = np.arange(len(k))
+        absent = np.ones((patches, n, n), dtype=bool)     # the diagonal and non-edges
+        absent[k, u, v] = absent[k, v, u] = False
+        tiles = _tiles(patches, n, n * d) if len(k) else []
 
         def product(values):
-            out = np.empty(x.shape)
-            for ch, ks in tiles:
-                lo, hi = bounds[ks.start], bounds[ks.stop]
-                offset = ks.start * n * n
-                grid = np.zeros((ch.stop - ch.start, (ks.stop - ks.start) * n * n))
-                grid[:, cells[lo:hi] - offset] = grid[:, mirror[lo:hi] - offset] = \
-                    gates(slice(lo, hi), ch).T
-                column = values[ks, :, ch].transpose(2, 0, 1).reshape(-1, n, 1)
-                product = grid.reshape(-1, n, n) @ column
-                out[ks, :, ch] = product.reshape(grid.shape[0], -1, n).transpose(1, 2, 0)
+            out = np.zeros(x.shape)
+            for ks, rows in tiles:
+                block = gates.data[edge_rows[ks, rows]]
+                block[absent[ks, rows]] = 0.0
+                out[ks, rows] = np.einsum("krjd,kjd->krd", block, values[ks])
             return out
 
     data = product(x.data) * inv_degree
@@ -795,35 +848,33 @@ def gated_neighbour_mean(z, x, edge_index) -> Tensor:
     def backward_fn(g):
         g = g * inv_degree
         g_x = product(g) if x.requires_grad else None
-        g_z = None
-        if z.requires_grad:
+        g_gates = None
+        if gates.requires_grad:
             g_rows, x_rows = g.reshape(-1, d), x.data.reshape(-1, d)
-            g_z = np.empty(z.shape)
+            g_gates = np.empty(gates.shape)
             for edges in _blocks(len(k), d):
                 at_u, at_v = ends[0][edges], ends[1][edges]
-                g_gate = g_rows[at_u] * x_rows[at_v]
-                g_gate += g_rows[at_v] * x_rows[at_u]
-                half = np.tanh(0.5 * z.data[edges])
-                half *= half
-                g_gate *= 0.25 * (1.0 - half)       # the sigmoid's slope
-                g_z[edges] = g_gate
-        return g_z, g_x
+                block = np.multiply(g_rows[at_u], x_rows[at_v], out=g_gates[edges])
+                block += g_rows[at_v] * x_rows[at_u]
+        return g_gates, g_x
 
-    return _result(data, "gated_neighbour_mean", (z, x), backward_fn)
+    return _result(data, "gated_neighbour_mean", (gates, x), backward_fn)
 
 
-def matmul_elu_matmul(a, b, c) -> Tensor:
-    """ELU(a @ b) @ c of 2-D operands as one op, whose tape holds only the
-    output.  The backward recomputes ELU(a @ b) as the forward did and
-    reads ELU's slope off it: below zero the slope exp(a @ b) equals
-    ELU(a @ b) + 1.  With a narrow ``a`` the recompute costs a small share
-    of the product with ``c``.  Both passes run a block of a's rows at a
-    time, so no row-block temporary outgrows ``_BLOCK_ENTRIES``."""
+def edge_gates(a, b, c) -> Tensor:
+    """The fusion's gates sigmoid(ELU(a @ b) @ c), in (0, 1), of 2-D
+    operands as one op whose tape holds only the output.  The sigmoid,
+    0.5 tanh(h / 2) + 0.5, which cannot overflow, runs once per entry, and
+    the backward reads its slope s (1 - s) off the output s.  The backward
+    recomputes ELU(a @ b) as the forward did and reads ELU's slope off it:
+    below zero the slope exp(a @ b) equals ELU(a @ b) + 1.  With a narrow
+    ``a`` the recompute costs a small share of the product with ``c``.
+    Both passes run a block of a's rows at a time, so no row-block
+    temporary outgrows ``_BLOCK_ENTRIES``."""
     a, b, c = _as_tensor(a), _as_tensor(b), _as_tensor(c)
     if a.ndim != 2 or b.ndim != 2 or c.ndim != 2 \
             or a.shape[1] != b.shape[0] or b.shape[1] != c.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul_elu_matmul: {a.shape} @ {b.shape} @ {c.shape}")
+        raise ShapeMismatchError(f"edge_gates: {a.shape} @ {b.shape} @ {c.shape}")
     blocks = _blocks(a.shape[0], max(b.shape[1], c.shape[1]))
 
     def activation(rows):
@@ -835,28 +886,35 @@ def matmul_elu_matmul(a, b, c) -> Tensor:
         return h
 
     data = np.empty((a.shape[0], c.shape[1]))
+    half_c = c.data * 0.5       # a power of two: (h @ c) / 2 exactly
     for rows in blocks:
-        data[rows] = activation(rows) @ c.data
+        gate = np.matmul(activation(rows), half_c, out=data[rows])
+        np.tanh(gate, out=gate)
+        gate *= 0.5
+        gate += 0.5
 
     def backward_fn(g):
         g_c = np.zeros(c.shape) if c.requires_grad else None
         g_a = np.empty(a.shape) if a.requires_grad else None
         g_b = np.zeros(b.shape) if b.requires_grad else None
         for rows in blocks:
+            g_pre = 1.0 - data[rows]
+            g_pre *= data[rows]         # the sigmoid's slope
+            g_pre *= g[rows]
             h = activation(rows)
             if g_c is not None:
-                g_c += h.T @ g[rows]
+                g_c += h.T @ g_pre
             if g_a is not None or g_b is not None:
                 h += 1.0
                 np.minimum(h, 1.0, out=h)   # ELU's slope
-                h *= g[rows] @ c.data.T
+                h *= g_pre @ c.data.T
                 if g_a is not None:
                     g_a[rows] = h @ b.data.T
                 if g_b is not None:
                     g_b += a.data[rows].T @ h
         return g_a, g_b, g_c
 
-    return _result(data, "matmul_elu_matmul", (a, b, c), backward_fn)
+    return _result(data, "edge_gates", (a, b, c), backward_fn)
 
 
 # -- fused encoder ops ----------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, gated_neighbour_mean, matmul_elu_matmul
+from stedge.autodiff import Tensor, edge_gates, elu, gated_neighbour_mean
 from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
@@ -151,19 +151,19 @@ def laguerre_basis(operator, x, order: int) -> list:
 
 
 def hll_conv(graph: PatchGraph, coeffs: Tensor, phi: Tensor) -> Tensor:
-    """The fusion's pre-sigmoid gates of the graph's edges, all K patches'
-    in one, (M, d): the spectral edge convolution of the edge lengths E,
-    ELU(sum_j G_j(L1 / lam) E theta_j), where row j of the (order, d)
-    ``coeffs`` is theta_j, mapped through the (d, d) ``phi``.
+    """The fusion's gates of the graph's edges, in (0, 1), all K patches'
+    in one, (M, d): the sigmoid of the spectral edge convolution of the
+    edge lengths E, ELU(sum_j G_j(L1 / lam) E theta_j), where row j of the
+    (order, d) ``coeffs`` is theta_j, mapped through the (d, d) ``phi``.
 
     The edge signal is a constant, so its basis is plain numpy: each
     order's (M,) vector is one column of an (M, order) array T.  Filter,
-    ELU and gate map are one op, ELU(T coeffs) phi (``matmul_elu_matmul``):
-    the tape holds only the (M, d) gates, and the backward recomputes the
-    filtered embedding from the narrow T.
+    ELU, gate map and sigmoid are one op, sigmoid(ELU(T coeffs) phi)
+    (``edge_gates``): the tape holds only the (M, d) gates, and the
+    backward recomputes the filtered embedding from the narrow T.
     """
     basis = laguerre_basis(hodge_operator(graph), graph.distances, coeffs.shape[0])
-    return matmul_elu_matmul(Tensor(np.stack(basis, axis=1)), coeffs, phi)
+    return edge_gates(Tensor(np.stack(basis, axis=1)), coeffs, phi)
 
 
 def fusion_gcn(h_node: Tensor, gates: Tensor | None, edge_index,
@@ -171,8 +171,8 @@ def fusion_gcn(h_node: Tensor, gates: Tensor | None, edge_index,
     """Node update of the K patches' (K, n, d) ``h_node``, gated per
     neighbour by its edge.
 
-    H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} sigmoid(z_ij) * theta h_j),
-    where z_ij is the edge's row of the (M, d) pre-sigmoid ``gates``
+    H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} g_ij * theta h_j),
+    where g_ij is the edge's row of the (M, d) ``gates`` in (0, 1)
     (``hll_conv``), one gate per channel, and the (M, 3) ``edge_index``
     tags each edge with its patch.  Without gates (None, or no edges) the
     gate is zero, which severs the edge branch.  The neighbour sum is
@@ -183,8 +183,8 @@ def fusion_gcn(h_node: Tensor, gates: Tensor | None, edge_index,
 
     The gated mean is one recorded op (``gated_neighbour_mean``), on the
     patches' (n, n) grids or on segment sums over the edge list by the
-    edges' density; the sigmoid gates are temporaries, not recorded, and
-    its backward rebuilds them.
+    edges' density; it is linear in the gates, whose sigmoid ran once, in
+    ``hll_conv``.
     """
     t = h_node @ theta
     if gates is None or not len(edge_index):

@@ -44,12 +44,13 @@ records one op per job, so a window's op count does not grow with K:
 ``segment_patches`` gives the (K, n, d) node features, the attention
 layer (``gat_layer``) is one op after its two halves' products, and the
 edge branch is two: ``hll_conv`` filters the edge lengths and maps the
-filtered embedding through ``fuse.phi`` to the (M, d) pre-sigmoid gates
-in one op, and ``fusion_gcn`` averages the gated neighbour messages in
-another.  Only the gates stay on the tape; the (M, d) filtered embedding
-is recomputed in the backward.  The head reads only the T_pred future
-rows, so the encoder's last layer computes only those
-(``encoder_forward``'s ``last_rows``).
+filtered embedding through ``fuse.phi`` and the sigmoid to the (M, d)
+gates in (0, 1) in one op, and ``fusion_gcn`` averages the gated
+neighbour messages in another.  Only the gates stay on the tape; the
+(M, d) filtered embedding is recomputed in the backward.  The head reads
+only the T_pred future rows, so the encoder's last layer computes only
+those (``encoder_forward``'s ``last_rows``), and the head projects them
+as they come.
 
 Before it records its first op, ``forward`` sums the window's estimated
 tape (``tape_bytes``), the gradients every backward allocates and the
@@ -114,9 +115,12 @@ _ENCODER_IN_ARRAYS = 1   # (N, K + T_pred, e): the input projection
 # centred inputs and the pre-ReLU hidden are recomputed, not recorded
 _LAYER_ARRAYS = 12
 # the last layer records k and v over all K + T_pred rows, and the other
-# ten arrays, the slice of its query rows and the head's slice over T_pred
+# ten arrays and the slice of its query rows over T_pred
 _LAST_LAYER_KEYS = 2
-_LAST_LAYER_ROWS = 12
+_LAST_LAYER_ROWS = 11
+# (N, T_pred): the entries per pedestrian and future step of the head's
+# 5-wide projection and the 2- and 1-wide arrays of the likelihood
+_HEAD_ENTRIES = 43
 _EDGE_BACKWARD_ARRAYS = 1   # (M, d): the gates' gradient, live in the backward's edge branch
 
 
@@ -259,7 +263,7 @@ def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     output and what its closure keeps of its own.  The backward frees
     each op's arrays once it has passed the op, so the tape is what a step
     holds when its backward starts.  The edge branch records only its
-    (M, d) pre-sigmoid gates (the filtered embedding is recomputed); the
+    (M, d) gates in (0, 1) (the filtered embedding is recomputed); the
     graph attention keeps its weights, (K, n, n) on the grid route and one
     per directed pair and self-loop on the segment route, and no array
     grows as n^2 d; the encoder records no (K + T_pred)^2 attention
@@ -274,6 +278,7 @@ def tape_bytes(cfg: ModelConfig, n_peds: int, edge_counts) -> int:
     entries += n_peds * length * (_TOKEN_ARRAYS * d + _ENCODER_IN_ARRAYS * e)
     entries += n_peds * e * ((cfg.encoder_layers - 1) * _LAYER_ARRAYS * length
                              + _LAST_LAYER_KEYS * length + _LAST_LAYER_ROWS * t_pred)
+    entries += n_peds * t_pred * _HEAD_ENTRIES
     return 8 * entries
 
 
@@ -343,8 +348,7 @@ class TrajectoryForecaster:
         enc_in = linear(tokens, params["enc.in_w"], params["enc.in_b"])
         y_repr = encoder_forward(enc_in, params, heads=cfg.encoder_heads,
                                  layers=cfg.encoder_layers, last_rows=cfg.t_pred)
-        return gaussian_parameters(y_repr, params["head.w"], params["head.b"],
-                                   cfg.t_pred)
+        return gaussian_parameters(y_repr, params["head.w"], params["head.b"])
 
     def _graph_stage(self, window: Window, graph, params) -> Tensor:
         """The (N, K, d) pooled patch tokens of the window's node features,

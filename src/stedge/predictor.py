@@ -130,10 +130,11 @@ def encoder_forward(tokens: Tensor, params: ParameterStore, heads: int,
     return x
 
 
-def gaussian_parameters(y_repr: Tensor, head_w: Tensor, head_b: Tensor,
-                        t_pred: int):
-    """Project the last T_pred positions to (mu, log_sigma, rho) tensors."""
-    raw = linear(y_repr[:, -t_pred:, :], head_w, head_b)
+def gaussian_parameters(y_repr: Tensor, head_w: Tensor, head_b: Tensor):
+    """Project every position of the (N, T_pred, e) ``y_repr`` to
+    (mu, log_sigma, rho) tensors; a caller holding longer sequences slices
+    the T_pred rows first."""
+    raw = linear(y_repr, head_w, head_b)
     mu = raw[..., 0:2]
     log_sigma = raw[..., 2:4]
     rho = tanh(raw[..., 4:5]) * RHO_BOUND

@@ -14,6 +14,7 @@ from stedge.autodiff import (
     attention,
     backward,
     concatenate,
+    edge_gates,
     elu,
     exp,
     gradcheck,
@@ -21,7 +22,6 @@ from stedge.autodiff import (
     layer_norm,
     linear,
     log,
-    matmul_elu_matmul,
     pair_attention,
     softmax,
     tanh,
@@ -257,8 +257,11 @@ def _fd_for(param, closure, eps=1e-6):
         t, t[None], _TRIANGLE_EDGES)[0] * _WEIGHTS).sum()),
     ("gated_neighbour_mean_segments", lambda t: (_on_route(True, gated_neighbour_mean,
         t, t[None], _TRIANGLE_EDGES)[0] * _WEIGHTS).sum()),
+    # the gate op's ELU product and map, its sigmoid near the middle ...
     ("matmul_elu_matmul", lambda t: (
-        matmul_elu_matmul(t, t.T * 0.5, t * 0.3) * _WEIGHTS).sum()),
+        edge_gates(t, t.T * 0.5, t * 0.3) * _WEIGHTS).sum()),
+    # ... and into its flat tails, inputs as far out as -7
+    ("edge_gates", lambda t: (edge_gates(t, t.T * 0.5, t) * _WEIGHTS).sum()),
     # ReLU inputs kept at least 1 clear of the kink, on both sides of it
     ("linear", lambda t: (
         linear(t, t.T * 0.1, t[0, :3] * 0.1 + 3.0, relu=True) * _WEIGHTS[:, :3]
@@ -460,17 +463,17 @@ def test_gated_neighbour_sum_matches_loop(d):
     rng = np.random.default_rng(31)
     for n in (2, 3, 7):
         edges = _pairs(n, rng)
-        z = rng.normal(size=(len(edges), d))
+        gates = _sigmoid(rng.normal(size=(len(edges), d)))
         x = rng.normal(size=(n, d))
         want = np.zeros((n, d))
         degree = np.zeros(n)
         for e, (u, v) in enumerate(edges):
-            want[u] += _sigmoid(z[e]) * x[v]
-            want[v] += _sigmoid(z[e]) * x[u]
+            want[u] += gates[e] * x[v]
+            want[v] += gates[e] * x[u]
             degree[[u, v]] += 1
         want /= np.maximum(degree, 1)[:, None]
         for segment in (False, True):
-            got = _on_route(segment, gated_neighbour_mean, Tensor(z), Tensor(x[None]),
+            got = _on_route(segment, gated_neighbour_mean, Tensor(gates), Tensor(x[None]),
                             _patch0(edges)).data[0]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
@@ -482,13 +485,13 @@ def test_gated_neighbour_sum_gradient(d):
     rng = np.random.default_rng(32)
     n = 6
     edges = _pairs(n, rng)
-    z = Tensor(rng.normal(size=(len(edges), d)), requires_grad=True)
+    gates = Tensor(rng.uniform(size=(len(edges), d)), requires_grad=True)
     x = Tensor(rng.normal(size=(1, n, d)), requires_grad=True)
     weights = rng.normal(size=(1, n, d))
     for segment in (False, True):
-        err = gradcheck(lambda: (_on_route(segment, gated_neighbour_mean, z, x,
+        err = gradcheck(lambda: (_on_route(segment, gated_neighbour_mean, gates, x,
                                            _patch0(edges)) * weights).sum(),
-                        [z, x], eps=1e-5)
+                        [gates, x], eps=1e-5)
         assert err < 1e-6
 
 
@@ -586,11 +589,11 @@ def test_fused_op_shape_mismatch():
         pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
                        Tensor(np.ones(2)), edge)
     with pytest.raises(ShapeMismatchError):     # a @ b does not fit
-        matmul_elu_matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
-                          Tensor(np.ones((2, 4))))
+        edge_gates(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
+                   Tensor(np.ones((2, 4))))
     with pytest.raises(ShapeMismatchError):     # (a @ b) @ c does not fit
-        matmul_elu_matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4))),
-                          Tensor(np.ones((3, 4))))
+        edge_gates(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4))),
+                   Tensor(np.ones((3, 4))))
 
 
 def test_fused_encoder_op_shape_mismatch():

@@ -29,8 +29,18 @@ from stedge.stgraph import (
 from test_autodiff import _patch0
 
 def _identity(d):
-    """A gate map that hands ``hll_conv`` the filtered embedding itself."""
+    """A gate map that hands ``hll_conv``'s sigmoid the filtered embedding
+    itself."""
     return Tensor(np.eye(d))
+
+
+def _logistic(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _recorded_sigmoid(t):
+    """The gates' sigmoid as a chain of recorded ops, from tanh."""
+    return tanh(t * 0.5) * 0.5 + 0.5
 
 
 TRIANGLE = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
@@ -362,7 +372,7 @@ def test_hll_conv_order_one_is_linear_map():
     coeffs = rng.normal(size=(1, 4))
     out = hll_conv(graph, Tensor(coeffs), _identity(4))
     lin = dists[:, None] @ coeffs
-    np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
+    np.testing.assert_allclose(out.data, _logistic(np.where(lin >= 0, lin, np.expm1(lin))),
                                atol=1e-12)
 
 
@@ -377,7 +387,7 @@ def test_hll_conv_zero_laplacian_collapses_to_sum(monkeypatch):
     w = rng.normal(size=(1, 4))
     out = hll_conv(graph, Tensor(np.repeat(w / 3.0, 3, axis=0)), _identity(4))
     lin = dists[:, None] @ w
-    np.testing.assert_allclose(out.data, np.where(lin >= 0, lin, np.expm1(lin)),
+    np.testing.assert_allclose(out.data, _logistic(np.where(lin >= 0, lin, np.expm1(lin))),
                                atol=1e-12)
 
 
@@ -393,7 +403,7 @@ def test_hll_conv_matches_spectral_oracle():
     for j in range(3):
         scalars = np.array([laguerre_scalars(float(lam), 3)[j] for lam in w])
         pre += ((v * scalars) @ v.T @ dists)[:, None] @ coeffs[j:j + 1]
-    np.testing.assert_allclose(out.data, np.where(pre >= 0, pre, np.expm1(pre)),
+    np.testing.assert_allclose(out.data, _logistic(np.where(pre >= 0, pre, np.expm1(pre))),
                                atol=1e-10)
 
 
@@ -439,9 +449,9 @@ _PARITY_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
 def test_hll_conv_matches_dense_laplacian(name):
     """Forward output and the coefficient gradient of the edge-vector
-    filter match the filter on the stored L1 / lam, with lam exact and, on
-    complete graphs, with lam from the power iteration the dense filter
-    used."""
+    filter, through the gates' sigmoid, match the filter on the stored
+    L1 / lam, with lam exact and, on complete graphs, with lam from the
+    power iteration the dense filter used."""
     adj = _PARITY_GRAPHS[name]
     b1 = boundary_operator(adj)
     rng = np.random.default_rng(11)
@@ -464,15 +474,17 @@ def test_hll_conv_matches_dense_laplacian(name):
     for lam in lams:
         assert hodge_operator(graph).lam[0] == pytest.approx(lam, rel=1e-12)
         # a walked graph is freed, so each pass slices the rows anew
-        want = output_and_grad(lambda: _dense_hll_conv(
-            l1 / lam, Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)]))
+        want = output_and_grad(lambda: _recorded_sigmoid(_dense_hll_conv(
+            l1 / lam, Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)])))
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 def _embed_then_filter(dists, w_embed, thetas, l1_scaled):
-    """The edge branch as it was: embed the distances to (m, d), then filter."""
-    return _dense_hll_conv(l1_scaled, Tensor(dists[:, None]) @ w_embed, thetas)
+    """The edge branch as it was: embed the distances to (m, d), then
+    filter, then the gates' sigmoid."""
+    return _recorded_sigmoid(
+        _dense_hll_conv(l1_scaled, Tensor(dists[:, None]) @ w_embed, thetas))
 
 
 @pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
@@ -509,7 +521,7 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     """``hll_conv`` and ``fusion_gcn`` as they ran before the node-pair grid:
     L1 / lam applied as (B1^T / lam) (B1 x), one rank-1 product per order,
     and the neighbour messages moved by one-hot edge selectors.  Returns
-    the pre-sigmoid gates and the fused node update."""
+    the gates and the fused node update."""
     b1, n = boundary_operator(adj), len(adj)
     lam = max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
     b1t_scaled = b1.T / lam
@@ -526,16 +538,15 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     pre = basis[0] @ (w_embed @ thetas[0])
     for t_j, th in zip(basis[1:], thetas[1:]):
         pre = pre + t_j @ (w_embed @ th)
-    z = elu(pre) @ phi
+    gate = _recorded_sigmoid(elu(pre) @ phi)
 
     idx = edge_list(adj)
     s_u, s_v = np.eye(n)[idx[:, 0]], np.eye(n)[idx[:, 1]]
     t = h_node @ theta
-    gate = tanh(z * 0.5) * 0.5 + 0.5     # the logistic sigmoid
     from_v = Tensor(s_u.T) @ (gate * (Tensor(s_v) @ t))
     from_u = Tensor(s_v.T) @ (gate * (Tensor(s_u) @ t))
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
-    return z, elu(t + (from_v + from_u) * inv_degree)
+    return gate, elu(t + (from_v + from_u) * inv_degree)
 
 
 _BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
@@ -634,10 +645,10 @@ def test_fusion_single_node_no_neighbours():
 def test_fusion_two_nodes_matches_scalar_oracle():
     # 2-node graph, scalar features, hand-evaluated update with gate sigma(z)
     h_node = Tensor(np.array([[[0.7], [-0.4]]]))
-    gates = Tensor(np.array([[1.8]]))
+    gate = 1.0 / (1.0 + math.exp(-1.8))
+    gates = Tensor(np.array([[gate]]))
     theta = Tensor(np.array([[1.3]]))
     out = fusion_gcn(h_node, gates, ((0, 0, 1),), theta).data[0]
-    gate = 1.0 / (1.0 + math.exp(-1.8))
     pre0 = 1.3 * 0.7 + gate * (1.3 * -0.4)
     pre1 = 1.3 * -0.4 + gate * (1.3 * 0.7)
     want = [[pre0 if pre0 >= 0 else math.expm1(pre0)],
@@ -648,7 +659,7 @@ def test_fusion_two_nodes_matches_scalar_oracle():
 def test_fusion_gate_saturated_to_one_sums_neighbours():
     rng = np.random.default_rng(9)
     h_node = Tensor(rng.normal(size=(1, 3, 2)))
-    gates = Tensor(np.full((3, 2), 1e6))  # the sigmoid gate saturates to 1
+    gates = Tensor(np.ones((3, 2)))  # a gate at 1, where the sigmoid saturates
     theta = Tensor(rng.normal(size=(2, 2)))
     out = fusion_gcn(h_node, gates, _patch0(edge_list(TRIANGLE)), theta)
     t = h_node.data @ theta.data
@@ -660,7 +671,7 @@ def test_fusion_gate_saturated_to_one_sums_neighbours():
 def test_fusion_gradients_match_central_differences():
     rng = np.random.default_rng(10)
     h_node = Tensor(rng.normal(size=(1, 2, 3)), requires_grad=True)
-    gates = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    gates = Tensor(rng.uniform(size=(1, 3)), requires_grad=True)
     theta = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     err = gradcheck(
         lambda: fusion_gcn(h_node, gates, ((0, 0, 1),), theta).sum(),

@@ -26,13 +26,13 @@ from stedge.autodiff import (
     attention,
     backward,
     concatenate,
+    edge_gates,
     elu,
     exp,
     gated_neighbour_mean,
     layer_norm,
     linear,
     log,
-    matmul_elu_matmul,
     pair_attention,
     softmax,
     tanh,
@@ -118,33 +118,38 @@ def _unfused_pair_attention(dst, src, att, edge_index):
 
 
 def _pair_scores(dst, src, att):
-    """The unmasked scores att . LeakyReLU(dst_i + src_j) as one recorded
-    op, formed in ``pair_attention``'s row blocks and by its backward."""
+    """The unmasked scores att . LeakyReLU(dst_i + src_j) of one patch's
+    (n, d) operands, less each row's constant 0.2 att . dst_i, as one
+    recorded op: formed as ``pair_attention`` forms them, in its row blocks
+    and as att . src_j - 0.8 att . min(src_j, -dst_i), and differentiated
+    as its backward does, on the same (1, n, ...) shapes.  A softmax over
+    each row does not see the dropped constant."""
     (n, d), a = src.shape, att.data.reshape(-1)
     blocks = stedge.autodiff._blocks(n, n * d)
+    dst_data, src_data = dst.data[None], src.data[None]
+    bend = stedge.autodiff._PAIR_BEND * a
 
-    def rectified(rows):
-        pair = dst.data[rows, None, :] + src.data
-        return pair, np.where(pair >= 0.0, 1.0, 0.2)
-
-    data = np.empty((n, n))
+    data = np.empty((1, n, n))
     for rows in blocks:
-        pair, slope = rectified(rows)
-        pair *= slope
-        data[rows] = (pair.reshape(-1, d) @ a).reshape(-1, n)
+        bent = np.minimum(src_data[:, None, :, :], -dst_data[:, rows, None, :])
+        data[:, rows] = (bent.reshape(-1, d) @ bend).reshape(bent.shape[:3])
+        data[:, rows] += (src_data @ a)[:, None, :]
 
     def backward_fn(g):
-        g_dst, g_src, g_att = np.empty((n, d)), np.zeros((n, d)), np.zeros(d)
+        g = g[None]
+        below_dst = np.empty((1, n, d))
+        sending = np.zeros((1, n)), np.zeros((1, n, d))
         for rows in blocks:
-            pair, slope = rectified(rows)
-            pair *= slope
-            g_att += g[rows].reshape(-1) @ pair.reshape(-1, d)
-            slope *= g[rows, :, None]
-            g_dst[rows] = slope.sum(axis=1)
-            g_src += slope.sum(axis=0)
-        return g_dst * a, g_src * a, g_att.reshape(att.shape)
+            below = stedge.autodiff._below_zero(
+                dst_data[:, rows, None, :], -src_data[:, None, :, :],
+                out=np.empty((1, len(range(n)[rows]), n, d)))
+            below_dst[:, rows] = (g[:, rows, None, :] @ below)[..., 0, :]
+            sending[0][:] += g[:, rows].sum(axis=1)
+            sending[1][:] += np.einsum("krjd,krj->kjd", below, g[:, rows])
+        grads = stedge.autodiff._through_scores(dst, src, att, a, below_dst, sending)
+        return tuple(grad.reshape(t.shape) for grad, t in zip(grads, (dst, src, att)))
 
-    return stedge.autodiff._result(data, "pair_scores", (dst, src, att), backward_fn)
+    return stedge.autodiff._result(data[0], "pair_scores", (dst, src, att), backward_fn)
 
 
 @_per_patch
@@ -181,20 +186,20 @@ def _unfused_gated_neighbour_mean(z, x, edge_index):
     return _per_patch(_unfused_patch_gated_mean)(z, x, edge_index, edge_rows=True)
 
 
-def _unfused_patch_gated_mean(z, x, edge_index):
-    """The sigmoid from tanh, the messages moved by one-hot edge selectors
-    and the division by each node's degree, each step recorded."""
+def _unfused_patch_gated_mean(gate, x, edge_index):
+    """The messages moved by one-hot edge selectors, gated, and the
+    division by each node's degree, each step recorded."""
     idx = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
     n = x.shape[0]
     at_row, at_col = Tensor(np.eye(n)[idx[:, 0]]), Tensor(np.eye(n)[idx[:, 1]])   # (m, n)
-    gate = tanh(z * 0.5) * 0.5 + 0.5
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
     return (at_row.T @ (gate * (at_col @ x)) + at_col.T @ (gate * (at_row @ x))) \
         * Tensor(inv_degree)
 
 
-def _unfused_matmul_elu_matmul(a, b, c):
-    return elu(a @ b) @ c
+def _unfused_edge_gates(a, b, c):
+    """ELU, the gate map and the sigmoid from tanh, each recorded."""
+    return tanh((elu(a @ b) @ c) * 0.5) * 0.5 + 0.5
 
 
 def _unfused_linear(x, w, b, relu=False):
@@ -273,12 +278,21 @@ def _route(segment, monkeypatch):
     monkeypatch.setattr(stedge.autodiff, "_SEGMENT_DENSITY", 2.0 if segment else 0.0)
 
 
-@pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative", "row_blocks"])
+_PAIR_SHAPES = {"row_blocks": (2, 150, 16), "n20_d128": (6, 60, 128),
+                "n50_d128": (3, 150, 128)}
+
+
+@pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative", "row_blocks",
+                                  "n20_d128", "n50_d128"])
 def test_pair_attention_logits_matches_unfused_chain(case, monkeypatch):
     """``pair_attention``, whose scores, softmax and weighted sum are one
     op for all patches, against the recorded chain run patch by patch,
-    over graphs that keep about two in three pairs, on each route."""
-    patches, n, d = (2, 150, 16) if case == "row_blocks" else (4, 7, 6)
+    over graphs that keep about two in three pairs, on each route.  The
+    chain's rectifier is the product with LeakyReLU's slope, so the op's
+    att . min(p, 0) form is checked against the formula.  Patch 1 of three
+    or more has no edge and node 0 of patch 0 none (``_random_patches``);
+    the crowd shapes of 20 and 50 walkers split into several row blocks."""
+    patches, n, d = _PAIR_SHAPES.get(case, (4, 7, 6))
     rng = np.random.default_rng(41)
     dst = rng.normal(size=(patches, n, d))
     src = rng.normal(size=(patches, n, d))
@@ -339,16 +353,26 @@ def test_whole_standardised_likelihood_matches_the_sliced_one(shape):
                        lambda *p: _sliced_nll(*p, targets), leaves)
 
 
-@pytest.mark.parametrize("case", ["mixed", "saturated", "channel_blocks"])
+_GATED_SHAPES = {"channel_blocks": (6, 60, 64), "n20_d128": (6, 60, 128),
+                 "n50_d128": (3, 150, 128)}
+
+
+@pytest.mark.parametrize("case", ["mixed", "saturated", "channel_blocks", "n20_d128",
+                                  "n50_d128"])
 def test_gated_neighbour_sum_matches_unfused_chain(case, monkeypatch):
-    patches, n, d = (6, 60, 64) if case == "channel_blocks" else (3, 9, 5)
+    """``gated_neighbour_mean`` against the recorded chain of one-hot edge
+    selectors run patch by patch, on each route, with gates in (0, 1) and,
+    saturated, at exactly 1 and 0.  Patch 1 of three or more has no edge and
+    node 0 of patch 0 none; the crowd shapes of 20 and 50 walkers, complete
+    but for those, split into several row blocks."""
+    patches, n, d = _GATED_SHAPES.get(case, (3, 9, 5))
     rng = np.random.default_rng(42)
-    edges = _random_patches(rng, patches, n, 0.6)
-    z = rng.normal(size=(len(edges), d)) * 3.0
+    edges = _random_patches(rng, patches, n, 1.0 if case.startswith("n") else 0.6)
+    gates = 1.0 / (1.0 + np.exp(-3.0 * rng.normal(size=(len(edges), d))))
     if case == "saturated":
-        z[::2] = 40.0
-        z[1::4] = -40.0
-    leaves = [Tensor(z, requires_grad=True),
+        gates[::2] = 1.0
+        gates[1::4] = 0.0
+    leaves = [Tensor(gates, requires_grad=True),
               Tensor(rng.normal(size=(patches, n, d)), requires_grad=True)]
     seed = rng.normal(size=(patches, n, d))
     for segment in (False, True):
@@ -358,17 +382,44 @@ def test_gated_neighbour_sum_matches_unfused_chain(case, monkeypatch):
                        leaves, seed)
 
 
-@pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative"])
+@pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative", "saturated"])
 def test_matmul_elu_matmul_matches_unfused_chain(case):
+    """``edge_gates``, the ELU product, the gate map and the sigmoid in one
+    op, against the recorded chain; saturated, many gates are exactly 1
+    or 0."""
     rng = np.random.default_rng(43)
     a = rng.normal(size=(40, 3))
     b = rng.normal(size=(3, 6))
     if case.startswith("all_"):
         a, b = np.abs(a), np.abs(b) * (1.0 if case == "all_positive" else -1.0)
+    c = rng.normal(size=(6, 5)) * (100.0 if case == "saturated" else 1.0)
     leaves = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
-              Tensor(rng.normal(size=(6, 5)), requires_grad=True)]
-    _assert_parity(matmul_elu_matmul, _unfused_matmul_elu_matmul, leaves,
-                   rng.normal(size=(40, 5)))
+              Tensor(c, requires_grad=True)]
+    if case == "saturated":
+        gates = edge_gates(*leaves).data
+        assert (gates == 1.0).any() and (gates == 0.0).any()
+    _assert_parity(edge_gates, _unfused_edge_gates, leaves, rng.normal(size=(40, 5)))
+
+
+@pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
+def test_doubled_gates_double_the_gated_mean_bit_for_bit(segment, monkeypatch):
+    """``gated_neighbour_mean`` takes its gates after their sigmoid and is
+    linear in them: twice the gates give twice the output and twice the
+    values' gradient, bit for bit."""
+    rng = np.random.default_rng(50)
+    edges = _random_patches(rng, 3, 9, 0.6)
+    gates = rng.uniform(size=(len(edges), 5))
+    x = Tensor(rng.normal(size=(3, 9, 5)), requires_grad=True)
+    seed = rng.normal(size=(3, 9, 5))
+    _route(segment, monkeypatch)
+    got = []
+    for scale in (1.0, 2.0):
+        x.zero_grad()
+        out = gated_neighbour_mean(Tensor(gates * scale), x, edges)
+        backward(out, seed)
+        got.append((out.data, x.grad))
+    assert (2.0 * got[0][0]).tobytes() == got[1][0].tobytes()
+    assert (2.0 * got[0][1]).tobytes() == got[1][1].tobytes()
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -453,8 +504,7 @@ def test_model_matches_unfused_forward(n, max_distance, gate, monkeypatch):
     monkeypatch.setattr(stedge.stgraph, "pair_attention", _unfused_pair_attention)
     monkeypatch.setattr(stedge.edgegraph, "gated_neighbour_mean",
                         _unfused_gated_neighbour_mean)
-    monkeypatch.setattr(stedge.edgegraph, "matmul_elu_matmul",
-                        _unfused_matmul_elu_matmul)
+    monkeypatch.setattr(stedge.edgegraph, "edge_gates", _unfused_edge_gates)
     want_loss, want_grads = _loss_and_grads(cfg, window)
     assert abs(loss - want_loss) <= TOL * abs(want_loss)
     assert grads.keys() == want_grads.keys()
@@ -524,7 +574,7 @@ def _per_patch_forward(model, window, params=None):
     tokens = assemble_tokens(pooled, params["pred.placeholder"], params["pred.positional"])
     y_repr = encoder_forward(linear(tokens, params["enc.in_w"], params["enc.in_b"]),
                              params, heads=cfg.encoder_heads, layers=cfg.encoder_layers)
-    return gaussian_parameters(y_repr, params["head.w"], params["head.b"], cfg.t_pred)
+    return gaussian_parameters(y_repr[:, -cfg.t_pred:, :], params["head.w"], params["head.b"])
 
 
 def _loss_grads_and_forecast(cfg, window):
@@ -570,9 +620,10 @@ def test_one_walker_window_of_single_slot_patches_has_no_edge(segment, monkeypat
     _assert_close(got, _loss_grads_and_forecast(cfg, window))
 
 
-def test_default_loss_records_87_ops_at_any_patch_count_and_no_pair_array(monkeypatch):
-    """One recorded op per job and window: 87 ops, 80 under the zero gate,
-    at K = 6 patches (stride 1) and at K = 3 (stride 2).  It was 147 (125)
+def test_default_loss_records_86_ops_at_any_patch_count_and_no_pair_array(monkeypatch):
+    """One recorded op per job and window: 86 ops, 79 under the zero gate,
+    at K = 6 patches (stride 1) and at K = 3 (stride 2).  It was 87 (80)
+    while the head sliced the T_pred rows it is given, 147 (125)
     while the graph stage ran once per patch and the last encoder layer
     computed every row, 165 (137) before the attention's softmax and
     weighted sum and the fusion's division by the degree moved into their
@@ -587,7 +638,7 @@ def test_default_loss_records_87_ops_at_any_patch_count_and_no_pair_array(monkey
     monkeypatch.setattr(stedge.autodiff, "_result", recording)
     n = 5 * ModelConfig().patch_len
     for stride in (1, 2):
-        for gate, count in (("vector", 87), ("zero", 80)):
+        for gate, count in (("vector", 86), ("zero", 79)):
             recorded.clear()
             cfg = ModelConfig(fusion_gate=gate, patch_stride=stride)
             TrajectoryForecaster(cfg, seed=0).loss(_circle_window(5))
@@ -654,7 +705,7 @@ def test_tape_of_a_20_walker_window_stays_under_40_mib():
 def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
     """``predict`` keeps no op's parents or closure and touches no
     gradient; the loss and backward after it are those of a model that
-    never forecast, on the full 87-op tape."""
+    never forecast, on the full 86-op tape."""
     window = _circle_window(5)
     want_loss, want_grads = _loss_and_grads(ModelConfig(), window)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
@@ -673,7 +724,7 @@ def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
 
     outputs.clear()
     loss = model.loss(window)
-    assert len(outputs) == 87
+    assert len(outputs) == 86
     backward(loss)
     assert loss.item() == want_loss
     for name, p in model.params.items():
@@ -744,7 +795,7 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
                         lambda *args: recorded.append(args[1]))
     # a forecast records no tape but is refused on the training estimate
     for step in (model.loss, model.predict):
-        with pytest.raises(WindowTooLargeError, match=r"N=20 .* 32.7 MiB of autodiff "
+        with pytest.raises(WindowTooLargeError, match=r"N=20 .* 32.3 MiB of autodiff "
                            r"tape, 9.6 MiB of gradients and 10.4 MiB of backward "
                            r"temporaries, .* 40.0 MiB"):
             step(window)
@@ -752,14 +803,14 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
 
 
 def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
-    # the 32.7 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
+    # the 32.3 MiB tape fits in 40 MiB, but not with 9.6 MiB of gradients
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 40 * 2**20)
-    with pytest.raises(WindowTooLargeError, match=r"32.7 MiB .* 9.6 MiB .* 40.0 MiB"):
+    with pytest.raises(WindowTooLargeError, match=r"32.3 MiB .* 9.6 MiB .* 40.0 MiB"):
         TrajectoryForecaster(ModelConfig(), seed=0).loss(_circle_window(20))
 
 
 def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
-    # 32.7 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
+    # 32.3 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
     # the (M, d) gradient of the gates, 6 * 1770 * 128 * 8 bytes = 10.4 MiB,
     # that the backward holds while it passes the six patches' edge branch
     window = _circle_window(20)
@@ -774,7 +825,7 @@ def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
 
 
 def test_zero_gate_has_no_edge_temporaries(monkeypatch):
-    # no edge branch runs, so 22.4 MiB of tape and 9.6 MiB of gradients are all
+    # no edge branch runs, so 22.0 MiB of tape and 9.6 MiB of gradients are all
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 36 * 2**20)
     loss = TrajectoryForecaster(ModelConfig(fusion_gate="zero"), seed=0).loss(
         _circle_window(20))

@@ -210,7 +210,7 @@ def _head_fixture(n=2, t_pred=3, d=6, seed=9):
 
 def test_gaussian_parameters_ranges():
     y, w, b = _head_fixture()
-    mu, log_sigma, rho = gaussian_parameters(y, w, b, t_pred=3)
+    mu, log_sigma, rho = gaussian_parameters(y[:, -3:], w, b)
     assert mu.shape == (2, 3, 2) and log_sigma.shape == (2, 3, 2)
     assert np.all(np.abs(rho.data) <= 0.999)
 
@@ -262,7 +262,7 @@ def test_nll_gradient_zero_at_stationary_point():
 def test_gaussian_parameters_then_nll_gradients():
     y, w, b = _head_fixture()
     targets = np.random.default_rng(11).normal(size=(2, 3, 2))
-    err = gradcheck(lambda: bivariate_nll(*gaussian_parameters(y, w, b, 3), targets),
+    err = gradcheck(lambda: bivariate_nll(*gaussian_parameters(y[:, -3:], w, b), targets),
                     [w, b], eps=1e-5)
     assert err < 1e-4
 
@@ -275,7 +275,7 @@ def test_loss_reads_only_last_t_pred_positions():
     targets = np.random.default_rng(12).normal(size=(2, t_pred, 2))
 
     w.grad = b.grad = None
-    backward(bivariate_nll(*gaussian_parameters(y, w, b, t_pred), targets))
+    backward(bivariate_nll(*gaussian_parameters(y[:, -t_pred:], w, b), targets))
     grad_sliced = (w.grad.copy(), b.grad.copy())
 
     w.grad = b.grad = None

@@ -148,8 +148,10 @@ def _gat_with_weights(z, adjacency, theta, theta_dst, att):
     """``gat_layer``'s output on the adjacency's edge list, as one patch,
     and its attention weights: the softmax of the scores a .
     LeakyReLU(dst_i + src_j) over each node's neighbours plus itself, -inf
-    elsewhere.  The grid route's output must be the ELU of the weighted
-    messages bit for bit, the segment route's to 1e-14."""
+    elsewhere, the rectifier the product with its slope.  Either route's
+    output must be the ELU of the weighted messages to 1e-14: the op
+    scores a . dst_i + a . src_j - 0.8 a . min(dst_i + src_j, 0), which
+    rounds differently."""
     edges = edge_list(np.asarray(adjacency)[None])
     out = _on_route(False, gat_layer, Tensor(z[None]), edges, theta, theta_dst, att)
     segments = _on_route(True, gat_layer, Tensor(z[None]), edges, theta, theta_dst, att)
@@ -162,7 +164,7 @@ def _gat_with_weights(z, adjacency, theta, theta_dst, att):
     scores = (pair.reshape(-1, src.shape[1]) @ att.data).reshape(len(adjacency), -1)
     scores[adjacency + np.eye(len(adjacency)) == 0] = -np.inf
     alpha = softmax(Tensor(scores))
-    assert out.data.tobytes() == elu(alpha @ src).data.tobytes()
+    np.testing.assert_allclose(out.data, elu(alpha @ src).data, rtol=1e-14, atol=1e-14)
     return out, alpha.data
 
 
