@@ -12,7 +12,6 @@ D - A = B1 B1^T, which shares L1's nonzero spectrum.
 
 import numpy as np
 
-from stedge.autodiff import Tensor
 from stedge.edgegraph import (
     boundary_operator,
     hll_conv,
@@ -70,11 +69,17 @@ for j, t in enumerate(basis):
     spectral = (vectors * scalars) @ vectors.T @ x
     print(f"  order {j}: max |difference| = {np.abs(t - spectral).max():.2e}")
 
-coeffs = Tensor(rng.normal(size=(3, 4)) * 0.4)   # row j maps order j to 4 channels
-out = hll_conv(graph, coeffs, Tensor(np.eye(4)))   # an identity gate map
-print(f"\nsigmoid of the filtered edge embedding, shape {out.shape}; "
-      f"value range [{out.data.min():.3f}, {out.data.max():.3f}]")
-phi = Tensor(rng.normal(size=(4, 4)) * 0.5)          # the fusion's gate map
-gates = hll_conv(graph, coeffs, phi).data
-print(f"fusion gates sigmoid(embedding @ phi), one per edge and channel: "
+stacked = hll_conv(graph, 3)      # the (m, 3) basis the model's edge branch reads
+print(f"\nhll_conv's basis, shape {stacked.shape}, is the orders above side by "
+      f"side: {np.array_equal(stacked, np.stack(basis, axis=1))}")
+coeffs = rng.normal(size=(3, 4)) * 0.4   # row j maps order j to 4 channels
+response = stacked @ coeffs              # the filter sum_j G_j(L1 / lambda) x theta_j
+embedding = np.where(response > 0.0, response, np.expm1(response))   # ELU
+print(f"filter response T C, shape {response.shape}: range "
+      f"[{response.min():.3f}, {response.max():.3f}]; after ELU "
+      f"[{embedding.min():.3f}, {embedding.max():.3f}]")
+phi = rng.normal(size=(4, 4)) * 0.5          # the fusion's gate map
+gates = 0.5 * np.tanh(0.5 * (embedding @ phi)) + 0.5
+print(f"fusion gates sigmoid(ELU(T C) @ phi), one per edge and channel: "
       f"range [{gates.min():.3f}, {gates.max():.3f}]")
+print("(the model forms these gates block by block inside fusion_gcn's one op)")

@@ -26,27 +26,25 @@ reference chains the tests compare the fused ops against.  Elementwise ops
 broadcast with numpy's trailing-dimension alignment.  Every forward result
 is checked for NaN/Inf and the offending op is named when the check fires.
 
-Three fused ops carry the graph stage, one op per job for all K patches
+Two fused ops carry the graph stage, one op per job for all K patches
 of a window, each recording only its output and recomputing the rest in
 its backward (Chen et al., "Training Deep Nets with Sublinear Memory
-Cost", 2016).  The two node jobs take (K, n, d) operands and the
-window's (M, 3) patch-tagged edge list:
+Cost", 2016).  Both take (K, n, d) node operands and the window's
+(M, 3) patch-tagged edge list:
 
 * ``pair_attention``: each node's softmax-weighted messages over its
   neighbours and itself, scored by a . LeakyReLU(dst_i + src_j), with
   LeakyReLU written as p - 0.8 min(p, 0) so that no slope array is built;
   the closure keeps the softmax weights;
-* ``gated_neighbour_mean``: gated messages averaged over each node's
-  neighbours, linear in its (M, d) gates, which arrive in (0, 1), and with
-  no pair grid recorded;
-* ``edge_gates``: the gates sigmoid(ELU(a @ b) @ c).  The sigmoid runs
-  here, once per edge and channel, and its backward reads the sigmoid's
-  slope off the output and recomputes ELU(a @ b), which costs little
-  when a is narrow.
+* ``gated_neighbour_mean``: the whole edge branch, gated messages
+  averaged over each node's neighbours, the gates sigmoid(ELU(T C) phi)
+  formed from the narrow, constant Laguerre basis T of the edges.  The
+  closure keeps the (M, d) gates; the backward recomputes ELU(T C) and
+  consumes the gates' gradient a block of edges at a time.
 
 The node jobs run on the (n, n) grids of the patches when the edges are
 dense and on segment sums over the receiver-sorted edge list when they are
-sparse (``segment_route``).  Every d-wide temporary of the three over
+sparse (``segment_route``).  Every d-wide temporary of the two over
 node pairs or edges is a block of at most ``_BLOCK_ENTRIES`` whose split
 depends only on the window's structure, so results stay
 bit-reproducible.  Three more carry the encoder, on the same plan:
@@ -85,7 +83,6 @@ __all__ = [
     "softmax",
     "pair_attention",
     "gated_neighbour_mean",
-    "edge_gates",
     "linear",
     "layer_norm",
     "attention",
@@ -571,7 +568,9 @@ class _ReceiverPairs:
     receivers' runs, so a sum over each receiver's pairs is one
     ``np.add.reduceat`` per block; a receiver whose run two blocks share
     gets both parts.  ``starts`` holds each receiver's first pair, which is
-    in node order when every node receives a pair (with ``self_loops``)."""
+    in node order when every node receives a pair (with ``self_loops``).
+    ``order`` is the sort: pair i was pair order[i] as built, edges one
+    way, then the other way, then the self-loops."""
 
     def __init__(self, k, u, v, patches: int, n: int, d: int, self_loops: bool):
         a, b = k * n + u, k * n + v
@@ -581,9 +580,9 @@ class _ReceiverPairs:
             nodes = np.arange(patches * n)
             recv, send, edge = recv + [nodes], send + [nodes], edge + [np.full(len(nodes), -1)]
         recv, send, edge = (np.concatenate(c) for c in (recv, send, edge))
-        order = np.lexsort((send, recv))
-        self.recv, self.send, self.edge = recv[order], send[order], edge[order]
-        self.rows, self.d = patches * n, d
+        self.order = np.lexsort((send, recv))
+        self.recv, self.send, self.edge = recv[self.order], send[self.order], edge[self.order]
+        self.rows, self.d, self.edge_count = patches * n, d, len(k)
         self.starts = np.flatnonzero(_run_firsts(self.recv))
         self.blocks = []
         for pairs in _blocks(len(self.recv), d):
@@ -597,6 +596,17 @@ class _ReceiverPairs:
         for pairs, firsts, receivers in self.blocks:
             out[receivers] += np.add.reduceat(terms(pairs), firsts, axis=0)
         return out
+
+    def reverses(self) -> np.ndarray:
+        """Each pair's reverse, j to i for i to j, as its place in the
+        sorted list: as built, an edge's two directions sit M apart and a
+        self-loop is its own, so it is the sort's inverse permutation
+        applied to that offset."""
+        m, place = self.edge_count, np.empty_like(self.order)
+        place[self.order] = np.arange(len(self.order))
+        built = np.arange(len(self.order))
+        built[:2 * m] = np.roll(built[:2 * m], m)     # each pair's reverse as built
+        return place[built[self.order]]
 
 
 def _run_firsts(ids) -> np.ndarray:
@@ -775,7 +785,7 @@ def _pair_segments(dst, src, att, a, k, u, v):
         if src.requires_grad or att.requires_grad:
             # each pair's reverse: a sum over the reverses of the pairs a node
             # receives is a sum over the pairs it sends
-            reverse = np.lexsort((recv, send))
+            reverse = pairs.reverses()
             sent = g_scores[reverse]
             sending = (np.add.reduceat(sent, pairs.starts).reshape(patches, n),
                        below_sums(send, recv, sent))
@@ -788,20 +798,25 @@ def _pair_segments(dst, src, att, a, k, u, v):
     return data.reshape(src.shape), backward_fn
 
 
-def gated_neighbour_mean(gates, x, edge_index) -> Tensor:
-    """Gated messages averaged over each node's neighbours in K patch
-    graphs at once, (K, n, d): edge e = (k, u, v) of the (M, 3)
-    ``edge_index`` sends gates[e] * x[k, v] to node u of patch k and
-    gates[e] * x[k, u] to its node v, and each node's sum is divided by its
-    degree (an isolated node's by 1).  ``gates`` holds the (M, d) gates,
-    one per edge and channel, in (0, 1) as ``edge_gates`` gives them;
-    ``x`` is (K, n, d).
+def gated_neighbour_mean(basis, coeffs, phi, x, edge_index) -> Tensor:
+    """The fusion's edge branch as one op, (K, n, d): edge e = (k, u, v)
+    of the (M, 3) ``edge_index`` sends gates[e] * x[k, v] to node u of
+    patch k and gates[e] * x[k, u] to its node v, and each node's sum is
+    divided by its degree (an isolated node's by 1).  The (M, d) gates are
+    sigmoid(ELU(basis @ coeffs) @ phi) of the constant (M, order)
+    ``basis`` (no gradient reaches it), the (order, c) ``coeffs`` and the
+    (c, d) ``phi``; ``x`` is (K, n, d).
 
     The edges must be distinct, off the diagonal, each listed in one
-    orientation only and sorted by patch.  The op is linear in each
-    operand: the backward forms the gates' gradient a block of edges at a
-    time, and applies the transpose of the gated product G @ x (G is
-    symmetric) by the same route as the forward (``segment_route``):
+    orientation only and sorted by patch.  The gates are formed a block of
+    edges at a time, the sigmoid as 0.5 tanh(h / 2) + 0.5, which cannot
+    overflow, and the closure keeps them.  The backward forms, one
+    ``_blocks`` block of edges at a time, the gates' gradient from ``x``
+    and the output's, times the sigmoid's slope s (1 - s), and passes it
+    through the gate map and the filter, recomputing ELU(basis @ coeffs)
+    and reading ELU's slope off it (below zero exp(h) = ELU(h) + 1), so no
+    (M, d) gradient exists.  The gated product G @ x (G is symmetric) and
+    its transpose run by the route ``segment_route`` picks:
 
     * grid: a (K, n, n) map of each pair's edge row gathers the d-wide
       gate rows of a block of rows of a patch, or of whole patches, whose
@@ -811,22 +826,42 @@ def gated_neighbour_mean(gates, x, edge_index) -> Tensor:
     * segment: each directed pair's gated message summed over the
       receiver-sorted edge list by ``np.add.reduceat``, O(m d).
     """
-    gates, x = _as_tensor(gates), _as_tensor(x)
+    basis, coeffs, phi, x = (_as_tensor(t) for t in (basis, coeffs, phi, x))
     k, u, v = _patch_edges(edge_index)
-    if gates.ndim != 2 or x.ndim != 3 or gates.shape != (len(k), x.shape[2]):
+    if basis.ndim != 2 or coeffs.ndim != 2 or phi.ndim != 2 or x.ndim != 3 \
+            or basis.shape != (len(k), coeffs.shape[0]) \
+            or phi.shape != (coeffs.shape[1], x.shape[2]):
         raise ShapeMismatchError(
-            f"gated_neighbour_mean: gates {gates.shape} for {len(k)} edges, values {x.shape}")
+            f"gated_neighbour_mean: basis {basis.shape} for {len(k)} edges, "
+            f"coeffs {coeffs.shape}, phi {phi.shape}, values {x.shape}")
     patches, n, d = x.shape
     ends = (k * n + u, k * n + v)     # the endpoints' global node ids
     degree = np.bincount(np.concatenate(ends), minlength=patches * n)
     inv_degree = (1.0 / np.maximum(degree, 1)).reshape(patches, n, 1)
+    blocks = _blocks(len(k), max(coeffs.shape[1], d))
+
+    def activation(edges):
+        """ELU(basis @ coeffs) of a block of edges."""
+        h = basis.data[edges] @ coeffs.data
+        below = np.minimum(h, 0.0)
+        np.expm1(below, out=below)
+        np.maximum(h, below, out=h)     # expm1(x) > x below zero
+        return h
+
+    gates = np.empty((len(k), d))
+    half_phi = phi.data * 0.5       # a power of two: (h @ phi) / 2 exactly
+    for edges in blocks:
+        gate = np.matmul(activation(edges), half_phi, out=gates[edges])
+        np.tanh(gate, out=gate)
+        gate *= 0.5
+        gate += 0.5
 
     if segment_route(patches, n, len(k)):
         pairs = _ReceiverPairs(k, u, v, patches, n, d, self_loops=False)
 
         def product(values):
             rows = values.reshape(-1, d)
-            return pairs.sums(lambda block: gates.data[pairs.edge[block]]
+            return pairs.sums(lambda block: gates[pairs.edge[block]]
                               * rows[pairs.send[block]]).reshape(x.shape)
     else:
         edge_rows = np.zeros((patches, n, n), dtype=np.int64)
@@ -838,7 +873,7 @@ def gated_neighbour_mean(gates, x, edge_index) -> Tensor:
         def product(values):
             out = np.zeros(x.shape)
             for ks, rows in tiles:
-                block = gates.data[edge_rows[ks, rows]]
+                block = gates[edge_rows[ks, rows]]
                 block[absent[ks, rows]] = 0.0
                 out[ks, rows] = np.einsum("krjd,kjd->krd", block, values[ks])
             return out
@@ -848,73 +883,26 @@ def gated_neighbour_mean(gates, x, edge_index) -> Tensor:
     def backward_fn(g):
         g = g * inv_degree
         g_x = product(g) if x.requires_grad else None
-        g_gates = None
-        if gates.requires_grad:
+        g_coeffs = np.zeros(coeffs.shape) if coeffs.requires_grad else None
+        g_phi = np.zeros(phi.shape) if phi.requires_grad else None
+        if g_coeffs is not None or g_phi is not None:
             g_rows, x_rows = g.reshape(-1, d), x.data.reshape(-1, d)
-            g_gates = np.empty(gates.shape)
-            for edges in _blocks(len(k), d):
+            for edges in blocks:
                 at_u, at_v = ends[0][edges], ends[1][edges]
-                block = np.multiply(g_rows[at_u], x_rows[at_v], out=g_gates[edges])
-                block += g_rows[at_v] * x_rows[at_u]
-        return g_gates, g_x
+                g_pre = g_rows[at_u] * x_rows[at_v]     # the gates' gradient
+                g_pre += g_rows[at_v] * x_rows[at_u]
+                g_pre *= (1.0 - gates[edges]) * gates[edges]    # the sigmoid's slope
+                h = activation(edges)
+                if g_phi is not None:
+                    g_phi += h.T @ g_pre
+                if g_coeffs is not None:
+                    h += 1.0
+                    np.minimum(h, 1.0, out=h)   # ELU's slope
+                    h *= g_pre @ phi.data.T
+                    g_coeffs += basis.data[edges].T @ h
+        return g_coeffs, g_phi, g_x
 
-    return _result(data, "gated_neighbour_mean", (gates, x), backward_fn)
-
-
-def edge_gates(a, b, c) -> Tensor:
-    """The fusion's gates sigmoid(ELU(a @ b) @ c), in (0, 1), of 2-D
-    operands as one op whose tape holds only the output.  The sigmoid,
-    0.5 tanh(h / 2) + 0.5, which cannot overflow, runs once per entry, and
-    the backward reads its slope s (1 - s) off the output s.  The backward
-    recomputes ELU(a @ b) as the forward did and reads ELU's slope off it:
-    below zero the slope exp(a @ b) equals ELU(a @ b) + 1.  With a narrow
-    ``a`` the recompute costs a small share of the product with ``c``.
-    Both passes run a block of a's rows at a time, so no row-block
-    temporary outgrows ``_BLOCK_ENTRIES``."""
-    a, b, c = _as_tensor(a), _as_tensor(b), _as_tensor(c)
-    if a.ndim != 2 or b.ndim != 2 or c.ndim != 2 \
-            or a.shape[1] != b.shape[0] or b.shape[1] != c.shape[0]:
-        raise ShapeMismatchError(f"edge_gates: {a.shape} @ {b.shape} @ {c.shape}")
-    blocks = _blocks(a.shape[0], max(b.shape[1], c.shape[1]))
-
-    def activation(rows):
-        """ELU(a @ b) of a block of rows."""
-        h = a.data[rows] @ b.data
-        below = np.minimum(h, 0.0)
-        np.expm1(below, out=below)
-        np.maximum(h, below, out=h)     # expm1(x) > x below zero
-        return h
-
-    data = np.empty((a.shape[0], c.shape[1]))
-    half_c = c.data * 0.5       # a power of two: (h @ c) / 2 exactly
-    for rows in blocks:
-        gate = np.matmul(activation(rows), half_c, out=data[rows])
-        np.tanh(gate, out=gate)
-        gate *= 0.5
-        gate += 0.5
-
-    def backward_fn(g):
-        g_c = np.zeros(c.shape) if c.requires_grad else None
-        g_a = np.empty(a.shape) if a.requires_grad else None
-        g_b = np.zeros(b.shape) if b.requires_grad else None
-        for rows in blocks:
-            g_pre = 1.0 - data[rows]
-            g_pre *= data[rows]         # the sigmoid's slope
-            g_pre *= g[rows]
-            h = activation(rows)
-            if g_c is not None:
-                g_c += h.T @ g_pre
-            if g_a is not None or g_b is not None:
-                h += 1.0
-                np.minimum(h, 1.0, out=h)   # ELU's slope
-                h *= g_pre @ c.data.T
-                if g_a is not None:
-                    g_a[rows] = h @ b.data.T
-                if g_b is not None:
-                    g_b += a.data[rows].T @ h
-        return g_a, g_b, g_c
-
-    return _result(data, "edge_gates", (a, b, c), backward_fn)
+    return _result(data, "gated_neighbour_mean", (coeffs, phi, x), backward_fn)
 
 
 # -- fused encoder ops ----------------------------------------------------------

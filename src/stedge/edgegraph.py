@@ -4,7 +4,8 @@ The signed incidence matrix B1 (one -1 at the low-index endpoint, one +1 at
 the high-index endpoint per column) defines the first Hodge Laplacian
 L1 = B1^T B1 (the two-simplex term is zero here).  Edge features are
 filtered by a truncated Laguerre expansion of L1, then fused back into node
-embeddings as multiplicative gates.
+embeddings as multiplicative gates: ``hll_conv`` gives the Laguerre basis
+of the edge lengths and ``fusion_gcn`` filters and fuses it in one op.
 
 An edge signal is an (M,) vector over a ``PatchGraph``'s edge list, all
 K patches' edges in one.  The model never builds B1: B1 x is one
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, edge_gates, elu, gated_neighbour_mean
+from stedge.autodiff import Tensor, elu, gated_neighbour_mean
 from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
@@ -150,43 +151,36 @@ def laguerre_basis(operator, x, order: int) -> list:
     return basis
 
 
-def hll_conv(graph: PatchGraph, coeffs: Tensor, phi: Tensor) -> Tensor:
-    """The fusion's gates of the graph's edges, in (0, 1), all K patches'
-    in one, (M, d): the sigmoid of the spectral edge convolution of the
-    edge lengths E, ELU(sum_j G_j(L1 / lam) E theta_j), where row j of the
-    (order, d) ``coeffs`` is theta_j, mapped through the (d, d) ``phi``.
-
-    The edge signal is a constant, so its basis is plain numpy: each
-    order's (M,) vector is one column of an (M, order) array T.  Filter,
-    ELU, gate map and sigmoid are one op, sigmoid(ELU(T coeffs) phi)
-    (``edge_gates``): the tape holds only the (M, d) gates, and the
-    backward recomputes the filtered embedding from the narrow T.
-    """
-    basis = laguerre_basis(hodge_operator(graph), graph.distances, coeffs.shape[0])
-    return edge_gates(Tensor(np.stack(basis, axis=1)), coeffs, phi)
+def hll_conv(graph: PatchGraph, order: int) -> np.ndarray:
+    """The Laguerre basis of the graph's edge lengths E, all K patches' in
+    one, (M, order): column j is G_j(L1 / lam) E, so the spectral edge
+    convolution sum_j G_j(L1 / lam) E theta_j is this basis times the
+    (order, d) coefficients whose row j is theta_j.  A constant of plain
+    numpy, recording no op; ``fusion_gcn``'s one op filters it."""
+    return np.stack(laguerre_basis(hodge_operator(graph), graph.distances, order), axis=1)
 
 
-def fusion_gcn(h_node: Tensor, gates: Tensor | None, edge_index,
-               theta: Tensor) -> Tensor:
+def fusion_gcn(h_node: Tensor, edge_filter, edge_index, theta: Tensor) -> Tensor:
     """Node update of the K patches' (K, n, d) ``h_node``, gated per
     neighbour by its edge.
 
     H_i = ELU(theta h_i + (1/deg_i) sum_{j in N(i)} g_ij * theta h_j),
-    where g_ij is the edge's row of the (M, d) ``gates`` in (0, 1)
-    (``hll_conv``), one gate per channel, and the (M, 3) ``edge_index``
-    tags each edge with its patch.  Without gates (None, or no edges) the
-    gate is zero, which severs the edge branch.  The neighbour sum is
-    divided by the node's degree: on a complete patch graph an
-    unnormalised sum outweighs the node's own term n - 1 times over and
-    pulls every node towards the patch mean, which washed out the
+    where g_ij in (0, 1) is the edge's gate, one per channel: row e of
+    sigmoid(ELU(T C) phi) for the ``edge_filter`` (T, C, phi), the
+    constant (M, order) Laguerre basis T (``hll_conv``), the (order, d)
+    filter coefficients C and the (d, d) gate map phi.  The (M, 3)
+    ``edge_index`` tags each edge with its patch.  Without a filter (None,
+    or no edges) the gate is zero, which severs the edge branch.  The
+    neighbour sum is divided by the node's degree: on a complete patch
+    graph an unnormalised sum outweighs the node's own term n - 1 times
+    over and pulls every node towards the patch mean, which washed out the
     per-pedestrian signal the forecast needs.
 
-    The gated mean is one recorded op (``gated_neighbour_mean``), on the
-    patches' (n, n) grids or on segment sums over the edge list by the
-    edges' density; it is linear in the gates, whose sigmoid ran once, in
-    ``hll_conv``.
+    Gates and gated mean are one recorded op (``gated_neighbour_mean``),
+    on the patches' (n, n) grids or on segment sums over the edge list by
+    the edges' density, which keeps only the gates for its backward.
     """
     t = h_node @ theta
-    if gates is None or not len(edge_index):
+    if edge_filter is None or not len(edge_index):
         return elu(t)
-    return elu(t + gated_neighbour_mean(gates, t, edge_index))
+    return elu(t + gated_neighbour_mean(*edge_filter, t, edge_index))

@@ -43,19 +43,20 @@ The graph stage runs once per window, on all K patches at once, and
 records one op per job, so a window's op count does not grow with K:
 ``segment_patches`` gives the (K, n, d) node features, the attention
 layer (``gat_layer``) is one op after its two halves' products, and the
-edge branch is two: ``hll_conv`` filters the edge lengths and maps the
-filtered embedding through ``fuse.phi`` and the sigmoid to the (M, d)
-gates in (0, 1) in one op, and ``fusion_gcn`` averages the gated
-neighbour messages in another.  Only the gates stay on the tape; the
-(M, d) filtered embedding is recomputed in the backward.  The head reads
+edge branch is one: ``hll_conv`` gives the constant (M, order) Laguerre
+basis of the edge lengths, recording nothing, and ``fusion_gcn`` filters
+it, maps it through ``fuse.phi`` and the sigmoid to the (M, d) gates and
+averages the gated neighbour messages in one op, whose closure keeps
+only the gates; the backward meets their gradient a block of edges at
+a time.  The head reads
 only the T_pred future rows, so the encoder's last layer computes only
 those (``encoder_forward``'s ``last_rows``), and the head projects them
 as they come.
 
 Before it records its first op, ``forward`` sums the window's estimated
 tape (``tape_bytes``), the gradients every backward allocates and the
-backward's largest temporary, the (M, d) gradient of the gates
-(``step_bytes``); above physical memory it raises
+graph structure and temporaries beside them (``step_bytes``); above
+physical memory it raises
 ``WindowTooLargeError``, a named error in place of an out-of-memory kill.
 ``predict`` records no tape, but its window is checked on the same
 training estimate.
@@ -69,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import (ParameterStore, ShapeMismatchError, Tensor, concatenate,
-                             linear, segment_route)
+from stedge.autodiff import (_BLOCK_ENTRIES, ParameterStore, ShapeMismatchError, Tensor,
+                             concatenate, linear, segment_route)
 from stedge.data import (DEFAULT_T_OBS, DEFAULT_T_PRED, Window,
                          future_displacements, init_features)
 from stedge.edgegraph import fusion_gcn, hll_conv
@@ -121,7 +122,16 @@ _LAST_LAYER_ROWS = 11
 # (N, T_pred): the entries per pedestrian and future step of the head's
 # 5-wide projection and the 2- and 1-wide arrays of the likelihood
 _HEAD_ENTRIES = 43
-_EDGE_BACKWARD_ARRAYS = 1   # (M, d): the gates' gradient, live in the backward's edge branch
+# bytes a step holds beyond its float arrays (see step_bytes): per node
+# pair, the adjacency and, on the grid route, the attention's mask and the
+# edge op's edge-row map and mask; per edge, the edge list and length and
+# the edge op's basis (per order) and endpoint ids; per directed pair on
+# the segment route, each op's sorted pair lists.  And the d-wide blocks
+# over edges, each at most _BLOCK_ENTRIES, that the edge op's backward
+# holds at once: gathered gradient and value rows, their product and the
+# gates' gradient
+_PAIR_BYTES, _GRID_ATTENTION_BYTES, _GRID_EDGE_BYTES, _PAIR_LIST_BYTES = 8, 1, 9, 40
+_EDGE_BYTES, _BASIS_BYTES, _ENDPOINT_BYTES, _BACKWARD_BLOCKS = 32, 8, 16, 4
 
 
 def _physical_memory() -> float:
@@ -287,12 +297,19 @@ def step_bytes(cfg: ModelConfig, n_peds: int, edge_counts,
     """The three terms the memory guard sums for one window's training
     step: the tape (``tape_bytes``), the leaf gradients every backward
     allocates (8 bytes for each of the ``n_values`` parameter values) and
-    the backward's temporaries while it passes the edge branch, the (M, d)
-    gradient of the gates, when that branch runs; the fused ops' other
-    d-wide temporaries over pairs or edges are blocks of at most 1 MiB."""
-    temps = _EDGE_BACKWARD_ARRAYS * int(sum(edge_counts)) * cfg.model_dim
-    return (tape_bytes(cfg, n_peds, edge_counts), 8 * n_values,
-            8 * temps * (cfg.fusion_gate != "zero"))
+    what the step holds beyond those float arrays: the window's patch
+    structure and the graph stage's index arrays, held to the forward's
+    last op, and the block temporaries of the edge op's backward."""
+    n, patches, edges = n_peds * cfg.patch_len, len(edge_counts), int(sum(edge_counts))
+    pairs, segment = patches * n * n, segment_route(patches, n, edges)
+    held = _PAIR_BYTES * pairs + _EDGE_BYTES * edges
+    held += (_PAIR_LIST_BYTES * (2 * edges + patches * n) if segment
+             else _GRID_ATTENTION_BYTES * pairs)
+    if cfg.fusion_gate != "zero" and edges:
+        held += (_BASIS_BYTES * cfg.hll_order + _ENDPOINT_BYTES) * edges
+        held += _PAIR_LIST_BYTES * 2 * edges if segment else _GRID_EDGE_BYTES * pairs
+        held += 8 * _BACKWARD_BLOCKS * min(_BLOCK_ENTRIES, edges * cfg.model_dim)
+    return tape_bytes(cfg, n_peds, edge_counts), 8 * n_values, held
 
 
 def gradcheck_parameters(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
@@ -333,14 +350,15 @@ class TrajectoryForecaster:
         graph = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
                              cfg.max_distance)
         # refuse a window that cannot fit before recording any of it
-        tape, grads, temps = step_bytes(cfg, window.n_peds, graph.edge_counts,
-                                        self.params.n_values())
-        if tape + grads + temps > TAPE_BUDGET_BYTES:
+        tape, grads, held = step_bytes(cfg, window.n_peds, graph.edge_counts,
+                                       self.params.n_values())
+        if tape + grads + held > TAPE_BUDGET_BYTES:
             raise WindowTooLargeError(
                 f"a window of N={window.n_peds} pedestrians needs an estimated "
                 f"{tape / 2**20:.1f} MiB of autodiff tape, {grads / 2**20:.1f} MiB of "
-                f"gradients and {temps / 2**20:.1f} MiB of backward temporaries, more "
-                f"than the {TAPE_BUDGET_BYTES / 2**20:.1f} MiB of physical memory")
+                f"gradients and {held / 2**20:.1f} MiB of graph structure and backward "
+                f"temporaries, more than the {TAPE_BUDGET_BYTES / 2**20:.1f} MiB of "
+                "physical memory")
         params = self.params if params is None else params
         pooled = self._graph_stage(window, graph, params)
         tokens = assemble_tokens(pooled, params["pred.placeholder"],
@@ -359,13 +377,13 @@ class TrajectoryForecaster:
         z = segment_patches(x, cfg.patch_len, cfg.patch_stride)   # (K, n, d)
         h_node = gat_layer(z, graph.edge_index, params["gat.theta"],
                            params["gat.theta_dst"], params["gat.att"])
-        gates = None
+        edge_filter = None
         if cfg.fusion_gate != "zero" and len(graph.edge_index):
             # the edge embedding rides in the filter (see the module docstring)
             coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
                                   for j in range(cfg.hll_order)])
-            gates = hll_conv(graph, coeffs, params["fuse.phi"])
-        update = fusion_gcn(h_node, gates, graph.edge_index, params["fuse.theta"])
+            edge_filter = (hll_conv(graph, cfg.hll_order), coeffs, params["fuse.phi"])
+        update = fusion_gcn(h_node, edge_filter, graph.edge_index, params["fuse.theta"])
         # each node's own features ride around the graph stage, which on a
         # complete graph averages every node towards the patch mean
         return stack_and_pool(z + update, window.n_peds, cfg.patch_len)

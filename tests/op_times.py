@@ -13,6 +13,15 @@ window by op name, and each op's share of the timed steps' wall time:
     PYTHONPATH=src python tests/op_times.py --sizes 12 16 20
     PYTHONPATH=src python tests/op_times.py --sizes 20 --max-distance 2
 
+With ``--memory`` it times nothing and traces memory instead: for one
+window of each size, after the warm-up step, it prints tracemalloc's
+peak over the loss and the memory held when the backward starts, then,
+op by op in the order the backward runs them, the traced memory after
+each op's backward and the running peak of the backward, which shows
+where a step's peak forms:
+
+    PYTHONPATH=src python tests/op_times.py --sizes 50 --memory
+
 BLAS runs on one thread unless its thread variables are already set.
 pytest does not collect this file.
 """
@@ -21,6 +30,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -97,6 +107,39 @@ class OpClock:
         return undo
 
 
+def memory_table(model, window) -> None:
+    """Print the traced memory of one loss and backward of ``window``: the
+    loss's peak, what is held when the backward starts, and after each
+    op's backward the traced memory and the backward's running peak."""
+    rows, record_op = [], stedge.autodiff._result
+
+    def recording(data, op, parents, backward_fn):
+        def traced(g):
+            grads = backward_fn(g)
+            rows.append((op, *tracemalloc.get_traced_memory()))
+            return grads
+
+        return record_op(data, op, parents, traced)
+
+    model.params.zero_grad()
+    stedge.autodiff._result = recording
+    tracemalloc.start()
+    try:
+        loss = model.loss(window)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backward(loss)
+    finally:
+        tracemalloc.stop()
+        stedge.autodiff._result = record_op
+    mib = 2.0 ** 20
+    print(f"N {window.n_peds}: loss peak {peak / mib:.1f} MiB, "
+          f"{held / mib:.1f} MiB held when the backward starts")
+    print(f"{'backward of op':24s} {'after MiB':>10s} {'peak MiB':>10s}")
+    for op, after, running in rows:
+        print(f"{op:24s} {after / mib:10.1f} {running / mib:10.1f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[12, 16, 20])
@@ -104,6 +147,8 @@ def main() -> None:
     parser.add_argument("--max-distance", type=float, default=None,
                         help="proximity wiring radius in metres (default: complete)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--memory", action="store_true",
+                        help="trace memory op by op through one backward per size")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     model = TrajectoryForecaster(ModelConfig(max_distance=args.max_distance), seed=args.seed)
@@ -115,6 +160,10 @@ def main() -> None:
 
     for n in args.sizes:
         step(next(w for w in windows if w.n_peds == n))
+    if args.memory:
+        for n in args.sizes:
+            memory_table(model, next(w for w in windows if w.n_peds == n))
+        return
     clock = OpClock()
     undo = clock.install()
     try:

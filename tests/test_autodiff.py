@@ -14,7 +14,6 @@ from stedge.autodiff import (
     attention,
     backward,
     concatenate,
-    edge_gates,
     elu,
     exp,
     gradcheck,
@@ -57,6 +56,10 @@ def _on_route(segment, op, *args):
 _TRIANGLE_EDGES = _patch0([[0, 1], [0, 2], [1, 2]])
 _WEIGHTS = np.random.default_rng(4).normal(size=(3, 4))
 _WINDOW_WEIGHTS = np.random.default_rng(5).normal(size=(2, 4, 2))   # unfold's (K, N * L, D)
+# a constant four-order basis of the triangle's edges, and constant values
+# on its nodes, for the edge op's gradients through its gates alone
+_TRIANGLE_BASIS = np.random.default_rng(6).normal(size=(3, 4))
+_TRIANGLE_VALUES = np.random.default_rng(7).normal(size=(1, 3, 4))
 # the two edges of a three-node path: nodes 0 and 2 do not see each other
 _PATH_EDGES = _patch0([[0, 1], [1, 2]])
 # a shift per sender that puts every row's pair sums on both sides of the
@@ -254,14 +257,20 @@ def _fd_for(param, closure, eps=1e-6):
         t * 0.5)[None], (t * 0.5 + _SIDES)[None], t[0] * 0.5, _PATH_EDGES)[0]
         * _WEIGHTS).sum()),
     ("gated_neighbour_sum", lambda t: (_on_route(False, gated_neighbour_mean,
-        t, t[None], _TRIANGLE_EDGES)[0] * _WEIGHTS).sum()),
+        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, t[None], _TRIANGLE_EDGES)[0]
+        * _WEIGHTS).sum()),
     ("gated_neighbour_mean_segments", lambda t: (_on_route(True, gated_neighbour_mean,
-        t, t[None], _TRIANGLE_EDGES)[0] * _WEIGHTS).sum()),
-    # the gate op's ELU product and map, its sigmoid near the middle ...
-    ("matmul_elu_matmul", lambda t: (
-        edge_gates(t, t.T * 0.5, t * 0.3) * _WEIGHTS).sum()),
-    # ... and into its flat tails, inputs as far out as -7
-    ("edge_gates", lambda t: (edge_gates(t, t.T * 0.5, t) * _WEIGHTS).sum()),
+        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, t[None], _TRIANGLE_EDGES)[0]
+        * _WEIGHTS).sum()),
+    # through the edge op's gates alone: the ELU product and map, the
+    # sigmoid near the middle ...
+    ("matmul_elu_matmul", lambda t: (gated_neighbour_mean(
+        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, _TRIANGLE_VALUES, _TRIANGLE_EDGES)[0]
+        * _WEIGHTS).sum()),
+    # ... and into its flat tails
+    ("edge_gates", lambda t: (gated_neighbour_mean(
+        _TRIANGLE_BASIS, t.T * 0.5, t * 2.0, _TRIANGLE_VALUES, _TRIANGLE_EDGES)[0]
+        * _WEIGHTS).sum()),
     # ReLU inputs kept at least 1 clear of the kink, on both sides of it
     ("linear", lambda t: (
         linear(t, t.T * 0.1, t[0, :3] * 0.1 + 3.0, relu=True) * _WEIGHTS[:, :3]
@@ -455,15 +464,24 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _gate_operands(rng, m, d, order=2):
+    """A constant (m, order) basis, (order, d) coefficients and a (d, d)
+    gate map, and the (m, d) gates sigmoid(ELU(basis @ coeffs) @ phi) they
+    give."""
+    basis, coeffs, phi = (rng.normal(size=shape) for shape in ((m, order), (order, d), (d, d)))
+    h = basis @ coeffs
+    return basis, coeffs, phi, _sigmoid(np.where(h > 0.0, h, np.expm1(np.minimum(h, 0.0))) @ phi)
+
+
 @pytest.mark.parametrize("d", [1, 4])
 def test_gated_neighbour_sum_matches_loop(d):
-    """``gated_neighbour_mean`` is the looped gated sum over each node's
-    edges, divided by the node's degree (an isolated node's by 1), on
-    either route."""
+    """``gated_neighbour_mean`` is the looped sum of its gates times the
+    neighbours' values over each node's edges, divided by the node's degree
+    (an isolated node's by 1), on either route."""
     rng = np.random.default_rng(31)
     for n in (2, 3, 7):
         edges = _pairs(n, rng)
-        gates = _sigmoid(rng.normal(size=(len(edges), d)))
+        basis, coeffs, phi, gates = _gate_operands(rng, len(edges), d)
         x = rng.normal(size=(n, d))
         want = np.zeros((n, d))
         degree = np.zeros(n)
@@ -473,42 +491,64 @@ def test_gated_neighbour_sum_matches_loop(d):
             degree[[u, v]] += 1
         want /= np.maximum(degree, 1)[:, None]
         for segment in (False, True):
-            got = _on_route(segment, gated_neighbour_mean, Tensor(gates), Tensor(x[None]),
-                            _patch0(edges)).data[0]
+            got = _on_route(segment, gated_neighbour_mean, basis, Tensor(coeffs), Tensor(phi),
+                            Tensor(x[None]), _patch0(edges)).data[0]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 5])
 def test_gated_neighbour_sum_gradient(d):
-    """``gated_neighbour_mean`` with one gate per edge and channel, at one
+    """``gated_neighbour_mean``'s gradients of the filter coefficients, the
+    gate map and the values, with one gate per edge and channel, at one
     channel and at five, on either route."""
     rng = np.random.default_rng(32)
     n = 6
     edges = _pairs(n, rng)
-    gates = Tensor(rng.uniform(size=(len(edges), d)), requires_grad=True)
+    basis, coeffs, phi, _ = _gate_operands(rng, len(edges), d, order=3)
+    coeffs, phi = Tensor(coeffs, requires_grad=True), Tensor(phi, requires_grad=True)
     x = Tensor(rng.normal(size=(1, n, d)), requires_grad=True)
     weights = rng.normal(size=(1, n, d))
     for segment in (False, True):
-        err = gradcheck(lambda: (_on_route(segment, gated_neighbour_mean, gates, x,
-                                           _patch0(edges)) * weights).sum(),
-                        [gates, x], eps=1e-5)
+        err = gradcheck(lambda: (_on_route(segment, gated_neighbour_mean, basis, coeffs, phi,
+                                           x, _patch0(edges)) * weights).sum(),
+                        [coeffs, phi, x], eps=1e-5)
         assert err < 1e-6
 
 
 def test_gated_neighbour_sum_shape_mismatch():
     x = Tensor(np.ones((1, 3, 2)))
     edges = _patch0([[0, 1], [1, 2]])
-    with pytest.raises(ShapeMismatchError):     # two edges, three gates
-        gated_neighbour_mean(Tensor(np.ones((3, 2))), x, edges)
+    coeffs, phi = Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))
+    with pytest.raises(ShapeMismatchError):     # two edges, three basis rows
+        gated_neighbour_mean(np.ones((3, 4)), coeffs, phi, x, edges)
+    with pytest.raises(ShapeMismatchError):     # basis @ coeffs does not fit
+        gated_neighbour_mean(np.ones((2, 3)), coeffs, phi, x, edges)
     with pytest.raises(ShapeMismatchError):     # gates not d wide
-        gated_neighbour_mean(Tensor(np.ones((2, 3))), x, edges)
+        gated_neighbour_mean(np.ones((2, 4)), coeffs, Tensor(np.ones((2, 3))), x, edges)
 
 
 def test_gated_neighbour_sum_rejects_one_gate_per_pair():
     # (m, 1) gates shared by every channel are not a layout the op takes
     x = Tensor(np.ones((1, 3, 2)))
-    with pytest.raises(ShapeMismatchError, match=r"gates \(2, 1\)"):
-        gated_neighbour_mean(Tensor(np.ones((2, 1))), x, _patch0([[0, 1], [1, 2]]))
+    with pytest.raises(ShapeMismatchError, match=r"phi \(2, 1\)"):
+        gated_neighbour_mean(np.ones((2, 4)), Tensor(np.ones((4, 2))), Tensor(np.ones((2, 1))),
+                             x, _patch0([[0, 1], [1, 2]]))
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_receiver_pairs_read_each_reverse_off_their_sort(self_loops):
+    """Each directed pair's reverse, read off the sort that built the
+    receiver-sorted pairs, is the pair that a second sort, by sender and
+    then receiver, puts in its place; three patches, the middle one
+    edgeless."""
+    rng = np.random.default_rng(33)
+    edges = np.concatenate([_patch0(_pairs(7, rng)),
+                            np.array([[2, 0, 1], [2, 3, 5], [2, 2, 6]])])
+    k, u, v = edges.T
+    pairs = stedge.autodiff._ReceiverPairs(k, u, v, 3, 7, 4, self_loops)
+    reverse = pairs.reverses()
+    np.testing.assert_array_equal(reverse, np.lexsort((pairs.recv, pairs.send)))
+    np.testing.assert_array_equal(pairs.send[reverse], pairs.recv)
 
 
 def test_pair_attention_logits_masks_scores_and_their_gradient():
@@ -546,10 +586,11 @@ def test_pair_ops_on_an_edge_list_that_leaves_a_node_without_edges(segment):
     edges = np.array([[0, 0, 1], [1, 1, 2]])
     dst, src, att = leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
                               for shape in ((2, 3, 4), (2, 3, 4), (4,))]
-    z = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    basis, coeffs, phi, _ = _gate_operands(rng, 2, 4)
+    coeffs, phi = Tensor(coeffs, requires_grad=True), Tensor(phi, requires_grad=True)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     messages = _on_route(segment, pair_attention, dst, src, att, edges)
-    mean = _on_route(segment, gated_neighbour_mean, z, x, edges)
+    mean = _on_route(segment, gated_neighbour_mean, basis, coeffs, phi, x, edges)
     lonely = [(0, 2), (1, 0)]
     for k, i in lonely:
         np.testing.assert_array_equal(messages.data[k, i], src.data[k, i])
@@ -565,7 +606,7 @@ def test_pair_ops_on_an_edge_list_that_leaves_a_node_without_edges(segment):
     other = np.ones((2, 3), dtype=bool)
     for k, i in lonely:
         other[k, i] = False
-    for t in leaves + [z, x]:
+    for t in leaves + [coeffs, phi, x]:
         t.zero_grad()
     seed = np.zeros((2, 3, 4))
     seed[0, 2] = 1.0
@@ -588,12 +629,13 @@ def test_fused_op_shape_mismatch():
     with pytest.raises(ShapeMismatchError):     # one patch's (n, d) rows, not (K, n, d)
         pair_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
                        Tensor(np.ones(2)), edge)
-    with pytest.raises(ShapeMismatchError):     # a @ b does not fit
-        edge_gates(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
-                   Tensor(np.ones((2, 4))))
-    with pytest.raises(ShapeMismatchError):     # (a @ b) @ c does not fit
-        edge_gates(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4))),
-                   Tensor(np.ones((3, 4))))
+    x = Tensor(np.ones((1, 3, 4)))
+    with pytest.raises(ShapeMismatchError):     # a one-patch (n, d) x, not (K, n, d)
+        gated_neighbour_mean(np.ones((1, 2)), Tensor(np.ones((2, 4))),
+                             Tensor(np.ones((4, 4))), Tensor(np.ones((3, 4))), edge)
+    with pytest.raises(ShapeMismatchError):     # (basis @ coeffs) @ phi does not fit
+        gated_neighbour_mean(np.ones((1, 2)), Tensor(np.ones((2, 4))),
+                             Tensor(np.ones((3, 4))), x, edge)
 
 
 def test_fused_encoder_op_shape_mismatch():

@@ -28,16 +28,6 @@ from stedge.stgraph import (
 )
 from test_autodiff import _patch0
 
-def _identity(d):
-    """A gate map that hands ``hll_conv``'s sigmoid the filtered embedding
-    itself."""
-    return Tensor(np.eye(d))
-
-
-def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _recorded_sigmoid(t):
     """The gates' sigmoid as a chain of recorded ops, from tanh."""
     return tanh(t * 0.5) * 0.5 + 0.5
@@ -234,7 +224,7 @@ def test_hodge_operator_shapes():
 def test_stacked_patches_match_each_patch_alone():
     """A window's K patches in one ``PatchGraph``: the stacked spectrum, each
     patch's lam and every Laguerre basis are each patch's alone, bit for
-    bit, and ``hll_conv``'s gates to 1e-12."""
+    bit, and the fusion's gated update to 1e-12."""
     rng = np.random.default_rng(16)
     obs = rng.uniform(0.0, 4.0, size=(6, 8, 2))
     obs[:, 2:5] += 40.0 * np.arange(6)[:, None, None]   # slots 2-4: nearest-neighbour ties only
@@ -242,9 +232,10 @@ def test_stacked_patches_match_each_patch_alone():
     assert len(set(graph.edge_counts.tolist())) > 1
     stacked = laplacian_spectrum(graph.adjacency)
     hodge = hodge_operator(graph)
-    coeffs = Tensor(rng.normal(size=(3, 4)))
-    phi = Tensor(rng.normal(size=(4, 4)))
-    gates = hll_conv(graph, coeffs, phi).data
+    coeffs, phi, theta = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
+    h_node = rng.normal(size=(len(graph.starts), graph.adjacency.shape[-1], 4))
+    basis = hll_conv(graph, 4)
+    fused = fusion_gcn(Tensor(h_node), (basis, coeffs, phi), graph.edge_index, theta).data
     bases = laguerre_basis(hodge, graph.distances, 4)
     lo = 0
     for k in range(len(graph.starts)):
@@ -254,8 +245,10 @@ def test_stacked_patches_match_each_patch_alone():
         assert hodge.lam[k] == hodge_operator(patch).lam[0]
         for got, want in zip(bases, laguerre_basis(hodge_operator(patch), patch.distances, 4)):
             np.testing.assert_array_equal(got[lo:hi], want)
-        want = hll_conv(patch, coeffs, phi).data
-        assert np.abs(gates[lo:hi] - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_array_equal(basis[lo:hi], hll_conv(patch, 4))
+        want = fusion_gcn(Tensor(h_node[k:k + 1]), (hll_conv(patch, 4), coeffs, phi),
+                          patch.edge_index, theta).data[0]
+        assert np.abs(fused[k] - want).max() <= 1e-12 * np.abs(want).max()
         lo = hi
     assert lo == len(graph.edge_index)
 
@@ -366,14 +359,13 @@ def test_laguerre_operator_matches_spectral_evaluation():
 
 
 def test_hll_conv_order_one_is_linear_map():
+    # the order-1 basis is the edge lengths, so the filter is E theta_0
     rng = np.random.default_rng(3)
     dists = rng.normal(size=3)
-    graph = _graph(TRIANGLE, dists)
+    basis = hll_conv(_graph(TRIANGLE, dists), 1)
     coeffs = rng.normal(size=(1, 4))
-    out = hll_conv(graph, Tensor(coeffs), _identity(4))
-    lin = dists[:, None] @ coeffs
-    np.testing.assert_allclose(out.data, _logistic(np.where(lin >= 0, lin, np.expm1(lin))),
-                               atol=1e-12)
+    np.testing.assert_array_equal(basis, dists[:, None])
+    np.testing.assert_array_equal(basis @ coeffs, dists[:, None] @ coeffs)
 
 
 def test_hll_conv_zero_laplacian_collapses_to_sum(monkeypatch):
@@ -385,10 +377,8 @@ def test_hll_conv_zero_laplacian_collapses_to_sum(monkeypatch):
                         lambda g: HodgeOperator(edge_index=g.edge_index,
                                                 lam=np.array([math.inf]), nodes=3))
     w = rng.normal(size=(1, 4))
-    out = hll_conv(graph, Tensor(np.repeat(w / 3.0, 3, axis=0)), _identity(4))
-    lin = dists[:, None] @ w
-    np.testing.assert_allclose(out.data, _logistic(np.where(lin >= 0, lin, np.expm1(lin))),
-                               atol=1e-12)
+    out = hll_conv(graph, 3) @ np.repeat(w / 3.0, 3, axis=0)
+    np.testing.assert_allclose(out, dists[:, None] @ w, atol=1e-12)
 
 
 def test_hll_conv_matches_spectral_oracle():
@@ -396,23 +386,26 @@ def test_hll_conv_matches_spectral_oracle():
     dists = rng.normal(size=3)
     graph = _graph(TRIANGLE, dists)
     coeffs = rng.normal(size=(3, 4))
-    out = hll_conv(graph, Tensor(coeffs), _identity(4))
+    out = hll_conv(graph, 3) @ coeffs
     w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
                           / hodge_operator(graph).lam[0])
     pre = np.zeros((3, 4))
     for j in range(3):
         scalars = np.array([laguerre_scalars(float(lam), 3)[j] for lam in w])
         pre += ((v * scalars) @ v.T @ dists)[:, None] @ coeffs[j:j + 1]
-    np.testing.assert_allclose(out.data, _logistic(np.where(pre >= 0, pre, np.expm1(pre))),
-                               atol=1e-10)
+    np.testing.assert_allclose(out, pre, atol=1e-10)
 
 
 def test_hll_conv_gradients():
+    """The gradients of every theta_j and of the gate map, through the
+    fusion's one op, which forms the gates from ``hll_conv``'s basis."""
     rng = np.random.default_rng(6)
     graph = _graph(TRIANGLE, rng.normal(size=3))
     thetas = [Tensor(rng.normal(size=(1, 3)), requires_grad=True) for _ in range(3)]
     phi = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    err = gradcheck(lambda: hll_conv(graph, concatenate(thetas), phi).sum(),
+    h_node, theta = Tensor(rng.normal(size=(1, 3, 2))), Tensor(rng.normal(size=(2, 2)))
+    err = gradcheck(lambda: fusion_gcn(h_node, (hll_conv(graph, 3), concatenate(thetas), phi),
+                                       graph.edge_index, theta).sum(),
                     [*thetas, phi], eps=1e-5)
     assert err < 1e-5
 
@@ -448,10 +441,10 @@ _PARITY_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
 def test_hll_conv_matches_dense_laplacian(name):
-    """Forward output and the coefficient gradient of the edge-vector
-    filter, through the gates' sigmoid, match the filter on the stored
-    L1 / lam, with lam exact and, on complete graphs, with lam from the
-    power iteration the dense filter used."""
+    """Forward output and the coefficient gradient of the filter on
+    ``hll_conv``'s edge-vector basis, through its ELU, match the filter on
+    the stored L1 / lam, with lam exact and, on complete graphs, with lam
+    from the power iteration the dense filter used."""
     adj = _PARITY_GRAPHS[name]
     b1 = boundary_operator(adj)
     rng = np.random.default_rng(11)
@@ -466,7 +459,8 @@ def test_hll_conv_matches_dense_laplacian(name):
         return [out.data, coeffs.grad.copy()]
 
     graph = _graph(adj, dists)
-    got = output_and_grad(lambda: hll_conv(graph, coeffs, _identity(3)))
+    basis = Tensor(hll_conv(graph, 3))
+    got = output_and_grad(lambda: elu(basis @ coeffs))
     l1 = hodge_laplacian(b1)
     lams = [np.linalg.eigvalsh(l1).max()]
     if name.startswith("complete"):
@@ -474,17 +468,16 @@ def test_hll_conv_matches_dense_laplacian(name):
     for lam in lams:
         assert hodge_operator(graph).lam[0] == pytest.approx(lam, rel=1e-12)
         # a walked graph is freed, so each pass slices the rows anew
-        want = output_and_grad(lambda: _recorded_sigmoid(_dense_hll_conv(
-            l1 / lam, Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)])))
+        want = output_and_grad(lambda: _dense_hll_conv(
+            l1 / lam, Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)]))
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 def _embed_then_filter(dists, w_embed, thetas, l1_scaled):
-    """The edge branch as it was: embed the distances to (m, d), then
-    filter, then the gates' sigmoid."""
-    return _recorded_sigmoid(
-        _dense_hll_conv(l1_scaled, Tensor(dists[:, None]) @ w_embed, thetas))
+    """The edge filter as it was: embed the distances to (m, d), then
+    filter."""
+    return _dense_hll_conv(l1_scaled, Tensor(dists[:, None]) @ w_embed, thetas)
 
 
 @pytest.mark.parametrize("name", sorted(_PARITY_GRAPHS))
@@ -509,8 +502,8 @@ def test_filter_on_distances_matches_embed_then_filter(name):
         return [out.data] + [t.grad.copy() for t in (w_embed, *thetas)]
 
     graph = _graph(adj, dists)
-    got = output_and_grads(lambda: hll_conv(
-        graph, concatenate([w_embed @ t for t in thetas]), _identity(6)))
+    basis = Tensor(hll_conv(graph, 3))
+    got = output_and_grads(lambda: elu(basis @ concatenate([w_embed @ t for t in thetas])))
     want = output_and_grads(lambda: _embed_then_filter(
         dists, w_embed, thetas, hodge_laplacian(b1) / hodge_operator(graph).lam[0]))
     for g, w in zip(got, want):
@@ -521,7 +514,7 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     """``hll_conv`` and ``fusion_gcn`` as they ran before the node-pair grid:
     L1 / lam applied as (B1^T / lam) (B1 x), one rank-1 product per order,
     and the neighbour messages moved by one-hot edge selectors.  Returns
-    the gates and the fused node update."""
+    the fused node update."""
     b1, n = boundary_operator(adj), len(adj)
     lam = max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
     b1t_scaled = b1.T / lam
@@ -546,7 +539,7 @@ def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
     from_v = Tensor(s_u.T) @ (gate * (Tensor(s_v) @ t))
     from_u = Tensor(s_v.T) @ (gate * (Tensor(s_u) @ t))
     inv_degree = 1.0 / np.maximum(np.bincount(idx.ravel(), minlength=n), 1)[:, None]
-    return gate, elu(t + (from_v + from_u) * inv_degree)
+    return elu(t + (from_v + from_u) * inv_degree)
 
 
 _BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
@@ -555,8 +548,8 @@ _BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
 @pytest.mark.parametrize("name", sorted(_BRANCH_GRAPHS))
 def test_edge_branch_matches_incidence_reference(name):
     """The edge-vector edge branch (filter and fusion, as the model calls
-    them) against the B1 / selector path it replaced: both outputs and
-    the gradients of h_node and of every parameter, and lam to the bit."""
+    them) against the B1 / selector path it replaced: the output and the
+    gradients of h_node and of every parameter, and lam to the bit."""
     adj = _BRANCH_GRAPHS[name]
     n, d = len(adj), 4
     edges = edge_list(adj)
@@ -571,23 +564,21 @@ def test_edge_branch_matches_incidence_reference(name):
     }
     leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
     thetas = [leaves[f"theta{j}"] for j in range(3)]
-    seed_edge = rng.normal(size=(len(edges), d))
     seed_node = rng.normal(size=(n, d))
 
     def outputs_and_grads(run):
         for t in leaves.values():
             t.zero_grad()
-        gates, fused = run()
-        backward((gates * seed_edge).sum() + (fused * seed_node).sum())
-        return [gates.data, fused.data] + [t.grad.copy() for t in leaves.values()]
+        fused = run()
+        backward((fused * seed_node).sum())
+        return [fused.data] + [t.grad.copy() for t in leaves.values()]
 
     graph = _graph(adj, dists)
 
     def edge_branch():
         coeffs = concatenate([leaves["w_embed"] @ t for t in thetas])
-        gates = hll_conv(graph, coeffs, leaves["phi"])
-        return gates, fusion_gcn(leaves["h_node"][None], gates, graph.edge_index,
-                                 leaves["theta"])[0]
+        return fusion_gcn(leaves["h_node"][None], (hll_conv(graph, 3), coeffs, leaves["phi"]),
+                          graph.edge_index, leaves["theta"])[0]
 
     b1 = boundary_operator(adj)
     assert hodge_operator(graph).lam[0] == np.linalg.eigvalsh(b1 @ b1.T)[-1]
@@ -643,12 +634,13 @@ def test_fusion_single_node_no_neighbours():
 
 
 def test_fusion_two_nodes_matches_scalar_oracle():
-    # 2-node graph, scalar features, hand-evaluated update with gate sigma(z)
+    # 2-node graph, scalar features, hand-evaluated update with gate
+    # sigma(ELU(1.8)) = sigma(1.8)
     h_node = Tensor(np.array([[[0.7], [-0.4]]]))
     gate = 1.0 / (1.0 + math.exp(-1.8))
-    gates = Tensor(np.array([[gate]]))
+    edge_filter = (np.array([[1.8]]), Tensor(np.array([[1.0]])), Tensor(np.array([[1.0]])))
     theta = Tensor(np.array([[1.3]]))
-    out = fusion_gcn(h_node, gates, ((0, 0, 1),), theta).data[0]
+    out = fusion_gcn(h_node, edge_filter, ((0, 0, 1),), theta).data[0]
     pre0 = 1.3 * 0.7 + gate * (1.3 * -0.4)
     pre1 = 1.3 * -0.4 + gate * (1.3 * 0.7)
     want = [[pre0 if pre0 >= 0 else math.expm1(pre0)],
@@ -659,9 +651,10 @@ def test_fusion_two_nodes_matches_scalar_oracle():
 def test_fusion_gate_saturated_to_one_sums_neighbours():
     rng = np.random.default_rng(9)
     h_node = Tensor(rng.normal(size=(1, 3, 2)))
-    gates = Tensor(np.ones((3, 2)))  # a gate at 1, where the sigmoid saturates
+    # gates at 1, where the sigmoid saturates: sigmoid(ELU(100))
+    edge_filter = (np.ones((3, 1)), Tensor(np.full((1, 2), 100.0)), Tensor(np.eye(2)))
     theta = Tensor(rng.normal(size=(2, 2)))
-    out = fusion_gcn(h_node, gates, _patch0(edge_list(TRIANGLE)), theta)
+    out = fusion_gcn(h_node, edge_filter, _patch0(edge_list(TRIANGLE)), theta)
     t = h_node.data @ theta.data
     pre = t + (TRIANGLE @ t) / 2.0  # every triangle node has degree 2
     np.testing.assert_allclose(out.data, np.where(pre >= 0, pre, np.expm1(pre)),
@@ -671,9 +664,11 @@ def test_fusion_gate_saturated_to_one_sums_neighbours():
 def test_fusion_gradients_match_central_differences():
     rng = np.random.default_rng(10)
     h_node = Tensor(rng.normal(size=(1, 2, 3)), requires_grad=True)
-    gates = Tensor(rng.uniform(size=(1, 3)), requires_grad=True)
+    coeffs = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    phi = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     theta = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    basis = rng.normal(size=(1, 2))
     err = gradcheck(
-        lambda: fusion_gcn(h_node, gates, ((0, 0, 1),), theta).sum(),
-        [h_node, gates, theta], eps=1e-5)
+        lambda: fusion_gcn(h_node, (basis, coeffs, phi), ((0, 0, 1),), theta).sum(),
+        [h_node, coeffs, phi, theta], eps=1e-5)
     assert err < 1e-5

@@ -26,7 +26,6 @@ from stedge.autodiff import (
     attention,
     backward,
     concatenate,
-    edge_gates,
     elu,
     exp,
     gated_neighbour_mean,
@@ -181,9 +180,11 @@ def _sliced_nll(mu, log_sigma, rho, targets):
     return (LOG_TWO_PI + sx + sy + log_u * 0.5 + quad).mean()
 
 
-def _unfused_gated_neighbour_mean(z, x, edge_index):
-    """The one-patch chain below on each of K patches (``_per_patch``)."""
-    return _per_patch(_unfused_patch_gated_mean)(z, x, edge_index, edge_rows=True)
+def _unfused_gated_neighbour_mean(basis, coeffs, phi, x, edge_index):
+    """The gates' recorded chain, then the one-patch chain below on each of
+    K patches (``_per_patch``)."""
+    gates = _unfused_edge_gates(Tensor(basis), coeffs, phi)
+    return _per_patch(_unfused_patch_gated_mean)(gates, x, edge_index, edge_rows=True)
 
 
 def _unfused_patch_gated_mean(gate, x, edge_index):
@@ -360,66 +361,53 @@ _GATED_SHAPES = {"channel_blocks": (6, 60, 64), "n20_d128": (6, 60, 128),
 @pytest.mark.parametrize("case", ["mixed", "saturated", "channel_blocks", "n20_d128",
                                   "n50_d128"])
 def test_gated_neighbour_sum_matches_unfused_chain(case, monkeypatch):
-    """``gated_neighbour_mean`` against the recorded chain of one-hot edge
-    selectors run patch by patch, on each route, with gates in (0, 1) and,
-    saturated, at exactly 1 and 0.  Patch 1 of three or more has no edge and
-    node 0 of patch 0 none; the crowd shapes of 20 and 50 walkers, complete
-    but for those, split into several row blocks."""
+    """``gated_neighbour_mean``, the gates and the gated mean in one op,
+    against the recorded chain of the gates and of one-hot edge selectors
+    run patch by patch, on each route, with gates in (0, 1) and,
+    saturated, many at exactly 1 and 0.  Patch 1 of three or more has no
+    edge and node 0 of patch 0 none; the crowd shapes of 20 and 50
+    walkers, complete but for those, split into several row blocks and
+    edge blocks."""
     patches, n, d = _GATED_SHAPES.get(case, (3, 9, 5))
     rng = np.random.default_rng(42)
     edges = _random_patches(rng, patches, n, 1.0 if case.startswith("n") else 0.6)
-    gates = 1.0 / (1.0 + np.exp(-3.0 * rng.normal(size=(len(edges), d))))
-    if case == "saturated":
-        gates[::2] = 1.0
-        gates[1::4] = 0.0
-    leaves = [Tensor(gates, requires_grad=True),
+    basis = rng.normal(size=(len(edges), 3))
+    coeffs, phi = rng.normal(size=(3, d)), rng.normal(size=(d, d)) * 3.0 / math.sqrt(d)
+    leaves = [Tensor(coeffs, requires_grad=True),
+              Tensor(phi * (100.0 if case == "saturated" else 1.0), requires_grad=True),
               Tensor(rng.normal(size=(patches, n, d)), requires_grad=True)]
+    if case == "saturated":
+        gates = _unfused_edge_gates(Tensor(basis), *leaves[:2]).data
+        assert (gates == 1.0).any() and (gates == 0.0).any()
     seed = rng.normal(size=(patches, n, d))
     for segment in (False, True):
         _route(segment, monkeypatch)
-        _assert_parity(lambda z_, x_: gated_neighbour_mean(z_, x_, edges),
-                       lambda z_, x_: _unfused_gated_neighbour_mean(z_, x_, edges),
+        _assert_parity(lambda c_, p_, x_: gated_neighbour_mean(basis, c_, p_, x_, edges),
+                       lambda c_, p_, x_: _unfused_gated_neighbour_mean(basis, c_, p_, x_, edges),
                        leaves, seed)
 
 
 @pytest.mark.parametrize("case", ["mixed", "all_positive", "all_negative", "saturated"])
 def test_matmul_elu_matmul_matches_unfused_chain(case):
-    """``edge_gates``, the ELU product, the gate map and the sigmoid in one
-    op, against the recorded chain; saturated, many gates are exactly 1
-    or 0."""
+    """The gates inside ``gated_neighbour_mean``, ELU(basis @ coeffs) mapped
+    through phi and the sigmoid, against the recorded chain, with the
+    filtered embedding on both sides of ELU's bend or on one; saturated,
+    many gates are exactly 1 or 0."""
     rng = np.random.default_rng(43)
-    a = rng.normal(size=(40, 3))
+    edges = _random_patches(rng, 1, 12, 0.6)
+    a = rng.normal(size=(len(edges), 3))
     b = rng.normal(size=(3, 6))
     if case.startswith("all_"):
         a, b = np.abs(a), np.abs(b) * (1.0 if case == "all_positive" else -1.0)
     c = rng.normal(size=(6, 5)) * (100.0 if case == "saturated" else 1.0)
-    leaves = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True),
-              Tensor(c, requires_grad=True)]
+    leaves = [Tensor(b, requires_grad=True), Tensor(c, requires_grad=True),
+              Tensor(rng.normal(size=(1, 12, 5)), requires_grad=True)]
     if case == "saturated":
-        gates = edge_gates(*leaves).data
+        gates = _unfused_edge_gates(Tensor(a), *leaves[:2]).data
         assert (gates == 1.0).any() and (gates == 0.0).any()
-    _assert_parity(edge_gates, _unfused_edge_gates, leaves, rng.normal(size=(40, 5)))
-
-
-@pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
-def test_doubled_gates_double_the_gated_mean_bit_for_bit(segment, monkeypatch):
-    """``gated_neighbour_mean`` takes its gates after their sigmoid and is
-    linear in them: twice the gates give twice the output and twice the
-    values' gradient, bit for bit."""
-    rng = np.random.default_rng(50)
-    edges = _random_patches(rng, 3, 9, 0.6)
-    gates = rng.uniform(size=(len(edges), 5))
-    x = Tensor(rng.normal(size=(3, 9, 5)), requires_grad=True)
-    seed = rng.normal(size=(3, 9, 5))
-    _route(segment, monkeypatch)
-    got = []
-    for scale in (1.0, 2.0):
-        x.zero_grad()
-        out = gated_neighbour_mean(Tensor(gates * scale), x, edges)
-        backward(out, seed)
-        got.append((out.data, x.grad))
-    assert (2.0 * got[0][0]).tobytes() == got[1][0].tobytes()
-    assert (2.0 * got[0][1]).tobytes() == got[1][1].tobytes()
+    _assert_parity(lambda b_, c_, x_: gated_neighbour_mean(a, b_, c_, x_, edges),
+                   lambda b_, c_, x_: _unfused_gated_neighbour_mean(a, b_, c_, x_, edges),
+                   leaves, rng.normal(size=(1, 12, 5)))
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -504,7 +492,6 @@ def test_model_matches_unfused_forward(n, max_distance, gate, monkeypatch):
     monkeypatch.setattr(stedge.stgraph, "pair_attention", _unfused_pair_attention)
     monkeypatch.setattr(stedge.edgegraph, "gated_neighbour_mean",
                         _unfused_gated_neighbour_mean)
-    monkeypatch.setattr(stedge.edgegraph, "edge_gates", _unfused_edge_gates)
     want_loss, want_grads = _loss_and_grads(cfg, window)
     assert abs(loss - want_loss) <= TOL * abs(want_loss)
     assert grads.keys() == want_grads.keys()
@@ -564,12 +551,12 @@ def _per_patch_forward(model, window, params=None):
         z = x[:, start:start + cfg.patch_len, :].reshape((1, n, d))
         h = gat_layer(z, patch.edge_index, params["gat.theta"], params["gat.theta_dst"],
                       params["gat.att"])
-        gates = None
+        edge_filter = None
         if cfg.fusion_gate != "zero" and len(patch.edge_index):
             coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
                                   for j in range(cfg.hll_order)])
-            gates = hll_conv(patch, coeffs, params["fuse.phi"])
-        fused.append(z + fusion_gcn(h, gates, patch.edge_index, params["fuse.theta"]))
+            edge_filter = (hll_conv(patch, cfg.hll_order), coeffs, params["fuse.phi"])
+        fused.append(z + fusion_gcn(h, edge_filter, patch.edge_index, params["fuse.theta"]))
     pooled = stack_and_pool(concatenate(fused), window.n_peds, cfg.patch_len)
     tokens = assemble_tokens(pooled, params["pred.placeholder"], params["pred.positional"])
     y_repr = encoder_forward(linear(tokens, params["enc.in_w"], params["enc.in_b"]),
@@ -603,6 +590,19 @@ def test_one_graph_stage_per_window_matches_the_per_patch_loop(
     _assert_close(got, _loss_grads_and_forecast(cfg, window))
 
 
+def test_segment_route_sorts_each_pair_list_once(monkeypatch):
+    """One loss and backward on the segment route sorts the edge list twice,
+    once into the attention's pairs and once into the edge op's, and the
+    attention's backward reads each pair's reverse off the first sort; a
+    third ``np.lexsort`` found the reverses while it did not."""
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+    _route(True, monkeypatch)
+    backward(TrajectoryForecaster(ModelConfig(max_distance=2.0), seed=0).loss(
+        _circle_window(12)))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
 def test_one_walker_window_of_single_slot_patches_has_no_edge(segment, monkeypatch):
     """One walker and ``patch_len`` 1: eight one-node patches and no edge
@@ -620,32 +620,37 @@ def test_one_walker_window_of_single_slot_patches_has_no_edge(segment, monkeypat
     _assert_close(got, _loss_grads_and_forecast(cfg, window))
 
 
-def test_default_loss_records_86_ops_at_any_patch_count_and_no_pair_array(monkeypatch):
-    """One recorded op per job and window: 86 ops, 79 under the zero gate,
-    at K = 6 patches (stride 1) and at K = 3 (stride 2).  It was 87 (80)
+def test_default_loss_records_85_ops_at_any_patch_count_and_no_pair_array(monkeypatch):
+    """One recorded op per job and window: 85 ops, 79 under the zero gate,
+    at K = 6 patches (stride 1) and at K = 3 (stride 2).  It was 86 (79)
+    while the edge branch's gates and gated mean were two ops, 87 (80)
     while the head sliced the T_pred rows it is given, 147 (125)
     while the graph stage ran once per patch and the last encoder layer
     computed every row, 165 (137) before the attention's softmax and
     weighted sum and the fusion's division by the degree moved into their
-    ops, and 187 before that.  No op records an (n, n) array over a patch's
-    n nodes."""
+    ops, and 187 before that.  No op outputs or receives an (n, n) array
+    over a patch's n nodes, nor one over the window's M edges."""
     recorded, record_op = [], stedge.autodiff._result
 
     def recording(data, op, parents, backward_fn):
-        recorded.append((op, data.shape))
+        recorded.append((op, [data.shape] + [p.shape for p in parents]))
         return record_op(data, op, parents, backward_fn)
 
     monkeypatch.setattr(stedge.autodiff, "_result", recording)
     n = 5 * ModelConfig().patch_len
     for stride in (1, 2):
-        for gate, count in (("vector", 86), ("zero", 79)):
+        for gate, count in (("vector", 85), ("zero", 79)):
             recorded.clear()
             cfg = ModelConfig(fusion_gate=gate, patch_stride=stride)
-            TrajectoryForecaster(cfg, seed=0).loss(_circle_window(5))
+            window = _circle_window(5)
+            edges = len(patch_graphs(window.obs, 3, stride, None).edge_index)
+            TrajectoryForecaster(cfg, seed=0).loss(window)
             ops = [op for op, _ in recorded]
             assert len(ops) == count
             assert ops.count("pair_attention") == 1 and "softmax" not in ops
-            assert not [shape for _, shape in recorded if shape[-2:] == (n, n)]
+            assert ops.count("gated_neighbour_mean") == (gate == "vector")
+            assert not [shape for _, shapes in recorded for shape in shapes
+                        if shape[-2:] == (n, n) or shape[:1] == (edges,)]
 
 
 @pytest.mark.parametrize("max_distance", [None, 2.0])
@@ -705,7 +710,7 @@ def test_tape_of_a_20_walker_window_stays_under_40_mib():
 def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
     """``predict`` keeps no op's parents or closure and touches no
     gradient; the loss and backward after it are those of a model that
-    never forecast, on the full 86-op tape."""
+    never forecast, on the full 85-op tape."""
     window = _circle_window(5)
     want_loss, want_grads = _loss_and_grads(ModelConfig(), window)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
@@ -724,7 +729,7 @@ def test_forecast_records_no_tape_and_leaves_training_unchanged(monkeypatch):
 
     outputs.clear()
     loss = model.loss(window)
-    assert len(outputs) == 86
+    assert len(outputs) == 85
     backward(loss)
     assert loss.item() == want_loss
     for name, p in model.params.items():
@@ -761,16 +766,18 @@ def test_tape_estimate_is_within_10_percent(cfg, max_distance, gate):
         assert abs(tape_bytes(cfg, n, edges) - measured) <= 0.1 * measured
 
 
-@pytest.mark.parametrize("gate", ["vector", "zero"])
-@pytest.mark.parametrize("max_distance", [None, 2.0])
-@pytest.mark.parametrize("n", [5, 20])
+@pytest.mark.parametrize("n,max_distance,gate", [
+    *((n, max_distance, gate) for n in (5, 20) for max_distance in (None, 2.0)
+      for gate in ("vector", "zero")),
+    (50, None, "vector"),     # 67,050 edges: the edge branch at its largest here
+])
 def test_guard_covers_the_traced_peak_of_a_training_step(n, max_distance, gate):
     """The sum the guard refuses a window on, the three terms of
     ``step_bytes`` as ``forward`` adds them (the tape, 8 bytes per
-    parameter value for the gradients and the edge branch's backward
-    temporaries), is at least the traced peak of one loss and its
-    backward: what the closures keep and what the backward allocates in
-    passing are covered too."""
+    parameter value for the gradients, and the graph structure and index
+    arrays the step holds with the backward's block temporaries), is at
+    least the traced peak of one loss and its backward: what the closures
+    keep and what the backward allocates in passing are covered too."""
     cfg = ModelConfig(max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(n)
     model = TrajectoryForecaster(cfg, seed=0)
@@ -786,6 +793,32 @@ def test_guard_covers_the_traced_peak_of_a_training_step(n, max_distance, gate):
     assert guarded >= peak
 
 
+def test_backward_of_a_50_walker_step_holds_no_edge_sized_gradient():
+    """On complete wiring at N = 50 (M = 67,050 edges, d = 128) the traced
+    peak of a loss and its backward, once the leaf gradients exist, exceeds
+    what the step holds when its backward starts by less than a quarter of
+    one (M, d) array (16.4 MiB): no gradient of the gates over all edges
+    exists.  It was 33.8 MiB on a 50-walker crowd window while the gate
+    map and the gated mean were two ops joined by that gradient."""
+    cfg = ModelConfig()
+    window = _circle_window(50)
+    model = TrajectoryForecaster(cfg, seed=0)
+    edges = int(sum(patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
+                                 cfg.max_distance).edge_counts))
+    backward(model.loss(window))     # the warm-up step allocates the leaf gradients
+    tracemalloc.start()
+    try:
+        loss = model.loss(window)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges == 67050
+    assert peak - held < edges * cfg.model_dim * 8 / 4
+
+
 def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
     window = _circle_window(20)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
@@ -796,8 +829,8 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
     # a forecast records no tape but is refused on the training estimate
     for step in (model.loss, model.predict):
         with pytest.raises(WindowTooLargeError, match=r"N=20 .* 32.3 MiB of autodiff "
-                           r"tape, 9.6 MiB of gradients and 10.4 MiB of backward "
-                           r"temporaries, .* 40.0 MiB"):
+                           r"tape, 9.6 MiB of gradients and 5.1 MiB of graph structure "
+                           r"and backward temporaries, .* 40.0 MiB"):
             step(window)
     assert recorded == []
 
@@ -810,22 +843,25 @@ def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
 
 
 def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
-    # 32.3 MiB of tape and 9.6 MiB of gradients fit in 48 MiB, but not with
-    # the (M, d) gradient of the gates, 6 * 1770 * 128 * 8 bytes = 10.4 MiB,
-    # that the backward holds while it passes the six patches' edge branch
+    # 32.3 MiB of tape and 9.6 MiB of gradients fit in 46 MiB, and so do the
+    # patch graph and the attention's mask (0.5 MiB), but not the edge
+    # branch's basis, endpoint ids and edge-row map (0.6 MiB) with the four
+    # 1 MiB blocks over the edges of its backward: 5.1 MiB in all
     window = _circle_window(20)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
-    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 48 * 2**20)
+    monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 46 * 2**20)
     recorded, record_op = [], stedge.autodiff._result
     monkeypatch.setattr(stedge.autodiff, "_result",
                         lambda *args: recorded.append(args[1]) or record_op(*args))
-    with pytest.raises(WindowTooLargeError, match=r"10.4 MiB of backward temporaries"):
+    with pytest.raises(WindowTooLargeError,
+                       match=r"5.1 MiB of graph structure and backward temporaries"):
         model.loss(window)
     assert recorded == []
 
 
 def test_zero_gate_has_no_edge_temporaries(monkeypatch):
-    # no edge branch runs, so 22.0 MiB of tape and 9.6 MiB of gradients are all
+    # no edge branch runs, so 22.0 MiB of tape, 9.6 MiB of gradients and
+    # 0.5 MiB of patch graph and attention mask are all
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 36 * 2**20)
     loss = TrajectoryForecaster(ModelConfig(fusion_gate="zero"), seed=0).loss(
         _circle_window(20))
