@@ -29,8 +29,8 @@ is checked for NaN/Inf and the offending op is named when the check fires.
 Two fused ops carry the graph stage, one op per job for all K patches
 of a window, each recording only its output and recomputing the rest in
 its backward (Chen et al., "Training Deep Nets with Sublinear Memory
-Cost", 2016).  Both take (K, n, d) node operands and the window's
-(M, 3) patch-tagged edge list:
+Cost", 2016).  Both take (K, n, d) node operands and the window's one
+``NodePairs`` index of its (M, 3) patch-tagged edge list:
 
 * ``pair_attention``: each node's softmax-weighted messages over its
   neighbours and itself, scored by a . LeakyReLU(dst_i + src_j), with
@@ -42,11 +42,12 @@ Cost", 2016).  Both take (K, n, d) node operands and the window's
   closure keeps the (M, d) gates; the backward recomputes ELU(T C) and
   consumes the gates' gradient a block of edges at a time.
 
-The node jobs run on the (n, n) grids of the patches when the edges are
-dense and on segment sums over the receiver-sorted edge list when they are
-sparse (``segment_route``).  Every d-wide temporary of the two over
-node pairs or edges is a block of at most ``_BLOCK_ENTRIES`` whose split
-depends only on the window's structure, so results stay
+The index picks the route of both (``segment_route``): the patches'
+(n, n) grids, read through its one edge-row map, when the edges are
+dense, and segment sums over its one receiver-sorted pair list when they
+are sparse; ``node_pairs_bytes`` is its size.  Every d-wide temporary of
+the two over node pairs or edges is a block of at most ``_BLOCK_ENTRIES``
+whose split depends only on the window's structure, so results stay
 bit-reproducible.  Three more carry the encoder, on the same plan:
 
 * ``linear``: x @ w + b as one GEMM, which ``matmul`` by a 2-D operand
@@ -81,6 +82,8 @@ __all__ = [
     "tanh",
     "elu",
     "softmax",
+    "NodePairs",
+    "node_pairs_bytes",
     "pair_attention",
     "gated_neighbour_mean",
     "linear",
@@ -553,76 +556,88 @@ def segment_route(patches: int, nodes: int, edges: int) -> bool:
     return 2 * edges + patches * nodes < _SEGMENT_DENSITY * patches * nodes * nodes
 
 
-def _patch_edges(edge_index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (M, 3) patch-tagged edge list (k, u, v) as its three columns."""
-    return tuple(np.asarray(edge_index, dtype=np.int64).reshape(-1, 3).T)
+class NodePairs:
+    """The one index of node pairs that ``pair_attention`` and
+    ``gated_neighbour_mean`` read, built once per window from the (M, 3)
+    ``edge_index`` (k, u, v), distinct, off the diagonal, listed one way
+    and sorted by patch, of ``patches`` graphs of ``nodes`` nodes.  It
+    picks both ops' route (``segment_route``) and holds the ends' global
+    ids k * n + u and k * n + v (``ends``), each node's ``degree`` and, on
+    the grid route, ``edge_rows``, each node pair's edge row, (K, n, n):
+    M without an edge, whose gate is the zero row after the M gates, and
+    -1 on the diagonal, which the attention keeps too.  On the segment
+    route: the directed pairs, each edge both ways and each node to
+    itself, in one sort by receiver, then sender (``order``: pair i was
+    order[i] as built, edges one way, the other way, then the
+    self-loops), as ``recv``, ``send``, the ``edge`` row (-1 on a
+    self-loop) and each node's first pair (``starts``).  The edge op
+    reads the pairs with an edge row: no two pairs share a key, so these
+    are in the order a sort of the edges alone gives."""
 
-
-class _ReceiverPairs:
-    """The directed pairs of K patches' undirected edges, each edge both
-    ways (with ``self_loops`` also each node to itself), on the global node
-    ids k * n + i and sorted by receiver, then sender.
-
-    ``edge`` is each pair's row in the edge list (-1 for a self-loop).  The
-    pairs split into ``_blocks`` of d-wide rows, and each block into its
-    receivers' runs, so a sum over each receiver's pairs is one
-    ``np.add.reduceat`` per block; a receiver whose run two blocks share
-    gets both parts.  ``starts`` holds each receiver's first pair, which is
-    in node order when every node receives a pair (with ``self_loops``).
-    ``order`` is the sort: pair i was pair order[i] as built, edges one
-    way, then the other way, then the self-loops."""
-
-    def __init__(self, k, u, v, patches: int, n: int, d: int, self_loops: bool):
-        a, b = k * n + u, k * n + v
+    def __init__(self, edge_index, patches: int, nodes: int):
+        k, u, v = np.asarray(edge_index, dtype=np.int64).reshape(-1, 3).T
+        self.patches, self.nodes, self.edges = patches, nodes, len(k)
+        self.segment = segment_route(patches, nodes, len(k))
+        a, b = self.ends = (k * nodes + u, k * nodes + v)
+        self.degree = np.bincount(np.concatenate(self.ends), minlength=patches * nodes)
         rows = np.arange(len(k))
-        recv, send, edge = [a, b], [b, a], [rows, rows]
-        if self_loops:
-            nodes = np.arange(patches * n)
-            recv, send, edge = recv + [nodes], send + [nodes], edge + [np.full(len(nodes), -1)]
-        recv, send, edge = (np.concatenate(c) for c in (recv, send, edge))
-        self.order = np.lexsort((send, recv))
-        self.recv, self.send, self.edge = recv[self.order], send[self.order], edge[self.order]
-        self.rows, self.d, self.edge_count = patches * n, d, len(k)
-        self.starts = np.flatnonzero(_run_firsts(self.recv))
-        self.blocks = []
-        for pairs in _blocks(len(self.recv), d):
-            firsts = np.flatnonzero(_run_firsts(self.recv[pairs]))
-            self.blocks.append((pairs, firsts, self.recv[pairs][firsts]))
-
-    def sums(self, terms) -> np.ndarray:
-        """Each node's sum of the (pairs, d) ``terms(pairs)`` of the pairs
-        it receives, (K * n, d); a node that receives none gets 0."""
-        out = np.zeros((self.rows, self.d))
-        for pairs, firsts, receivers in self.blocks:
-            out[receivers] += np.add.reduceat(terms(pairs), firsts, axis=0)
-        return out
+        if self.segment:
+            ids = np.arange(patches * nodes)
+            recv, send = np.concatenate([a, b, ids]), np.concatenate([b, a, ids])
+            self.order = np.lexsort((send, recv))
+            self.recv, self.send = recv[self.order], send[self.order]
+            self.edge = np.concatenate([rows, rows, np.full(len(ids), -1)])[self.order]
+            self.starts = np.flatnonzero(np.diff(self.recv, prepend=-1))   # runs' starts
+        else:
+            self.edge_rows = np.full((patches, nodes, nodes), len(k), dtype=np.int64)
+            self.edge_rows[:, np.arange(nodes), np.arange(nodes)] = -1
+            self.edge_rows[k, u, v] = self.edge_rows[k, v, u] = rows
 
     def reverses(self) -> np.ndarray:
-        """Each pair's reverse, j to i for i to j, as its place in the
-        sorted list: as built, an edge's two directions sit M apart and a
-        self-loop is its own, so it is the sort's inverse permutation
-        applied to that offset."""
-        m, place = self.edge_count, np.empty_like(self.order)
+        """Each sorted pair's reverse, j to i for i to j, as its place: as
+        built, an edge's two directions sit M apart and a self-loop is its
+        own, so it is the sort's inverse applied to that offset."""
+        m, place = self.edges, np.empty_like(self.order)
         place[self.order] = np.arange(len(self.order))
         built = np.arange(len(self.order))
         built[:2 * m] = np.roll(built[:2 * m], m)     # each pair's reverse as built
         return place[built[self.order]]
 
 
-def _run_firsts(ids) -> np.ndarray:
-    """True where a run of equal ``ids`` starts."""
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    return first
+def node_pairs_bytes(patches: int, nodes: int, edges: int) -> int:
+    """Bytes of the int64 arrays of the ``NodePairs`` of ``patches`` graphs
+    of ``nodes`` nodes and ``edges`` edges: two ends per edge, a degree per
+    node and the (K, n, n) map, or four entries per directed pair and
+    self-loop (8 per edge, 4 per node) and a first pair per node."""
+    cells = patches * nodes
+    route = 8 * edges + 5 * cells if segment_route(patches, nodes, edges) else cells * nodes
+    return 8 * (2 * edges + cells + route)
 
 
-def pair_attention(dst, src, att, edge_index) -> Tensor:
+def _run_sums(recv, rows: int, d: int):
+    """The ``_blocks`` of d-wide rows of the receiver-sorted pairs ``recv``
+    and ``sums(terms)``, each of ``rows`` nodes' sum of the (pairs, d)
+    ``terms(pairs)`` it receives (0 for none), one ``np.add.reduceat`` per
+    block; a receiver whose run two blocks share gets both parts."""
+    blocks = _blocks(len(recv), d)
+    runs = [(pairs, np.flatnonzero(np.diff(recv[pairs], prepend=-1))) for pairs in blocks]
+
+    def sums(terms) -> np.ndarray:
+        out = np.zeros((rows, d))
+        for pairs, firsts in runs:
+            out[recv[pairs][firsts]] += np.add.reduceat(terms(pairs), firsts, axis=0)
+        return out
+
+    return blocks, sums
+
+
+def pair_attention(dst, src, att, pairs: NodePairs) -> Tensor:
     """Additive graph attention over K patch graphs at once, (K, n, d):
     node i of patch k receives sum_j alpha_kij src[k, j], where alpha_ki is
     the softmax, over i's neighbours in patch k and i itself, of the scores
     att . LeakyReLU(dst[k, i] + src[k, j]), slope 0.2 below zero.  ``dst``
-    and ``src`` are (K, n, d), ``att`` has d entries and the (M, 3)
-    ``edge_index`` lists the undirected edges (k, u, v).
+    and ``src`` are (K, n, d), ``att`` has d entries and ``pairs`` is the
+    window's ``NodePairs`` index.
 
     LeakyReLU(p) = p - 0.8 min(p, 0), so a pair's score is
     att . dst_i + att . src_j - 0.8 att . min(p, 0), and with
@@ -639,24 +654,24 @@ def pair_attention(dst, src, att, edge_index) -> Tensor:
     sum of the scores' gradient, and the bend through each node's
     per-channel sums of it over the pairs below zero it receives and
     sends, from which ``att``'s gradient follows too
-    (``_through_scores``).  Two routes (``segment_route``):
+    (``_through_scores``).  Two routes, the index's:
 
-    * grid: the (K, n, n) weights, 0 off the neighbour mask, formed a block
-      of rows of a patch, or a block of whole patches, at a time, and one
-      batched product with ``src``;
-    * segment: one score per directed pair of the receiver-sorted edge
-      list plus self-loops; the softmax's shift and sum and the weighted
+    * grid: the (K, n, n) weights, 0 off the pairs the edge-row map keeps,
+      formed a block of rows of a patch, or a block of whole patches, at a
+      time, and one batched product with ``src``;
+    * segment: one score per pair of the index's receiver-sorted list,
+      self-loops included; the softmax's shift and sum and the weighted
       sum are ``np.maximum.reduceat`` and ``np.add.reduceat`` over each
       node's pairs, O((n + m) d), and the backward reaches each sender
       through the reverse of each pair.
     """
     dst, src, att = _as_tensor(dst), _as_tensor(src), _as_tensor(att)
-    if dst.ndim != 3 or src.shape != dst.shape or att.size != dst.shape[2]:
-        raise ShapeMismatchError(f"pair_attention: {dst.shape}, {src.shape}, {att.shape}")
-    patches, n, d = src.shape
-    k, u, v = _patch_edges(edge_index)
-    route = _pair_segments if segment_route(patches, n, len(k)) else _pair_grid
-    data, backward_fn = route(dst, src, att, att.data.reshape(d), k, u, v)
+    if dst.ndim != 3 or src.shape != dst.shape or att.size != dst.shape[2] \
+            or dst.shape[:2] != (pairs.patches, pairs.nodes):
+        raise ShapeMismatchError(f"pair_attention: {dst.shape}, {src.shape}, {att.shape} "
+                                 f"on {pairs.patches} graphs of {pairs.nodes} nodes")
+    route = _pair_segments if pairs.segment else _pair_grid
+    data, backward_fn = route(dst, src, att, att.data.reshape(-1), pairs)
     return _result(data, "pair_attention", (dst, src, att), backward_fn)
 
 
@@ -696,10 +711,8 @@ def _through_scores(dst, src, att, a, below_dst, sending):
             into_src * a if src.requires_grad else None, g_att)
 
 
-def _pair_grid(dst, src, att, a, k, u, v):
+def _pair_grid(dst, src, att, a, pairs):
     patches, n, d = src.shape
-    keep = np.broadcast_to(np.eye(n, dtype=bool), (patches, n, n)).copy()
-    keep[k, u, v] = keep[k, v, u] = True
     tiles = _tiles(patches, n, n * d)
 
     neg_dst, at_src, bend = -dst.data, src.data @ a, _PAIR_BEND * a
@@ -708,7 +721,7 @@ def _pair_grid(dst, src, att, a, k, u, v):
         bent = np.minimum(src.data[ks, None, :, :], neg_dst[ks, rows, None, :])
         scores = (bent.reshape(-1, d) @ bend).reshape(bent.shape[:3])
         scores += at_src[ks, None, :]
-        scores[~keep[ks, rows]] = -np.inf
+        scores[pairs.edge_rows[ks, rows] == pairs.edges] = -np.inf
         scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
         scores /= scores.sum(axis=-1, keepdims=True)
         alpha[ks, rows] = scores
@@ -739,26 +752,26 @@ def _pair_grid(dst, src, att, a, k, u, v):
     return alpha @ src.data, backward_fn
 
 
-def _pair_segments(dst, src, att, a, k, u, v):
+def _pair_segments(dst, src, att, a, pairs):
     patches, n, d = src.shape
-    pairs = _ReceiverPairs(k, u, v, patches, n, d, self_loops=True)
     recv, send = pairs.recv, pairs.send
+    blocks, sums = _run_sums(recv, patches * n, d)
     dst_rows, src_rows = dst.data.reshape(-1, d), src.data.reshape(-1, d)
 
     scores = (src_rows @ a)[send]
     neg_dst_rows, bend = -dst_rows, _PAIR_BEND * a
-    for block, _, _ in pairs.blocks:
+    for block in blocks:
         bent = src_rows[send[block]]
         np.minimum(bent, neg_dst_rows[recv[block]], out=bent)
         scores[block] += bent @ bend
     alpha = np.exp(scores - np.maximum.reduceat(scores, pairs.starts)[recv])
     alpha /= np.add.reduceat(alpha, pairs.starts)[recv]
-    data = pairs.sums(lambda block: alpha[block, None] * src_rows[send[block]])
+    data = sums(lambda block: alpha[block, None] * src_rows[send[block]])
 
     def backward_fn(g):
         g_rows = g.reshape(-1, d)
         g_scores = np.empty(len(recv))
-        for block, _, _ in pairs.blocks:
+        for block in blocks:
             g_scores[block] = np.einsum("ij,ij->i", g_rows[recv[block]], src_rows[send[block]])
         g_scores *= alpha
         # the softmax's Jacobian
@@ -777,7 +790,7 @@ def _pair_segments(dst, src, att, a, k, u, v):
                 terms *= weights[block, None]
                 return terms
 
-            return pairs.sums(below).reshape(src.shape)
+            return sums(below).reshape(src.shape)
 
         below_dst = below_sums(recv, send, g_scores) \
             if dst.requires_grad or att.requires_grad else None
@@ -791,54 +804,51 @@ def _pair_segments(dst, src, att, a, k, u, v):
                        below_sums(send, recv, sent))
         g_dst, g_src, g_att = _through_scores(dst, src, att, a, below_dst, sending)
         if g_src is not None:
-            g_src += pairs.sums(lambda block: alpha[reverse[block], None]
-                                * g_rows[send[block]]).reshape(src.shape)
+            g_src += sums(lambda block: alpha[reverse[block], None]
+                          * g_rows[send[block]]).reshape(src.shape)
         return g_dst, g_src, g_att
 
     return data.reshape(src.shape), backward_fn
 
 
-def gated_neighbour_mean(basis, coeffs, phi, x, edge_index) -> Tensor:
+def gated_neighbour_mean(basis, coeffs, phi, x, pairs: NodePairs) -> Tensor:
     """The fusion's edge branch as one op, (K, n, d): edge e = (k, u, v)
-    of the (M, 3) ``edge_index`` sends gates[e] * x[k, v] to node u of
-    patch k and gates[e] * x[k, u] to its node v, and each node's sum is
-    divided by its degree (an isolated node's by 1).  The (M, d) gates are
-    sigmoid(ELU(basis @ coeffs) @ phi) of the constant (M, order)
-    ``basis`` (no gradient reaches it), the (order, c) ``coeffs`` and the
-    (c, d) ``phi``; ``x`` is (K, n, d).
+    of the window's ``NodePairs`` index ``pairs`` sends gates[e] * x[k, v]
+    to node u of patch k and gates[e] * x[k, u] to its node v, and each
+    node's sum is divided by its degree (an isolated node's by 1).  The
+    (M, d) gates are sigmoid(ELU(basis @ coeffs) @ phi) of the constant
+    (M, order) ``basis`` (no gradient reaches it), the (order, c)
+    ``coeffs`` and the (c, d) ``phi``; ``x`` is (K, n, d).
 
-    The edges must be distinct, off the diagonal, each listed in one
-    orientation only and sorted by patch.  The gates are formed a block of
-    edges at a time, the sigmoid as 0.5 tanh(h / 2) + 0.5, which cannot
-    overflow, and the closure keeps them.  The backward forms, one
-    ``_blocks`` block of edges at a time, the gates' gradient from ``x``
-    and the output's, times the sigmoid's slope s (1 - s), and passes it
-    through the gate map and the filter, recomputing ELU(basis @ coeffs)
-    and reading ELU's slope off it (below zero exp(h) = ELU(h) + 1), so no
+    The gates are formed a block of edges at a time, the sigmoid as
+    0.5 tanh(h / 2) + 0.5, which cannot overflow, and the closure keeps
+    them, and a zero row after them.  The backward forms, one ``_blocks``
+    block of edges at a time, the gates' gradient from ``x`` and the
+    output's, times the sigmoid's slope s (1 - s), and passes it through
+    the gate map and the filter, recomputing ELU(basis @ coeffs) and
+    reading ELU's slope off it (below zero exp(h) = ELU(h) + 1), so no
     (M, d) gradient exists.  The gated product G @ x (G is symmetric) and
-    its transpose run by the route ``segment_route`` picks:
+    its transpose run on the index's route:
 
-    * grid: a (K, n, n) map of each pair's edge row gathers the d-wide
-      gate rows of a block of rows of a patch, or of whole patches, whose
-      diagonal and pairs without an edge are then set to 0, and each
-      row's sum over its neighbours of the gates times their ``x`` rows
-      is one ``np.einsum``;
+    * grid: the edge-row map gathers the d-wide gate rows, the zero row
+      off the edges, of a block of rows of a patch, or of whole patches,
+      and each row's sum of the gates times their ``x`` rows is one
+      ``np.einsum``;
     * segment: each directed pair's gated message summed over the
-      receiver-sorted edge list by ``np.add.reduceat``, O(m d).
+      index's pairs with an edge row by ``np.add.reduceat``, O(m d).
     """
     basis, coeffs, phi, x = (_as_tensor(t) for t in (basis, coeffs, phi, x))
-    k, u, v = _patch_edges(edge_index)
     if basis.ndim != 2 or coeffs.ndim != 2 or phi.ndim != 2 or x.ndim != 3 \
-            or basis.shape != (len(k), coeffs.shape[0]) \
-            or phi.shape != (coeffs.shape[1], x.shape[2]):
+            or basis.shape != (pairs.edges, coeffs.shape[0]) \
+            or phi.shape != (coeffs.shape[1], x.shape[2]) \
+            or x.shape[:2] != (pairs.patches, pairs.nodes):
         raise ShapeMismatchError(
-            f"gated_neighbour_mean: basis {basis.shape} for {len(k)} edges, "
-            f"coeffs {coeffs.shape}, phi {phi.shape}, values {x.shape}")
+            f"gated_neighbour_mean: basis {basis.shape} for {pairs.edges} edges, "
+            f"coeffs {coeffs.shape}, phi {phi.shape}, values {x.shape} on "
+            f"{pairs.patches} graphs of {pairs.nodes} nodes")
     patches, n, d = x.shape
-    ends = (k * n + u, k * n + v)     # the endpoints' global node ids
-    degree = np.bincount(np.concatenate(ends), minlength=patches * n)
-    inv_degree = (1.0 / np.maximum(degree, 1)).reshape(patches, n, 1)
-    blocks = _blocks(len(k), max(coeffs.shape[1], d))
+    inv_degree = (1.0 / np.maximum(pairs.degree, 1)).reshape(patches, n, 1)
+    blocks = _blocks(pairs.edges, max(coeffs.shape[1], d))
 
     def activation(edges):
         """ELU(basis @ coeffs) of a block of edges."""
@@ -848,7 +858,8 @@ def gated_neighbour_mean(basis, coeffs, phi, x, edge_index) -> Tensor:
         np.maximum(h, below, out=h)     # expm1(x) > x below zero
         return h
 
-    gates = np.empty((len(k), d))
+    gates = np.empty((pairs.edges + 1, d))
+    gates[-1] = 0.0                 # the gate of a pair without an edge
     half_phi = phi.data * 0.5       # a power of two: (h @ phi) / 2 exactly
     for edges in blocks:
         gate = np.matmul(activation(edges), half_phi, out=gates[edges])
@@ -856,26 +867,22 @@ def gated_neighbour_mean(basis, coeffs, phi, x, edge_index) -> Tensor:
         gate *= 0.5
         gate += 0.5
 
-    if segment_route(patches, n, len(k)):
-        pairs = _ReceiverPairs(k, u, v, patches, n, d, self_loops=False)
+    if pairs.segment:
+        mine = pairs.edge >= 0
+        send, edge = pairs.send[mine], pairs.edge[mine]
+        _, sums = _run_sums(pairs.recv[mine], patches * n, d)
 
         def product(values):
             rows = values.reshape(-1, d)
-            return pairs.sums(lambda block: gates[pairs.edge[block]]
-                              * rows[pairs.send[block]]).reshape(x.shape)
+            return sums(lambda block: gates[edge[block]] * rows[send[block]]).reshape(x.shape)
     else:
-        edge_rows = np.zeros((patches, n, n), dtype=np.int64)
-        edge_rows[k, u, v] = edge_rows[k, v, u] = np.arange(len(k))
-        absent = np.ones((patches, n, n), dtype=bool)     # the diagonal and non-edges
-        absent[k, u, v] = absent[k, v, u] = False
-        tiles = _tiles(patches, n, n * d) if len(k) else []
+        tiles = _tiles(patches, n, n * d) if pairs.edges else []
 
         def product(values):
             out = np.zeros(x.shape)
             for ks, rows in tiles:
-                block = gates[edge_rows[ks, rows]]
-                block[absent[ks, rows]] = 0.0
-                out[ks, rows] = np.einsum("krjd,kjd->krd", block, values[ks])
+                out[ks, rows] = np.einsum("krjd,kjd->krd", gates[pairs.edge_rows[ks, rows]],
+                                          values[ks])
             return out
 
     data = product(x.data) * inv_degree
@@ -888,7 +895,7 @@ def gated_neighbour_mean(basis, coeffs, phi, x, edge_index) -> Tensor:
         if g_coeffs is not None or g_phi is not None:
             g_rows, x_rows = g.reshape(-1, d), x.data.reshape(-1, d)
             for edges in blocks:
-                at_u, at_v = ends[0][edges], ends[1][edges]
+                at_u, at_v = pairs.ends[0][edges], pairs.ends[1][edges]
                 g_pre = g_rows[at_u] * x_rows[at_v]     # the gates' gradient
                 g_pre += g_rows[at_v] * x_rows[at_u]
                 g_pre *= (1.0 - gates[edges]) * gates[edges]    # the sigmoid's slope

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, gated_neighbour_mean
+from stedge.autodiff import NodePairs, Tensor, elu, gated_neighbour_mean
 from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
 
 _LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
@@ -160,7 +160,7 @@ def hll_conv(graph: PatchGraph, order: int) -> np.ndarray:
     return np.stack(laguerre_basis(hodge_operator(graph), graph.distances, order), axis=1)
 
 
-def fusion_gcn(h_node: Tensor, edge_filter, edge_index, theta: Tensor) -> Tensor:
+def fusion_gcn(h_node: Tensor, edge_filter, pairs: NodePairs, theta: Tensor) -> Tensor:
     """Node update of the K patches' (K, n, d) ``h_node``, gated per
     neighbour by its edge.
 
@@ -168,19 +168,19 @@ def fusion_gcn(h_node: Tensor, edge_filter, edge_index, theta: Tensor) -> Tensor
     where g_ij in (0, 1) is the edge's gate, one per channel: row e of
     sigmoid(ELU(T C) phi) for the ``edge_filter`` (T, C, phi), the
     constant (M, order) Laguerre basis T (``hll_conv``), the (order, d)
-    filter coefficients C and the (d, d) gate map phi.  The (M, 3)
-    ``edge_index`` tags each edge with its patch.  Without a filter (None,
-    or no edges) the gate is zero, which severs the edge branch.  The
-    neighbour sum is divided by the node's degree: on a complete patch
-    graph an unnormalised sum outweighs the node's own term n - 1 times
-    over and pulls every node towards the patch mean, which washed out the
-    per-pedestrian signal the forecast needs.
+    filter coefficients C and the (d, d) gate map phi, over the patches'
+    ``NodePairs`` index ``pairs``, which the attention layer reads too.
+    Without a filter (None, or no edges) the gate is zero, which severs
+    the edge branch.  The neighbour sum is divided by the node's degree:
+    on a complete patch graph an unnormalised sum outweighs the node's own
+    term n - 1 times over and pulls every node towards the patch mean,
+    which washed out the per-pedestrian signal the forecast needs.
 
     Gates and gated mean are one recorded op (``gated_neighbour_mean``),
-    on the patches' (n, n) grids or on segment sums over the edge list by
-    the edges' density, which keeps only the gates for its backward.
+    on the patches' (n, n) grids or on segment sums over the edges, the
+    index's route, which keeps only the gates for its backward.
     """
     t = h_node @ theta
-    if edge_filter is None or not len(edge_index):
+    if edge_filter is None or not pairs.edges:
         return elu(t)
-    return elu(t + gated_neighbour_mean(*edge_filter, t, edge_index))
+    return elu(t + gated_neighbour_mean(*edge_filter, t, pairs))

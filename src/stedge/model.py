@@ -6,10 +6,10 @@ feature width is 3*model_dim and a learned projection brings it back to
 ``model_dim`` before the graph stage.  The constant structure of a
 window's K patches (stacked adjacency, one patch-tagged edge list and the
 edge lengths) is built once per window by ``stgraph.patch_graphs``, which
-records no op, and nothing is cached across windows.  The attention
-layer, the Hodge operator, the fusion's gated mean and the memory guard
-read the edge list; the adjacency is read only for the scales of the
-Hodge operator (``hodge_operator``).
+records no op, and nothing is cached across windows.  The Hodge
+operator reads the edge list, and so does the one ``NodePairs`` index
+that the attention layer and the fusion's gated mean read; the adjacency
+is read only for the scales of the Hodge operator (``hodge_operator``).
 
 The Laguerre edge filter runs on the raw edge distances D, an (M,)
 vector over all K patches' edges.  The edge embedding w (``edge.w_embed``, 1 x model_dim)
@@ -48,15 +48,14 @@ basis of the edge lengths, recording nothing, and ``fusion_gcn`` filters
 it, maps it through ``fuse.phi`` and the sigmoid to the (M, d) gates and
 averages the gated neighbour messages in one op, whose closure keeps
 only the gates; the backward meets their gradient a block of edges at
-a time.  The head reads
-only the T_pred future rows, so the encoder's last layer computes only
-those (``encoder_forward``'s ``last_rows``), and the head projects them
-as they come.
+a time.  The head reads only the T_pred future rows, so the encoder's
+last layer computes only those (``encoder_forward``'s ``last_rows``),
+and the head projects them as they come.
 
 Before it records its first op, ``forward`` sums the window's estimated
 tape (``tape_bytes``), the gradients every backward allocates and the
-graph structure and temporaries beside them (``step_bytes``); above
-physical memory it raises
+graph structure, node-pair index and temporaries beside them
+(``step_bytes``); above physical memory it raises
 ``WindowTooLargeError``, a named error in place of an out-of-memory kill.
 ``predict`` records no tape, but its window is checked on the same
 training estimate.
@@ -70,8 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import (_BLOCK_ENTRIES, ParameterStore, ShapeMismatchError, Tensor,
-                             concatenate, linear, segment_route)
+from stedge.autodiff import (_BLOCK_ENTRIES, NodePairs, ParameterStore, ShapeMismatchError,
+                             Tensor, concatenate, linear, node_pairs_bytes, segment_route)
 from stedge.data import (DEFAULT_T_OBS, DEFAULT_T_PRED, Window,
                          future_displacements, init_features)
 from stedge.edgegraph import fusion_gcn, hll_conv
@@ -122,16 +121,12 @@ _LAST_LAYER_ROWS = 11
 # (N, T_pred): the entries per pedestrian and future step of the head's
 # 5-wide projection and the 2- and 1-wide arrays of the likelihood
 _HEAD_ENTRIES = 43
-# bytes a step holds beyond its float arrays (see step_bytes): per node
-# pair, the adjacency and, on the grid route, the attention's mask and the
-# edge op's edge-row map and mask; per edge, the edge list and length and
-# the edge op's basis (per order) and endpoint ids; per directed pair on
-# the segment route, each op's sorted pair lists.  And the d-wide blocks
-# over edges, each at most _BLOCK_ENTRIES, that the edge op's backward
-# holds at once: gathered gradient and value rows, their product and the
-# gates' gradient
-_PAIR_BYTES, _GRID_ATTENTION_BYTES, _GRID_EDGE_BYTES, _PAIR_LIST_BYTES = 8, 1, 9, 40
-_EDGE_BYTES, _BASIS_BYTES, _ENDPOINT_BYTES, _BACKWARD_BLOCKS = 32, 8, 16, 4
+# bytes a step holds beyond its float arrays and node-pair index (see
+# step_bytes): per node pair, the adjacency; per edge, the edge list and
+# length and the edge op's basis (per order); and the d-wide blocks of at
+# most _BLOCK_ENTRIES over edges that the edge op's backward holds at
+# once: gathered gradient and value rows, their product and gates' gradient
+_PAIR_BYTES, _EDGE_BYTES, _BASIS_BYTES, _BACKWARD_BLOCKS = 8, 32, 8, 4
 
 
 def _physical_memory() -> float:
@@ -298,16 +293,13 @@ def step_bytes(cfg: ModelConfig, n_peds: int, edge_counts,
     step: the tape (``tape_bytes``), the leaf gradients every backward
     allocates (8 bytes for each of the ``n_values`` parameter values) and
     what the step holds beyond those float arrays: the window's patch
-    structure and the graph stage's index arrays, held to the forward's
-    last op, and the block temporaries of the edge op's backward."""
+    structure and node-pair index (``node_pairs_bytes``), held to the
+    forward's last op, the edge op's basis and its backward's blocks."""
     n, patches, edges = n_peds * cfg.patch_len, len(edge_counts), int(sum(edge_counts))
-    pairs, segment = patches * n * n, segment_route(patches, n, edges)
-    held = _PAIR_BYTES * pairs + _EDGE_BYTES * edges
-    held += (_PAIR_LIST_BYTES * (2 * edges + patches * n) if segment
-             else _GRID_ATTENTION_BYTES * pairs)
+    held = _PAIR_BYTES * patches * n * n + _EDGE_BYTES * edges \
+        + node_pairs_bytes(patches, n, edges)
     if cfg.fusion_gate != "zero" and edges:
-        held += (_BASIS_BYTES * cfg.hll_order + _ENDPOINT_BYTES) * edges
-        held += _PAIR_LIST_BYTES * 2 * edges if segment else _GRID_EDGE_BYTES * pairs
+        held += _BASIS_BYTES * cfg.hll_order * edges
         held += 8 * _BACKWARD_BLOCKS * min(_BLOCK_ENTRIES, edges * cfg.model_dim)
     return tape_bytes(cfg, n_peds, edge_counts), 8 * n_values, held
 
@@ -375,7 +367,8 @@ class TrajectoryForecaster:
         cfg = self.cfg
         x = init_features(window.obs, params) @ params["feat.w_proj"]
         z = segment_patches(x, cfg.patch_len, cfg.patch_stride)   # (K, n, d)
-        h_node = gat_layer(z, graph.edge_index, params["gat.theta"],
+        pairs = NodePairs(graph.edge_index, *z.shape[:2])   # read by both ops
+        h_node = gat_layer(z, pairs, params["gat.theta"],
                            params["gat.theta_dst"], params["gat.att"])
         edge_filter = None
         if cfg.fusion_gate != "zero" and len(graph.edge_index):
@@ -383,7 +376,7 @@ class TrajectoryForecaster:
             coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
                                   for j in range(cfg.hll_order)])
             edge_filter = (hll_conv(graph, cfg.hll_order), coeffs, params["fuse.phi"])
-        update = fusion_gcn(h_node, edge_filter, graph.edge_index, params["fuse.theta"])
+        update = fusion_gcn(h_node, edge_filter, pairs, params["fuse.theta"])
         # each node's own features ride around the graph stage, which on a
         # complete graph averages every node towards the patch mean
         return stack_and_pool(z + update, window.n_peds, cfg.patch_len)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stedge.autodiff import Tensor, elu, pair_attention, unfold
+from stedge.autodiff import NodePairs, Tensor, elu, pair_attention, unfold
 
 
 class PatchTooLongError(ValueError):
@@ -37,7 +37,7 @@ class PatchGraph:
     ``PatchGraph`` with K = 1.
 
     Node index = ped * length + local_time within each patch.  Self-loops
-    are not stored, the attention layer adds them.  The edges are the
+    are not stored, the node-pair index adds them.  The edges are the
     adjacency's (k, u, v), u < v, sorted by patch, then lexicographically
     (``edge_list``); an edge signal is an (M,) vector in that order,
     oriented low -> high index.
@@ -147,10 +147,10 @@ def segment_patches(features: Tensor, length: int, stride: int) -> Tensor:
     return unfold(features, length, stride)
 
 
-def gat_layer(z: Tensor, edge_index, theta: Tensor, theta_dst: Tensor,
+def gat_layer(z: Tensor, pairs: NodePairs, theta: Tensor, theta_dst: Tensor,
               att: Tensor) -> Tensor:
     """Single-head graph attention over the K patches' (K, n, D) node
-    features ``z`` and their (M, 3) patch-tagged edge list.
+    features ``z`` and their ``NodePairs`` index.
 
     The pair transform acts on the concatenated node pair as two blocks,
     logit(i, j) = a . LeakyReLU(theta_dst z_i + theta z_j), with the
@@ -164,7 +164,7 @@ def gat_layer(z: Tensor, edge_index, theta: Tensor, theta_dst: Tensor,
     """
     src = z @ theta        # messages and attention source half
     dst = z @ theta_dst    # attention receiver half
-    return elu(pair_attention(dst, src, att, edge_index))
+    return elu(pair_attention(dst, src, att, pairs))
 
 
 # -- effective resistance -----------------------------------------------------

@@ -183,8 +183,8 @@ def save_checkpoint(path, params: ParameterStore) -> None:
 
 def load_checkpoint(path, params: ParameterStore | None = None) -> dict:
     """Read a checkpoint; when a store is given, verify names/shapes match
-    declaration order and copy values in.  A file cut short, with a name
-    that is not UTF-8 or with trailing bytes raises ``CheckpointFormatError``."""
+    declaration order and copy values in.  A cut, a name not in UTF-8,
+    extents numpy cannot hold or trailing bytes raise ``CheckpointFormatError``."""
     buf = Path(path).read_bytes()
     if not buf.startswith(CHECKPOINT_MAGIC):
         raise CheckpointFormatError(f"{path}: bad magic string")
@@ -203,14 +203,14 @@ def load_checkpoint(path, params: ParameterStore | None = None) -> dict:
     values = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(f"{path}: parameter name: {exc}") from exc
+        name = take(name_len)
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         raw = take(8 * math.prod(shape))
-        values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:    # a name not in UTF-8, or a zero extent beside ones too large to index
+            values[name.decode("utf-8")] = np.frombuffer(raw, "<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{path}: parameter {name!r}: {exc}") from exc
     if pos != len(buf):
         raise CheckpointFormatError(f"{path}: {len(buf) - pos} trailing bytes")
     if params is not None:

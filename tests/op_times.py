@@ -7,8 +7,10 @@ walkers (``perfbench/crowd.py``) each run one default-config loss and its
 backward, after one untimed warm-up step per size.  An op's forward is
 the outermost call into ``stedge.autodiff`` that recorded it (so glue
 between ops, such as building the patch graphs, is not counted), and its
-backward is its closure as ``backward()`` runs it.  The table gives ms per
-window by op name, and each op's share of the timed steps' wall time:
+backward is its closure as ``backward()`` runs it.  The build of the
+node-pair index that both graph-stage ops read has a row of its own
+(``NodePairs``), though it records no op.  The table gives ms per window
+by op name, and each row's share of the timed steps' wall time:
 
     PYTHONPATH=src python tests/op_times.py --sizes 12 16 20
     PYTHONPATH=src python tests/op_times.py --sizes 20 --max-distance 2
@@ -47,9 +49,13 @@ from crowd import crowd_window  # noqa: E402
 import numpy as np  # noqa: E402
 
 
+INDEX_ROW = "NodePairs"      # the node-pair index's build, timed as a forward
+
+
 class OpClock:
-    """Times every recorded op while installed: ``forward`` and
-    ``backward`` map an op name to seconds, ``calls`` to its count."""
+    """Times every recorded op, and each build of the node-pair index,
+    while installed: ``forward`` and ``backward`` map an op name (or
+    ``INDEX_ROW``) to seconds, ``calls`` to its count."""
 
     def __init__(self):
         self.forward = defaultdict(float)
@@ -89,14 +95,27 @@ class OpClock:
 
         return timed
 
+    def _index_build(self, build):
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return build(*args, **kwargs)
+            finally:
+                self.forward[INDEX_ROW] += time.perf_counter() - start
+                self.calls[INDEX_ROW] += 1
+
+        return timed
+
     def install(self):
-        """Wrap ``_result`` and every autodiff function that records an op,
-        in each loaded stedge module that holds it; returns the undo list."""
+        """Wrap ``_result``, every autodiff function that records an op and
+        the ``NodePairs`` constructor, in each loaded stedge module that
+        holds them; returns the undo list."""
         autodiff = stedge.autodiff
         ops = {name: fn for name, fn in vars(autodiff).items()
                if callable(fn) and getattr(fn, "__module__", None) == autodiff.__name__
                and "_result" in getattr(getattr(fn, "__code__", None), "co_names", ())}
         wrapped = {id(fn): self._outermost(fn) for fn in ops.values()}
+        wrapped[id(autodiff.NodePairs)] = self._index_build(autodiff.NodePairs)
         undo = [(autodiff, "_result", autodiff._result)]
         autodiff._result = self._record(autodiff._result)
         for module in [m for name, m in sys.modules.items() if name.startswith("stedge")]:
@@ -181,8 +200,8 @@ def main() -> None:
           f"{1e3 * wall / count:.1f} ms per window (loss and backward)")
     print(f"{'op':24s} {'calls':>6s} {'fwd ms':>8s} {'bwd ms':>8s} {'sum ms':>8s} {'share':>6s}")
     rows = sorted(clock.calls, key=lambda op: -(clock.forward[op] + clock.backward[op]))
-    for op in rows + ["all ops"]:
-        if op == "all ops":
+    for op in rows + ["all rows"]:
+        if op == "all rows":
             fwd, bwd = sum(clock.forward.values()), sum(clock.backward.values())
             calls = sum(clock.calls.values())
         else:

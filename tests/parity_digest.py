@@ -4,8 +4,9 @@ every output bit-identical, or within a stated tolerance.
 For circle windows at N in {2, 5, 12, 20}, on complete and 2 m wiring and
 with the vector and zero fusion gates, it hashes the default-config loss at
 seed 0, every leaf gradient of one backward, and ``predict()``'s mu, sigma
-and rho.  Each case's line also shows how many ops its loss records,
-outside the hash.  Run it on a refactor's parent and on the refactor
+and rho.  Each case's line also shows, outside the hash, how many ops its
+loss records and the route of the node-pair index it builds (grid or
+segments), so the digest shows that both routes are covered.  Run it on a refactor's parent and on the refactor
 itself; the last line, the digest over every case, must match:
 
     PYTHONPATH=src python tests/parity_digest.py
@@ -30,6 +31,7 @@ import itertools
 import numpy as np
 
 import stedge.autodiff
+import stedge.model
 from stedge.autodiff import backward
 from stedge.model import ModelConfig, TrajectoryForecaster
 from test_model import _circle_window
@@ -40,35 +42,42 @@ GATES = ("vector", "zero")
 
 
 def _recorded_loss(model, window):
-    """The window's loss and the number of ops it records."""
-    record_op, count = stedge.autodiff._result, [0]
+    """The window's loss, the number of ops it records and the route of
+    each node-pair index it builds, joined by "+"."""
+    record_op, build, count, routes = stedge.autodiff._result, stedge.model.NodePairs, [0], []
 
     def counted(*args):
         count[0] += 1
         return record_op(*args)
 
-    stedge.autodiff._result = counted
+    def built(*args):
+        pairs = build(*args)
+        routes.append("segments" if pairs.segment else "grid")
+        return pairs
+
+    stedge.autodiff._result, stedge.model.NodePairs = counted, built
     try:
         loss = model.loss(window)
     finally:
-        stedge.autodiff._result = record_op
-    return loss, count[0]
+        stedge.autodiff._result, stedge.model.NodePairs = record_op, build
+    return loss, count[0], "+".join(routes)
 
 
-def case_arrays(n: int, max_distance, gate: str) -> tuple[dict, int]:
+def case_arrays(n: int, max_distance, gate: str) -> tuple[dict, int, str]:
     """The case's named arrays (the loss, each leaf gradient, None as an
-    empty array, and the forecast) and the number of ops its loss records."""
+    empty array, and the forecast), the number of ops its loss records and
+    its node-pair index's route."""
     model = TrajectoryForecaster(
         ModelConfig(max_distance=max_distance, fusion_gate=gate), seed=0)
     window = _circle_window(n)
-    loss, ops = _recorded_loss(model, window)
+    loss, ops, route = _recorded_loss(model, window)
     backward(loss)
     arrays = {"loss": loss.data}
     for name, p in model.params.items():
         arrays[f"grad/{name}"] = np.empty(0) if p.grad is None else p.grad
     track = model.predict(window)
     arrays.update(mu=track.mu, sigma=track.sigma, rho=track.rho)
-    return arrays, ops
+    return arrays, ops, route
 
 
 def case_digest(arrays: dict) -> str:
@@ -109,10 +118,10 @@ def main() -> None:
     total, saved, worst = hashlib.sha256(), {}, 0.0
     for n, max_distance, gate in itertools.product(SIZES, WIRINGS, GATES):
         case = f"N={n:<2} max_distance={max_distance} gate={gate:<6}"
-        arrays, ops = case_arrays(n, max_distance, gate)
+        arrays, ops, route = case_arrays(n, max_distance, gate)
         digest = case_digest(arrays)
         total.update(digest.encode())
-        line = f"{case} {digest} ops={ops}"
+        line = f"{case} {digest} ops={ops} route={route}"
         key = f"{n}/{max_distance}/{gate}"
         saved.update({f"{key}/{name}": array for name, array in arrays.items()})
         if stored is not None:

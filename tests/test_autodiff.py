@@ -7,6 +7,7 @@ import stedge.autodiff
 from stedge.autodiff import (
     DisconnectedOutputError,
     GraphFreedError,
+    NodePairs,
     NonFiniteError,
     ParameterStore,
     ShapeMismatchError,
@@ -40,13 +41,16 @@ def _patch0(edges):
     return np.column_stack([np.zeros(len(edges), dtype=np.int64), edges])
 
 
-def _on_route(segment, op, *args):
-    """``op(*args)`` with the segment route, or the grid route, forced; the
-    backward closure keeps the route its forward took."""
+def _index(edges, patches, n, segment=None):
+    """The ``NodePairs`` index of an (M, 3) edge list over ``patches``
+    graphs of n nodes, with the segment route, or the grid route, forced;
+    by default on the route the density picks.  The ops run on the route
+    of the index they are given."""
     saved = stedge.autodiff._SEGMENT_DENSITY
-    stedge.autodiff._SEGMENT_DENSITY = 2.0 if segment else 0.0   # above or below any density
+    if segment is not None:     # a density above or below any
+        stedge.autodiff._SEGMENT_DENSITY = 2.0 if segment else 0.0
     try:
-        return op(*args)
+        return NodePairs(edges, patches, n)
     finally:
         stedge.autodiff._SEGMENT_DENSITY = saved
 
@@ -250,26 +254,26 @@ def _fd_for(param, closure, eps=1e-6):
     ("elu", lambda t: elu(t).sum()),
     # pair_attention: pair sums 0.5 (t_i + t_j) +- 3 kept 1 clear of
     # LeakyReLU's kink, on both sides of it in every row
-    ("pair_attention_logits", lambda t: (_on_route(False, pair_attention, (
-        t * 0.5)[None], (t * 0.5 + _SIDES)[None], t[0] * 0.5, _PATH_EDGES)[0]
+    ("pair_attention_logits", lambda t: (pair_attention(
+        (t * 0.5)[None], (t * 0.5 + _SIDES)[None], t[0] * 0.5,
+        _index(_PATH_EDGES, 1, 3, False))[0] * _WEIGHTS).sum()),
+    ("pair_attention_segments", lambda t: (pair_attention(
+        (t * 0.5)[None], (t * 0.5 + _SIDES)[None], t[0] * 0.5,
+        _index(_PATH_EDGES, 1, 3, True))[0] * _WEIGHTS).sum()),
+    ("gated_neighbour_sum", lambda t: (gated_neighbour_mean(
+        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, t[None], _index(_TRIANGLE_EDGES, 1, 3, False))[0]
         * _WEIGHTS).sum()),
-    ("pair_attention_segments", lambda t: (_on_route(True, pair_attention, (
-        t * 0.5)[None], (t * 0.5 + _SIDES)[None], t[0] * 0.5, _PATH_EDGES)[0]
-        * _WEIGHTS).sum()),
-    ("gated_neighbour_sum", lambda t: (_on_route(False, gated_neighbour_mean,
-        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, t[None], _TRIANGLE_EDGES)[0]
-        * _WEIGHTS).sum()),
-    ("gated_neighbour_mean_segments", lambda t: (_on_route(True, gated_neighbour_mean,
-        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, t[None], _TRIANGLE_EDGES)[0]
+    ("gated_neighbour_mean_segments", lambda t: (gated_neighbour_mean(
+        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, t[None], _index(_TRIANGLE_EDGES, 1, 3, True))[0]
         * _WEIGHTS).sum()),
     # through the edge op's gates alone: the ELU product and map, the
     # sigmoid near the middle ...
     ("matmul_elu_matmul", lambda t: (gated_neighbour_mean(
-        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, _TRIANGLE_VALUES, _TRIANGLE_EDGES)[0]
+        _TRIANGLE_BASIS, t.T * 0.5, t * 0.3, _TRIANGLE_VALUES, _index(_TRIANGLE_EDGES, 1, 3))[0]
         * _WEIGHTS).sum()),
     # ... and into its flat tails
     ("edge_gates", lambda t: (gated_neighbour_mean(
-        _TRIANGLE_BASIS, t.T * 0.5, t * 2.0, _TRIANGLE_VALUES, _TRIANGLE_EDGES)[0]
+        _TRIANGLE_BASIS, t.T * 0.5, t * 2.0, _TRIANGLE_VALUES, _index(_TRIANGLE_EDGES, 1, 3))[0]
         * _WEIGHTS).sum()),
     # ReLU inputs kept at least 1 clear of the kink, on both sides of it
     ("linear", lambda t: (
@@ -491,8 +495,8 @@ def test_gated_neighbour_sum_matches_loop(d):
             degree[[u, v]] += 1
         want /= np.maximum(degree, 1)[:, None]
         for segment in (False, True):
-            got = _on_route(segment, gated_neighbour_mean, basis, Tensor(coeffs), Tensor(phi),
-                            Tensor(x[None]), _patch0(edges)).data[0]
+            got = gated_neighbour_mean(basis, Tensor(coeffs), Tensor(phi), Tensor(x[None]),
+                                       _index(_patch0(edges), 1, n, segment)).data[0]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
@@ -509,15 +513,16 @@ def test_gated_neighbour_sum_gradient(d):
     x = Tensor(rng.normal(size=(1, n, d)), requires_grad=True)
     weights = rng.normal(size=(1, n, d))
     for segment in (False, True):
-        err = gradcheck(lambda: (_on_route(segment, gated_neighbour_mean, basis, coeffs, phi,
-                                           x, _patch0(edges)) * weights).sum(),
+        pairs = _index(_patch0(edges), 1, n, segment)
+        err = gradcheck(lambda: (gated_neighbour_mean(basis, coeffs, phi, x, pairs)
+                                 * weights).sum(),
                         [coeffs, phi, x], eps=1e-5)
         assert err < 1e-6
 
 
 def test_gated_neighbour_sum_shape_mismatch():
     x = Tensor(np.ones((1, 3, 2)))
-    edges = _patch0([[0, 1], [1, 2]])
+    edges = _index(_patch0([[0, 1], [1, 2]]), 1, 3)
     coeffs, phi = Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeMismatchError):     # two edges, three basis rows
         gated_neighbour_mean(np.ones((3, 4)), coeffs, phi, x, edges)
@@ -532,23 +537,33 @@ def test_gated_neighbour_sum_rejects_one_gate_per_pair():
     x = Tensor(np.ones((1, 3, 2)))
     with pytest.raises(ShapeMismatchError, match=r"phi \(2, 1\)"):
         gated_neighbour_mean(np.ones((2, 4)), Tensor(np.ones((4, 2))), Tensor(np.ones((2, 1))),
-                             x, _patch0([[0, 1], [1, 2]]))
+                             x, _index(_patch0([[0, 1], [1, 2]]), 1, 3))
 
 
 @pytest.mark.parametrize("self_loops", [False, True])
 def test_receiver_pairs_read_each_reverse_off_their_sort(self_loops):
-    """Each directed pair's reverse, read off the sort that built the
-    receiver-sorted pairs, is the pair that a second sort, by sender and
-    then receiver, puts in its place; three patches, the middle one
-    edgeless."""
+    """On the segment route's pair list: each directed pair's reverse, read
+    off the sort that built the receiver-sorted pairs, is the pair that a
+    second sort, by sender and then receiver, puts in its place; and the
+    pairs without the self-loops, the edge op's, are entry for entry those
+    that a sort of the edges alone, both ways, gives.  Three patches, the
+    middle one edgeless."""
     rng = np.random.default_rng(33)
     edges = np.concatenate([_patch0(_pairs(7, rng)),
                             np.array([[2, 0, 1], [2, 3, 5], [2, 2, 6]])])
-    k, u, v = edges.T
-    pairs = stedge.autodiff._ReceiverPairs(k, u, v, 3, 7, 4, self_loops)
-    reverse = pairs.reverses()
-    np.testing.assert_array_equal(reverse, np.lexsort((pairs.recv, pairs.send)))
-    np.testing.assert_array_equal(pairs.send[reverse], pairs.recv)
+    pairs = _index(edges, 3, 7, segment=True)
+    if self_loops:
+        reverse = pairs.reverses()
+        np.testing.assert_array_equal(reverse, np.lexsort((pairs.recv, pairs.send)))
+        np.testing.assert_array_equal(pairs.send[reverse], pairs.recv)
+        return
+    a, b = edges[:, 0] * 7 + edges[:, 1], edges[:, 0] * 7 + edges[:, 2]
+    recv, send = np.concatenate([a, b]), np.concatenate([b, a])
+    rows = np.concatenate([np.arange(len(a))] * 2)
+    order = np.lexsort((send, recv))
+    mine = pairs.edge >= 0
+    for got, want in ((pairs.recv, recv), (pairs.send, send), (pairs.edge, rows)):
+        np.testing.assert_array_equal(got[mine], want[order])
 
 
 def test_pair_attention_logits_masks_scores_and_their_gradient():
@@ -563,12 +578,12 @@ def test_pair_attention_logits_masks_scores_and_their_gradient():
     seed[0, 0] = rng.normal(size=4)
     for segment in (False, True):
         dst, src, att = leaves = [Tensor(a, requires_grad=True) for a in data]
-        out = _on_route(segment, pair_attention, dst, src, att, _PATH_EDGES)
+        out = pair_attention(dst, src, att, _index(_PATH_EDGES, 1, 3, segment))
         first = pair_attention(dst.data[:, :2], src.data[:, :2], att.data,
-                               _patch0([[0, 1]])).data
+                               _index(_patch0([[0, 1]]), 1, 2)).data
         last = pair_attention(dst.data[:, 1:], src.data[:, 1:], att.data,
-                              _patch0([[0, 1]])).data
-        full = pair_attention(dst.data, src.data, att.data, _TRIANGLE_EDGES).data
+                              _index(_patch0([[0, 1]]), 1, 2)).data
+        full = pair_attention(dst.data, src.data, att.data, _index(_TRIANGLE_EDGES, 1, 3)).data
         np.testing.assert_allclose(out.data[0], [first[0, 0], full[0, 1], last[0, 1]],
                                    rtol=1e-14, atol=1e-14)
         backward(out, seed)
@@ -583,14 +598,14 @@ def test_pair_ops_on_an_edge_list_that_leaves_a_node_without_edges(segment):
     mean is 0; no gradient reaches it through another node, and a gradient
     on its own output reaches only its own rows."""
     rng = np.random.default_rng(13)
-    edges = np.array([[0, 0, 1], [1, 1, 2]])
+    pairs = _index(np.array([[0, 0, 1], [1, 1, 2]]), 2, 3, segment)
     dst, src, att = leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
                               for shape in ((2, 3, 4), (2, 3, 4), (4,))]
     basis, coeffs, phi, _ = _gate_operands(rng, 2, 4)
     coeffs, phi = Tensor(coeffs, requires_grad=True), Tensor(phi, requires_grad=True)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    messages = _on_route(segment, pair_attention, dst, src, att, edges)
-    mean = _on_route(segment, gated_neighbour_mean, basis, coeffs, phi, x, edges)
+    messages = pair_attention(dst, src, att, pairs)
+    mean = gated_neighbour_mean(basis, coeffs, phi, x, pairs)
     lonely = [(0, 2), (1, 0)]
     for k, i in lonely:
         np.testing.assert_array_equal(messages.data[k, i], src.data[k, i])
@@ -610,13 +625,13 @@ def test_pair_ops_on_an_edge_list_that_leaves_a_node_without_edges(segment):
         t.zero_grad()
     seed = np.zeros((2, 3, 4))
     seed[0, 2] = 1.0
-    backward(_on_route(segment, pair_attention, dst, src, att, edges), seed)
+    backward(pair_attention(dst, src, att, pairs), seed)
     assert not src.grad[other].any() and not dst.grad.any() and not att.grad.any()
     np.testing.assert_array_equal(src.grad[0, 2], 1.0)
 
 
 def test_fused_op_shape_mismatch():
-    edge = _patch0([[0, 1]])
+    edge = _index(_patch0([[0, 1]]), 1, 3)
     with pytest.raises(ShapeMismatchError):     # dst and src of different widths
         pair_attention(Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 3, 3))),
                        Tensor(np.ones(2)), edge)
@@ -636,6 +651,13 @@ def test_fused_op_shape_mismatch():
     with pytest.raises(ShapeMismatchError):     # (basis @ coeffs) @ phi does not fit
         gated_neighbour_mean(np.ones((1, 2)), Tensor(np.ones((2, 4))),
                              Tensor(np.ones((3, 4))), x, edge)
+    two_patches = _index(_patch0([[0, 1]]), 2, 3)   # an index of other graphs
+    with pytest.raises(ShapeMismatchError, match="pair_attention: .* on 2 graphs of 3 nodes"):
+        pair_attention(Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 3, 2))),
+                       Tensor(np.ones(2)), two_patches)
+    with pytest.raises(ShapeMismatchError, match="gated_neighbour_mean: .* on 2 graphs of 3"):
+        gated_neighbour_mean(np.ones((1, 2)), Tensor(np.ones((2, 4))),
+                             Tensor(np.ones((4, 4))), x, two_patches)
 
 
 def test_fused_encoder_op_shape_mismatch():

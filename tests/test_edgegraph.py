@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stedge.autodiff import Tensor, backward, concatenate, elu, gradcheck, tanh
+from stedge.autodiff import NodePairs, Tensor, backward, concatenate, elu, gradcheck, tanh
 import stedge.edgegraph
 from stedge.edgegraph import (
     HodgeOperator,
@@ -235,7 +235,8 @@ def test_stacked_patches_match_each_patch_alone():
     coeffs, phi, theta = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
     h_node = rng.normal(size=(len(graph.starts), graph.adjacency.shape[-1], 4))
     basis = hll_conv(graph, 4)
-    fused = fusion_gcn(Tensor(h_node), (basis, coeffs, phi), graph.edge_index, theta).data
+    fused = fusion_gcn(Tensor(h_node), (basis, coeffs, phi),
+                       NodePairs(graph.edge_index, *h_node.shape[:2]), theta).data
     bases = laguerre_basis(hodge, graph.distances, 4)
     lo = 0
     for k in range(len(graph.starts)):
@@ -247,7 +248,7 @@ def test_stacked_patches_match_each_patch_alone():
             np.testing.assert_array_equal(got[lo:hi], want)
         np.testing.assert_array_equal(basis[lo:hi], hll_conv(patch, 4))
         want = fusion_gcn(Tensor(h_node[k:k + 1]), (hll_conv(patch, 4), coeffs, phi),
-                          patch.edge_index, theta).data[0]
+                          NodePairs(patch.edge_index, 1, h_node.shape[1]), theta).data[0]
         assert np.abs(fused[k] - want).max() <= 1e-12 * np.abs(want).max()
         lo = hi
     assert lo == len(graph.edge_index)
@@ -405,7 +406,7 @@ def test_hll_conv_gradients():
     phi = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     h_node, theta = Tensor(rng.normal(size=(1, 3, 2))), Tensor(rng.normal(size=(2, 2)))
     err = gradcheck(lambda: fusion_gcn(h_node, (hll_conv(graph, 3), concatenate(thetas), phi),
-                                       graph.edge_index, theta).sum(),
+                                       NodePairs(graph.edge_index, 1, 3), theta).sum(),
                     [*thetas, phi], eps=1e-5)
     assert err < 1e-5
 
@@ -578,7 +579,7 @@ def test_edge_branch_matches_incidence_reference(name):
     def edge_branch():
         coeffs = concatenate([leaves["w_embed"] @ t for t in thetas])
         return fusion_gcn(leaves["h_node"][None], (hll_conv(graph, 3), coeffs, leaves["phi"]),
-                          graph.edge_index, leaves["theta"])[0]
+                          NodePairs(graph.edge_index, 1, n), leaves["theta"])[0]
 
     b1 = boundary_operator(adj)
     assert hodge_operator(graph).lam[0] == np.linalg.eigvalsh(b1 @ b1.T)[-1]
@@ -619,7 +620,7 @@ def test_fusion_zero_gate_is_pure_self_term():
     rng = np.random.default_rng(7)
     h_node = Tensor(rng.normal(size=(1, 3, 4)))
     theta = Tensor(rng.normal(size=(4, 4)))
-    out = fusion_gcn(h_node, None, _patch0(edge_list(TRIANGLE)), theta)
+    out = fusion_gcn(h_node, None, NodePairs(_patch0(edge_list(TRIANGLE)), 1, 3), theta)
     t = h_node.data @ theta.data
     np.testing.assert_allclose(out.data, np.where(t >= 0, t, np.expm1(t)), atol=1e-12)
 
@@ -628,7 +629,7 @@ def test_fusion_single_node_no_neighbours():
     rng = np.random.default_rng(8)
     h_node = Tensor(rng.normal(size=(1, 1, 4)))
     theta = Tensor(rng.normal(size=(4, 4)))
-    out = fusion_gcn(h_node, None, (), theta)
+    out = fusion_gcn(h_node, None, NodePairs((), 1, 1), theta)
     t = h_node.data @ theta.data
     np.testing.assert_allclose(out.data, np.where(t >= 0, t, np.expm1(t)), atol=1e-12)
 
@@ -640,7 +641,7 @@ def test_fusion_two_nodes_matches_scalar_oracle():
     gate = 1.0 / (1.0 + math.exp(-1.8))
     edge_filter = (np.array([[1.8]]), Tensor(np.array([[1.0]])), Tensor(np.array([[1.0]])))
     theta = Tensor(np.array([[1.3]]))
-    out = fusion_gcn(h_node, edge_filter, ((0, 0, 1),), theta).data[0]
+    out = fusion_gcn(h_node, edge_filter, NodePairs(((0, 0, 1),), 1, 2), theta).data[0]
     pre0 = 1.3 * 0.7 + gate * (1.3 * -0.4)
     pre1 = 1.3 * -0.4 + gate * (1.3 * 0.7)
     want = [[pre0 if pre0 >= 0 else math.expm1(pre0)],
@@ -654,7 +655,7 @@ def test_fusion_gate_saturated_to_one_sums_neighbours():
     # gates at 1, where the sigmoid saturates: sigmoid(ELU(100))
     edge_filter = (np.ones((3, 1)), Tensor(np.full((1, 2), 100.0)), Tensor(np.eye(2)))
     theta = Tensor(rng.normal(size=(2, 2)))
-    out = fusion_gcn(h_node, edge_filter, _patch0(edge_list(TRIANGLE)), theta)
+    out = fusion_gcn(h_node, edge_filter, NodePairs(_patch0(edge_list(TRIANGLE)), 1, 3), theta)
     t = h_node.data @ theta.data
     pre = t + (TRIANGLE @ t) / 2.0  # every triangle node has degree 2
     np.testing.assert_allclose(out.data, np.where(pre >= 0, pre, np.expm1(pre)),
@@ -669,6 +670,7 @@ def test_fusion_gradients_match_central_differences():
     theta = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     basis = rng.normal(size=(1, 2))
     err = gradcheck(
-        lambda: fusion_gcn(h_node, (basis, coeffs, phi), ((0, 0, 1),), theta).sum(),
+        lambda: fusion_gcn(h_node, (basis, coeffs, phi), NodePairs(((0, 0, 1),), 1, 2),
+                           theta).sum(),
         [h_node, coeffs, phi, theta], eps=1e-5)
     assert err < 1e-5

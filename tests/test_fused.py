@@ -21,6 +21,7 @@ import stedge.model
 import stedge.predictor
 import stedge.stgraph
 from stedge.autodiff import (
+    NodePairs,
     ShapeMismatchError,
     Tensor,
     attention,
@@ -32,6 +33,7 @@ from stedge.autodiff import (
     layer_norm,
     linear,
     log,
+    node_pairs_bytes,
     pair_attention,
     softmax,
     tanh,
@@ -73,16 +75,22 @@ def _neighbour_mask(edge_index, n):
     return mask
 
 
+def _edge_list(pairs):
+    """The (M, 3) patch-tagged edge list (k, u, v) of a ``NodePairs``
+    index, read off its endpoints' global node ids."""
+    a, b = pairs.ends
+    return np.column_stack([a // pairs.nodes, a % pairs.nodes, b % pairs.nodes])
+
+
 def _per_patch(chain):
     """A one-patch chain of (n, d) operands and an (m, 2) edge list, run on
-    each patch of (K, n, d) operands and a patch-tagged (M, 3) edge list
-    in turn, the K results joined again as (K, n, d).  The first operand is
-    the (M, d) gates if ``chain`` takes them (``edge_rows``)."""
+    each patch of (K, n, d) operands and a ``NodePairs`` index in turn, the
+    K results joined again as (K, n, d).  The first operand is the (M, d)
+    gates if ``chain`` takes them (``edge_rows``)."""
 
     def run(*args, edge_rows=False):
-        *operands, edge_index = args
-        edges = np.asarray(edge_index, dtype=np.int64).reshape(-1, 3)
-        patches = next(op.shape[0] for op in operands if op.ndim == 3)
+        *operands, pairs = args
+        edges, patches = _edge_list(pairs), pairs.patches
         out = []
         for k in range(patches):
             mine = edges[:, 0] == k
@@ -180,11 +188,11 @@ def _sliced_nll(mu, log_sigma, rho, targets):
     return (LOG_TWO_PI + sx + sy + log_u * 0.5 + quad).mean()
 
 
-def _unfused_gated_neighbour_mean(basis, coeffs, phi, x, edge_index):
+def _unfused_gated_neighbour_mean(basis, coeffs, phi, x, pairs):
     """The gates' recorded chain, then the one-patch chain below on each of
     K patches (``_per_patch``)."""
     gates = _unfused_edge_gates(Tensor(basis), coeffs, phi)
-    return _per_patch(_unfused_patch_gated_mean)(gates, x, edge_index, edge_rows=True)
+    return _per_patch(_unfused_patch_gated_mean)(gates, x, pairs, edge_rows=True)
 
 
 def _unfused_patch_gated_mean(gate, x, edge_index):
@@ -307,8 +315,10 @@ def test_pair_attention_logits_matches_unfused_chain(case, monkeypatch):
     seed = rng.normal(size=(patches, n, d))
     for segment in (False, True):
         _route(segment, monkeypatch)
-        _assert_parity(lambda *t: pair_attention(*t, edges),
-                       lambda *t: _unfused_pair_attention(*t, edges), leaves, seed)
+        pairs = NodePairs(edges, patches, n)
+        assert pairs.segment == segment
+        _assert_parity(lambda *t: pair_attention(*t, pairs),
+                       lambda *t: _unfused_pair_attention(*t, pairs), leaves, seed)
 
 
 @pytest.mark.parametrize("n", [1, 6, 150])
@@ -323,8 +333,9 @@ def test_masked_scores_match_the_mask_add_bit_for_bit(n, monkeypatch):
     leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
               for shape in ((1, n, 16), (1, n, 16), (16,))]
     _route(False, monkeypatch)
-    _assert_bit_parity(lambda *t: pair_attention(*t, edges),
-                       lambda *t: _chained_pair_attention(*t, edges),
+    pairs = NodePairs(edges, 1, n)
+    _assert_bit_parity(lambda *t: pair_attention(*t, pairs),
+                       lambda *t: _chained_pair_attention(*t, pairs),
                        leaves, rng.normal(size=(1, n, 16)))
 
 
@@ -382,8 +393,10 @@ def test_gated_neighbour_sum_matches_unfused_chain(case, monkeypatch):
     seed = rng.normal(size=(patches, n, d))
     for segment in (False, True):
         _route(segment, monkeypatch)
-        _assert_parity(lambda c_, p_, x_: gated_neighbour_mean(basis, c_, p_, x_, edges),
-                       lambda c_, p_, x_: _unfused_gated_neighbour_mean(basis, c_, p_, x_, edges),
+        pairs = NodePairs(edges, patches, n)
+        assert pairs.segment == segment
+        _assert_parity(lambda c_, p_, x_: gated_neighbour_mean(basis, c_, p_, x_, pairs),
+                       lambda c_, p_, x_: _unfused_gated_neighbour_mean(basis, c_, p_, x_, pairs),
                        leaves, seed)
 
 
@@ -405,8 +418,9 @@ def test_matmul_elu_matmul_matches_unfused_chain(case):
     if case == "saturated":
         gates = _unfused_edge_gates(Tensor(a), *leaves[:2]).data
         assert (gates == 1.0).any() and (gates == 0.0).any()
-    _assert_parity(lambda b_, c_, x_: gated_neighbour_mean(a, b_, c_, x_, edges),
-                   lambda b_, c_, x_: _unfused_gated_neighbour_mean(a, b_, c_, x_, edges),
+    pairs = NodePairs(edges, 1, 12)
+    _assert_parity(lambda b_, c_, x_: gated_neighbour_mean(a, b_, c_, x_, pairs),
+                   lambda b_, c_, x_: _unfused_gated_neighbour_mean(a, b_, c_, x_, pairs),
                    leaves, rng.normal(size=(1, 12, 5)))
 
 
@@ -549,14 +563,15 @@ def _per_patch_forward(model, window, params=None):
     for k, start in enumerate(graph.starts):
         patch = graph.patch(k)
         z = x[:, start:start + cfg.patch_len, :].reshape((1, n, d))
-        h = gat_layer(z, patch.edge_index, params["gat.theta"], params["gat.theta_dst"],
+        pairs = NodePairs(patch.edge_index, 1, n)
+        h = gat_layer(z, pairs, params["gat.theta"], params["gat.theta_dst"],
                       params["gat.att"])
         edge_filter = None
         if cfg.fusion_gate != "zero" and len(patch.edge_index):
             coeffs = concatenate([params["edge.w_embed"] @ params[f"hll.theta{j}"]
                                   for j in range(cfg.hll_order)])
             edge_filter = (hll_conv(patch, cfg.hll_order), coeffs, params["fuse.phi"])
-        fused.append(z + fusion_gcn(h, edge_filter, patch.edge_index, params["fuse.theta"]))
+        fused.append(z + fusion_gcn(h, edge_filter, pairs, params["fuse.theta"]))
     pooled = stack_and_pool(concatenate(fused), window.n_peds, cfg.patch_len)
     tokens = assemble_tokens(pooled, params["pred.placeholder"], params["pred.positional"])
     y_repr = encoder_forward(linear(tokens, params["enc.in_w"], params["enc.in_b"]),
@@ -591,16 +606,40 @@ def test_one_graph_stage_per_window_matches_the_per_patch_loop(
 
 
 def test_segment_route_sorts_each_pair_list_once(monkeypatch):
-    """One loss and backward on the segment route sorts the edge list twice,
-    once into the attention's pairs and once into the edge op's, and the
-    attention's backward reads each pair's reverse off the first sort; a
-    third ``np.lexsort`` found the reverses while it did not."""
+    """One loss and backward on the segment route sorts the edge list once,
+    into the node-pair index: the edge op reads the index's pairs that are
+    not self-loops, and the attention's backward reads each pair's reverse
+    off the same sort.  It sorted twice while each op built its own pairs,
+    and three times while the reverses took a sort of their own."""
     calls, lexsort = [], np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
     _route(True, monkeypatch)
     backward(TrajectoryForecaster(ModelConfig(max_distance=2.0), seed=0).loss(
         _circle_window(12)))
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
+def test_a_loss_builds_one_node_pair_index_that_both_ops_read(segment, monkeypatch):
+    """One loss and its backward build one ``NodePairs`` index per window,
+    on the route forced, and the attention and the edge op both read it."""
+    built, read, init = [], [], NodePairs.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def reading(op):
+        return lambda *args: read.append(args[-1]) or op(*args)
+
+    monkeypatch.setattr(NodePairs, "__init__", counted)
+    monkeypatch.setattr(stedge.stgraph, "pair_attention", reading(pair_attention))
+    monkeypatch.setattr(stedge.edgegraph, "gated_neighbour_mean", reading(gated_neighbour_mean))
+    _route(segment, monkeypatch)
+    backward(TrajectoryForecaster(ModelConfig(max_distance=2.0), seed=0).loss(
+        _circle_window(12)))
+    assert len(built) == 1 and built[0].segment == segment
+    assert len(read) == 2 and all(pairs is built[0] for pairs in read)
 
 
 @pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
@@ -753,6 +792,33 @@ def test_forecast_of_a_16_walker_window_stays_under_8_mib():
 # -- the memory guard ------------------------------------------------------------------
 
 
+def _held_bytes(obj):
+    """Bytes of the numpy arrays an object holds in its attributes, alone
+    or in tuples."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, tuple):
+        return sum(_held_bytes(item) for item in obj)
+    return sum(_held_bytes(item) for item in vars(obj).values()) if hasattr(obj, "__dict__") \
+        else 0
+
+
+@pytest.mark.parametrize("segment", [False, True], ids=["grid", "segments"])
+@pytest.mark.parametrize("max_distance", [None, 2.0])
+def test_node_pairs_bytes_is_what_a_built_index_holds(max_distance, segment, monkeypatch):
+    """``node_pairs_bytes``, which the guard adds, from the counts alone is
+    the summed ``nbytes`` of a built index, on either route, for the circle
+    windows of 2, 5 and 20 walkers and the edgeless window of one walker
+    in one-slot patches."""
+    _route(segment, monkeypatch)
+    for n_peds, length in ((2, 3), (5, 3), (20, 3), (1, 1)):
+        graph = patch_graphs(_circle_window(n_peds).obs, length, 1, max_distance)
+        patches, n = len(graph.starts), n_peds * length
+        pairs = NodePairs(graph.edge_index, patches, n)
+        assert pairs.segment == segment
+        assert node_pairs_bytes(patches, n, len(graph.edge_index)) == _held_bytes(pairs)
+
+
 @pytest.mark.parametrize("gate", ["vector", "zero"])
 @pytest.mark.parametrize("max_distance", [None, 2.0])
 @pytest.mark.parametrize("cfg", [ModelConfig(), SMALL], ids=["default", "small"])
@@ -844,9 +910,9 @@ def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
 
 def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
     # 32.3 MiB of tape and 9.6 MiB of gradients fit in 46 MiB, and so do the
-    # patch graph and the attention's mask (0.5 MiB), but not the edge
-    # branch's basis, endpoint ids and edge-row map (0.6 MiB) with the four
-    # 1 MiB blocks over the edges of its backward: 5.1 MiB in all
+    # patch graph and the node-pair index (0.8 MiB), but not the edge
+    # branch's basis (0.2 MiB) with the four 1 MiB blocks over the edges of
+    # its backward: 5.1 MiB in all
     window = _circle_window(20)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 46 * 2**20)
@@ -861,7 +927,7 @@ def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
 
 def test_zero_gate_has_no_edge_temporaries(monkeypatch):
     # no edge branch runs, so 22.0 MiB of tape, 9.6 MiB of gradients and
-    # 0.5 MiB of patch graph and attention mask are all
+    # 0.8 MiB of patch graph and node-pair index are all
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 36 * 2**20)
     loss = TrajectoryForecaster(ModelConfig(fusion_gate="zero"), seed=0).loss(
         _circle_window(20))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stedge.autodiff import ShapeMismatchError, Tensor, elu, softmax
+from stedge.autodiff import NodePairs, ShapeMismatchError, Tensor, elu, softmax
 from stedge.stgraph import (
     DisconnectedGraphError,
     PatchTooLongError,
@@ -22,7 +22,7 @@ from stedge.stgraph import (
     resistance_matrix,
     segment_patches,
 )
-from test_autodiff import _on_route
+from test_autodiff import _index
 from test_edgegraph import _all_graphs, _proximity_adjacencies
 
 
@@ -153,8 +153,9 @@ def _gat_with_weights(z, adjacency, theta, theta_dst, att):
     scores a . dst_i + a . src_j - 0.8 a . min(dst_i + src_j, 0), which
     rounds differently."""
     edges = edge_list(np.asarray(adjacency)[None])
-    out = _on_route(False, gat_layer, Tensor(z[None]), edges, theta, theta_dst, att)
-    segments = _on_route(True, gat_layer, Tensor(z[None]), edges, theta, theta_dst, att)
+    n = len(adjacency)
+    out = gat_layer(Tensor(z[None]), _index(edges, 1, n, False), theta, theta_dst, att)
+    segments = gat_layer(Tensor(z[None]), _index(edges, 1, n, True), theta, theta_dst, att)
     np.testing.assert_allclose(segments.data, out.data, rtol=1e-14, atol=1e-14)
     out = out[0]
     z = Tensor(z)
@@ -198,7 +199,7 @@ def test_gat_attention_vector_of_the_wrong_width_is_a_shape_mismatch():
     theta_dst = Tensor(rng.normal(size=(3, 4)))
     for width in (3, 5):
         with pytest.raises(ShapeMismatchError, match="pair_attention"):
-            gat_layer(Tensor(z[None]), edge_list(_PAIR[None]), theta, theta_dst,
+            gat_layer(Tensor(z[None]), NodePairs(edge_list(_PAIR[None]), 1, 2), theta, theta_dst,
                       Tensor(rng.normal(size=width)))
 
 
@@ -281,8 +282,10 @@ def test_gat_permutation_equivariant():
     theta_dst = Tensor(rng.normal(size=(4, 4)))
     att = Tensor(rng.normal(size=4))
     perm = rng.permutation(n)
-    base = gat_layer(Tensor(z[None]), edge_list(adj[None]), theta, theta_dst, att).data[0]
-    permuted = gat_layer(Tensor(z[perm][None]), edge_list(adj[np.ix_(perm, perm)][None]),
+    base = gat_layer(Tensor(z[None]), NodePairs(edge_list(adj[None]), 1, n), theta, theta_dst,
+                     att).data[0]
+    permuted = gat_layer(Tensor(z[perm][None]),
+                         NodePairs(edge_list(adj[np.ix_(perm, perm)][None]), 1, n),
                          theta, theta_dst, att).data[0]
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 

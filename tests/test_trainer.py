@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from stedge.autodiff import ParameterStore, ShapeMismatchError
 from stedge.model import ModelConfig, TrajectoryForecaster
 from stedge.synth import overfit_windows
 from stedge.trainer import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     AdamW,
     CheckpointFormatError,
     NonFiniteGradientError,
@@ -246,6 +249,17 @@ def test_checkpoint_rejects_truncation(tmp_path, cut):
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(CheckpointFormatError, match="truncated") as err:
         load_checkpoint(path, params)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_extents_numpy_cannot_hold(tmp_path):
+    # no value to read behind a zero extent, but the other two overflow
+    # numpy's index range, so the value cannot take the shape
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, 1, 1) + b"w"
+                     + struct.pack("<4I", 3, 2**32 - 1, 2**32 - 1, 0))
+    with pytest.raises(CheckpointFormatError, match=r"parameter b'w'") as err:
+        load_checkpoint(path)
     assert str(path) in str(err.value)
 
 
