@@ -2,8 +2,8 @@
 """Unified (pedestrian, time) patch graphs and why their density helps.
 
 Builds windows from a small synthetic scene, cuts the first into temporal
-patches (``patch_graphs``: one structure holding every patch's adjacency,
-edge list and edge lengths, with ``patch(k)`` reading patch k alone), and
+patches (``patch_graphs``: one structure holding every patch's edge list
+and edge lengths, with ``patch(k)`` reading patch k alone), and
 compares effective resistance between a conventional wiring (per-frame
 spatial links plus per-pedestrian temporal chains) and the dense unified
 patch graph, where every cross-time pair is one hop.
@@ -36,7 +36,7 @@ patches = patch_graphs(window.obs, length, stride)
 for k, start in enumerate(patches.starts, start=1):
     graph = patches.patch(k - 1)
     print(f"  patch {k}: slots [{start}, {start + length}), "
-          f"{graph.adjacency.shape[-1]} nodes, {len(graph.edge_index)} edges "
+          f"{graph.nodes} nodes, {len(graph.edge_index)} edges "
           f"(complete graph), edge lengths {graph.distances.min():.2f}-"
           f"{graph.distances.max():.2f} m")
 

@@ -21,7 +21,7 @@ from stedge.data import EmptyFileError, build_windows, parse_trajectory_file
 from stedge.edgegraph import hodge_spectrum, line_graph_degrees
 from stedge.model import TrajectoryForecaster, gradcheck_parameters
 from stedge.predictor import sample_window
-from stedge.stgraph import effective_resistances, patch_graphs
+from stedge.stgraph import dense_adjacency, effective_resistances, patch_graphs
 from stedge.synth import gradcheck_window
 from stedge.trainer import NonFiniteGradientError, evaluate, load_checkpoint, train
 
@@ -174,8 +174,8 @@ def cmd_graph_stats(args) -> int:
         patches = patch_graphs(window.obs, length, stride, cfg.model.max_distance)
         for k, start in enumerate(patches.starts, start=1):
             graph = patches.patch(k - 1)
-            adj = graph.adjacency[0]
-            entry = {"k": k, "start": start, "nodes": len(adj),
+            (adj,) = dense_adjacency(graph)
+            entry = {"k": k, "start": start, "nodes": graph.nodes,
                      "edges": len(graph.edge_index)}
             if args.edges:
                 degree, count = np.unique(line_graph_degrees(graph), return_counts=True)
@@ -271,6 +271,9 @@ def run(argv=None) -> int:
         return EXIT_NONFINITE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -3,16 +3,17 @@
 The signed incidence matrix B1 (one -1 at the low-index endpoint, one +1 at
 the high-index endpoint per column) defines the first Hodge Laplacian
 L1 = B1^T B1 (the two-simplex term is zero here).  Edge features are
-filtered by a truncated Laguerre expansion of L1, then fused back into node
+filtered by a truncated Laguerre expansion of its degree-normalised form
+1/2 B1^T D^-1 B1, with D the node degrees, then fused back into node
 embeddings as multiplicative gates: ``hll_conv`` gives the Laguerre basis
 of the edge lengths and ``fusion_gcn`` filters and fuses it in one op.
 
 An edge signal is an (M,) vector over a ``PatchGraph``'s edge list, all
-K patches' edges in one.  The model never builds B1: B1 x is one
-``np.bincount`` over the edges' endpoints and B1^T y is y[v] - y[u]
-(``HodgeOperator``), so the edge list is the only structure the filter
-needs, and each patch's scale lam is its node Laplacian's largest
-eigenvalue, which L1 shares; one stacked eigensolve gives all K.
+K patches' edges in one, the only structure the filter needs
+(``HodgeOperator``).  B1^T D^-1 B1 shares its nonzero spectrum with the
+normalised node Laplacian I - D^-1/2 A D^-1/2, in [0, 2] on every graph,
+so the fixed 1/2 maps it into [0, 1] with no eigensolve, and an order-j
+term reads only the edges within j hops.
 ``boundary_operator`` (the (n, m) B1 array, one column per ``edge_list``
 edge), ``line_graph`` and ``hodge_laplacian`` build B1, the dense edge
 graph and L1 as references for tests and demos only.
@@ -25,31 +26,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from stedge.autodiff import NodePairs, Tensor, elu, gated_neighbour_mean
-from stedge.stgraph import PatchGraph, edge_list, laplacian_spectrum
-
-_LAMBDA_FLOOR = 1e-6   # lam of an edgeless graph, so the scaling never divides by 0
+from stedge.stgraph import PatchGraph, dense_adjacency, edge_list, laplacian_spectrum
 
 
 @dataclass(frozen=True)
 class HodgeOperator:
-    """L1 / lam on (M,) edge vectors over the K patches' (M, 3) edge list
-    ``edge_index``, each patch's L1 scaled by its own lam.
+    """1/2 B1^T D^-1 B1 on (M,) edge vectors over the K patches' (M, 3)
+    edge list ``edge_index``.
 
     B1 x is one bincount over the global node ids k * n + i: each node sums
     +x over the edges it heads, then -x over the edges it tails, in edge
-    order.  B1^T y is y[v] - y[u] on each edge, so no (n, m) or (m, m)
-    array exists.
+    order.  D^-1 divides each sum by the node's count of edge ends, and
+    B1^T y is y[v] - y[u] on each edge, so no (n, m) or (m, m) array exists.
     """
 
     edge_index: np.ndarray   # (M, 3), (k, u, v) with u < v
-    lam: np.ndarray          # (K,), each patch's scale
     nodes: int               # n, the nodes of each patch
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         k, u, v = self.edge_index.T
         tail, head = k * self.nodes + u, k * self.nodes + v
-        y = np.bincount(np.concatenate([head, tail]), weights=np.concatenate([x, -x]))
-        return (y[head] - y[tail]) / self.lam[k]
+        ends = np.concatenate([head, tail])
+        y = np.bincount(ends, weights=np.concatenate([x, -x])) / np.maximum(np.bincount(ends), 1)
+        return 0.5 * (y[head] - y[tail])
 
 
 def boundary_operator(adjacency) -> np.ndarray:
@@ -87,10 +86,12 @@ def hodge_laplacian(b1) -> np.ndarray:
 
 def line_graph_degrees(graph: PatchGraph) -> np.ndarray:
     """Each edge's degree in its patch's edge graph, in edge order: edge
-    (k, u, v) shares an endpoint with deg u - 1 + deg v - 1 other edges."""
-    degree = graph.adjacency.sum(axis=-1).astype(np.int64)
+    (k, u, v) shares an endpoint with deg u - 1 + deg v - 1 other edges,
+    the degrees counted off the edge list."""
     k, u, v = graph.edge_index.T
-    return degree[k, u] + degree[k, v] - 2
+    tail, head = k * graph.nodes + u, k * graph.nodes + v
+    degree = np.bincount(np.concatenate([tail, head]))
+    return degree[tail] + degree[head] - 2
 
 
 def hodge_spectrum(graph: PatchGraph) -> np.ndarray:
@@ -98,21 +99,10 @@ def hodge_spectrum(graph: PatchGraph) -> np.ndarray:
     ascending, one per edge, without building L1: D - A = B1 B1^T shares
     L1 = B1^T B1's nonzero spectrum, and L1's other eigenvalues are zeros
     (the zero rule is ``laplacian_spectrum``'s).  Read by ``graph-stats``."""
-    (values,) = laplacian_spectrum(graph.adjacency)
+    (values,) = laplacian_spectrum(dense_adjacency(graph))
     nonzero = values[values > 0.0]
     zeros = np.zeros(len(graph.edge_index) - len(nonzero))  # m - rank
     return np.concatenate([zeros, nonzero])
-
-
-def hodge_operator(graph: PatchGraph) -> HodgeOperator:
-    """Each patch's L1 scaled by its largest eigenvalue lam, so that the
-    Laguerre polynomials see a spectrum in [0, 1]: n on a complete graph,
-    ``_LAMBDA_FLOOR`` on an edgeless one.  L1 = B1^T B1 and D - A = B1 B1^T
-    share their nonzero eigenvalues, so lam is the top of the node
-    Laplacian's ascending spectrum, all K from one stacked eigensolve."""
-    lam = np.maximum(laplacian_spectrum(graph.adjacency)[:, -1], _LAMBDA_FLOOR)
-    return HodgeOperator(edge_index=graph.edge_index, lam=lam,
-                         nodes=graph.adjacency.shape[-1])
 
 
 def laguerre_scalars(lam: float, order: int) -> list[float]:
@@ -153,11 +143,13 @@ def laguerre_basis(operator, x, order: int) -> list:
 
 def hll_conv(graph: PatchGraph, order: int) -> np.ndarray:
     """The Laguerre basis of the graph's edge lengths E, all K patches' in
-    one, (M, order): column j is G_j(L1 / lam) E, so the spectral edge
-    convolution sum_j G_j(L1 / lam) E theta_j is this basis times the
-    (order, d) coefficients whose row j is theta_j.  A constant of plain
-    numpy, recording no op; ``fusion_gcn``'s one op filters it."""
-    return np.stack(laguerre_basis(hodge_operator(graph), graph.distances, order), axis=1)
+    one, (M, order): column j is G_j(L) E with L = 1/2 B1^T D^-1 B1
+    (``HodgeOperator``), so the spectral edge convolution
+    sum_j G_j(L) E theta_j is this basis times the (order, d) coefficients
+    whose row j is theta_j.  A constant of plain numpy, recording no op;
+    ``fusion_gcn``'s one op filters it."""
+    hodge = HodgeOperator(edge_index=graph.edge_index, nodes=graph.nodes)
+    return np.stack(laguerre_basis(hodge, graph.distances, order), axis=1)
 
 
 def fusion_gcn(h_node: Tensor, edge_filter, pairs: NodePairs, theta: Tensor) -> Tensor:

@@ -4,12 +4,13 @@ fusion -> encoder tokens -> bivariate Gaussian forecasts.
 The three motion embeddings are each ``model_dim`` wide, so the concatenated
 feature width is 3*model_dim and a learned projection brings it back to
 ``model_dim`` before the graph stage.  The constant structure of a
-window's K patches (stacked adjacency, one patch-tagged edge list and the
-edge lengths) is built once per window by ``stgraph.patch_graphs``, which
-records no op, and nothing is cached across windows.  The Hodge
-operator reads the edge list, and so does the one ``NodePairs`` index
-that the attention layer and the fusion's gated mean read; the adjacency
-is read only for the scales of the Hodge operator (``hodge_operator``).
+window's K patches (one patch-tagged edge list and the edge lengths) is
+built once per window by ``stgraph.patch_graphs``, which records no op,
+and nothing is cached across windows.  The Hodge operator reads the edge
+list and the node degrees counted off it, with no eigensolve, and so does
+the one ``NodePairs`` index that the attention layer and the fusion's
+gated mean read.  So a walker's forecast depends only on the walkers its
+patches connect it to.
 
 The Laguerre edge filter runs on the raw edge distances D, an (M,)
 vector over all K patches' edges.  The edge embedding w (``edge.w_embed``, 1 x model_dim)
@@ -122,11 +123,11 @@ _LAST_LAYER_ROWS = 11
 # 5-wide projection and the 2- and 1-wide arrays of the likelihood
 _HEAD_ENTRIES = 43
 # bytes a step holds beyond its float arrays and node-pair index (see
-# step_bytes): per node pair, the adjacency; per edge, the edge list and
-# length and the edge op's basis (per order); and the d-wide blocks of at
-# most _BLOCK_ENTRIES over edges that the edge op's backward holds at
-# once: gathered gradient and value rows, their product and gates' gradient
-_PAIR_BYTES, _EDGE_BYTES, _BASIS_BYTES, _BACKWARD_BLOCKS = 8, 32, 8, 4
+# step_bytes): per edge, the edge list and length and the edge op's basis
+# (per order); and the d-wide blocks of at most _BLOCK_ENTRIES over edges
+# that the edge op's backward holds at once: gathered gradient and value
+# rows, their product and gates' gradient
+_EDGE_BYTES, _BASIS_BYTES, _BACKWARD_BLOCKS = 32, 8, 4
 
 
 def _physical_memory() -> float:
@@ -296,8 +297,7 @@ def step_bytes(cfg: ModelConfig, n_peds: int, edge_counts,
     structure and node-pair index (``node_pairs_bytes``), held to the
     forward's last op, the edge op's basis and its backward's blocks."""
     n, patches, edges = n_peds * cfg.patch_len, len(edge_counts), int(sum(edge_counts))
-    held = _PAIR_BYTES * patches * n * n + _EDGE_BYTES * edges \
-        + node_pairs_bytes(patches, n, edges)
+    held = _EDGE_BYTES * edges + node_pairs_bytes(patches, n, edges)
     if cfg.fusion_gate != "zero" and edges:
         held += _BASIS_BYTES * cfg.hll_order * edges
         held += 8 * _BACKWARD_BLOCKS * min(_BLOCK_ENTRIES, edges * cfg.model_dim)

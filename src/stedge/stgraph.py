@@ -4,8 +4,8 @@ The observed horizon is cut into K overlapping length-L patches; each
 patch becomes one graph whose nodes are (pedestrian, time-slot) pairs in
 pedestrian-major order, so cross-time interaction is a single hop.
 ``patch_graphs`` builds a window's constant structure once, as one
-``PatchGraph`` holding all K patches (stacked adjacency, one patch-tagged
-edge list and the edge lengths), and ``segment_patches`` slices the node
+``PatchGraph`` holding all K patches (one patch-tagged edge list and the
+edge lengths), and ``segment_patches`` slices the node
 features to match, as one (K, n, D) array.  The graph stage runs on all
 K patches at once.  Node embeddings come from a single attention layer;
 effective resistance, read off the one eigendecomposition of the patch
@@ -38,13 +38,15 @@ class PatchGraph:
 
     Node index = ped * length + local_time within each patch.  Self-loops
     are not stored, the node-pair index adds them.  The edges are the
-    adjacency's (k, u, v), u < v, sorted by patch, then lexicographically
+    patches' (k, u, v), u < v, sorted by patch, then lexicographically
     (``edge_list``); an edge signal is an (M,) vector in that order,
-    oriented low -> high index.
+    oriented low -> high index.  No (n, n) array is held: the edge list is
+    the structure the model reads, and ``dense_adjacency`` rebuilds the
+    adjacency from it for ``graph-stats``.
     """
 
     starts: tuple[int, ...]   # first observed time slot each patch covers
-    adjacency: np.ndarray     # (K, n, n), 0/1, zero diagonals
+    nodes: int                # n, the nodes of each patch
     edge_index: np.ndarray    # (M, 3)
     distances: np.ndarray     # (M,), Euclidean length of each edge
 
@@ -58,8 +60,18 @@ class PatchGraph:
         lo, hi = np.searchsorted(self.edge_index[:, 0], [k, k + 1])
         edges = self.edge_index[lo:hi].copy()
         edges[:, 0] = 0
-        return PatchGraph(starts=(self.starts[k],), adjacency=self.adjacency[k:k + 1],
+        return PatchGraph(starts=(self.starts[k],), nodes=self.nodes,
                           edge_index=edges, distances=self.distances[lo:hi])
+
+
+def dense_adjacency(graph: PatchGraph) -> np.ndarray:
+    """The (K, n, n) 0/1 adjacency of the graph's patches, zero diagonals,
+    filled from its edge list; for the resistances and L1's spectrum that
+    ``graph-stats`` reports, not for the model."""
+    adj = np.zeros((len(graph.starts), graph.nodes, graph.nodes))
+    k, u, v = graph.edge_index.T
+    adj[k, u, v] = adj[k, v, u] = 1.0
+    return adj
 
 
 def patch_count(t_obs: int, length: int, stride: int) -> int:
@@ -135,7 +147,7 @@ def patch_graphs(obs, length: int, stride: int,
                           for p in pos])
     edges = edge_list(adjacency)
     k, u, v = edges.T
-    return PatchGraph(starts=tuple(starts), adjacency=adjacency, edge_index=edges,
+    return PatchGraph(starts=tuple(starts), nodes=adjacency.shape[-1], edge_index=edges,
                       distances=np.linalg.norm(pos[k, u] - pos[k, v], axis=-1))
 
 

@@ -30,7 +30,7 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8   # AdamW moment decays and floor
 AUGMENT_MODES = ("off", "rotate")
 
 CHECKPOINT_MAGIC = b"STEDGECKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2   # 1 held weights for the eigenvalue-scaled edge filter
 
 
 class NonFiniteGradientError(ArithmeticError):

@@ -408,6 +408,22 @@ def test_checkpoint_is_checked_before_parameters_are_drawn(tmp_path, capsys,
             else "no checkpoint given (--checkpoint)") in err
 
 
+def test_out_of_memory_exits_1_with_an_error_line(tmp_path, capsys, monkeypatch):
+    """Memory running out (at a large ``model.dim``, numpy's
+    ``_ArrayMemoryError`` while the parameters are drawn) ends in an
+    ``error:`` line and exit 1, not a traceback."""
+    message = "Unable to allocate 1.91 GiB for an array with shape (8000, 32000)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(stedge.cli, "TrajectoryForecaster", exhausted)
+    scene = _scene_file(tmp_path)
+    cfg = _config_file(tmp_path, f"data.path = {scene}\ntrain.out_dir = {tmp_path / 'run'}\n")
+    assert run(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
 def test_eval_with_corrupt_checkpoint_fails(tmp_path, capsys):
     scene = _scene_file(tmp_path)
     cfg = _config_file(tmp_path, f"data.path = {scene}\n")
@@ -540,11 +556,12 @@ def test_train_leave_out(tmp_path, capsys):
     assert run(["train", "--config", str(cfg), "--leave-out", "nosuch"]) == 2
 
 
-def test_gradcheck_cli_passes_on_tiny_fixture(tmp_path, capsys):
+@pytest.mark.parametrize("order", [2, 3])
+def test_gradcheck_cli_passes_on_tiny_fixture(tmp_path, capsys, order):
     # narrower than criterion 5's widths, which check the same gradients
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model.dim = 2\nencoder.dim = 4\nencoder.heads = 1\n"
-                   "encoder.layers = 1\n", encoding="utf-8")
+                   f"encoder.layers = 1\nhll.order = {order}\n", encoding="utf-8")
     code = run(["gradcheck", "--config", str(cfg)])
     out = json.loads(capsys.readouterr().out)
     assert code == 0

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from stedge.autodiff import NodePairs, Tensor, backward, concatenate, elu, gradcheck, tanh
-import stedge.edgegraph
 from stedge.edgegraph import (
     HodgeOperator,
     boundary_operator,
     fusion_gcn,
     hll_conv,
     hodge_laplacian,
-    hodge_operator,
     hodge_spectrum,
     laguerre_basis,
     laguerre_scalars,
@@ -22,6 +20,7 @@ from stedge.edgegraph import (
 from stedge.stgraph import (
     PatchGraph,
     build_node_adjacency,
+    dense_adjacency,
     edge_list,
     laplacian_spectrum,
     patch_graphs,
@@ -62,7 +61,19 @@ def _graph(adj, dists=None):
     adj = np.asarray(adj, dtype=float)[None]
     edges = edge_list(adj)
     dists = np.zeros(len(edges)) if dists is None else np.asarray(dists, dtype=float)
-    return PatchGraph(starts=(0,), adjacency=adj, edge_index=edges, distances=dists)
+    return PatchGraph(starts=(0,), nodes=adj.shape[-1], edge_index=edges, distances=dists)
+
+
+def _hodge(graph):
+    """The graph's ``HodgeOperator``, as ``hll_conv`` builds it."""
+    return HodgeOperator(edge_index=graph.edge_index, nodes=graph.nodes)
+
+
+def _normalised_laplacian(b1):
+    """The dense (m, m) 1/2 B1^T D^-1 B1 of an (n, m) B1, with D each node's
+    degree, at least 1."""
+    degree = np.maximum(np.abs(b1).sum(axis=1), 1.0)
+    return 0.5 * b1.T @ (b1 / degree[:, None])
 
 
 # -- boundary operator and line graph ----------------------------------------
@@ -178,73 +189,98 @@ def test_hodge_properties_exhaustive_small_graphs():
 
 
 def test_hodge_operator_matches_dense_laplacian():
-    """``op @ x`` on an edge vector is L1 x / lam on every graph with <= 5
-    nodes and on the proximity graphs, and lam is the top eigenvalue of
-    B1 B1^T to the bit."""
+    """``op @ x`` on an edge vector is 1/2 B1^T D^-1 B1 x, with D the node
+    degrees, to 1e-12 on every graph with <= 5 nodes, the proximity graphs
+    and complete patches of 2, 5, 20 and 50 pedestrians; so is every
+    Laguerre basis of orders 1-5, against the recurrence run on the dense
+    B1 and D (on the (m, m) operator where m <= 200)."""
     rng = np.random.default_rng(13)
     graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
-    for adj in graphs + list(_proximity_adjacencies()):
+    graphs += list(_proximity_adjacencies())
+    graphs += [build_node_adjacency(n_peds, 3) for n_peds in (2, 5, 20, 50)]
+    for adj in graphs:
         b1 = boundary_operator(adj)
-        hodge = hodge_operator(_graph(adj))
-        assert hodge.lam[0] == max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
-        x = rng.normal(size=b1.shape[1])
-        got = hodge @ x
-        want = hodge_laplacian(b1) @ x / hodge.lam[0]
-        assert got.shape == want.shape
-        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(
-            1.0, np.abs(want).max(initial=0.0))
+        degree = np.maximum(adj.sum(axis=1), 1.0)
+        x = rng.uniform(0.0, 3.0, size=b1.shape[1])
+        hodge = _hodge(_graph(adj, x))
+        matrix = _normalised_laplacian(b1) if b1.shape[1] <= 200 else None
+
+        def dense(t):
+            # too large to form on complete 20- and 50-walker patches
+            return matrix @ t if matrix is not None else 0.5 * b1.T @ (b1 @ t / degree)
+
+        def assert_close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(
+                1.0, np.abs(want).max(initial=0.0))
+
+        assert_close(hodge @ x, dense(x))
+        want = [x, x - dense(x)]
+        for j in range(1, 4):
+            want.append(want[j] * ((2 * j + 1) / (j + 1)) - dense(want[j]) * (1.0 / (j + 1))
+                        - want[j - 1] * (j / (j + 1)))
+        for order in range(1, 6):
+            got = laguerre_basis(hodge, x, order)
+            assert len(got) == order
+            for g, w in zip(got, want):
+                assert_close(g, w)
 
 
 def test_hodge_operator_bounds_spectrum():
-    """lam is L1's top eigenvalue, so the spectrum of the operator, read
-    column by column, ends at 1.  A 50-step power iteration reached 1.015
-    on these proximity graphs."""
-    for adj in [build_node_adjacency(3, 3), *_proximity_adjacencies()]:
-        b1 = boundary_operator(adj)
-        hodge = hodge_operator(_graph(adj))
-        true_max = np.linalg.eigvalsh(hodge_laplacian(b1)).max()
-        assert hodge.lam[0] == pytest.approx(true_max, rel=1e-12)
-        columns = [hodge @ e for e in np.eye(b1.shape[1])]
-        scaled = np.linalg.eigvalsh(np.stack(columns, axis=1))
-        assert abs(scaled.max() - 1.0) <= 1e-12
-        assert scaled.min() >= -1e-12
+    """B1^T D^-1 B1 shares its nonzero spectrum with the normalised node
+    Laplacian, which lies in [0, 2], so the operator's, read column by
+    column, lies in [0, 1], with no eigensolve: every graph with <= 5
+    nodes, the proximity graphs and complete patches of up to 5
+    pedestrians.  A graph with a bipartite component reaches 1; the
+    operator is symmetric."""
+    graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
+    graphs += [*_proximity_adjacencies(), *(build_node_adjacency(p, 3) for p in (1, 2, 3, 5))]
+    for adj in graphs:
+        graph = _graph(adj)
+        m = len(graph.edge_index)
+        if not m:
+            continue
+        columns = np.stack([_hodge(graph) @ e for e in np.eye(m)], axis=1)
+        np.testing.assert_allclose(columns, columns.T, rtol=0, atol=1e-15)
+        values = np.linalg.eigvalsh(columns)
+        assert values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12
+    single_edge = _hodge(_graph(PATH3[:2, :2])) @ np.ones(1)
+    np.testing.assert_array_equal(single_edge, [1.0])
 
 
 def test_hodge_operator_shapes():
     graph = _graph(build_node_adjacency(2, 3))
-    hodge = hodge_operator(graph)
+    hodge = _hodge(graph)
     assert hodge.edge_index is graph.edge_index
     assert hodge.edge_index.shape == (15, 3) and hodge.nodes == 6
-    assert hodge.lam.shape == (1,)
-    assert hodge.lam[0] == pytest.approx(6.0, rel=1e-12)   # n on a complete graph
     assert (hodge @ np.ones(15)).shape == (15,)
-    assert hodge_operator(_graph(np.zeros((3, 3)))).lam[0] == 1e-6  # edgeless
+    assert (_hodge(_graph(np.zeros((3, 3)))) @ np.zeros(0)).shape == (0,)   # edgeless
 
 
 def test_stacked_patches_match_each_patch_alone():
-    """A window's K patches in one ``PatchGraph``: the stacked spectrum, each
-    patch's lam and every Laguerre basis are each patch's alone, bit for
-    bit, and the fusion's gated update to 1e-12."""
+    """A window's K patches in one ``PatchGraph``: the stacked spectrum of
+    its dense adjacency and every Laguerre basis are each patch's alone,
+    bit for bit, and the fusion's gated update to 1e-12."""
     rng = np.random.default_rng(16)
     obs = rng.uniform(0.0, 4.0, size=(6, 8, 2))
     obs[:, 2:5] += 40.0 * np.arange(6)[:, None, None]   # slots 2-4: nearest-neighbour ties only
     graph = patch_graphs(obs, 1, 1, max_distance=1.5)
     assert len(set(graph.edge_counts.tolist())) > 1
-    stacked = laplacian_spectrum(graph.adjacency)
-    hodge = hodge_operator(graph)
+    adjacency = dense_adjacency(graph)
+    stacked = laplacian_spectrum(adjacency)
     coeffs, phi, theta = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
-    h_node = rng.normal(size=(len(graph.starts), graph.adjacency.shape[-1], 4))
+    h_node = rng.normal(size=(len(graph.starts), graph.nodes, 4))
     basis = hll_conv(graph, 4)
     fused = fusion_gcn(Tensor(h_node), (basis, coeffs, phi),
                        NodePairs(graph.edge_index, *h_node.shape[:2]), theta).data
-    bases = laguerre_basis(hodge, graph.distances, 4)
+    bases = laguerre_basis(_hodge(graph), graph.distances, 4)
     lo = 0
     for k in range(len(graph.starts)):
         patch = graph.patch(k)
         hi = lo + len(patch.edge_index)
-        np.testing.assert_array_equal(stacked[k], laplacian_spectrum(graph.adjacency[k]))
-        assert hodge.lam[k] == hodge_operator(patch).lam[0]
-        for got, want in zip(bases, laguerre_basis(hodge_operator(patch), patch.distances, 4)):
+        np.testing.assert_array_equal(stacked[k], laplacian_spectrum(adjacency[k]))
+        np.testing.assert_array_equal(dense_adjacency(patch), adjacency[k:k + 1])
+        for got, want in zip(bases, laguerre_basis(_hodge(patch), patch.distances, 4)):
             np.testing.assert_array_equal(got[lo:hi], want)
         np.testing.assert_array_equal(basis[lo:hi], hll_conv(patch, 4))
         want = fusion_gcn(Tensor(h_node[k:k + 1]), (hll_conv(patch, 4), coeffs, phi),
@@ -254,20 +290,23 @@ def test_stacked_patches_match_each_patch_alone():
     assert lo == len(graph.edge_index)
 
 
-def _pair_grid_basis(adj, lam, x, order):
-    """The Laguerre basis as it ran before edge vectors: the signal laid on
-    the antisymmetric (n, n) node-pair grid (edge (u, v), u < v, at [u, v],
-    negated at [v, u]), L1 / lam applied as a column sum y, then
-    A * (y[v] - y[u]) / lam, and each order gathered back to the edges."""
+def _pair_grid_basis(adj, x, order):
+    """The Laguerre basis on the node-pair grid, the route before edge
+    vectors, with the degree normalisation: the signal laid on the
+    antisymmetric (n, n) grid (edge (u, v), u < v, at [u, v], negated at
+    [v, u]), 1/2 B1^T D^-1 B1 applied as a column sum y divided by the
+    degrees, then A * (y[v] - y[u]) / 2, and each order gathered back to
+    the edges."""
     edges = edge_list(adj)
     rows, cols = edges.T
     grid = np.zeros(adj.shape)
     grid[rows, cols] = x
     grid[cols, rows] = -x
+    degree = np.maximum(adj.sum(axis=0), 1.0)
 
     def apply(g):
-        y = g.sum(axis=0)
-        return adj * (y[None, :] - y[:, None]) / lam
+        y = g.sum(axis=0) / degree
+        return adj * (0.5 * (y[None, :] - y[:, None]))
 
     basis = [grid]
     if order > 1:
@@ -281,19 +320,20 @@ def _pair_grid_basis(adj, lam, x, order):
 
 def test_edge_vector_basis_matches_pair_grid_bit_for_bit():
     """The bincount operator sums each node's edges in the grid's column
-    order, so every Laguerre basis of orders 1-5 equals the pair-grid
-    route's to the bit: every graph with <= 5 nodes, the proximity graphs,
-    and complete patches of 2, 5, 20 and 50 pedestrians."""
+    order and divides by the same degrees, so every Laguerre basis of
+    orders 1-5 equals the pair-grid route's to the bit: every graph with
+    <= 5 nodes, the proximity graphs, and complete patches of 2, 5, 20 and
+    50 pedestrians."""
     rng = np.random.default_rng(15)
     graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
     graphs += list(_proximity_adjacencies())
     graphs += [build_node_adjacency(n_peds, 3) for n_peds in (2, 5, 20, 50)]
     for adj in graphs:
         graph = _graph(adj, rng.uniform(0.0, 3.0, size=len(edge_list(adj))))
-        hodge = hodge_operator(graph)
+        hodge = _hodge(graph)
         for order in range(1, 6):
             got = laguerre_basis(hodge, graph.distances, order)
-            want = _pair_grid_basis(adj, hodge.lam[0], graph.distances, order)
+            want = _pair_grid_basis(adj, graph.distances, order)
             assert len(got) == len(want) == order
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -302,8 +342,7 @@ def test_edge_vector_basis_matches_pair_grid_bit_for_bit():
 def test_node_route_matches_dense_line_graph_and_l1():
     """The line-graph degrees and L1's spectrum read off the node graph
     match the dense edge graph and eigvalsh(L1) on every graph with <= 5
-    nodes, the proximity graphs and complete patches up to 20 pedestrians;
-    hodge_operator's lam is the spectrum's top entry, bit for bit."""
+    nodes, the proximity graphs and complete patches up to 20 pedestrians."""
     graphs = [adj for n in range(1, 6) for adj in _all_graphs(n)]
     graphs += list(_proximity_adjacencies())
     graphs += [build_node_adjacency(n_peds, 3) for n_peds in (1, 2, 3, 5, 10, 15, 20)]
@@ -315,7 +354,6 @@ def test_node_route_matches_dense_line_graph_and_l1():
         want = np.linalg.eigvalsh(hodge_laplacian(boundary_operator(adj)))
         assert spectrum.shape == want.shape
         assert np.abs(spectrum - want).max(initial=0.0) <= 1e-9
-        assert hodge_operator(graph).lam[0] == max(spectrum.max(initial=0.0), 1e-6)
 
 
 # -- Laguerre filtering ---------------------------------------------------------
@@ -373,10 +411,8 @@ def test_hll_conv_zero_laplacian_collapses_to_sum(monkeypatch):
     rng = np.random.default_rng(4)
     dists = rng.normal(size=3)
     graph = _graph(TRIANGLE, dists)
-    # an infinite scale makes L1 / lam the zero operator
-    monkeypatch.setattr(stedge.edgegraph, "hodge_operator",
-                        lambda g: HodgeOperator(edge_index=g.edge_index,
-                                                lam=np.array([math.inf]), nodes=3))
+    # with the zero operator every Laguerre polynomial is G_j(0) = 1
+    monkeypatch.setattr(HodgeOperator, "__matmul__", lambda self, x: np.zeros_like(x))
     w = rng.normal(size=(1, 4))
     out = hll_conv(graph, 3) @ np.repeat(w / 3.0, 3, axis=0)
     np.testing.assert_allclose(out, dists[:, None] @ w, atol=1e-12)
@@ -388,8 +424,7 @@ def test_hll_conv_matches_spectral_oracle():
     graph = _graph(TRIANGLE, dists)
     coeffs = rng.normal(size=(3, 4))
     out = hll_conv(graph, 3) @ coeffs
-    w, v = np.linalg.eigh(hodge_laplacian(boundary_operator(TRIANGLE))
-                          / hodge_operator(graph).lam[0])
+    w, v = np.linalg.eigh(_normalised_laplacian(boundary_operator(TRIANGLE)))
     pre = np.zeros((3, 4))
     for j in range(3):
         scalars = np.array([laguerre_scalars(float(lam), 3)[j] for lam in w])
@@ -411,19 +446,9 @@ def test_hll_conv_gradients():
     assert err < 1e-5
 
 
-def _power_iteration_lambda(l1, iters=50):
-    """The estimate of L1's top eigenvalue that the dense filter used:
-    50 power steps from a fixed start, then the Rayleigh quotient."""
-    v = np.ones(len(l1)) + 1e-3 * np.arange(len(l1))
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = l1 @ v
-        v = w / np.linalg.norm(w)
-    return float(v @ l1 @ v)
-
-
 def _dense_hll_conv(l1_scaled, feats, thetas):
-    """sum_j G_j(L1 / lam) E theta_j, then ELU, with L1 stored densely."""
+    """sum_j G_j(L) E theta_j, then ELU, with L = 1/2 B1^T D^-1 B1 stored
+    densely."""
     basis = laguerre_basis(l1_scaled, feats, len(thetas))
     out = basis[0] @ thetas[0]
     for t_j, theta in zip(basis[1:], thetas[1:]):
@@ -444,8 +469,7 @@ _PARITY_GRAPHS = {
 def test_hll_conv_matches_dense_laplacian(name):
     """Forward output and the coefficient gradient of the filter on
     ``hll_conv``'s edge-vector basis, through its ELU, match the filter on
-    the stored L1 / lam, with lam exact and, on complete graphs, with lam
-    from the power iteration the dense filter used."""
+    the stored 1/2 B1^T D^-1 B1."""
     adj = _PARITY_GRAPHS[name]
     b1 = boundary_operator(adj)
     rng = np.random.default_rng(11)
@@ -462,17 +486,10 @@ def test_hll_conv_matches_dense_laplacian(name):
     graph = _graph(adj, dists)
     basis = Tensor(hll_conv(graph, 3))
     got = output_and_grad(lambda: elu(basis @ coeffs))
-    l1 = hodge_laplacian(b1)
-    lams = [np.linalg.eigvalsh(l1).max()]
-    if name.startswith("complete"):
-        lams.append(_power_iteration_lambda(l1))
-    for lam in lams:
-        assert hodge_operator(graph).lam[0] == pytest.approx(lam, rel=1e-12)
-        # a walked graph is freed, so each pass slices the rows anew
-        want = output_and_grad(lambda: _dense_hll_conv(
-            l1 / lam, Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)]))
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+    want = output_and_grad(lambda: _dense_hll_conv(
+        _normalised_laplacian(b1), Tensor(dists[:, None]), [coeffs[j:j + 1] for j in range(3)]))
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 def _embed_then_filter(dists, w_embed, thetas, l1_scaled):
@@ -506,22 +523,22 @@ def test_filter_on_distances_matches_embed_then_filter(name):
     basis = Tensor(hll_conv(graph, 3))
     got = output_and_grads(lambda: elu(basis @ concatenate([w_embed @ t for t in thetas])))
     want = output_and_grads(lambda: _embed_then_filter(
-        dists, w_embed, thetas, hodge_laplacian(b1) / hodge_operator(graph).lam[0]))
+        dists, w_embed, thetas, _normalised_laplacian(b1)))
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def _incidence_edge_branch(adj, dists, w_embed, thetas, h_node, theta, phi):
-    """``hll_conv`` and ``fusion_gcn`` as they ran before the node-pair grid:
-    L1 / lam applied as (B1^T / lam) (B1 x), one rank-1 product per order,
-    and the neighbour messages moved by one-hot edge selectors.  Returns
-    the fused node update."""
+    """``hll_conv`` and ``fusion_gcn`` as they ran before the node-pair grid,
+    with the degree normalisation: 1/2 B1^T D^-1 B1 applied as
+    (B1^T / 2) (D^-1 B1 x), one rank-1 product per order, and the neighbour
+    messages moved by one-hot edge selectors.  Returns the fused node
+    update."""
     b1, n = boundary_operator(adj), len(adj)
-    lam = max(float(np.linalg.eigvalsh(b1 @ b1.T)[-1]), 1e-6)
-    b1t_scaled = b1.T / lam
+    b1_scaled = b1 / np.maximum(adj.sum(axis=1), 1.0)[:, None]
 
     def hodge(x):
-        return Tensor(b1t_scaled) @ (Tensor(b1) @ x)
+        return Tensor(0.5 * b1.T) @ (Tensor(b1_scaled) @ x)
 
     basis = [Tensor(dists[:, None])]
     basis.append(basis[0] - hodge(basis[0]))
@@ -550,7 +567,7 @@ _BRANCH_GRAPHS = {**_PARITY_GRAPHS, "complete-50": build_node_adjacency(50, 3)}
 def test_edge_branch_matches_incidence_reference(name):
     """The edge-vector edge branch (filter and fusion, as the model calls
     them) against the B1 / selector path it replaced: the output and the
-    gradients of h_node and of every parameter, and lam to the bit."""
+    gradients of h_node and of every parameter."""
     adj = _BRANCH_GRAPHS[name]
     n, d = len(adj), 4
     edges = edge_list(adj)
@@ -581,8 +598,6 @@ def test_edge_branch_matches_incidence_reference(name):
         return fusion_gcn(leaves["h_node"][None], (hll_conv(graph, 3), coeffs, leaves["phi"]),
                           NodePairs(graph.edge_index, 1, n), leaves["theta"])[0]
 
-    b1 = boundary_operator(adj)
-    assert hodge_operator(graph).lam[0] == np.linalg.eigvalsh(b1 @ b1.T)[-1]
     got = outputs_and_grads(edge_branch)
     want = outputs_and_grads(lambda: _incidence_edge_branch(
         adj, dists, leaves["w_embed"], thetas, leaves["h_node"], leaves["theta"],

@@ -651,7 +651,7 @@ def test_one_walker_window_of_single_slot_patches_has_no_edge(segment, monkeypat
     cfg = replace(SMALL, patch_len=1)
     window = _circle_window(1)
     graph = patch_graphs(window.obs, 1, 1, cfg.max_distance)
-    assert graph.adjacency.shape == (8, 1, 1) and graph.edge_index.shape == (0, 3)
+    assert len(graph.starts) == 8 and graph.nodes == 1 and graph.edge_index.shape == (0, 3)
     _route(segment, monkeypatch)
     got = _loss_grads_and_forecast(cfg, window)
     assert all(np.isfinite(g).all() for g in got)
@@ -895,7 +895,7 @@ def test_window_over_the_budget_is_refused_before_any_op(monkeypatch):
     # a forecast records no tape but is refused on the training estimate
     for step in (model.loss, model.predict):
         with pytest.raises(WindowTooLargeError, match=r"N=20 .* 32.3 MiB of autodiff "
-                           r"tape, 9.6 MiB of gradients and 5.1 MiB of graph structure "
+                           r"tape, 9.6 MiB of gradients and 4.9 MiB of graph structure "
                            r"and backward temporaries, .* 40.0 MiB"):
             step(window)
     assert recorded == []
@@ -910,9 +910,9 @@ def test_budget_counts_the_gradients_of_the_backward(monkeypatch):
 
 def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
     # 32.3 MiB of tape and 9.6 MiB of gradients fit in 46 MiB, and so do the
-    # patch graph and the node-pair index (0.8 MiB), but not the edge
-    # branch's basis (0.2 MiB) with the four 1 MiB blocks over the edges of
-    # its backward: 5.1 MiB in all
+    # patch graph's edge list and the node-pair index (0.7 MiB), but not the
+    # edge branch's basis (0.2 MiB) with the four 1 MiB blocks over the
+    # edges of its backward: 4.9 MiB in all
     window = _circle_window(20)
     model = TrajectoryForecaster(ModelConfig(), seed=0)
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 46 * 2**20)
@@ -920,14 +920,14 @@ def test_budget_counts_the_edge_temporaries_of_the_backward(monkeypatch):
     monkeypatch.setattr(stedge.autodiff, "_result",
                         lambda *args: recorded.append(args[1]) or record_op(*args))
     with pytest.raises(WindowTooLargeError,
-                       match=r"5.1 MiB of graph structure and backward temporaries"):
+                       match=r"4.9 MiB of graph structure and backward temporaries"):
         model.loss(window)
     assert recorded == []
 
 
 def test_zero_gate_has_no_edge_temporaries(monkeypatch):
     # no edge branch runs, so 22.0 MiB of tape, 9.6 MiB of gradients and
-    # 0.8 MiB of patch graph and node-pair index are all
+    # 0.7 MiB of patch graph edge list and node-pair index are all
     monkeypatch.setattr(stedge.model, "TAPE_BUDGET_BYTES", 36 * 2**20)
     loss = TrajectoryForecaster(ModelConfig(fusion_gate="zero"), seed=0).loss(
         _circle_window(20))

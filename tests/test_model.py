@@ -76,12 +76,13 @@ def _circle_window(n, t_obs=8, t_pred=12):
 
 
 # default config, seed 0, from the model that embedded the edge distances to
-# model_dim before the Laguerre filter; the second pair is the loss and the
-# summed |gradient| of edge.w_embed at the gradient-check parameters
+# model_dim before the Laguerre filter, re-recorded when the filter's scale
+# became the node degrees; the second pair is the loss and the summed
+# |gradient| of edge.w_embed at the gradient-check parameters
 _REFERENCE_LOSSES = {
-    2: (1.8918284743961047, 14.059804269792862, 220.67379206229862),
-    10: (1.8926531710189183, 11.649454740853521, 90.0919771856584),
-    20: (1.8910819837201989, 14.104956893759477, 135.99515024148698),
+    2: (1.8918964771358187, 13.232719829976096, 190.32147932029898),
+    10: (1.8926966379419616, 11.240477193164478, 94.5314305701242),
+    20: (1.89113121128166, 13.819296875205783, 148.41094849777707),
 }
 
 
@@ -101,9 +102,10 @@ def test_loss_matches_embed_then_filter_reference(n):
 
 
 # max_distance = 2.0 m wiring, seed 0, N = 10: the loss and the summed
-# |gradient| over every parameter, one pair per fusion gate
+# |gradient| over every parameter, one pair per fusion gate (the vector
+# gate's re-recorded for the degree-scaled filter)
 _REFERENCE_PROXIMITY = {
-    "vector": (1.8922977179998919, 272.17547388414107),
+    "vector": (1.8922983815404175, 272.18111563570704),
     "zero": (1.8922836803081813, 272.73174006544264),
 }
 
@@ -122,15 +124,16 @@ def test_proximity_loss_and_gradients_match_reference(gate):
 
 
 # seed 0, the summed |mu|, sigma and |rho| of predict() per (N,
-# max_distance, fusion gate), recorded while predict ran the training tape
+# max_distance, fusion gate), recorded while predict ran the training tape;
+# the vector gate's re-recorded for the degree-scaled filter
 _REFERENCE_FORECASTS = {
-    (2, None, "vector"): (0.055088135395909524, 48.00802753753208, 0.02605849085414657),
+    (2, None, "vector"): (0.05735365351251845, 48.0094649076039, 0.025780223007006494),
     (2, None, "zero"): (0.06005498329300088, 48.01217249799626, 0.023310167290936337),
-    (2, 2.0, "vector"): (0.05367953723139904, 48.00372257585041, 0.006660683968425594),
+    (2, 2.0, "vector"): (0.053736607112153584, 48.00374961064181, 0.006672633577339563),
     (2, 2.0, "zero"): (0.05410178007173348, 48.004200892020954, 0.00874153970096123),
-    (10, None, "vector"): (0.3414750594490631, 240.08361810178278, 0.10533955073297711),
+    (10, None, "vector"): (0.34903670191858205, 240.08800633951824, 0.1041865666122007),
     (10, None, "zero"): (0.3508340981336263, 240.07402890090552, 0.10055325070124693),
-    (10, 2.0, "vector"): (0.31701931321494603, 240.02273494875737, 0.04329362198461818),
+    (10, 2.0, "vector"): (0.3171479422228537, 240.02283000309552, 0.04334975079239056),
     (10, 2.0, "zero"): (0.3225969585425981, 240.02286164144044, 0.05228752888499212),
 }
 
@@ -288,22 +291,55 @@ def _count_eigensolves(monkeypatch):
 
 @pytest.mark.parametrize("gate", ["vector", "zero"])
 @pytest.mark.parametrize("max_distance", [None, 1.0])
-def test_forward_takes_one_eigvalsh_per_patch_with_edges(monkeypatch, max_distance, gate):
-    """lam comes from eigenvalues alone, one solve per patch (every patch
-    of this window has edges) in one stacked call when the edge branch
-    runs; the model never asks for eigenvectors."""
+def test_forward_runs_no_eigensolver(monkeypatch, max_distance, gate):
+    """The edge filter is scaled by the node degrees, not by a spectrum,
+    so neither eigensolver runs in a loss, its backward or a forecast
+    (every patch of this window has edges)."""
     cfg = replace(SMALL, max_distance=max_distance, fusion_gate=gate)
     window = _circle_window(5)
     counts = patch_graphs(window.obs, cfg.patch_len, cfg.patch_stride,
                           cfg.max_distance).edge_counts
     assert counts.all() and len(counts) == cfg.n_patches
-    calls = _count_eigensolves(monkeypatch)
-    solved = []
-    solver = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or solver(a))
-    TrajectoryForecaster(cfg, seed=0).forward(window)
-    assert calls["eigh"] == 0
-    assert solved == ([cfg.n_patches] if gate != "zero" else [])
+    model = TrajectoryForecaster(cfg, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model ran an eigensolver")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    backward(model.loss(window))
+    assert np.isfinite(model.predict(window).mu).all()
+
+
+def _with_far_group(window, count=6, offset=(1000.0, 0.0)):
+    """The window with a tight group of ``count`` walkers appended, 1 km
+    away, so that no 2 m edge joins it to the window's own walkers."""
+    group = _circle_window(count)
+    centre = group.obs[:, -1].mean(axis=0)
+    obs, fut = ((track - centre) * 0.3 + offset for track in (group.obs, group.fut))
+    return Window(obs=np.concatenate([window.obs, obs]),
+                  fut=np.concatenate([window.fut, fut]),
+                  ped_ids=window.ped_ids + [100 + i for i in range(count)],
+                  origin=np.concatenate([window.origin, obs[:, -1]]))
+
+
+@pytest.mark.parametrize("gate", ["vector", "zero"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_walkers_out_of_reach_leave_the_forecast_unchanged(n, gate):
+    """On 2 m wiring a group 1 km away shares no edge with the window's
+    walkers, so their mu, log sigma and rho stay as they were to 1e-14: the
+    edge filter's scale is local (it was each patch's top eigenvalue, which
+    the group raised, and moved mu by about 3e-5)."""
+    cfg = ModelConfig(max_distance=2.0, fusion_gate=gate)
+    model = TrajectoryForecaster(cfg, seed=0)
+    window = _circle_window(n)
+    far = _with_far_group(window)
+    graph = patch_graphs(far.obs, cfg.patch_len, cfg.patch_stride, cfg.max_distance)
+    own = cfg.patch_len * n
+    crossing = (graph.edge_index[:, 1] < own) & (graph.edge_index[:, 2] >= own)
+    assert not crossing.any() and (graph.edge_index[:, 1] >= own).any()
+    for alone, joined in zip(model.forward(window), model.forward(far), strict=True):
+        np.testing.assert_allclose(joined.data[:n], alone.data, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("max_distance", [None, 2.0])

@@ -11,6 +11,7 @@ from stedge.stgraph import (
     DisconnectedGraphError,
     PatchTooLongError,
     build_node_adjacency,
+    dense_adjacency,
     edge_list,
     effective_resistance,
     effective_resistances,
@@ -90,7 +91,8 @@ def test_segment_patches_layout():
 @pytest.mark.parametrize("cfg", [(3, 1), (2, 3)])
 def test_patch_graphs_match_per_patch_references(cfg, max_distance):
     """One graph per patch, at ``patch_starts``, in one ``PatchGraph``;
-    each adjacency is ``build_node_adjacency`` on the pedestrian-major
+    each adjacency (``dense_adjacency``, filled from the edge list) is
+    ``build_node_adjacency`` on the pedestrian-major
     slice, the edges are the upper-triangle pairs in lexicographic order,
     tagged with their patch and in patch order, and each distance is its
     edge's endpoint-to-endpoint norm.  ``patch(k)`` is patch k alone."""
@@ -106,9 +108,10 @@ def test_patch_graphs_match_per_patch_references(cfg, max_distance):
         pos = obs[:, start:start + length].reshape(-1, 2)
         np.testing.assert_array_equal(pos[length + 1], obs[1, start + 1])
         adj = build_node_adjacency(4, length, pos, max_distance)
-        np.testing.assert_array_equal(graphs.adjacency[k], adj)
-        np.testing.assert_array_equal(graph.adjacency, adj[None])
+        np.testing.assert_array_equal(dense_adjacency(graphs)[k], adj)
+        np.testing.assert_array_equal(dense_adjacency(graph), adj[None])
         n = len(adj)
+        assert graphs.nodes == graph.nodes == n
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]]
         np.testing.assert_array_equal(graph.edge_index,
                                       np.reshape([(0, u, v) for u, v in edges], (-1, 3)))

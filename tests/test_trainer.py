@@ -263,6 +263,24 @@ def test_checkpoint_rejects_extents_numpy_cannot_hold(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_checkpoint_refuses_version_1(tmp_path):
+    """A version-1 file has the layout of version 2 but holds weights
+    trained for the edge filter scaled by each patch's top eigenvalue, so
+    it is refused by its version and the store is left as it was."""
+    path, _ = _saved_store(tmp_path)
+    buf = path.read_bytes()
+    head = len(CHECKPOINT_MAGIC)
+    assert struct.unpack("<I", buf[head:head + 4]) == (CHECKPOINT_VERSION,) == (2,)
+    path.write_bytes(buf[:head] + struct.pack("<I", 1) + buf[head + 4:])
+    params = TrajectoryForecaster(SMALL, seed=99).params   # other values than the file's
+    before = {name: p.data.copy() for name, p in params.items()}
+    with pytest.raises(CheckpointFormatError, match="unsupported version 1") as err:
+        load_checkpoint(path, params)
+    assert str(path) in str(err.value)
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, before[name])
+
+
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path, params = _saved_store(tmp_path)
     path.write_bytes(path.read_bytes() + b"\0")
